@@ -235,10 +235,6 @@ def _run_weights(config):
     }
 
 
-def _coefficient_rows(table):
-    return table.to_json_dict()["coefficients"]
-
-
 def _run_kontsevich(config):
     components = curve_from_json(config.inputs[0])
     mk = morse_embed(components)

@@ -187,6 +187,17 @@ def enumerate_placements(mk, m):
 # -- quadrature --------------------------------------------------------------
 
 
+def _settings(quadrature):
+    """Every (eps, steps) quadrature setting, in the order of all
+    per-setting arrays: each eps level at full steps, then each at
+    half steps."""
+    return [
+        (eps, steps)
+        for steps in (quadrature.steps, quadrature.steps // 2)
+        for eps in quadrature.epsilons()
+    ]
+
+
 class _QuadCache:
     """Grids, strand evaluations, chord integrands, and ordered block
     integrals for one MorseKnot, keyed by (slab, eps, steps)."""
@@ -235,22 +246,24 @@ class _QuadCache:
         return got
 
 
-def _placement_value(cache, placement, eps, steps):
-    """Raw placement integral at one quadrature setting, including the
+def _placement_value(cache, placement, settings):
+    """Raw placement integral at every quadrature setting, including the
     downward sign and one factor kappa per chord."""
-    val = 1 + 0j
     m = placement.degree
-    i = 0
-    while i < m:
-        j = i
-        while j < m and placement.slabs[j] == placement.slabs[i]:
-            j += 1
-        val *= cache.block(
-            placement.slabs[i], placement.pairs[i:j], eps, steps
+    runs = [
+        (slab, tuple(pair for _, pair in run))
+        for slab, run in itertools.groupby(
+            zip(placement.slabs, placement.pairs), key=lambda sp: sp[0]
         )
-        i = j
+    ]
     sign = -1 if placement.down_endpoints % 2 else 1
-    return sign * val * KAPPA**m
+    out = np.empty(len(settings), dtype=complex)
+    for k, (eps, steps) in enumerate(settings):
+        val = 1 + 0j
+        for slab, pairs in runs:
+            val *= cache.block(slab, pairs, eps, steps)
+        out[k] = sign * val * KAPPA**m
+    return out
 
 
 # -- eps extrapolation -------------------------------------------------------
@@ -288,7 +301,11 @@ def _fit_epsilon_tail(vals, floor):
     return v2, 2.0 * abs(d2) + floor, False, log_like
 
 
-def _classify(seq_full, seq_half):
+def _classify(series):
+    """IntegralResult of one array over the quadrature settings."""
+    vals = series.tolist()
+    n = len(vals) // 2
+    seq_full, seq_half = vals[:n], vals[n:]
     floor = 1e-9 * (1.0 + abs(seq_full[-1]))
     v_full, err_full, conv_full, log_full = _fit_epsilon_tail(seq_full, floor)
     v_half, _, _, log_half = _fit_epsilon_tail(seq_half, floor)
@@ -303,68 +320,61 @@ def _classify(seq_full, seq_half):
     )
 
 
-def placement_integral(mk, placement, quadrature=DEFAULT_QUADRATURE, cache=None):
+def placement_integral(mk, placement, quadrature=DEFAULT_QUADRATURE):
     """Extrapolated integral of one placement class with error bar."""
-    if cache is None:
-        cache = _QuadCache(mk)
-    seqs = []
-    for steps in (quadrature.steps, quadrature.steps // 2):
-        seqs.append(
-            [
-                _placement_value(cache, placement, eps, steps)
-                for eps in quadrature.epsilons()
-            ]
-        )
-    return _classify(seqs[0], seqs[1])
+    return _classify(_placement_value(_QuadCache(mk), placement, _settings(quadrature)))
 
 
 # -- per-diagram aggregation -------------------------------------------------
 
 
-def _level_aggregates(mk, m, quadrature, cache):
-    """Per-diagram placement sums at every (eps, step) setting.
+def _empty_diagram():
+    return ChordDiagram(())
 
-    Returns {diagram: {"full": [per-eps sums], "half": [...]}} in
-    first-appearance order; the summation order is the enumeration
-    order, fixed, so results are bit-reproducible.
+
+def _raw_series(mk, m, quadrature):
+    """Raw series of a single-component knot up to degree m.
+
+    Entry d maps each degree-d chord diagram to its placement sum, an
+    array over the quadrature settings in _settings order; degree 0 is
+    the empty diagram, exactly 1.  Sums run in enumeration order, so
+    results are bit-reproducible, and one _QuadCache serves every
+    degree.
     """
-    placements = enumerate_placements(mk, m)
-    eps_list = quadrature.epsilons()
-    out = {}
-    for label, steps in (("full", quadrature.steps), ("half", quadrature.steps // 2)):
-        for li, eps in enumerate(eps_list):
-            for p in placements:
-                v = _placement_value(cache, p, eps, steps)
-                slot = out.setdefault(
-                    p.diagram,
-                    {
-                        "full": [0j] * len(eps_list),
-                        "half": [0j] * len(eps_list),
-                    },
-                )
-                slot[label][li] += v
-    return out
-
-
-@dataclass(frozen=True)
-class Coefficient:
-    diagram: ChordDiagram
-    value: complex
-    error: float
-    converged: bool
-    log_divergent: bool
-    per_epsilon: tuple
-    per_epsilon_half: tuple
+    settings = _settings(quadrature)
+    cache = _QuadCache(mk)
+    series = [{_empty_diagram(): np.ones(len(settings), dtype=complex)}]
+    for deg in range(1, m + 1):
+        sums = {}
+        for p in enumerate_placements(mk, deg):
+            acc = sums.setdefault(p.diagram, np.zeros(len(settings), dtype=complex))
+            acc += _placement_value(cache, p, settings)
+        series.append(sums)
+    return series
 
 
 class CoefficientTable:
-    """Degree-m coefficients grouped by canonical chord diagram."""
+    """Degree-m coefficients grouped by canonical chord diagram.
 
-    def __init__(self, degree, entries, quadrature, n_maxima):
-        self.degree = degree
+    Built from a series (see _raw_series) whose lower degrees the table
+    keeps, so hump division needs no further quadrature.
+    """
+
+    def __init__(self, series, quadrature, n_maxima):
+        self.degree = len(series) - 1
         self.quadrature = quadrature
         self.n_maxima = n_maxima
-        self._entries = dict(entries)
+        self._series = series
+        self._entries = dict(self._classified(self.degree))
+
+    def _classified(self, m):
+        """(diagram, IntegralResult) pairs of degree m, sorted by diagram."""
+        if m == 0:
+            # The empty diagram is exactly 1: there is no quadrature error.
+            ones = (1 + 0j,) * self.quadrature.levels
+            return [(_empty_diagram(), IntegralResult(1 + 0j, 0.0, True, False, ones, ones))]
+        sums = self._series[m]
+        return [(d, _classify(sums[d])) for d in sorted(sums)]
 
     def diagrams(self):
         return sorted(self._entries)
@@ -415,33 +425,6 @@ class CoefficientTable:
         }
 
 
-def _empty_diagram():
-    return ChordDiagram(())
-
-
-def _unit_coefficient():
-    ones = (1 + 0j, 1 + 0j, 1 + 0j)
-    return Coefficient(_empty_diagram(), 1 + 0j, 0.0, True, False, ones, ones)
-
-
-def _table_from_aggregates(aggregates, degree, quadrature, n_maxima):
-    entries = {}
-    for diagram, seqs in aggregates.items():
-        if diagram is None:
-            continue
-        res = _classify(seqs["full"], seqs["half"])
-        entries[diagram] = Coefficient(
-            diagram,
-            res.value,
-            res.error,
-            res.converged,
-            res.log_divergent,
-            res.per_epsilon,
-            res.per_epsilon_half,
-        )
-    return CoefficientTable(degree, entries, quadrature, n_maxima)
-
-
 def degree_coefficients(mk, m, quadrature=DEFAULT_QUADRATURE):
     """CoefficientTable of the raw degree-m integrals of a knot.
 
@@ -453,23 +436,19 @@ def degree_coefficients(mk, m, quadrature=DEFAULT_QUADRATURE):
         raise TypeError("degree_coefficients expects a MorseKnot")
     if m < 0 or m > 3:
         raise ValueError("degree must be between 0 and 3")
-    if m == 0:
-        return CoefficientTable(
-            0, {_empty_diagram(): _unit_coefficient()}, quadrature, mk.n_maxima
-        )
-    if len(mk.component_cycles) != 1:
+    if m > 0 and len(mk.component_cycles) != 1:
         raise ValueError(
             "coefficient tables need a single component; see linking_number"
         )
-    cache = _QuadCache(mk)
-    aggregates = _level_aggregates(mk, m, quadrature, cache)
-    return _table_from_aggregates(aggregates, m, quadrature, mk.n_maxima)
+    return CoefficientTable(_raw_series(mk, m, quadrature), quadrature, mk.n_maxima)
 
 
 # -- hump normalization ------------------------------------------------------
 
 # Truncated series with diagram-map coefficients: degree d holds
-# {diagram: complex}.  Multiplication concatenates diagrams.
+# {diagram: array over the quadrature settings}.  Multiplication
+# concatenates diagrams.  Every operation builds new arrays: a series
+# may share its arrays with the table it came from.
 
 
 def _series_mul(a, b, max_degree):
@@ -512,30 +491,6 @@ def _series_div(a, divisor, max_degree):
     return c
 
 
-def _level_series(mk, max_degree, quadrature, cache, known=None):
-    """Raw series by degree at every (step, eps) setting.
-
-    Returns {("full"|"half", eps_index): [dict per degree]}.  known
-    maps a degree to precomputed aggregates to reuse.
-    """
-    eps_n = quadrature.levels
-    series = {(sl, li): [dict() for _ in range(max_degree + 1)]
-              for sl in ("full", "half") for li in range(eps_n)}
-    for key in series:
-        series[key][0][_empty_diagram()] = 1 + 0j
-    for deg in range(1, max_degree + 1):
-        agg = known.get(deg) if known else None
-        if agg is None:
-            agg = _level_aggregates(mk, deg, quadrature, cache)
-        for diagram, seqs in agg.items():
-            if diagram is None:
-                continue
-            for sl in ("full", "half"):
-                for li in range(eps_n):
-                    series[(sl, li)][deg][diagram] = seqs[sl][li]
-    return series
-
-
 _HUMP_SERIES_CACHE = {}
 
 
@@ -548,8 +503,7 @@ def _hump_reference_series(quadrature, max_degree):
         from .morse import morse_embed
 
         mk = morse_embed(load_fixture("hump"))
-        got = _level_series(mk, max_degree, quadrature, _QuadCache(mk))
-        _HUMP_SERIES_CACHE[key] = got
+        got = _HUMP_SERIES_CACHE[key] = _raw_series(mk, max_degree, quadrature)
     return got
 
 
@@ -557,9 +511,11 @@ def hump_normalize(raw, mk):
     """Divide out the critical-point contribution from a raw table.
 
     The corrected series is raw / hump^(maxima - 1) as truncated series
-    in diagram degree, the division done independently at every (step,
-    eps) setting so the corrected sequences extrapolate exactly like
-    raw ones.  A 1-maximum embedding is returned unchanged.
+    in diagram degree, divided elementwise over the quadrature settings
+    so the corrected sequences extrapolate exactly like raw ones.  The
+    raw table carries its lower degrees and the 2-maxima unknot series
+    is cached, so the knot needs no new quadrature.  A 1-maximum
+    embedding is returned unchanged.
     """
     if not isinstance(raw, CoefficientTable):
         raise TypeError("hump_normalize expects a CoefficientTable")
@@ -569,39 +525,9 @@ def hump_normalize(raw, mk):
     if raw.degree == 0 or power == 0:
         return raw
     m = raw.degree
-    quadrature = raw.quadrature
-    known = {
-        m: {
-            d: {"full": list(c.per_epsilon), "half": list(c.per_epsilon_half)}
-            for d, c in raw.items()
-        }
-    }
-    cache = _QuadCache(mk)
-    a_series = _level_series(mk, m, quadrature, cache, known=known)
-    b_series = _hump_reference_series(quadrature, m)
-    corrected = {}
-    for key in a_series:
-        divisor = _series_pow(b_series[key], power, m)
-        corrected[key] = _series_div(a_series[key], divisor, m)
-    diagrams = set()
-    for key in corrected:
-        diagrams.update(corrected[key][m])
-    entries = {}
-    eps_n = quadrature.levels
-    for diagram in sorted(diagrams):
-        seq_full = [corrected[("full", li)][m].get(diagram, 0j) for li in range(eps_n)]
-        seq_half = [corrected[("half", li)][m].get(diagram, 0j) for li in range(eps_n)]
-        res = _classify(seq_full, seq_half)
-        entries[diagram] = Coefficient(
-            diagram,
-            res.value,
-            res.error,
-            res.converged,
-            res.log_divergent,
-            res.per_epsilon,
-            res.per_epsilon_half,
-        )
-    return CoefficientTable(m, entries, quadrature, mk.n_maxima)
+    divisor = _series_pow(_hump_reference_series(raw.quadrature, m), power, m)
+    corrected = _series_div(raw._series, divisor, m)
+    return CoefficientTable(corrected, raw.quadrature, mk.n_maxima)
 
 
 # -- linking number ----------------------------------------------------------
@@ -617,15 +543,12 @@ def linking_number(mk, quadrature=DEFAULT_QUADRATURE):
     if len(mk.component_cycles) < 2:
         raise ValueError("linking number needs at least 2 components")
     cache = _QuadCache(mk)
-    classes = [p for p in enumerate_placements(mk, 1) if p.cross_component]
-    seqs = {"full": [], "half": []}
-    for label, steps in (("full", quadrature.steps), ("half", quadrature.steps // 2)):
-        for eps in quadrature.epsilons():
-            total = 0j
-            for p in classes:
-                total += _placement_value(cache, p, eps, steps)
-            seqs[label].append(total)
-    return _classify(seqs["full"], seqs["half"])
+    settings = _settings(quadrature)
+    total = np.zeros(len(settings), dtype=complex)
+    for p in enumerate_placements(mk, 1):
+        if p.cross_component:
+            total += _placement_value(cache, p, settings)
+    return _classify(total)
 
 
 # -- pairing with weight systems --------------------------------------------
@@ -644,21 +567,21 @@ def expectation_series(mk, algebra, max_degree, k, quadrature=DEFAULT_QUADRATURE
 
     The degree-0 term is the weight of the empty diagram (the trace of
     the identity in the chosen representation).  Coefficients are hump
-    normalized; divergence flags on any contributing coefficient are
-    propagated.
+    normalized, every degree read from one degree-max_degree table;
+    divergence flags on any contributing coefficient are propagated.
     """
     from .lie import weight
 
     if k == 0:
         raise ValueError("k must be nonzero")
+    table = hump_normalize(degree_coefficients(mk, max_degree, quadrature), mk)
     terms = [complex(weight(algebra, _empty_diagram()))]
     errors = [0.0]
     flagged = False
     for m in range(1, max_degree + 1):
-        table = hump_normalize(degree_coefficients(mk, m, quadrature), mk)
         term = 0j
         err = 0.0
-        for diagram, coeff in table.items():
+        for diagram, coeff in table._classified(m):
             w = weight(algebra, diagram)
             term += w * coeff.value
             err += abs(w) * coeff.error

@@ -14,7 +14,7 @@ from vassiliev.kontsevich import (
     placement_integral,
     wick_propagator,
 )
-from vassiliev.lie import su2_fundamental
+from vassiliev.lie import su2_fundamental, weight
 from vassiliev.morse import morse_embed
 
 Q = QuadratureSpec()
@@ -84,9 +84,12 @@ def test_circle_coefficients_vanish():
 
 def test_degree_zero_table():
     mk = embed("round_circle")
-    table = degree_coefficients(mk, 0, Q)
-    assert table.value(ChordDiagram(())) == 1
-    assert table.error(ChordDiagram(())) == 0.0
+    for levels in (3, 4, 6):
+        table = degree_coefficients(mk, 0, QuadratureSpec(levels=levels))
+        assert table.value(ChordDiagram(())) == 1
+        assert table.error(ChordDiagram(())) == 0.0
+        c = table.coefficient(ChordDiagram(()))
+        assert len(c.per_epsilon) == len(c.per_epsilon_half) == levels
 
 
 def test_degree_bounds_and_components():
@@ -127,9 +130,10 @@ def test_linking_requires_two_components():
 
 def test_hump_self_correction_is_exact():
     mk = embed("hump")
-    corrected = hump_normalize(degree_coefficients(mk, 2, Q), mk)
-    for d, c in corrected.items():
-        assert abs(c.value) < 1e-9
+    for m in (2, 3):
+        corrected = hump_normalize(degree_coefficients(mk, m, Q), mk)
+        for d, c in corrected.items():
+            assert abs(c.value) < 1e-9
 
 
 def test_corrected_crossed_coefficients():
@@ -180,6 +184,16 @@ def test_normalize_identity_for_one_maximum():
     assert hump_normalize(raw, mk) is raw
 
 
+def test_normalize_twice_leaves_raw_table_unchanged():
+    mk = embed("trefoil_3max")
+    raw = degree_coefficients(mk, 2, Q)
+    before = raw.items()
+    first = hump_normalize(raw, mk)
+    second = hump_normalize(raw, mk)
+    assert raw.items() == before
+    assert first.items() == second.items()
+
+
 def test_normalize_rejects_mismatched_embedding():
     raw = degree_coefficients(embed("trefoil_2max"), 2, Q)
     with pytest.raises(ValueError):
@@ -227,6 +241,19 @@ def test_expectation_series_su2():
     assert np.isfinite(abs(st.partial_sums[2]))
     with pytest.raises(ValueError):
         expectation_series(circle, su2, 1, 0.0, Q)
+
+
+def test_expectation_terms_match_per_degree_tables():
+    su2 = su2_fundamental()
+    mk = embed("trefoil_2max")
+    k = 10.0
+    series = expectation_series(mk, su2, 2, k, Q)
+    for m in (1, 2):
+        table = hump_normalize(degree_coefficients(mk, m, Q), mk)
+        pairing = 0j
+        for d, c in table.items():
+            pairing += weight(su2, d) * c.value
+        assert series.terms[m] == pairing / k**m
 
 
 def test_table_json_form():
