@@ -7,7 +7,8 @@ JSON document {"error": {module, message[, position]}} on stderr with
 exit status 3; argparse usage errors keep their conventional status 2.
 
 Diagram inputs are forgiving: a path to a file, or the literal text of
-a Gauss code, a PD code, or a diagram JSON document.
+a Gauss code, a PD code, or a diagram JSON document.  COMMANDS holds
+each subcommand's handler, output schema, error tag and CSV form.
 """
 
 from __future__ import annotations
@@ -18,28 +19,16 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 from .chords import ChordDiagram, enumerate_diagrams, four_term_relations, raw_matchings
-from .codes import SingularDiagram, parse_gauss, parse_pd
+from .codes import DiagramError, SingularDiagram, parse_gauss, parse_pd
 from .kontsevich import QuadratureSpec, degree_coefficients, hump_normalize
 from .lie import commutator_4T_witness, gl_fundamental, su2_fundamental, weight, weight_system
 from .morse import curve_from_json, morse_embed
 from .skein import conway, extend_invariant, v2
 
 CROSSED = ChordDiagram(((0, 2), (1, 3)))
-
-# which shipped schema file validates each subcommand's JSON output
-SCHEMA_FOR_COMMAND = {
-    "parse": "parse",
-    "conway": "polynomial",
-    "vassiliev-eval": "polynomial",
-    "v2": "v2",
-    "chords": "chords",
-    "weights": "weights",
-    "kontsevich": "coefficients",
-    "compare": "compare",
-}
 
 
 def load_schema(name):
@@ -48,39 +37,6 @@ def load_schema(name):
 
     ref = resources.files("vassiliev.schemas").joinpath(f"{name}.schema.json")
     return json.loads(ref.read_text())
-
-# default module tag for errors whose type lives outside this package
-_ERROR_TAGS = {
-    "parse": "codes",
-    "conway": "skein",
-    "v2": "skein",
-    "vassiliev-eval": "skein",
-    "chords": "chords",
-    "weights": "lie",
-    "kontsevich": "kontsevich",
-    "compare": "kontsevich",
-}
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One resolved CLI invocation."""
-
-    subcommand: str
-    inputs: tuple
-    options: dict = field(default_factory=dict)
-    output: str | None = None
-    format: str = "json"
-    seed: int | None = None
-
-    def __post_init__(self):
-        if self.subcommand not in _ERROR_TAGS:
-            raise ValueError(f"unknown subcommand {self.subcommand!r}")
-        if self.format not in ("json", "csv"):
-            raise ValueError(f"unknown output format {self.format!r}")
-        for path in self.inputs:
-            if _looks_like_path(path) and not os.path.exists(path):
-                raise FileNotFoundError(f"input file {path!r} does not exist")
 
 
 def _looks_like_path(text):
@@ -108,19 +64,15 @@ def _poly_json(p):
     return {str(exp): coeff for exp, coeff in p.items()}
 
 
-def _quadrature_from(options):
-    return QuadratureSpec(
-        steps=options.get("steps", 2000),
-        eps_rel=options.get("epsilon", 1e-3),
-        levels=options.get("levels", 3),
-    )
+def _quadrature_from(args):
+    return QuadratureSpec(steps=args.steps, eps_rel=args.epsilon, levels=args.levels)
 
 
 # ---------------------------------------------------------------- handlers
 
 
-def _run_parse(config):
-    d = load_diagram(config.inputs[0])
+def _run_parse(args):
+    d = load_diagram(args.input)
     out = {
         "command": "parse",
         "diagram": d.to_json_dict(),
@@ -131,17 +83,17 @@ def _run_parse(config):
     }
     try:
         out["gauss"] = d.to_gauss()
-    except Exception:
+    except DiagramError:
         pass
     try:
         out["pd"] = d.to_pd()
-    except Exception:
+    except DiagramError:
         pass
     return out
 
 
-def _run_conway(config):
-    d = load_diagram(config.inputs[0])
+def _run_conway(args):
+    d = load_diagram(args.input)
     p = conway(d)
     return {
         "command": "conway",
@@ -151,31 +103,28 @@ def _run_conway(config):
     }
 
 
-def _run_v2(config):
-    d = load_diagram(config.inputs[0])
+def _run_v2(args):
+    d = load_diagram(args.input)
     return {"command": "v2", "v2": v2(d)}
 
 
-def _run_vassiliev_eval(config):
-    d = load_diagram(config.inputs[0])
-    a = config.options.get("a", 1)
-    b = config.options.get("b", -1)
-    c = config.options.get("c", 0)
-    p = extend_invariant(conway, a, b, c)(d)
+def _run_vassiliev_eval(args):
+    d = load_diagram(args.input)
+    p = extend_invariant(conway, args.a, args.b, args.c)(d)
     return {
         "command": "vassiliev-eval",
-        "a": a,
-        "b": b,
-        "c": c,
+        "a": args.a,
+        "b": args.b,
+        "c": args.c,
         "n_nodes": d.n_nodes,
         "coefficients": _poly_json(p),
         "text": str(p),
     }
 
 
-def _run_chords(config):
-    action, m = config.inputs[0], int(config.inputs[1])
-    if action == "enumerate":
+def _run_chords(args):
+    m = args.degree
+    if args.action == "enumerate":
         if m > 6:
             raise ValueError("enumerate lists raw matchings; degree capped at 6")
         matchings = list(raw_matchings(m))
@@ -191,18 +140,16 @@ def _run_chords(config):
             "canonical_count": len(canonical),
             "canonical": [str(d) for d in canonical],
         }
-    if action == "4t":
-        relations = four_term_relations(m)
-        return {
-            "command": "chords",
-            "action": "4t",
-            "degree": m,
-            "n_relations": len(relations),
-            "relations": [
-                [{"sign": s, "diagram": str(d)} for s, d in rel] for rel in relations
-            ],
-        }
-    raise ValueError(f"unknown chords action {action!r}; use enumerate or 4t")
+    relations = four_term_relations(m)
+    return {
+        "command": "chords",
+        "action": "4t",
+        "degree": m,
+        "n_relations": len(relations),
+        "relations": [
+            [{"sign": s, "diagram": str(d)} for s, d in rel] for rel in relations
+        ],
+    }
 
 
 def _algebra_from_name(name):
@@ -216,16 +163,15 @@ def _algebra_from_name(name):
     raise ValueError(f"unknown algebra {name!r}; use su2 or glN (N <= 6)")
 
 
-def _run_weights(config):
-    algebra = _algebra_from_name(config.options["algebra"])
-    m = config.options["degree"]
+def _run_weights(args):
+    algebra = _algebra_from_name(args.algebra)
     algebra.check()  # raises with the residual in the message on failure
     _, closure_residual = commutator_4T_witness(algebra)
-    table = weight_system(algebra, m)
+    table = weight_system(algebra, args.degree)
     return {
         "command": "weights",
         "algebra": algebra.name,
-        "degree": m,
+        "degree": args.degree,
         "axioms_ok": True,
         "commutator_residual": float(closure_residual),
         "weights": [
@@ -235,12 +181,10 @@ def _run_weights(config):
     }
 
 
-def _run_kontsevich(config):
-    components = curve_from_json(config.inputs[0])
-    mk = morse_embed(components)
-    quadrature = _quadrature_from(config.options)
-    table = degree_coefficients(mk, config.options.get("degree", 2), quadrature)
-    normalized = not config.options.get("raw", False)
+def _run_kontsevich(args):
+    mk = morse_embed(curve_from_json(args.input))
+    table = degree_coefficients(mk, args.degree, _quadrature_from(args))
+    normalized = not args.raw
     if normalized:
         table = hump_normalize(table, mk)
     out = {"command": "kontsevich", "normalized": normalized}
@@ -254,16 +198,16 @@ def _run_kontsevich(config):
     return out
 
 
-def _run_compare(config):
-    degree = config.options.get("degree", 2)
-    if degree != 2:
+def _run_compare(args):
+    if args.degree != 2:
         raise ValueError("compare cross-validates the degree-2 invariant only")
-    d = load_diagram(config.inputs[1])
+    components = curve_from_json(args.curve)  # a missing file fails before the skein work
+    d = load_diagram(args.code)
     skein_value = v2(d)
     nabla = conway(d)
 
-    mk = morse_embed(curve_from_json(config.inputs[0]))
-    quadrature = _quadrature_from(config.options)
+    mk = morse_embed(components)
+    quadrature = _quadrature_from(args)
     table = hump_normalize(degree_coefficients(mk, 2, quadrature), mk)
     coeff = table.coefficient(CROSSED)
     integral = coeff.value if coeff is not None else 0j
@@ -271,7 +215,6 @@ def _run_compare(config):
 
     su2 = su2_fundamental()
     pairing = sum(weight(su2, dg) * table.value(dg) for dg in table.diagrams())
-    tolerance = config.options.get("tolerance", 5e-2)
     difference = abs(integral - skein_value)
     return {
         "command": "compare",
@@ -290,8 +233,8 @@ def _run_compare(config):
             "crossed_weight_re": weight(su2, CROSSED).real,
         },
         "difference": difference,
-        "tolerance": tolerance,
-        "within_tolerance": bool(difference < tolerance),
+        "tolerance": args.tolerance,
+        "within_tolerance": bool(difference < args.tolerance),
         "quadrature": {
             "steps": quadrature.steps,
             "eps_rel": quadrature.eps_rel,
@@ -301,91 +244,115 @@ def _run_compare(config):
     }
 
 
-_HANDLERS = {
-    "parse": _run_parse,
-    "conway": _run_conway,
-    "v2": _run_v2,
-    "vassiliev-eval": _run_vassiliev_eval,
-    "chords": _run_chords,
-    "weights": _run_weights,
-    "kontsevich": _run_kontsevich,
-    "compare": _run_compare,
+# ---------------------------------------------------------------- CSV rows
+
+
+def _parse_rows(payload):
+    rows = [("component", "position", "kind", "id", "sign")]
+    signs = payload["diagram"]["signs"]
+    for ci, comp in enumerate(payload["diagram"]["components"]):
+        for pi, tok in enumerate(comp):
+            kind, sid = tok[0], tok[1:]
+            rows.append((ci, pi, kind, sid, signs.get(sid, "")))
+    return rows
+
+
+def _polynomial_rows(payload):
+    rows = [("exponent", "coefficient")]
+    for exp in sorted(payload["coefficients"], key=int):
+        rows.append((exp, payload["coefficients"][exp]))
+    return rows
+
+
+def _v2_rows(payload):
+    return [("v2",), (payload["v2"],)]
+
+
+def _chords_rows(payload):
+    if payload["action"] == "enumerate":
+        rows = [("index", "matching")]
+        rows += [(i, mt) for i, mt in enumerate(payload["raw_matchings"])]
+        return rows
+    rows = [("relation", "term", "sign", "diagram")]
+    for ri, rel in enumerate(payload["relations"]):
+        for ti, term in enumerate(rel):
+            rows.append((ri, ti, term["sign"], term["diagram"]))
+    return rows
+
+
+def _weights_rows(payload):
+    rows = [("diagram", "re", "im")]
+    rows += [(w["diagram"], w["re"], w["im"]) for w in payload["weights"]]
+    return rows
+
+
+def _kontsevich_rows(payload):
+    rows = [("diagram", "value_re", "value_im", "error", "converged", "log_divergent")]
+    for c in payload["coefficients"]:
+        rows.append(
+            (c["diagram"], c["value_re"], c["value_im"], c["error"],
+             c["converged"], c["log_divergent"])
+        )
+    return rows
+
+
+def _compare_rows(payload):
+    flat = {
+        "skein_v2": payload["skein"]["v2"],
+        "integral_crossed_re": payload["integral"]["crossed_re"],
+        "integral_crossed_im": payload["integral"]["crossed_im"],
+        "integral_error": payload["integral"]["error"],
+        "difference": payload["difference"],
+        "tolerance": payload["tolerance"],
+        "within_tolerance": payload["within_tolerance"],
+    }
+    return [("key", "value")] + list(flat.items())
+
+
+# ---------------------------------------------------------------- registry
+
+
+class Command(NamedTuple):
+    """How one subcommand runs and how its result is shown."""
+
+    handler: Callable  # parsed arguments -> JSON payload
+    schema: str  # shipped schema file that validates the JSON payload
+    error_tag: str  # module tag for errors whose type lives outside this package
+    csv_rows: Callable  # JSON payload -> CSV rows, header first
+
+
+COMMANDS = {
+    "parse": Command(_run_parse, "parse", "codes", _parse_rows),
+    "conway": Command(_run_conway, "polynomial", "skein", _polynomial_rows),
+    "v2": Command(_run_v2, "v2", "skein", _v2_rows),
+    "vassiliev-eval": Command(_run_vassiliev_eval, "polynomial", "skein", _polynomial_rows),
+    "chords": Command(_run_chords, "chords", "chords", _chords_rows),
+    "weights": Command(_run_weights, "weights", "lie", _weights_rows),
+    "kontsevich": Command(_run_kontsevich, "coefficients", "kontsevich", _kontsevich_rows),
+    "compare": Command(_run_compare, "compare", "kontsevich", _compare_rows),
 }
 
 
 # ---------------------------------------------------------------- rendering
 
 
-def _csv_rows(payload):
-    cmd = payload["command"]
-    if cmd == "parse":
-        rows = [("component", "position", "kind", "id", "sign")]
-        signs = payload["diagram"]["signs"]
-        for ci, comp in enumerate(payload["diagram"]["components"]):
-            for pi, tok in enumerate(comp):
-                kind, sid = tok[0], tok[1:]
-                rows.append((ci, pi, kind, sid, signs.get(sid, "")))
-        return rows
-    if cmd in ("conway", "vassiliev-eval"):
-        rows = [("exponent", "coefficient")]
-        for exp in sorted(payload["coefficients"], key=int):
-            rows.append((exp, payload["coefficients"][exp]))
-        return rows
-    if cmd == "v2":
-        return [("v2",), (payload["v2"],)]
-    if cmd == "chords" and payload["action"] == "enumerate":
-        rows = [("index", "matching")]
-        rows += [(i, mt) for i, mt in enumerate(payload["raw_matchings"])]
-        return rows
-    if cmd == "chords":
-        rows = [("relation", "term", "sign", "diagram")]
-        for ri, rel in enumerate(payload["relations"]):
-            for ti, term in enumerate(rel):
-                rows.append((ri, ti, term["sign"], term["diagram"]))
-        return rows
-    if cmd == "weights":
-        rows = [("diagram", "re", "im")]
-        rows += [(w["diagram"], w["re"], w["im"]) for w in payload["weights"]]
-        return rows
-    if cmd == "kontsevich":
-        rows = [("diagram", "value_re", "value_im", "error", "converged", "log_divergent")]
-        for c in payload["coefficients"]:
-            rows.append(
-                (c["diagram"], c["value_re"], c["value_im"], c["error"],
-                 c["converged"], c["log_divergent"])
-            )
-        return rows
-    if cmd == "compare":
-        flat = {
-            "skein_v2": payload["skein"]["v2"],
-            "integral_crossed_re": payload["integral"]["crossed_re"],
-            "integral_crossed_im": payload["integral"]["crossed_im"],
-            "integral_error": payload["integral"]["error"],
-            "difference": payload["difference"],
-            "tolerance": payload["tolerance"],
-            "within_tolerance": payload["within_tolerance"],
-        }
-        return [("key", "value")] + list(flat.items())
-    raise ValueError(f"no CSV form for command {cmd!r}")
-
-
-def _render(payload, config):
-    if config.format == "csv":
+def _render(payload, command, args):
+    if args.fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerows(_csv_rows(payload))
+        writer.writerows(command.csv_rows(payload))
         return buf.getvalue()
-    if config.seed is not None:
-        payload = dict(payload, seed=config.seed)
+    if args.seed is not None:
+        payload = dict(payload, seed=args.seed)
     return json.dumps(payload, indent=2) + "\n"
 
 
-def run(config):
-    """Execute one configured invocation; returns the exit status."""
-    payload = _HANDLERS[config.subcommand](config)
-    text = _render(payload, config)
-    if config.output:
-        with open(config.output, "w") as fh:
+def run(args):
+    """Execute one parsed invocation; returns the exit status."""
+    command = COMMANDS[args.subcommand]
+    text = _render(command.handler(args), command, args)
+    if args.output:
+        with open(args.output, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -479,38 +446,14 @@ def build_parser():
     return parser
 
 
-def config_from_args(args):
-    inputs = []
-    for name in ("input", "curve", "code", "action", "degree"):
-        if name == "degree" and args.subcommand != "chords":
-            continue  # degree is an option elsewhere, positional only for chords
-        if hasattr(args, name):
-            inputs.append(str(getattr(args, name)))
-    options = {}
-    for name in ("a", "b", "c", "degree", "steps", "epsilon", "levels", "raw",
-                 "algebra", "tolerance"):
-        if args.subcommand == "chords" and name == "degree":
-            continue
-        if hasattr(args, name):
-            options[name] = getattr(args, name)
-    return RunConfig(
-        subcommand=args.subcommand,
-        inputs=tuple(inputs),
-        options=options,
-        output=args.output,
-        format=args.fmt,
-        seed=args.seed,
-    )
-
-
-def _error_payload(exc, subcommand):
+def _error_payload(exc, default_tag):
     mod = type(exc).__module__ or ""
     if mod.startswith("vassiliev."):
         tag = mod.split(".", 1)[1]
     elif isinstance(exc, OSError):
         tag = "cli"  # file plumbing, not a library failure
     else:
-        tag = _ERROR_TAGS.get(subcommand, "cli")
+        tag = default_tag
     err = {"module": tag, "message": str(exc)}
     position = getattr(exc, "position", None)
     if position is not None:
@@ -524,12 +467,10 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code
-    subcommand = getattr(args, "subcommand", "cli")
     try:
-        config = config_from_args(args)
-        return run(config)
+        return run(args)
     except Exception as exc:
-        payload = _error_payload(exc, subcommand)
+        payload = _error_payload(exc, COMMANDS[args.subcommand].error_tag)
         sys.stderr.write(json.dumps(payload, indent=2) + "\n")
         return 3
 

@@ -114,11 +114,6 @@ class SingularDiagram:
     def n_nodes(self):
         return len(self._nodes)
 
-    @property
-    def size(self):
-        """Number of nodes |G| (the finite-type grading)."""
-        return len(self._nodes)
-
     def sign(self, sid):
         return self._signs[sid]
 

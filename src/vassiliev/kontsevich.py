@@ -451,29 +451,6 @@ def degree_coefficients(mk, m, quadrature=DEFAULT_QUADRATURE):
 # may share its arrays with the table it came from.
 
 
-def _series_mul(a, b, max_degree):
-    out = [dict() for _ in range(max_degree + 1)]
-    for i in range(max_degree + 1):
-        if i >= len(a) or not a[i]:
-            continue
-        for j in range(max_degree + 1 - i):
-            if j >= len(b) or not b[j]:
-                continue
-            for d1, c1 in a[i].items():
-                for d2, c2 in b[j].items():
-                    d = d1.concat(d2)
-                    out[i + j][d] = out[i + j].get(d, 0j) + c1 * c2
-    return out
-
-
-def _series_pow(base, power, max_degree):
-    out = [dict() for _ in range(max_degree + 1)]
-    out[0][_empty_diagram()] = 1 + 0j
-    for _ in range(power):
-        out = _series_mul(out, base, max_degree)
-    return out
-
-
 def _series_div(a, divisor, max_degree):
     """c with divisor * c = a, both sides unit at degree 0."""
     c = [dict() for _ in range(max_degree + 1)]
@@ -525,8 +502,10 @@ def hump_normalize(raw, mk):
     if raw.degree == 0 or power == 0:
         return raw
     m = raw.degree
-    divisor = _series_pow(_hump_reference_series(raw.quadrature, m), power, m)
-    corrected = _series_div(raw._series, divisor, m)
+    hump = _hump_reference_series(raw.quadrature, m)
+    corrected = raw._series
+    for _ in range(power):
+        corrected = _series_div(corrected, hump, m)
     return CoefficientTable(corrected, raw.quadrature, mk.n_maxima)
 
 

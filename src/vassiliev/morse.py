@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline, make_interp_spline
+from scipy.interpolate import CubicSpline
 
 
 class EmbeddingError(ValueError):
@@ -40,10 +40,8 @@ class Strand:
         z_sorted = np.asarray(z_values)[order]
         self.t_lo = float(t_sorted[0])
         self.t_hi = float(t_sorted[-1])
-        if len(t_sorted) >= 4:
-            spline = CubicSpline(t_sorted, z_sorted)
-        else:
-            spline = make_interp_spline(t_sorted, z_sorted, k=len(t_sorted) - 1)
+        # not-a-knot; through 2 or 3 samples this is the line or parabola
+        spline = CubicSpline(t_sorted, z_sorted)
         self._z = spline
         self._dz = spline.derivative()
 
@@ -86,9 +84,6 @@ class MorseKnot:
     @property
     def n_maxima(self):
         return sum(self.maxima_per_component)
-
-    def strand(self, i):
-        return self.strands[i]
 
 
 def _extrema_indices(t):

@@ -121,7 +121,7 @@ def extend_invariant(invariant, a, b, c):
         nid = nodes[0]
         total = None
         for coeff, res in ((a, "positive"), (b, "negative"), (c, "smooth")):
-            if _is_zero_coeff(coeff):
+            if coeff == 0:
                 continue
             term = coeff * extended(diagram.resolve_node(nid, res))
             total = term if total is None else total + term
@@ -131,12 +131,6 @@ def extend_invariant(invariant, a, b, c):
         return total
 
     return extended
-
-
-def _is_zero_coeff(coeff):
-    if isinstance(coeff, IntegerLaurentPoly):
-        return coeff.is_zero()
-    return coeff == 0
 
 
 def vassiliev_eval(invariant, diagram):
@@ -167,15 +161,9 @@ def finite_type_check(invariant, k, diagrams):
                 f"got one with {d.n_nodes}"
             )
         val = vassiliev_eval(invariant, d)
-        if not _value_is_zero(val):
+        if val != 0:
             failures.append((d, val))
     return (not failures), failures
-
-
-def _value_is_zero(value):
-    if isinstance(value, IntegerLaurentPoly):
-        return value.is_zero()
-    return value == 0
 
 
 def embedding_independence_check(invariant, k, diagram, switch_sequences):

@@ -10,7 +10,6 @@ import io
 import json
 
 import jsonschema
-import pytest
 
 from vassiliev import cli
 from vassiliev.codes import parse_gauss
@@ -25,7 +24,7 @@ def run_json(capsys, argv):
     out, err = capsys.readouterr()
     assert status == 0, err
     payload = json.loads(out)
-    schema = cli.load_schema(cli.SCHEMA_FOR_COMMAND[payload["command"]])
+    schema = cli.load_schema(cli.COMMANDS[payload["command"]].schema)
     jsonschema.validate(payload, schema)
     return payload
 
@@ -140,8 +139,9 @@ def test_compare_trefoil(tmp_path, capsys):
 
 
 def test_error_missing_file(capsys):
-    err = run_error(capsys, ["conway", "/tmp/definitely-not-here.gauss"])
-    assert err["module"] == "cli"
+    for path in ("/tmp/definitely-not-here.gauss", "missing-file.gauss"):
+        err = run_error(capsys, ["conway", path])
+        assert err["module"] == "cli"
 
 
 def test_error_parse_has_position(capsys):
@@ -164,6 +164,7 @@ def test_error_degree_out_of_range(tmp_path, capsys):
 def test_usage_error_exit_2(capsys):
     assert cli.main(["bogus-subcommand"]) == 2
     assert cli.main([]) == 2
+    assert cli.main(["v2", TREFOIL, "--format", "xml"]) == 2
 
 
 def test_csv_conway(capsys):
@@ -216,17 +217,18 @@ def test_shipped_curves_validate(tmp_path):
         jsonschema.validate(json.loads(res.read_text()), schema)
 
 
+def test_parse_omits_forms_that_cannot_express_the_diagram(capsys):
+    # Gauss text cannot carry a node; PD text cannot carry a crossingless circle
+    node = {"format": "singular-diagram", "components": [["P1", "Q1"]], "signs": {}}
+    payload = run_json(capsys, ["parse", json.dumps(node)])
+    assert "gauss" not in payload and "pd" in payload
+    link = {"components": [["O1", "U1"], []], "signs": {"1": 1}}
+    payload = run_json(capsys, ["parse", json.dumps(link)])
+    assert "pd" not in payload and payload["gauss"] == "O1+U1+;"
+
+
 def test_parse_echo_matches_library(capsys):
     payload = run_json(capsys, ["parse", TREFOIL])
     d = parse_gauss(TREFOIL)
     assert payload["gauss"] == d.to_gauss()
     assert payload["writhe"] == d.writhe
-
-
-def test_run_config_validation():
-    with pytest.raises(ValueError):
-        cli.RunConfig(subcommand="nope", inputs=())
-    with pytest.raises(ValueError):
-        cli.RunConfig(subcommand="v2", inputs=("x",), format="xml")
-    with pytest.raises(FileNotFoundError):
-        cli.RunConfig(subcommand="v2", inputs=("missing-file.gauss",))

@@ -105,3 +105,21 @@ def test_strands_cover_component_cyclically():
         assert len(cycle) % 2 == 0
     ups = sum(1 for s in mk.strands if s.goes_up)
     assert ups == len(mk.strands) // 2
+
+
+def test_two_sample_strands_are_chords():
+    # a kink near the top cuts two strands of only 2 samples each
+    (samples,) = round_circle(n=40)
+    z = np.array([s[0] for s in samples])
+    t = np.array([s[1] for s in samples])
+    t[10] += 0.3
+    t[11] -= 0.2
+    mk = morse_embed([list(zip(z, t))])
+    assert mk.n_maxima == 2
+    for a, b in ((10, 11), (11, 12)):
+        (s,) = [s for s in mk.strands if {s.t_lo, s.t_hi} == {t[a], t[b]}]
+        slope = (z[b] - z[a]) / (t[b] - t[a])
+        assert complex(s.z(t[a])) == pytest.approx(z[a], rel=1e-12)
+        assert complex(s.z(t[b])) == pytest.approx(z[b], rel=1e-12)
+        for tau in (t[a], (t[a] + t[b]) / 2, t[b]):
+            assert complex(s.dz(tau)) == pytest.approx(slope, rel=1e-12)
