@@ -19,6 +19,7 @@ import io
 import json
 import os
 import sys
+from dataclasses import asdict
 from typing import Callable, NamedTuple
 
 from .chords import ChordDiagram, enumerate_diagrams, four_term_relations, raw_matchings
@@ -40,11 +41,11 @@ def load_schema(name):
 
 
 def _looks_like_path(text):
-    # heuristics only: literal codes never contain a path separator or
-    # a known code-file suffix
-    if os.path.sep in text:
+    # literal codes hold no path separator or code-file suffix, Gauss
+    # tokens and PD entries hold a digit, and JSON text starts with "{"
+    if os.path.sep in text or text.endswith((".json", ".gauss", ".pd", ".txt")):
         return True
-    return text.endswith((".json", ".gauss", ".pd", ".txt"))
+    return bool(text) and text[0] != "{" and not any(c.isdigit() for c in text)
 
 
 def load_diagram(text):
@@ -58,10 +59,6 @@ def load_diagram(text):
     if "X(" in s or "V(" in s:
         return parse_pd(s)
     return parse_gauss(s)
-
-
-def _poly_json(p):
-    return {str(exp): coeff for exp, coeff in p.items()}
 
 
 def _quadrature_from(args):
@@ -97,7 +94,7 @@ def _run_conway(args):
     p = conway(d)
     return {
         "command": "conway",
-        "coefficients": _poly_json(p),
+        "coefficients": p.to_dict(),
         "text": str(p),
         "n_components": d.n_components,
     }
@@ -117,7 +114,7 @@ def _run_vassiliev_eval(args):
         "b": args.b,
         "c": args.c,
         "n_nodes": d.n_nodes,
-        "coefficients": _poly_json(p),
+        "coefficients": p.to_dict(),
         "text": str(p),
     }
 
@@ -235,11 +232,7 @@ def _run_compare(args):
         "difference": difference,
         "tolerance": args.tolerance,
         "within_tolerance": bool(difference < args.tolerance),
-        "quadrature": {
-            "steps": quadrature.steps,
-            "eps_rel": quadrature.eps_rel,
-            "levels": quadrature.levels,
-        },
+        "quadrature": asdict(quadrature),
         "n_maxima": mk.n_maxima,
     }
 

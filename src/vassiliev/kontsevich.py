@@ -21,7 +21,7 @@ measurements, not guesses.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -226,8 +226,8 @@ class _QuadCache:
         if got is None:
             t, _ = self.grid(slab_idx, eps, steps)
             sa, sb = self.mk.strands[pair[0]], self.mk.strands[pair[1]]
-            za, zb = sa.z(t), sb.z(t)
-            got = self._fs[key] = (sa.dz(t) - sb.dz(t)) / (za - zb)
+            (za, dza), (zb, dzb) = sa.at(t), sb.at(t)
+            got = self._fs[key] = (dza - dzb) / (za - zb)
         return got
 
     def block(self, slab_idx, pairs, eps, steps):
@@ -405,11 +405,7 @@ class CoefficientTable:
     def to_json_dict(self):
         return {
             "degree": self.degree,
-            "quadrature": {
-                "steps": self.quadrature.steps,
-                "eps_rel": self.quadrature.eps_rel,
-                "levels": self.quadrature.levels,
-            },
+            "quadrature": asdict(self.quadrature),
             "n_maxima": self.n_maxima,
             "coefficients": [
                 {

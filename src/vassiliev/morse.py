@@ -14,42 +14,77 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 
 class EmbeddingError(ValueError):
     pass
 
 
+def _not_a_knot_cubic(t, z):
+    """Per-interval coefficients, cubic first, of the not-a-knot cubic
+    spline through (t, z) with t increasing.
+
+    The knot slopes solve the usual tridiagonal system: a continuous
+    second derivative at the interior knots, and a continuous third
+    derivative at t[1] and t[-2].  Elimination needs no pivoting: every
+    pivot is positive, at least one interval width except in the last
+    row, which keeps dt[-2]**2 / (2 (dt[-2] + dt[-1])).  Through 2 or 3
+    samples the spline is the line or the parabola.
+    """
+    dt = np.diff(t)
+    m = np.diff(z) / dt
+    n = len(t)
+    if n <= 3:
+        mid = np.dot(dt[::-1], m) / (t[-1] - t[0])
+        d = np.r_[2 * m[0] - mid, [mid] * (n - 2), 2 * m[-1] - mid]
+    else:
+        h, w = dt.tolist(), m.tolist()
+        span0, span1 = float(t[2] - t[0]), float(t[-1] - t[-3])
+        diag = [h[1]] + [2 * (a + b) for a, b in zip(h, h[1:])] + [h[-2]]
+        upper = [span0] + h[:-1]
+        rhs = (
+            [((h[0] + 2 * span0) * h[1] * w[0] + h[0] ** 2 * w[1]) / span0]
+            + [3 * (b * p + a * q) for a, b, p, q in zip(h, h[1:], w, w[1:])]
+            + [(h[-1] ** 2 * w[-2] + (2 * span1 + h[-1]) * h[-2] * w[-1]) / span1]
+        )
+        for i, lower in enumerate(h[1:] + [span1], 1):
+            f = lower / diag[i - 1]
+            diag[i] -= f * upper[i - 1]
+            rhs[i] -= f * rhs[i - 1]
+        rhs[-1] /= diag[-1]
+        for i in range(n - 2, -1, -1):
+            rhs[i] = (rhs[i] - upper[i] * rhs[i + 1]) / diag[i]
+        d = np.array(rhs)
+    c = (d[:-1] + d[1:] - 2 * m) / dt
+    return c / dt, (m - d[:-1]) / dt - c, d[:-1], z[:-1]
+
+
 class Strand:
     """One height-monotone piece of a component.
 
-    z(t) and dz(t) interpolate the samples; t_lo/t_hi are the critical
-    heights bounding the strand; goes_up records the traversal
-    direction along the original loop.
+    at(t) gives z(t) and dz/dt on the spline through the samples;
+    t_lo/t_hi are the critical heights bounding the strand; goes_up
+    records the traversal direction along the original loop.
     """
 
-    __slots__ = ("index", "component", "goes_up", "t_lo", "t_hi", "_z", "_dz")
+    __slots__ = ("index", "component", "goes_up", "t_lo", "t_hi", "_t", "_coeffs")
 
     def __init__(self, index, component, goes_up, t_values, z_values):
         self.index = index
         self.component = component
         self.goes_up = goes_up
         order = np.argsort(t_values)
-        t_sorted = np.asarray(t_values)[order]
-        z_sorted = np.asarray(z_values)[order]
-        self.t_lo = float(t_sorted[0])
-        self.t_hi = float(t_sorted[-1])
-        # not-a-knot; through 2 or 3 samples this is the line or parabola
-        spline = CubicSpline(t_sorted, z_sorted)
-        self._z = spline
-        self._dz = spline.derivative()
+        self._t = np.asarray(t_values, dtype=float)[order]
+        self.t_lo = float(self._t[0])
+        self.t_hi = float(self._t[-1])
+        self._coeffs = _not_a_knot_cubic(self._t, np.asarray(z_values, dtype=complex)[order])
 
-    def z(self, t):
-        return self._z(t)
-
-    def dz(self, t):
-        return self._dz(t)
+    def at(self, t):
+        """(z, dz/dt) at heights t; the end cubics extend past t_lo/t_hi."""
+        i = np.clip(np.searchsorted(self._t, t, side="right") - 1, 0, len(self._t) - 2)
+        s = t - self._t[i]
+        a, b, c, z0 = (k[i] for k in self._coeffs)
+        return ((a * s + b) * s + c) * s + z0, (3 * a * s + 2 * b) * s + c
 
     def __repr__(self):
         arrow = "up" if self.goes_up else "down"
@@ -92,25 +127,16 @@ def _extrema_indices(t):
     Returns (indices, kinds) with kind +1 for a maximum.  Plateaus at
     sample resolution are rejected.
     """
-    n = len(t)
-    idx, kinds = [], []
-    for i in range(n):
-        prev_t = t[(i - 1) % n]
-        next_t = t[(i + 1) % n]
-        if t[i] == prev_t or t[i] == next_t:
-            raise EmbeddingError(
-                "flat height step at sample resolution; resample the curve"
-            )
-        if t[i] > prev_t and t[i] > next_t:
-            idx.append(i)
-            kinds.append(1)
-        elif t[i] < prev_t and t[i] < next_t:
-            idx.append(i)
-            kinds.append(-1)
-    return idx, kinds
+    if np.any(t == np.roll(t, 1)):
+        raise EmbeddingError(
+            "flat height step at sample resolution; resample the curve"
+        )
+    rises_in, falls_out = t > np.roll(t, 1), t > np.roll(t, -1)
+    idx = np.flatnonzero(rises_in == falls_out)
+    return idx.tolist(), np.where(rises_in[idx], 1, -1).tolist()
 
 
-def morse_embed(components, *, jitter=True, embed_tol=1e-8, slab_probes=25):
+def morse_embed(components, *, jitter=True):
     """Build a MorseKnot from sampled closed curves.
 
     components: iterable of sample lists, each sample a (z, t) pair (or
@@ -132,16 +158,8 @@ def morse_embed(components, *, jitter=True, embed_tol=1e-8, slab_probes=25):
     scale = max(float(np.ptp(t)) for _, t in comps) or 1.0
     notes = []
     for attempt in range(6):
-        crit_values = []
-        ok = True
-        for z, t in comps:
-            idx, kinds = _extrema_indices(t)
-            crit_values.extend(t[i] for i in idx)
-        crit_sorted = sorted(crit_values)
-        min_gap = min(
-            (b - a for a, b in zip(crit_sorted, crit_sorted[1:])), default=scale
-        )
-        if min_gap > 1e-9 * scale:
+        crits = np.sort(np.concatenate([t[_extrema_indices(t)[0]] for _, t in comps]))
+        if np.all(np.diff(crits) > 1e-9 * scale):
             break
         if not jitter:
             raise EmbeddingError("degenerate critical heights (jitter disabled)")
@@ -183,8 +201,8 @@ def morse_embed(components, *, jitter=True, embed_tol=1e-8, slab_probes=25):
         )
         slabs.append(Slab(lo, hi, ids))
 
-    margin = _check_embedding(strands, slabs, probes=slab_probes)
-    if margin < embed_tol * scale:
+    margin = _check_embedding(strands, slabs)
+    if margin < 1e-8 * scale:
         raise EmbeddingError(
             f"strands nearly coincide (min separation {margin:.3e}); not an embedding"
         )
@@ -199,19 +217,19 @@ def morse_embed(components, *, jitter=True, embed_tol=1e-8, slab_probes=25):
     )
 
 
-def _check_embedding(strands, slabs, probes):
+def _check_embedding(strands, slabs):
     margin = np.inf
     for slab in slabs:
         if len(slab.strand_ids) < 2:
             continue
         h = slab.height
-        ts = np.linspace(slab.t_lo + 0.02 * h, slab.t_hi - 0.02 * h, probes)
-        zs = np.array([strands[i].z(ts) for i in slab.strand_ids])
+        ts = np.linspace(slab.t_lo + 0.02 * h, slab.t_hi - 0.02 * h, 25)
+        zs = np.array([strands[i].at(ts)[0] for i in slab.strand_ids])
         for i in range(len(zs)):
             for j in range(i + 1, len(zs)):
                 sep = float(np.min(np.abs(zs[i] - zs[j])))
                 margin = min(margin, sep)
-    return margin if np.isfinite(margin) else np.inf
+    return margin
 
 
 # -- curve files -----------------------------------------------------------
@@ -225,12 +243,8 @@ def curve_from_json(data):
     """
     if isinstance(data, (str, bytes)):
         text = data
-        try:
-            stripped = data.lstrip() if isinstance(data, str) else data.lstrip(b" ")
-            looks_like_json = stripped[:1] in ("{", b"{")
-        except Exception:
-            looks_like_json = False
-        if not looks_like_json:
+        stripped = data.lstrip() if isinstance(data, str) else data.lstrip(b" ")
+        if stripped[:1] not in ("{", b"{"):
             with open(data) as fh:
                 text = fh.read()
         data = json.loads(text)

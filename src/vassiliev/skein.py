@@ -25,10 +25,6 @@ _ZERO = IntegerLaurentPoly.zero()
 _memo = {}
 
 
-def clear_memo():
-    _memo.clear()
-
-
 def _first_bad_crossing(diagram):
     seen = set()
     for comp in diagram.components:

@@ -139,8 +139,12 @@ def test_compare_trefoil(tmp_path, capsys):
 
 
 def test_error_missing_file(capsys):
-    for path in ("/tmp/definitely-not-here.gauss", "missing-file.gauss"):
-        err = run_error(capsys, ["conway", path])
+    for argv in (
+        ["conway", "/tmp/definitely-not-here.gauss"],
+        ["conway", "missing-file.gauss"],
+        ["v2", "knotfile"],
+    ):
+        err = run_error(capsys, argv)
         assert err["module"] == "cli"
 
 

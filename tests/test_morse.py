@@ -5,6 +5,7 @@ import pytest
 
 from vassiliev.morse import (
     EmbeddingError,
+    Strand,
     curve_from_json,
     curve_to_json,
     morse_embed,
@@ -29,14 +30,14 @@ def test_round_circle_strand_values():
     mk = morse_embed(round_circle())
     seen = set()
     for s in mk.strands:
-        x0 = complex(s.z(0.0))
+        x0, dx0 = s.at(0.0)
         seen.add(round(x0.real))
         assert abs(x0) == pytest.approx(1.0, abs=1e-5)
-        assert abs(complex(s.dz(0.0))) < 1e-3
-        xh = complex(s.z(0.5))
+        assert abs(complex(dx0)) < 1e-3
+        xh, dxh = s.at(0.5)
         assert abs(xh.real) == pytest.approx(np.sqrt(0.75), abs=1e-5)
         # dz/dt = -x tan(theta) side: magnitude tan(pi/6)
-        assert abs(complex(s.dz(0.5))) == pytest.approx(np.tan(np.pi / 6), abs=1e-3)
+        assert abs(complex(dxh)) == pytest.approx(np.tan(np.pi / 6), abs=1e-3)
     assert seen == {-1, 1}
 
 
@@ -119,7 +120,35 @@ def test_two_sample_strands_are_chords():
     for a, b in ((10, 11), (11, 12)):
         (s,) = [s for s in mk.strands if {s.t_lo, s.t_hi} == {t[a], t[b]}]
         slope = (z[b] - z[a]) / (t[b] - t[a])
-        assert complex(s.z(t[a])) == pytest.approx(z[a], rel=1e-12)
-        assert complex(s.z(t[b])) == pytest.approx(z[b], rel=1e-12)
+        assert complex(s.at(t[a])[0]) == pytest.approx(z[a], rel=1e-12)
+        assert complex(s.at(t[b])[0]) == pytest.approx(z[b], rel=1e-12)
         for tau in (t[a], (t[a] + t[b]) / 2, t[b]):
-            assert complex(s.dz(tau)) == pytest.approx(slope, rel=1e-12)
+            assert complex(s.at(tau)[1]) == pytest.approx(slope, rel=1e-12)
+
+
+def test_strand_reproduces_a_cubic():
+    # a not-a-knot spline through samples of one cubic is that cubic
+    rng = np.random.default_rng(7)
+    t = np.sort(rng.uniform(-1.0, 2.0, 30))
+    coeffs = rng.normal(size=4) + 1j * rng.normal(size=4)
+    s = Strand(0, 0, True, t, np.polyval(coeffs, t))
+    tau = np.linspace(t[0], t[-1], 500)
+    z, dz = s.at(tau)
+    want_z = np.polyval(coeffs, tau)
+    want_dz = np.polyval(np.polyder(coeffs), tau)
+    assert np.max(np.abs(z - want_z)) <= 1e-12 * np.max(np.abs(want_z))
+    assert np.max(np.abs(dz - want_dz)) <= 1e-10 * np.max(np.abs(want_dz))
+
+
+def test_strand_matches_scipy_cubic_spline():
+    interpolate = pytest.importorskip("scipy.interpolate")
+    rng = np.random.default_rng(11)
+    for n in (2, 3, 4, 5, 10, 50, 400):
+        t = np.sort(rng.uniform(-1.0, 1.0, n))
+        zs = rng.normal(size=n) + 1j * rng.normal(size=n)
+        s = Strand(0, 0, True, t, zs)
+        spline = interpolate.CubicSpline(t, zs)
+        tau = np.concatenate([t, rng.uniform(t[0], t[-1], 200)])
+        z, dz = s.at(tau)
+        for got, want in ((z, spline(tau)), (dz, spline.derivative()(tau))):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), n
