@@ -6,9 +6,10 @@ stdout or to --output.  Failures are reported as a machine-readable
 JSON document {"error": {module, message[, position]}} on stderr with
 exit status 3; argparse usage errors keep their conventional status 2.
 
-Diagram inputs are forgiving: a path to a file, or the literal text of
-a Gauss code, a PD code, or a diagram JSON document.  COMMANDS holds
-each subcommand's handler, output schema, error tag and CSV form.
+Diagram inputs are a path to a file, or the literal text of a Gauss
+code, a PD code, or a diagram JSON document; load_diagram decides
+which.  COMMANDS holds each subcommand's handler, output schema, error
+tag and CSV form.
 """
 
 from __future__ import annotations
@@ -18,13 +19,14 @@ import csv
 import io
 import json
 import os
+import re
 import sys
 from dataclasses import asdict
 from typing import Callable, NamedTuple
 
 from .chords import ChordDiagram, enumerate_diagrams, four_term_relations, raw_matchings
-from .codes import DiagramError, SingularDiagram, parse_gauss, parse_pd
-from .kontsevich import QuadratureSpec, degree_coefficients, hump_normalize
+from .codes import _GAUSS_TOKEN, DiagramError, ParseError, SingularDiagram, parse_gauss, parse_pd
+from .kontsevich import DEFAULT_QUADRATURE, QuadratureSpec, degree_coefficients, hump_normalize
 from .lie import commutator_4T_witness, gl_fundamental, su2_fundamental, weight, weight_system
 from .morse import curve_from_json, morse_embed
 from .skein import conway, extend_invariant, v2
@@ -40,23 +42,26 @@ def load_schema(name):
     return json.loads(ref.read_text())
 
 
-def _looks_like_path(text):
-    # literal codes hold no path separator or code-file suffix, Gauss
-    # tokens and PD entries hold a digit, and JSON text starts with "{"
-    if os.path.sep in text or text.endswith((".json", ".gauss", ".pd", ".txt")):
-        return True
-    return bool(text) and text[0] != "{" and not any(c.isdigit() for c in text)
+_PD_HEAD = re.compile(r"[XV]\s*\(")  # how a PD entry opens in parse_pd's grammar
 
 
 def load_diagram(text):
-    """Diagram from a path or literal Gauss / PD / JSON text."""
+    """Diagram from a path or literal Gauss / PD / JSON text.
+
+    An existing file wins; text that opens with a Gauss token, the
+    Gauss component separator ";", a PD entry or "{" is code; anything
+    else is read as a path.
+    """
     s = text.strip()
-    if _looks_like_path(s) or os.path.exists(s):
+    is_code = _GAUSS_TOKEN.match(s) or _PD_HEAD.match(s) or s.startswith((";", "{"))
+    if s and (os.path.exists(s) or not is_code):
         with open(s) as fh:
             s = fh.read().strip()
+    if not s:
+        raise ParseError("empty diagram input")
     if s.startswith("{"):
         return SingularDiagram.from_json_dict(json.loads(s))
-    if "X(" in s or "V(" in s:
+    if _PD_HEAD.search(s):
         return parse_pd(s)
     return parse_gauss(s)
 
@@ -121,9 +126,9 @@ def _run_vassiliev_eval(args):
 
 def _run_chords(args):
     m = args.degree
+    if m > 6:
+        raise ValueError("chords lists raw matchings and relations; degree capped at 6")
     if args.action == "enumerate":
-        if m > 6:
-            raise ValueError("enumerate lists raw matchings; degree capped at 6")
         matchings = list(raw_matchings(m))
         canonical, raw_count = enumerate_diagrams(m)
         return {
@@ -365,12 +370,12 @@ def _add_common(sub):
 
 
 def _add_quadrature(sub):
-    sub.add_argument("--steps", type=int, default=2000,
-                     help="quadrature steps per slab (default 2000)")
-    sub.add_argument("--epsilon", type=float, default=1e-3,
-                     help="largest relative clip width (default 1e-3)")
-    sub.add_argument("--levels", type=int, default=3,
-                     help="number of clip widths for the tail fit (default 3)")
+    sub.add_argument("--steps", type=int, default=DEFAULT_QUADRATURE.steps,
+                     help="quadrature steps per slab (default %(default)s)")
+    sub.add_argument("--epsilon", type=float, default=DEFAULT_QUADRATURE.eps_rel,
+                     help="largest relative clip width (default %(default)s)")
+    sub.add_argument("--levels", type=int, default=DEFAULT_QUADRATURE.levels,
+                     help="number of clip widths for the tail fit (default %(default)s)")
 
 
 def build_parser():

@@ -230,7 +230,6 @@ def plat(word, n, cups, caps, *, window_samples=56, arc_samples=160, bulge=0.18)
         occupant[k - 1], occupant[k] = occupant[k], occupant[k - 1]
 
     strand_xyz = {}
-    top_position = {occupant[p]: p for p in range(n)}
     for s in range(n):
         if xs[s]:
             strand_xyz[s] = (

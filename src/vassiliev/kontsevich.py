@@ -20,6 +20,7 @@ measurements, not guesses.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import asdict, dataclass
 
@@ -187,83 +188,69 @@ def enumerate_placements(mk, m):
 # -- quadrature --------------------------------------------------------------
 
 
-def _settings(quadrature):
-    """Every (eps, steps) quadrature setting, in the order of all
-    per-setting arrays: each eps level at full steps, then each at
-    half steps."""
-    return [
-        (eps, steps)
-        for steps in (quadrature.steps, quadrature.steps // 2)
-        for eps in quadrature.epsilons()
-    ]
-
-
 class _QuadCache:
-    """Grids, strand evaluations, chord integrands, and ordered block
-    integrals for one MorseKnot, keyed by (slab, eps, steps)."""
+    """Chord integrands and ordered block integrals for one MorseKnot,
+    each held once per quadrature setting.  The settings run each eps
+    level at full steps, then each at half steps: the order of every
+    per-setting array, which _classify reads."""
 
-    def __init__(self, mk):
+    def __init__(self, mk, quadrature):
         self.mk = mk
-        self._grids = {}
+        self.settings = [
+            (eps, steps)
+            for steps in (quadrature.steps, quadrature.steps // 2)
+            for eps in quadrature.epsilons()
+        ]
         self._fs = {}
         self._blocks = {}
 
-    def grid(self, slab_idx, eps, steps):
-        key = (slab_idx, eps, steps)
-        got = self._grids.get(key)
-        if got is None:
-            slab = self.mk.slabs[slab_idx]
-            h = slab.height
-            a, b = slab.t_lo + eps * h, slab.t_hi - eps * h
-            step = (b - a) / steps
-            t = a + (np.arange(steps) + 0.5) * step
-            got = self._grids[key] = (t, step)
-        return got
-
-    def f(self, slab_idx, pair, eps, steps):
-        key = (slab_idx, pair, eps, steps)
+    def f(self, slab_idx, pair):
+        """Per setting, the chord integrand on that setting's midpoint
+        grid and the grid step."""
+        key = (slab_idx, pair)
         got = self._fs.get(key)
         if got is None:
-            t, _ = self.grid(slab_idx, eps, steps)
+            slab = self.mk.slabs[slab_idx]
             sa, sb = self.mk.strands[pair[0]], self.mk.strands[pair[1]]
-            (za, dza), (zb, dzb) = sa.at(t), sb.at(t)
-            got = self._fs[key] = (dza - dzb) / (za - zb)
+            got = []
+            for eps, steps in self.settings:
+                a, b = slab.t_lo + eps * slab.height, slab.t_hi - eps * slab.height
+                step = (b - a) / steps
+                t = a + (np.arange(steps) + 0.5) * step
+                (za, dza), (zb, dzb) = sa.at(t), sb.at(t)
+                got.append(((dza - dzb) / (za - zb), step))
+            self._fs[key] = got
         return got
 
-    def block(self, slab_idx, pairs, eps, steps):
-        """Ordered integral over t_1 < ... < t_k inside one slab."""
-        key = (slab_idx, pairs, eps, steps)
+    def block(self, slab_idx, pairs):
+        """Ordered integral over t_1 < ... < t_k inside one slab, as one
+        complex array over the settings."""
+        key = (slab_idx, pairs)
         got = self._blocks.get(key)
         if got is None:
-            _, step = self.grid(slab_idx, eps, steps)
-            fs = [self.f(slab_idx, p, eps, steps) for p in pairs]
-            R = np.ones_like(fs[0])
-            for f in fs[:0:-1]:
-                g = f * R
-                suffix = np.cumsum(g[::-1])[::-1]
-                R = step * (suffix - 0.5 * g)
-            got = self._blocks[key] = complex(step * np.sum(fs[0] * R))
+            got = np.empty(len(self.settings), dtype=complex)
+            for k, row in enumerate(zip(*(self.f(slab_idx, p) for p in pairs))):
+                fs, step = [f for f, _ in row], row[0][1]
+                R = 1.0
+                for f in fs[:0:-1]:
+                    g = f * R
+                    suffix = np.cumsum(g[::-1])[::-1]
+                    R = step * (suffix - 0.5 * g)
+                got[k] = step * np.sum(fs[0] * R)
+            self._blocks[key] = got
         return got
 
 
-def _placement_value(cache, placement, settings):
-    """Raw placement integral at every quadrature setting, including the
-    downward sign and one factor kappa per chord."""
-    m = placement.degree
-    runs = [
-        (slab, tuple(pair for _, pair in run))
-        for slab, run in itertools.groupby(
-            zip(placement.slabs, placement.pairs), key=lambda sp: sp[0]
-        )
-    ]
+def _placement_value(cache, placement):
+    """Raw placement integral over the quadrature settings, including
+    the downward sign and one factor kappa per chord."""
+    val = 1 + 0j
+    for slab, run in itertools.groupby(
+        zip(placement.slabs, placement.pairs), key=lambda sp: sp[0]
+    ):
+        val = val * cache.block(slab, tuple(pair for _, pair in run))
     sign = -1 if placement.down_endpoints % 2 else 1
-    out = np.empty(len(settings), dtype=complex)
-    for k, (eps, steps) in enumerate(settings):
-        val = 1 + 0j
-        for slab, pairs in runs:
-            val *= cache.block(slab, pairs, eps, steps)
-        out[k] = sign * val * KAPPA**m
-    return out
+    return sign * val * KAPPA**placement.degree
 
 
 # -- eps extrapolation -------------------------------------------------------
@@ -322,7 +309,7 @@ def _classify(series):
 
 def placement_integral(mk, placement, quadrature=DEFAULT_QUADRATURE):
     """Extrapolated integral of one placement class with error bar."""
-    return _classify(_placement_value(_QuadCache(mk), placement, _settings(quadrature)))
+    return _classify(_placement_value(_QuadCache(mk, quadrature), placement))
 
 
 # -- per-diagram aggregation -------------------------------------------------
@@ -336,19 +323,19 @@ def _raw_series(mk, m, quadrature):
     """Raw series of a single-component knot up to degree m.
 
     Entry d maps each degree-d chord diagram to its placement sum, an
-    array over the quadrature settings in _settings order; degree 0 is
+    array over the quadrature settings in _QuadCache order; degree 0 is
     the empty diagram, exactly 1.  Sums run in enumeration order, so
     results are bit-reproducible, and one _QuadCache serves every
     degree.
     """
-    settings = _settings(quadrature)
-    cache = _QuadCache(mk)
-    series = [{_empty_diagram(): np.ones(len(settings), dtype=complex)}]
+    cache = _QuadCache(mk, quadrature)
+    n = len(cache.settings)
+    series = [{_empty_diagram(): np.ones(n, dtype=complex)}]
     for deg in range(1, m + 1):
         sums = {}
         for p in enumerate_placements(mk, deg):
-            acc = sums.setdefault(p.diagram, np.zeros(len(settings), dtype=complex))
-            acc += _placement_value(cache, p, settings)
+            acc = sums.setdefault(p.diagram, np.zeros(n, dtype=complex))
+            acc += _placement_value(cache, p)
         series.append(sums)
     return series
 
@@ -464,20 +451,14 @@ def _series_div(a, divisor, max_degree):
     return c
 
 
-_HUMP_SERIES_CACHE = {}
-
-
+@functools.lru_cache(maxsize=16)
 def _hump_reference_series(quadrature, max_degree):
-    """Raw series of the shipped 2-maxima unknot, cached per setting."""
-    key = (quadrature, max_degree)
-    got = _HUMP_SERIES_CACHE.get(key)
-    if got is None:
-        from .fixtures import load_fixture
-        from .morse import morse_embed
+    """Raw series of the shipped 2-maxima unknot; cache_info() gives
+    the cache's hits and size."""
+    from .fixtures import load_fixture
+    from .morse import morse_embed
 
-        mk = morse_embed(load_fixture("hump"))
-        got = _HUMP_SERIES_CACHE[key] = _raw_series(mk, max_degree, quadrature)
-    return got
+    return _raw_series(morse_embed(load_fixture("hump")), max_degree, quadrature)
 
 
 def hump_normalize(raw, mk):
@@ -517,12 +498,11 @@ def linking_number(mk, quadrature=DEFAULT_QUADRATURE):
     """
     if len(mk.component_cycles) < 2:
         raise ValueError("linking number needs at least 2 components")
-    cache = _QuadCache(mk)
-    settings = _settings(quadrature)
-    total = np.zeros(len(settings), dtype=complex)
+    cache = _QuadCache(mk, quadrature)
+    total = np.zeros(len(cache.settings), dtype=complex)
     for p in enumerate_placements(mk, 1):
         if p.cross_component:
-            total += _placement_value(cache, p, settings)
+            total += _placement_value(cache, p)
     return _classify(total)
 
 

@@ -158,7 +158,8 @@ def morse_embed(components, *, jitter=True):
     scale = max(float(np.ptp(t)) for _, t in comps) or 1.0
     notes = []
     for attempt in range(6):
-        crits = np.sort(np.concatenate([t[_extrema_indices(t)[0]] for _, t in comps]))
+        extrema = [_extrema_indices(t) for _, t in comps]
+        crits = np.sort(np.concatenate([t[idx] for (_, t), (idx, _) in zip(comps, extrema)]))
         if np.all(np.diff(crits) > 1e-9 * scale):
             break
         if not jitter:
@@ -174,8 +175,7 @@ def morse_embed(components, *, jitter=True):
     component_cycles = []
     maxima_per_component = []
     criticals = []
-    for ci, (z, t) in enumerate(comps):
-        idx, kinds = _extrema_indices(t)
+    for ci, ((z, t), (idx, kinds)) in enumerate(zip(comps, extrema)):
         if not idx:
             raise EmbeddingError("closed component with no height extremum")
         criticals.extend(t[i] for i in idx)

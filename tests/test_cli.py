@@ -100,6 +100,12 @@ def test_chords_4t(capsys):
         assert sorted(t["sign"] for t in rel) == [-1, -1, 1, 1]
 
 
+def test_chords_degree_capped(capsys):
+    for action in ("enumerate", "4t"):
+        err = run_error(capsys, ["chords", action, "7"])
+        assert err["module"] == "chords"
+
+
 def test_weights_su2_degree2(capsys):
     payload = run_json(capsys, ["weights", "--algebra", "su2", "--degree", "2"])
     values = sorted(w["re"] for w in payload["weights"])
@@ -143,9 +149,30 @@ def test_error_missing_file(capsys):
         ["conway", "/tmp/definitely-not-here.gauss"],
         ["conway", "missing-file.gauss"],
         ["v2", "knotfile"],
+        ["v2", "knot1"],
     ):
         err = run_error(capsys, argv)
         assert err["module"] == "cli"
+
+
+def test_error_empty_input(tmp_path, capsys):
+    empty = tmp_path / "empty.gauss"
+    empty.write_text(" \n")
+    for argv in (["conway", ""], ["parse", "  "], ["v2", str(empty)]):
+        assert cli.main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err)["error"] == {"module": "codes", "message": "empty diagram input"}
+
+
+def test_code_text_opening_as_the_grammars_allow(capsys):
+    # to_gauss writes a first component without crossings as a leading ";"
+    payload = run_json(capsys, ["parse", ";" + TREFOIL])
+    assert payload["n_components"] == 2
+    assert run_json(capsys, ["parse", payload["gauss"]])["gauss"] == payload["gauss"]
+    # parse_pd allows space between X and "("
+    for pd in ("X (1,5,2,4) X(3,1,4,6) X(5,3,6,2)", "X (1,5,2,4) X (3,1,4,6) X (5,3,6,2)"):
+        assert run_json(capsys, ["v2", pd])["v2"] == 1
 
 
 def test_error_parse_has_position(capsys):

@@ -168,6 +168,26 @@ def test_halved_steps_stay_within_error():
     assert abs(lf.value - lh.value) < lf.error
 
 
+def test_half_steps_repeat_the_full_steps_of_a_halved_spec():
+    # per_epsilon_half at 2s steps and per_epsilon at s steps are the same
+    # settings, so they must agree bit for bit
+    def bits(values):
+        return np.array(values, dtype=complex).tobytes()
+
+    trefoil, hopf = embed("trefoil_3max"), embed("hopf")
+    for levels in (3, 4):
+        double = QuadratureSpec(steps=200, levels=levels)
+        single = QuadratureSpec(steps=100, levels=levels)
+        for m in (1, 2):
+            a = degree_coefficients(trefoil, m, double).items()
+            b = degree_coefficients(trefoil, m, single).items()
+            assert [d for d, _ in a] == [d for d, _ in b]
+            for (_, ca), (_, cb) in zip(a, b):
+                assert bits(ca.per_epsilon_half) == bits(cb.per_epsilon)
+        a, b = linking_number(hopf, double), linking_number(hopf, single)
+        assert bits(a.per_epsilon_half) == bits(b.per_epsilon)
+
+
 def test_deterministic_reproducibility():
     mk = embed("trefoil_2max")
     a = degree_coefficients(mk, 2, Q)
