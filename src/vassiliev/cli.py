@@ -25,7 +25,7 @@ from dataclasses import asdict
 from typing import Callable, NamedTuple
 
 from .chords import ChordDiagram, enumerate_diagrams, four_term_relations, raw_matchings
-from .codes import _GAUSS_TOKEN, DiagramError, ParseError, SingularDiagram, parse_gauss, parse_pd
+from .codes import _GAUSS_TOKEN, DiagramError, SingularDiagram, parse_gauss, parse_pd
 from .kontsevich import DEFAULT_QUADRATURE, QuadratureSpec, degree_coefficients, hump_normalize
 from .lie import commutator_4T_witness, gl_fundamental, su2_fundamental, weight, weight_system
 from .morse import curve_from_json, morse_embed
@@ -57,8 +57,6 @@ def load_diagram(text):
     if s and (os.path.exists(s) or not is_code):
         with open(s) as fh:
             s = fh.read().strip()
-    if not s:
-        raise ParseError("empty diagram input")
     if s.startswith("{"):
         return SingularDiagram.from_json_dict(json.loads(s))
     if _PD_HEAD.search(s):

@@ -15,7 +15,6 @@ for virtual diagrams as well.
 
 from __future__ import annotations
 
-import itertools
 import re
 
 OVER = "O"
@@ -26,9 +25,9 @@ NODE_SECOND = "Q"
 _CROSSING_KINDS = (OVER, UNDER)
 _NODE_KINDS = (NODE_FIRST, NODE_SECOND)
 
-# Above this many (component order x rotation) combinations the
-# canonical search falls back to a cheaper deterministic key.
-_CANONICAL_CAP = 200_000
+# The canonical search raises rather than build more arrangements than
+# this for one slot.
+_TIE_BUDGET = 100_000
 
 
 class DiagramError(ValueError):
@@ -194,7 +193,9 @@ class SingularDiagram:
 
     def canonical_key(self):
         """Hashable key, equal for diagrams that differ only by site
-        relabeling, component order and basepoint rotation."""
+        relabeling, component order and basepoint rotation.  Raises
+        DiagramError for a diagram too symmetric to search (such as many
+        identical split pieces)."""
         if self._canonical is None:
             self._canonical = _canonical_key(self._components, self._signs)
         return self._canonical
@@ -241,6 +242,8 @@ class SingularDiagram:
         return text
 
     def _pd_text_unchecked(self):
+        if not self._components:
+            raise DiagramError("PD text cannot express the empty diagram")
         for comp in self._components:
             if len(comp) == 0:
                 raise DiagramError("PD text cannot express a crossingless circle")
@@ -339,16 +342,14 @@ def _token_sig(token, signs):
     return (kind, 0)
 
 
-def _walk_encode(components, rotations, signs):
-    """Relabel sites in first-encounter order for the given rotations and
-    encode the whole diagram as a nested tuple."""
+def _walk_encode(components, signs):
+    """Relabel sites in first-encounter order along the components as
+    given and encode the whole diagram as a nested tuple."""
     relabel = {}
     encoded = []
-    for comp, rot in zip(components, rotations):
-        length = len(comp)
+    for comp in components:
         toks = []
-        for i in range(length):
-            kind, sid = comp[(rot + i) % length]
+        for kind, sid in comp:
             if sid not in relabel:
                 relabel[sid] = len(relabel)
             toks.append((kind, relabel[sid]))
@@ -360,52 +361,47 @@ def _walk_encode(components, rotations, signs):
 
 
 def _canonical_key(components, signs):
-    n = len(components)
-    sigs = []
-    for ci, comp in enumerate(components):
-        sigs.append((len(comp), tuple(sorted(_token_sig(t, signs) for t in comp)), ci))
-    sigs.sort()
-    groups = []
-    for _, grp in itertools.groupby(sigs, key=lambda s: s[:2]):
-        groups.append([ci for _, _, ci in grp])
+    """Least encoding over basepoint rotations and over orders of the
+    components that share a signature, built one token at a time.
 
-    perm_count = 1
-    rot_count = 1
-    for g in groups:
-        for k in range(2, len(g) + 1):
-            perm_count *= k
+    The tokens of slot j depend only on the choices for slots <= j, so
+    only the arrangements whose prefix is least so far are extended; the
+    sign part breaks the ties left at the end.  Slots go by (size of the
+    signature group, signature): a component with a unique signature is
+    placed first and fixes the labels.  Empty components carry no site
+    and lead the key as ().
+    """
+    groups = {}
     for comp in components:
-        rot_count *= max(1, len(comp))
-    if perm_count * rot_count > _CANONICAL_CAP:
-        order = [ci for g in groups for ci in g]
-        comps = [components[ci] for ci in order]
-        rotations = [_best_local_rotation(c, signs) for c in comps]
-        return ("fallback",) + _walk_encode(comps, rotations, signs)
-
-    best = None
-    for perm_choice in itertools.product(*[itertools.permutations(g) for g in groups]):
-        order = [ci for g in perm_choice for ci in g]
-        comps = [components[ci] for ci in order]
-        rot_ranges = [range(max(1, len(c))) for c in comps]
-        for rotations in itertools.product(*rot_ranges):
-            key = _walk_encode(comps, rotations, signs)
-            if best is None or key < best:
-                best = key
-    if best is None:
-        best = ((), ())
-    return best
-
-
-def _best_local_rotation(comp, signs):
-    if not comp:
-        return 0
-    length = len(comp)
-    best, best_rot = None, 0
-    for rot in range(length):
-        seq = tuple(_token_sig(comp[(rot + i) % length], signs) for i in range(length))
-        if best is None or seq < best:
-            best, best_rot = seq, rot
-    return best_rot
+        if comp:
+            sig = (len(comp), tuple(sorted(_token_sig(t, signs) for t in comp)))
+            groups.setdefault(sig, []).append(comp)
+    empty = tuple(comp for comp in components if not comp)
+    # A tie is (placed rotations, relabel map, unplaced components of the group).
+    ties = [((), {}, ())]
+    for (length, sig), group in sorted(groups.items(), key=lambda item: (len(item[1]), item[0])):
+        lead = sig[0][0]  # only a rotation that starts with the least kind can lead
+        starts = [kind for kind, _ in sig].count(lead)
+        ties = [(placed, relabel, group) for placed, relabel, _ in ties]
+        for left in range(len(group), 0, -1):
+            if len(ties) * left * starts > _TIE_BUDGET:
+                raise DiagramError("diagram too symmetric for the canonical form")
+            arrangements = [
+                (placed + (comp[r:] + comp[:r],), dict(relabel), rest[:i] + rest[i + 1 :])
+                for placed, relabel, rest in ties
+                for i, comp in enumerate(rest)
+                for r in range(length)
+                if comp[r][0] == lead
+            ]
+            for pos in range(length):
+                toks = []
+                for placed, relabel, _ in arrangements:
+                    kind, sid = placed[-1][pos]
+                    toks.append((kind, relabel.setdefault(sid, len(relabel))))
+                least = min(toks)
+                arrangements = [a for a, tok in zip(arrangements, toks) if tok == least]
+            ties = arrangements
+    return min(_walk_encode(empty + placed, signs) for placed, _, _ in ties)
 
 
 # -- Gauss text ----------------------------------------------------------
@@ -418,11 +414,11 @@ def parse_gauss(text):
 
     Tokens are [OU]<digits><+->, whitespace-separated or contiguous.
     Multiple components are separated by ';'.  Every label must appear
-    once as O and once as U with equal signs.
+    once as O and once as U with equal signs.  Blank text raises.
     """
     text = text.strip()
     if not text:
-        return SingularDiagram((), {})
+        raise ParseError("empty diagram input")
     comps = []
     signs = {}
     offset = 0
@@ -473,11 +469,11 @@ def parse_pd(text):
 
     V tuples are read as (in1, out1, out2, in2): the first strand
     passage enters at a and leaves at b, the second enters at d and
-    leaves at c.
+    leaves at c.  Blank text raises.
     """
     text = text.strip()
     if not text:
-        return SingularDiagram((), {})
+        raise ParseError("empty diagram input")
     entries = []
     pos = 0
     while pos < len(text):

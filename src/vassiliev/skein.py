@@ -9,8 +9,9 @@ first met on the under strand, and resolve the first bad crossing c by
 A diagram with no bad crossings is descending, hence an unlink: value 1
 for one component, 0 otherwise.  Switching the first bad crossing lowers
 the bad count and smoothing lowers the crossing count, so the recursion
-terminates.  Results are memoized on the canonical form of the diagram;
-the memo table is the only shared state and never changes values.
+terminates.  Split diagrams are 0 at once; other results are memoized on
+the canonical form of the diagram.  The memo table is the only shared
+state and never changes values.
 """
 
 from __future__ import annotations
@@ -79,21 +80,22 @@ def conway(diagram, memo=None):
 
 
 def _conway(diagram, memo):
+    # Split diagrams never reach canonical_key, which refuses some very
+    # symmetric ones (many identical split pieces).
+    if _is_split(diagram):
+        return _ZERO
     key = diagram.canonical_key()
     val = memo.get(key)
     if val is not None:
         return val
-    if _is_split(diagram):
-        val = _ZERO
+    bad = _first_bad_crossing(diagram)
+    if bad is None:
+        val = _ONE if diagram.n_components == 1 else _ZERO
     else:
-        bad = _first_bad_crossing(diagram)
-        if bad is None:
-            val = _ONE if diagram.n_components == 1 else _ZERO
-        else:
-            sign = diagram.sign(bad)
-            switched = _conway(diagram.switch_crossing(bad), memo)
-            smoothed = _conway(diagram.smooth_crossing(bad), memo)
-            val = switched + sign * (_Z * smoothed)
+        sign = diagram.sign(bad)
+        switched = _conway(diagram.switch_crossing(bad), memo)
+        smoothed = _conway(diagram.smooth_crossing(bad), memo)
+        val = switched + sign * (_Z * smoothed)
     memo[key] = val
     return val
 

@@ -1,16 +1,21 @@
 """End-to-end tests of the command-line front end.
 
 Every subcommand runs in-process through cli.main; JSON outputs are
-validated against the shipped schemas with jsonschema.
+validated against the shipped schemas with jsonschema.  One test imports
+the package in a fresh interpreter to see what the import costs.
 """
 
 import csv
 import importlib.resources
 import io
 import json
+import os
+import subprocess
+import sys
 
 import jsonschema
 
+import vassiliev
 from vassiliev import cli
 from vassiliev.codes import parse_gauss
 from vassiliev.skein import conway
@@ -153,6 +158,15 @@ def test_error_missing_file(capsys):
     ):
         err = run_error(capsys, argv)
         assert err["module"] == "cli"
+
+
+def test_import_loads_no_scipy_or_sympy():
+    src = os.path.dirname(os.path.dirname(vassiliev.__file__))
+    code = "import sys, vassiliev; print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'sympy'}))"
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_error_empty_input(tmp_path, capsys):

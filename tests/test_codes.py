@@ -1,3 +1,6 @@
+import random
+import time
+
 import pytest
 
 from vassiliev.codes import (
@@ -9,6 +12,8 @@ from vassiliev.codes import (
     parse_gauss,
     parse_pd,
 )
+from vassiliev.fixtures import sample_singular_diagrams
+from vassiliev.skein import _first_bad_crossing
 
 TREFOIL_GAUSS = "O1+U2+O3+U1+O2+U3+"
 TREFOIL_PD = "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"
@@ -24,9 +29,12 @@ def test_parse_gauss_trefoil():
 
 
 def test_parse_gauss_empty():
-    d = parse_gauss("")
-    assert d.n_components == 0
-    assert d.n_crossings == 0
+    for parse in (parse_gauss, parse_pd):
+        for text in ("", "  \n"):
+            with pytest.raises(ParseError, match="empty diagram input"):
+                parse(text)
+    with pytest.raises(DiagramError, match="cannot express the empty diagram"):
+        SingularDiagram((), {}).to_pd()
 
 
 def test_parse_gauss_curl():
@@ -178,6 +186,61 @@ def test_equality_ignores_labels_rotation_component_order():
     two_a = parse_gauss("O1+U1+;O2-U2-")
     two_b = parse_gauss("O5-U5-;O9+U9+")
     assert two_a == two_b
+
+
+def scrambled(d, rng):
+    """d with its sites relabelled, its components shuffled and every
+    basepoint rotated."""
+    ids = sorted({sid for comp in d.components for _, sid in comp})
+    perm = dict(zip(ids, rng.sample(range(100, 100 + len(ids)), len(ids))))
+    comps = []
+    for comp in d.components:
+        r = rng.randrange(len(comp)) if comp else 0
+        comps.append([(kind, perm[sid]) for kind, sid in comp[r:] + comp[:r]])
+    rng.shuffle(comps)
+    return SingularDiagram(comps, {perm[sid]: sgn for sid, sgn in d.signs.items()})
+
+
+def skein_subdiagrams(d):
+    """d and every diagram the descending Conway recursion resolves it into."""
+    bad = _first_bad_crossing(d)
+    if bad is None:
+        return [d]
+    return [d] + skein_subdiagrams(d.switch_crossing(bad)) + skein_subdiagrams(d.smooth_crossing(bad))
+
+
+def test_canonical_key_ignores_labels_component_order_and_basepoints():
+    rng = random.Random(11)
+    knots = sample_singular_diagrams(rng, 0, 12, n_strands=3, max_crossings=6, one_component=True)
+    diagrams = [sub for d in knots for sub in skein_subdiagrams(d)]
+    diagrams += [braid_closure([1] * n, 2) for n in range(1, 9)]
+    diagrams += [braid_closure([1, 2] * 3, 3), braid_closure([1, 2, 3] * 4, 4)]
+    assert max(d.n_components for d in diagrams) == 4
+    for d in diagrams:
+        assert scrambled(d, rng).canonical_key() == d.canonical_key()
+
+
+def test_canonical_key_separates_switch_and_mirror_of_trefoil():
+    trefoil = parse_gauss(TREFOIL_GAUSS)
+    others = [trefoil.switch_crossing(sid) for sid in trefoil.crossing_ids] + [trefoil.mirror()]
+    assert all(d.canonical_key() != trefoil.canonical_key() for d in others)
+
+
+def test_canonical_key_exact_on_many_arrangements():
+    # 6! component orders times 10^6 rotations: far past the old brute
+    # force's reach, where a non-canonical key called these two unequal.
+    t66 = braid_closure([1, 2, 3, 4, 5] * 6, 6)
+    assert t66.n_components == 6
+    assert scrambled(t66, random.Random(6)) == t66
+
+
+def test_canonical_key_refuses_too_symmetric_diagram_fast():
+    split_hopfs = braid_closure([k for k in range(1, 16, 2) for _ in (0, 1)], 16)
+    assert split_hopfs.n_components == 16
+    start = time.perf_counter()
+    with pytest.raises(DiagramError, match="too symmetric"):
+        split_hopfs.canonical_key()
+    assert time.perf_counter() - start < 1.0
 
 
 def test_equality_distinguishes_signs():

@@ -1,8 +1,10 @@
 import random
+import time
 
 import pytest
 
-from vassiliev.codes import DiagramError, braid_closure, parse_gauss, parse_pd
+from vassiliev.codes import DiagramError, SingularDiagram, braid_closure, parse_gauss, parse_pd
+from vassiliev.fixtures import sample_singular_diagrams
 from vassiliev.laurent import IntegerLaurentPoly as P
 from vassiliev.skein import (
     conway,
@@ -48,6 +50,23 @@ def test_conway_split_zero():
     split = parse_gauss("O1+U2+O3+U1+O2+U3+;")
     assert split.n_components == 2
     assert conway(split) == 0
+    # 8 split Hopf links are too symmetric for a canonical key; the
+    # recursion returns 0 for a split diagram before it asks for one.
+    split_hopfs = braid_closure([k for k in range(1, 16, 2) for _ in (0, 1)], 16)
+    assert conway(split_hopfs, memo={}) == 0
+
+
+def test_conway_keychain():
+    # A ring with 8 leaves, each Hopf-clasped to it: a connected sum of
+    # 8 Hopf links, with 8! * 2^8 leaf arrangements per ring rotation.
+    ring, leaves, signs = [], [], {}
+    for a in range(0, 16, 2):
+        ring += [("O", a), ("U", a + 1)]
+        leaves.append([("U", a), ("O", a + 1)])
+        signs[a] = signs[a + 1] = 1
+    start = time.perf_counter()
+    assert conway(SingularDiagram([ring] + leaves, signs), memo={}) == Z.shifted(7)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_conway_torus_2_4():
@@ -94,6 +113,27 @@ def test_v2_values():
     assert v2(FIG8) == -1
     assert v2(unknot()) == 0
     assert v2(TREFOIL.mirror()) == 1
+
+
+def polyak_viro_v2(knot):
+    """Sum of sign(a) * sign(b) over the pairs of crossings whose passages
+    are met from the basepoint as a over, b under, a under, b over."""
+    (comp,) = knot.components
+    at = {token: i for i, token in enumerate(comp)}
+    return sum(
+        knot.sign(a) * knot.sign(b)
+        for a in knot.crossing_ids
+        for b in knot.crossing_ids
+        if at["O", a] < at["U", b] < at["U", a] < at["O", b]
+    )
+
+
+def test_v2_matches_polyak_viro_formula():
+    rng = random.Random(1998)
+    knots = sample_singular_diagrams(rng, 0, 300, n_strands=4, max_crossings=10, one_component=True)
+    assert {polyak_viro_v2(d) for d in knots} >= {-1, 0, 1, 2}
+    for d in knots:
+        assert v2(d) == polyak_viro_v2(d), d.to_gauss()
 
 
 def test_v2_rejects_links_and_nodes():
