@@ -212,7 +212,9 @@ class SingularDiagram:
 
     def to_gauss(self):
         """Gauss text.  Components are separated by ';'.  Nodes cannot be
-        expressed in the Gauss grammar and raise."""
+        expressed in the Gauss grammar and raise, as does any diagram
+        whose text would be blank (the empty diagram, a lone crossingless
+        circle), which the parser refuses."""
         if self._nodes:
             raise DiagramError("Gauss text cannot express nodes; use PD or JSON")
         parts = []
@@ -222,7 +224,10 @@ class SingularDiagram:
                 sgn = "+" if self._signs[sid] > 0 else "-"
                 toks.append(f"{kind}{sid}{sgn}")
             parts.append("".join(toks))
-        return ";".join(parts)
+        text = ";".join(parts)
+        if not text:
+            raise DiagramError("Gauss text of this diagram would be blank; use JSON")
+        return text
 
     def to_pd(self):
         """PD text with arcs numbered along the walk, 1-based.

@@ -10,6 +10,14 @@ the degree-1 cross-component sum equals the combinatorial linking
 number (signed, not just in magnitude).  Placements are grouped by the
 chord diagram they induce on the knot circle.
 
+The quadrature works per slab, not per placement.  Inside one slab a
+run of chords is an ordered block over the slab's strand pairs, so each
+strand is evaluated once per quadrature setting, the pair integrands
+form one (pairs, steps) array, and every k-block comes from cumulative
+sums and matrix products.  A placement's value is the outer product of
+the blocks of its slab runs; values are summed per induced diagram with
+index arrays, each diagram adding its placements in enumeration order.
+
 Integrals are truncated eps away from critical heights and evaluated
 at three nested eps levels; a geometric fit in the differences decides
 between convergence (extrapolated), a logarithmic drift (flagged, the
@@ -121,29 +129,93 @@ class ChordPlacement:
         return len(self.slabs)
 
 
-def _induced_diagram(mk, pairs_seq):
-    """Chord diagram on the knot circle from levelled strand pairs.
+def _pair_pools(mk, cross_only=False):
+    """Per slab, its strand pairs (a, b) with a < b in sorted order, as an
+    (n, 2) array; only pairs on two components if cross_only."""
+    comp = [s.component for s in mk.strands]
+    return [
+        np.array(
+            [(a, b) for a, b in itertools.combinations(sorted(slab.strand_ids), 2)
+             if not cross_only or comp[a] != comp[b]],
+            dtype=int,
+        ).reshape(-1, 2)
+        for slab in mk.slabs
+    ]
+
+
+def _sequence_ends(pools, slab_seq):
+    """Strand ends (N, m, 2) of the placements on one slab sequence, the
+    pairs of its slabs in itertools.product order."""
+    grid = np.indices([len(pools[s]) for s in slab_seq]).reshape(len(slab_seq), -1)
+    return np.stack([pools[s][g] for s, g in zip(slab_seq, grid)], axis=1)
+
+
+def _placements(pools, m):
+    """Degree-m placements on the pair pools in enumeration order: the
+    slab sequences with a pair in every slab, and the strand ends
+    (N, m, 2) of all their placements.
+
+    Chord heights are ordered, so slab indices run nondecreasing and the
+    within-slab chord order is the listed order.
+    """
+    seqs = [
+        slab_seq
+        for slab_seq in itertools.combinations_with_replacement(range(len(pools)), m)
+        if all(len(pools[s]) for s in slab_seq)
+    ]
+    ends = [np.empty((0, m, 2), dtype=int)] + [_sequence_ends(pools, s) for s in seqs]
+    return seqs, np.concatenate(ends)
+
+
+def _down_endpoints(mk, ends):
+    up = np.array([s.goes_up for s in mk.strands])
+    return (~up[ends]).sum(axis=(1, 2))
+
+
+@functools.lru_cache(maxsize=256)
+def _matching_diagram(partner):
+    """Chord diagram of a matching of circle positions, given as each
+    position's partner; cache_info() gives the memo's hits and size."""
+    return ChordDiagram((i, j) for i, j in enumerate(partner) if i < j)
+
+
+def _induced_diagrams(mk, ends):
+    """Chord diagrams that placements induce on the knot circle: the
+    distinct ones in order of first appearance, and per placement its
+    index into them.
 
     Endpoints are ordered around the loop: strands in traversal order,
     levels ascending on upward strands and descending on downward ones.
-    Only defined for single-component embeddings.
+    Only the matching of circle positions matters, so the diagrams are
+    memoized on it (15 matchings at degree 3).  Only defined for
+    single-component embeddings.
     """
-    if len(mk.component_cycles) != 1:
-        return None
-    on_strand = {}
-    for level, (a, b) in enumerate(pairs_seq):
-        on_strand.setdefault(a, []).append(level)
-        on_strand.setdefault(b, []).append(level)
-    circle = []
-    for s in mk.component_cycles[0]:
-        levels = sorted(on_strand.get(s, ()))
-        if not mk.strands[s].goes_up:
-            levels.reverse()
-        circle.extend(levels)
-    pos = {}
-    for p, level in enumerate(circle):
-        pos.setdefault(level, []).append(p)
-    return ChordDiagram([tuple(pos[level]) for level in range(len(pairs_seq))])
+    n, m, _ = ends.shape
+    cycle = mk.component_cycles[0]
+    place = np.empty(len(mk.strands), dtype=int)
+    place[list(cycle)] = np.arange(len(cycle))
+    up = np.array([s.goes_up for s in mk.strands])
+    level = np.arange(m)[:, None]
+    key = place[ends] * m + np.where(up[ends], level, m - 1 - level)
+    # endpoint 2 * level + side sits at circle position pos; its partner is endpoint ^ 1
+    pos = key.reshape(n, 2 * m).argsort(axis=1).argsort(axis=1)
+    partner = np.empty_like(pos)
+    np.put_along_axis(partner, pos, pos[:, np.arange(2 * m) ^ 1], axis=1)
+    # group equal matchings: sort the rows, cut where a row differs from
+    # the one before; the sort is stable, so each group's first member is
+    # its earliest placement
+    order = np.lexsort(partner.T)
+    rows = partner[order]
+    cut = np.ones(n, dtype=bool)
+    cut[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    group = np.empty(n, dtype=int)
+    group[order] = np.cumsum(cut) - 1
+    first = order[cut]
+    diagrams, of_group = {}, np.empty(len(first), dtype=int)
+    for g in np.argsort(first):
+        d = _matching_diagram(tuple(partner[first[g]].tolist()))
+        of_group[g] = diagrams.setdefault(d, len(diagrams))
+    return list(diagrams), of_group[group]
 
 
 def enumerate_placements(mk, m):
@@ -155,102 +227,123 @@ def enumerate_placements(mk, m):
     """
     if m < 1:
         raise ValueError("placement degree must be at least 1")
-    slab_pairs = [
-        sorted(itertools.combinations(sorted(slab.strand_ids), 2))
-        for slab in mk.slabs
+    pools = _pair_pools(mk)
+    seqs, ends = _placements(pools, m)
+    pair_tuples = [list(map(tuple, pool.tolist())) for pool in pools]
+    classes = [
+        (slab_seq, pairs)
+        for slab_seq in seqs
+        for pairs in itertools.product(*(pair_tuples[s] for s in slab_seq))
     ]
-    out = []
-    for slab_seq in itertools.combinations_with_replacement(range(len(mk.slabs)), m):
-        pools = [slab_pairs[s] for s in slab_seq]
-        if any(not pool for pool in pools):
-            continue
-        for pairs_seq in itertools.product(*pools):
-            down = sum(
-                (not mk.strands[a].goes_up) + (not mk.strands[b].goes_up)
-                for a, b in pairs_seq
-            )
-            cross = all(
-                mk.strands[a].component != mk.strands[b].component
-                for a, b in pairs_seq
-            )
-            out.append(
-                ChordPlacement(
-                    slabs=slab_seq,
-                    pairs=tuple(pairs_seq),
-                    down_endpoints=down,
-                    diagram=_induced_diagram(mk, pairs_seq),
-                    cross_component=cross,
-                )
-            )
-    return out
+    down = _down_endpoints(mk, ends).tolist()
+    comp = np.array([s.component for s in mk.strands])[ends]
+    cross = (comp[..., 0] != comp[..., 1]).all(axis=1).tolist()
+    if len(mk.component_cycles) == 1:
+        diagrams, index = _induced_diagrams(mk, ends)
+        induced = [diagrams[i] for i in index]
+    else:
+        induced = [None] * len(ends)
+    return [ChordPlacement(*c, *rest) for c, *rest in zip(classes, down, induced, cross)]
 
 
 # -- quadrature --------------------------------------------------------------
 
 
-class _QuadCache:
-    """Chord integrands and ordered block integrals for one MorseKnot,
-    each held once per quadrature setting.  The settings run each eps
-    level at full steps, then each at half steps: the order of every
-    per-setting array, which _classify reads."""
+def _ordered_blocks(F, step, degree):
+    """Ordered chord integrals inside one slab on one quadrature setting.
 
-    def __init__(self, mk, quadrature):
-        self.mk = mk
+    F holds the slab's chord integrands, one row per strand pair, on the
+    setting's midpoint grid.  Entry k - 1 of the result is the k-block,
+    an array over k pair indices: the integral over t_1 < ... < t_k of
+    F[p_1](t_1) ... F[p_k](t_k).  On the midpoint grid a node's own cell
+    counts half, so with the heads H = step * (cumsum(F) - F / 2), the
+    integrals from the bottom to each node, the k-block is
+    step * H @ (F * R).T, where R is the nested tail of the chords above
+    the second (1 for k = 2).  The 1-block is a row sum.  A k-block takes
+    one matrix product per choice of the chords above the second, so no
+    (pairs, pairs, steps) array is built.
+    """
+
+    def tail(g):
+        return step * (np.cumsum(g[::-1])[::-1] - 0.5 * g)
+
+    n = len(F)
+    H = step * (np.cumsum(F, axis=1) - 0.5 * F)
+    blocks = [step * F.sum(axis=1)]
+    for k in range(2, degree + 1):
+        block = np.empty((n,) * k, dtype=complex)
+        for above in itertools.product(range(n), repeat=k - 2):
+            R = 1.0
+            for p in reversed(above):
+                R = tail(F[p] * R)
+            block[(slice(None), slice(None)) + above] = step * (H @ (F * R).T)
+        blocks.append(block)
+    return blocks
+
+
+class _SlabBlocks:
+    """Ordered block integrals of one MorseKnot up to one degree.
+
+    blocks[slab][k - 1] is one array over the quadrature settings and k
+    indices into that slab's pair pool.  The settings run each eps level
+    at full steps, then each at half steps: the order of every
+    per-setting array, which _classify reads.  Each setting is computed
+    on its own midpoint grid, every strand of a slab with pairs
+    evaluated once on it.
+    """
+
+    def __init__(self, mk, quadrature, degree, pools):
         self.settings = [
             (eps, steps)
             for steps in (quadrature.steps, quadrature.steps // 2)
             for eps in quadrature.epsilons()
         ]
-        self._fs = {}
-        self._blocks = {}
+        self.blocks = []
+        for slab, pairs in zip(mk.slabs, pools):
+            pairs = pairs.tolist()
+            per_setting = []
+            for eps, steps in self.settings if pairs else ():
+                lo, hi = slab.t_lo + eps * slab.height, slab.t_hi - eps * slab.height
+                step = (hi - lo) / steps
+                t = lo + (np.arange(steps) + 0.5) * step
+                at = {s: mk.strands[s].at(t) for s in {s for pair in pairs for s in pair}}
+                F = np.array([(at[a][1] - at[b][1]) / (at[a][0] - at[b][0]) for a, b in pairs])
+                per_setting.append(_ordered_blocks(F, step, degree))
+            self.blocks.append([np.stack(b) for b in zip(*per_setting)])
 
-    def f(self, slab_idx, pair):
-        """Per setting, the chord integrand on that setting's midpoint
-        grid and the grid step."""
-        key = (slab_idx, pair)
-        got = self._fs.get(key)
-        if got is None:
-            slab = self.mk.slabs[slab_idx]
-            sa, sb = self.mk.strands[pair[0]], self.mk.strands[pair[1]]
-            got = []
-            for eps, steps in self.settings:
-                a, b = slab.t_lo + eps * slab.height, slab.t_hi - eps * slab.height
-                step = (b - a) / steps
-                t = a + (np.arange(steps) + 0.5) * step
-                (za, dza), (zb, dzb) = sa.at(t), sb.at(t)
-                got.append(((dza - dzb) / (za - zb), step))
-            self._fs[key] = got
-        return got
-
-    def block(self, slab_idx, pairs):
-        """Ordered integral over t_1 < ... < t_k inside one slab, as one
-        complex array over the settings."""
-        key = (slab_idx, pairs)
-        got = self._blocks.get(key)
-        if got is None:
-            got = np.empty(len(self.settings), dtype=complex)
-            for k, row in enumerate(zip(*(self.f(slab_idx, p) for p in pairs))):
-                fs, step = [f for f, _ in row], row[0][1]
-                R = 1.0
-                for f in fs[:0:-1]:
-                    g = f * R
-                    suffix = np.cumsum(g[::-1])[::-1]
-                    R = step * (suffix - 0.5 * g)
-                got[k] = step * np.sum(fs[0] * R)
-            self._blocks[key] = got
-        return got
+    def run_product(self, slab_seq):
+        """(settings, placements) values of a slab sequence's placements,
+        in itertools.product order: the outer product of the blocks of
+        its runs of equal slabs."""
+        n = len(self.settings)
+        val = np.ones((n, 1), dtype=complex)
+        for slab, run in itertools.groupby(slab_seq):
+            block = self.blocks[slab][len(list(run)) - 1].reshape(n, 1, -1)
+            val = (val[:, :, None] * block).reshape(n, -1)
+        return val
 
 
-def _placement_value(cache, placement):
-    """Raw placement integral over the quadrature settings, including
-    the downward sign and one factor kappa per chord."""
-    val = 1 + 0j
-    for slab, run in itertools.groupby(
-        zip(placement.slabs, placement.pairs), key=lambda sp: sp[0]
-    ):
-        val = val * cache.block(slab, tuple(pair for _, pair in run))
-    sign = -1 if placement.down_endpoints % 2 else 1
-    return sign * val * KAPPA**placement.degree
+def _placement_values(blocks, mk, seqs, ends):
+    """(settings, placements) raw integrals of the placements that
+    _placements gives, including the downward sign and one factor kappa
+    per chord."""
+    kappa_m = KAPPA ** ends.shape[1]
+    sign = np.where(_down_endpoints(mk, ends) % 2, -kappa_m, kappa_m)
+    runs = [np.empty((len(blocks.settings), 0), dtype=complex)]
+    values = np.concatenate(runs + [blocks.run_product(slab_seq) for slab_seq in seqs], axis=1)
+    values *= sign
+    return values
+
+
+def _sums(values, index, n):
+    """(n, settings) sums of the columns of values per index 0..n-1,
+    each added in column order."""
+    k = len(values)
+    bins = (index * k + np.arange(k)[:, None]).ravel()
+    out = np.empty(n * k, dtype=complex)
+    out.real = np.bincount(bins, values.real.ravel(), n * k)
+    out.imag = np.bincount(bins, values.imag.ravel(), n * k)
+    return out.reshape(n, k)
 
 
 # -- eps extrapolation -------------------------------------------------------
@@ -309,7 +402,14 @@ def _classify(series):
 
 def placement_integral(mk, placement, quadrature=DEFAULT_QUADRATURE):
     """Extrapolated integral of one placement class with error bar."""
-    return _classify(_placement_value(_QuadCache(mk, quadrature), placement))
+    slab_seq, pools = tuple(placement.slabs), _pair_pools(mk)
+    ends = _sequence_ends(pools, slab_seq)
+    blocks = _SlabBlocks(mk, quadrature, len(slab_seq), pools)
+    values = _placement_values(blocks, mk, [slab_seq], ends)
+    hit = (ends == np.array(placement.pairs)).all(axis=(1, 2))
+    if not hit.any():
+        raise ValueError("placement does not belong to this embedding")
+    return _classify(values[:, hit.argmax()])
 
 
 # -- per-diagram aggregation -------------------------------------------------
@@ -323,20 +423,20 @@ def _raw_series(mk, m, quadrature):
     """Raw series of a single-component knot up to degree m.
 
     Entry d maps each degree-d chord diagram to its placement sum, an
-    array over the quadrature settings in _QuadCache order; degree 0 is
-    the empty diagram, exactly 1.  Sums run in enumeration order, so
-    results are bit-reproducible, and one _QuadCache serves every
-    degree.
+    array over the quadrature settings in _SlabBlocks order; degree 0 is
+    the empty diagram, exactly 1.  One _SlabBlocks serves every degree,
+    and each diagram's sum adds its placements in enumeration order, so
+    results are bit-reproducible.
     """
-    cache = _QuadCache(mk, quadrature)
-    n = len(cache.settings)
-    series = [{_empty_diagram(): np.ones(n, dtype=complex)}]
+    series = [{_empty_diagram(): np.ones(2 * quadrature.levels, dtype=complex)}]
+    pools = _pair_pools(mk)
+    if m:
+        blocks = _SlabBlocks(mk, quadrature, m, pools)
     for deg in range(1, m + 1):
-        sums = {}
-        for p in enumerate_placements(mk, deg):
-            acc = sums.setdefault(p.diagram, np.zeros(n, dtype=complex))
-            acc += _placement_value(cache, p)
-        series.append(sums)
+        seqs, ends = _placements(pools, deg)
+        values = _placement_values(blocks, mk, seqs, ends)
+        diagrams, index = _induced_diagrams(mk, ends)
+        series.append(dict(zip(diagrams, _sums(values, index, len(diagrams)))))
     return series
 
 
@@ -412,8 +512,11 @@ def degree_coefficients(mk, m, quadrature=DEFAULT_QUADRATURE):
     """CoefficientTable of the raw degree-m integrals of a knot.
 
     Degrees 1 and 2 are the supported regime; 3 is allowed best-effort
-    and anything higher is refused.  Multi-component embeddings have no
-    single knot circle; use linking_number for those.
+    (no other route checks it yet) and anything higher is refused.  All
+    degrees read one set of per-slab blocks; a k-block costs one matrix
+    product per slab and setting for each choice of its chords above the
+    second.  Multi-component embeddings have no single knot circle; use
+    linking_number for those.
     """
     if not isinstance(mk, MorseKnot):
         raise TypeError("degree_coefficients expects a MorseKnot")
@@ -498,12 +601,9 @@ def linking_number(mk, quadrature=DEFAULT_QUADRATURE):
     """
     if len(mk.component_cycles) < 2:
         raise ValueError("linking number needs at least 2 components")
-    cache = _QuadCache(mk, quadrature)
-    total = np.zeros(len(cache.settings), dtype=complex)
-    for p in enumerate_placements(mk, 1):
-        if p.cross_component:
-            total += _placement_value(cache, p)
-    return _classify(total)
+    pools = _pair_pools(mk, cross_only=True)
+    values = _placement_values(_SlabBlocks(mk, quadrature, 1, pools), mk, *_placements(pools, 1))
+    return _classify(_sums(values, np.zeros(values.shape[1], dtype=int), 1)[0])
 
 
 # -- pairing with weight systems --------------------------------------------

@@ -272,6 +272,13 @@ def test_parse_omits_forms_that_cannot_express_the_diagram(capsys):
     assert "pd" not in payload and payload["gauss"] == "O1+U1+;"
 
 
+def test_parse_omits_gauss_for_a_lone_circle(capsys):
+    circle = {"format": "singular-diagram", "components": [[]], "signs": {}}
+    payload = run_json(capsys, ["parse", json.dumps(circle)])
+    assert "gauss" not in payload and "pd" not in payload
+    assert payload["n_components"] == 1
+
+
 def test_parse_echo_matches_library(capsys):
     payload = run_json(capsys, ["parse", TREFOIL])
     d = parse_gauss(TREFOIL)

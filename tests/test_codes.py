@@ -133,6 +133,17 @@ def test_gauss_cannot_express_nodes():
         d.to_gauss()
 
 
+def test_gauss_text_is_never_blank():
+    # a lone crossingless circle would write blank text, which parse_gauss refuses
+    circle = {"format": "singular-diagram", "components": [[]], "signs": {}}
+    with pytest.raises(DiagramError):
+        SingularDiagram.from_json_dict(circle).to_gauss()
+    for text in (";", "O1+U1+;"):
+        d = parse_gauss(text)
+        assert d.to_gauss() == text
+        assert parse_gauss(d.to_gauss()) == d
+
+
 def test_switch_is_involution_and_flips_sign():
     d = parse_gauss(TREFOIL_GAUSS)
     sid = d.crossing_ids[0]

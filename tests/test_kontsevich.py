@@ -1,9 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from vassiliev.chords import ChordDiagram
 from vassiliev.fixtures import fixture_curve, two_circles
 from vassiliev.kontsevich import (
+    KAPPA,
     CoefficientTable,
     QuadratureSpec,
     degree_coefficients,
@@ -25,6 +28,89 @@ SINGLE = ChordDiagram(((0, 1),))
 
 def embed(name):
     return morse_embed(fixture_curve(name))
+
+
+# -- slow oracle: one Python call per placement, nested cumsums per block ----
+
+
+def oracle_placements(mk, m):
+    """(slabs, pairs, downward endpoints) of every degree-m placement, in
+    enumeration order."""
+    pools = [sorted(itertools.combinations(sorted(slab.strand_ids), 2)) for slab in mk.slabs]
+    for slabs in itertools.combinations_with_replacement(range(len(mk.slabs)), m):
+        for pairs in itertools.product(*(pools[s] for s in slabs)):
+            yield slabs, pairs, sum(not mk.strands[s].goes_up for pair in pairs for s in pair)
+
+
+def oracle_diagram(mk, pairs):
+    """Induced chord diagram: endpoints around the loop, strands in
+    traversal order, levels ascending on upward strands."""
+    on_strand = {}
+    for level, (a, b) in enumerate(pairs):
+        on_strand.setdefault(a, []).append(level)
+        on_strand.setdefault(b, []).append(level)
+    circle = []
+    for s in mk.component_cycles[0]:
+        levels = sorted(on_strand.get(s, ()))
+        if not mk.strands[s].goes_up:
+            levels.reverse()
+        circle.extend(levels)
+    pos = {}
+    for p, level in enumerate(circle):
+        pos.setdefault(level, []).append(p)
+    return ChordDiagram([tuple(pos[level]) for level in range(len(pairs))])
+
+
+class OracleQuad:
+    """Per-placement quadrature: each within-slab run of chords is an
+    ordered integral by nested suffix cumsums, one chord at a time."""
+
+    def __init__(self, mk, quadrature):
+        self.mk = mk
+        self.settings = [
+            (eps, steps)
+            for steps in (quadrature.steps, quadrature.steps // 2)
+            for eps in quadrature.epsilons()
+        ]
+        self._fs = {}
+        self._blocks = {}
+
+    def f(self, slab_idx, pair, eps, steps):
+        key = (slab_idx, pair, eps, steps)
+        if key not in self._fs:
+            slab = self.mk.slabs[slab_idx]
+            a, b = slab.t_lo + eps * slab.height, slab.t_hi - eps * slab.height
+            step = (b - a) / steps
+            t = a + (np.arange(steps) + 0.5) * step
+            (za, dza), (zb, dzb) = self.mk.strands[pair[0]].at(t), self.mk.strands[pair[1]].at(t)
+            self._fs[key] = (dza - dzb) / (za - zb), step
+        return self._fs[key]
+
+    def block(self, slab_idx, pairs):
+        key = (slab_idx, pairs)
+        if key not in self._blocks:
+            got = []
+            for eps, steps in self.settings:
+                rows = [self.f(slab_idx, p, eps, steps) for p in pairs]
+                step = rows[0][1]
+                R = 1.0
+                for f, _ in rows[:0:-1]:
+                    g = f * R
+                    R = step * (np.cumsum(g[::-1])[::-1] - 0.5 * g)
+                got.append(step * np.sum(rows[0][0] * R))
+            self._blocks[key] = np.array(got)
+        return self._blocks[key]
+
+    def value(self, slabs, pairs, down):
+        val = 1 + 0j
+        for slab, run in itertools.groupby(zip(slabs, pairs), key=lambda sp: sp[0]):
+            val = val * self.block(slab, tuple(pair for _, pair in run))
+        return (-1) ** down * val * KAPPA ** len(slabs)
+
+
+def assert_series_close(result, want):
+    got = np.array(result.per_epsilon + result.per_epsilon_half)
+    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
 
 def test_quadrature_validation():
@@ -121,6 +207,14 @@ def test_linking_decays_with_separation():
             for d in (3.0, 6.0, 12.0)]
     assert vals[0] > vals[1] > vals[2]
     assert vals[2] < 1e-4
+
+
+def test_linking_of_stacked_circles_is_zero():
+    # no slab holds both components, so there is no cross placement
+    circle = fixture_curve("round_circle")[0]
+    mk = morse_embed([circle, [(z, t + 10) for z, t in circle]])
+    res = linking_number(mk, Q)
+    assert res.value == 0 and res.converged
 
 
 def test_linking_requires_two_components():
@@ -285,3 +379,59 @@ def test_table_json_form():
     assert len(data["coefficients"]) == len(table)
     for row in data["coefficients"]:
         assert np.isfinite(row["error"])
+
+
+def test_slab_blocks_match_per_placement_oracle():
+    q = QuadratureSpec(steps=200)
+    mk = embed("trefoil_3max")
+    quad = OracleQuad(mk, q)
+    for m in (1, 2, 3):
+        want = {}
+        for slabs, pairs, down in oracle_placements(mk, m):
+            d = oracle_diagram(mk, pairs)
+            want[d] = want.get(d, 0) + quad.value(slabs, pairs, down)
+        table = degree_coefficients(mk, m, q)
+        assert set(table.diagrams()) == set(want)
+        for d, c in table.items():
+            assert_series_close(c, want[d])
+
+    hopf = embed("hopf")
+    quad = OracleQuad(hopf, q)
+    want = sum(
+        quad.value(slabs, pairs, down)
+        for slabs, pairs, down in oracle_placements(hopf, 1)
+        if hopf.strands[pairs[0][0]].component != hopf.strands[pairs[0][1]].component
+    )
+    assert_series_close(linking_number(hopf, q), want)
+
+    circle = embed("round_circle")
+    quad = OracleQuad(circle, q)
+    for m in (1, 2):
+        for p in enumerate_placements(circle, m):
+            want = quad.value(p.slabs, p.pairs, p.down_endpoints)
+            assert_series_close(placement_integral(circle, p, q), want)
+
+
+def test_enumerated_diagrams_match_unmemoized_induction():
+    for name in ("trefoil_3max", "figure_eight"):
+        mk = embed(name)
+        got = [(p.slabs, p.pairs, p.down_endpoints, p.diagram) for p in enumerate_placements(mk, 3)]
+        want = [
+            (slabs, pairs, down, oracle_diagram(mk, pairs))
+            for slabs, pairs, down in oracle_placements(mk, 3)
+        ]
+        assert got == want
+
+
+def test_raw_table_invariant_under_rigid_motion_and_scaling():
+    curve = fixture_curve("trefoil_2max")
+    turn, shift = np.exp(0.7j), 0.3 - 1.1j
+    moved = [[(turn * z + shift, t + 2.5) for z, t in comp] for comp in curve]
+    scaled = [[(3 * z, 3 * t) for z, t in comp] for comp in curve]
+    base = degree_coefficients(morse_embed(curve), 2, Q)
+    for other in (moved, scaled):
+        table = degree_coefficients(morse_embed(other), 2, Q)
+        assert table.diagrams() == base.diagrams()
+        for (_, c), (_, want) in zip(table.items(), base.items()):
+            for a, b in zip((c.value, *c.per_epsilon), (want.value, *want.per_epsilon)):
+                assert abs(a - b) <= 1e-8 * max(1.0, abs(b))
