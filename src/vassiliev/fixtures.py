@@ -2,9 +2,10 @@
 
 The plat builder lays n strand lanes side by side, joins them by
 non-crossing cups below and caps above, and runs a braid word between.
-It returns both the sampled space curve (for the analytic pipeline) and
-the shadow diagram (for the skein pipeline), so every geometric fixture
-carries a machine-checkable knot type.
+One walk around each closed loop emits both the sampled space curve
+(for the analytic pipeline) and its shadow diagram (for the skein
+pipeline), so every geometric fixture carries a machine-checkable knot
+type.
 
 Crossing letters are positive integers k (the strand entering from the
 left at lanes (k, k+1) passes over) or negative for the inverse.  The
@@ -14,18 +15,13 @@ and one minimum without changing the knot.
 
 from __future__ import annotations
 
+import functools
 import importlib.resources
 import json
 
 import numpy as np
 
 from .codes import SingularDiagram
-
-TREFOIL_GAUSS = "O1+U2+O3+U1+O2+U3+"
-FIGURE_EIGHT_PD = "X(4,2,5,1) X(8,6,1,5) X(6,3,7,4) X(2,7,3,8)"
-
-# Found by machine search over short plat words (see tests): the
-# 4-plat closure of this word has Conway polynomial 1 - z^2.
 
 
 def _validate_pairing(pairs, n, what):
@@ -42,98 +38,14 @@ def _validate_pairing(pairs, n, what):
                 raise ValueError(f"{what} ({a},{b}) and ({c},{d}) cross")
 
 
-def _plat_combinatorics(word, n, cups, caps):
-    """Occupant tracking, shadow diagram, and the component walk.
-
-    Returns (shadow, walk, dirs, meta): walk is a list of components,
-    each a list of ("cup"|"cap", pair_index, reversed) and
-    ("strand", strand_id, goes_up) steps; dirs maps strand -> +-1.
-    """
-    occupant = list(range(n))
-    events = [[] for _ in range(n)]  # per strand: (window, kind, sid)
-    letter_sign = {}
-    movers = {}
-    sid = 0
-    for j, letter in enumerate(word):
-        if isinstance(letter, tuple) and letter[0] == "wiggle":
-            continue
-        k = abs(letter)
-        if letter == 0 or k >= n:
-            raise ValueError(f"letter {letter} out of range for {n} lanes")
-        left, right = occupant[k - 1], occupant[k]
-        if letter > 0:
-            events[left].append((j, "O", sid))
-            events[right].append((j, "U", sid))
-        else:
-            events[left].append((j, "U", sid))
-            events[right].append((j, "O", sid))
-        letter_sign[sid] = 1 if letter > 0 else -1
-        movers[sid] = (left, right)
-        occupant[k - 1], occupant[k] = occupant[k], occupant[k - 1]
-        sid += 1
-
-    top_position = {occupant[p]: p for p in range(n)}
-    bottom_of_top = {p: s for s, p in top_position.items()}
-    cup_of = {}
-    for ci, (a, b) in enumerate(cups):
-        cup_of[a] = (ci, b)
-        cup_of[b] = (ci, a)
-    cap_of = {}
-    for ci, (a, b) in enumerate(caps):
-        cap_of[a] = (ci, b)
-        cap_of[b] = (ci, a)
-
-    # Walk: ascend a strand, cross its cap, descend, cross a cup, repeat.
-    # A strand's id is its bottom lane.  The reversed flag on an arc step
-    # means it is traversed from its second lane to its first.
-    walk = []
-    dirs = {}
-    visited = set()
-    for start in range(n):
-        if start in visited:
-            continue
-        steps = []
-        bottom = start
-        while True:
-            visited.add(bottom)
-            dirs[bottom] = 1
-            steps.append(("strand", bottom, True))
-            top = top_position[bottom]
-            ci, other_top = cap_of[top]
-            steps.append(("cap", ci, caps[ci][1] == top))
-            down = bottom_of_top[other_top]
-            visited.add(down)
-            dirs[down] = -1
-            steps.append(("strand", down, False))
-            ci2, partner = cup_of[down]
-            steps.append(("cup", ci2, cups[ci2][1] == down))
-            bottom = partner
-            if bottom == start:
-                break
-        walk.append(steps)
-
-    comps = []
-    for steps in walk:
-        toks = []
-        for kind, idx, flag in steps:
-            if kind != "strand":
-                continue
-            strand, up = idx, flag
-            evs = events[strand] if up else list(reversed(events[strand]))
-            for _, tok_kind, s in evs:
-                toks.append((tok_kind, s))
-        comps.append(tuple(toks))
-    signs = {}
-    for s, (l, r) in movers.items():
-        signs[s] = letter_sign[s] * dirs[l] * dirs[r]
-    shadow = SingularDiagram(comps, signs)
-    return shadow, walk, dirs
-
-
 # Sampling phase: grids that straddle a height extremum must not place
 # a sample pair exactly symmetric about it, or two consecutive heights
 # tie at machine precision.  An irrational phase breaks the symmetry.
 _PHASE = 1.0 / np.pi
+
+WINDOW_SAMPLES = 56  # per strand per letter
+ARC_SAMPLES = 160  # per cup or cap
+BULGE = 0.18  # sideways offset of the two strands at a crossing
 
 
 def _arc_samples(x_a, x_b, t_base, depth, count):
@@ -149,7 +61,7 @@ def _smoothstep(u):
     return u - np.sin(2 * np.pi * u) / (2 * np.pi)
 
 
-def _wiggle_path(x0, t0, count_scale=1):
+def _wiggle_path(x0, t0):
     """S-detour within one window starting at (x0, t0): up, over, down,
     under, up again, and glide back to the lane.  Adds one maximum at
     t0+0.80 and one minimum at t0+0.10."""
@@ -159,21 +71,32 @@ def _wiggle_path(x0, t0, count_scale=1):
         t = t_from + (t_to - t_from) * (np.arange(count) + 0.5) / count
         pieces.append((np.full(count, x), t))
 
-    vertical(x0, t0, t0 + 0.76, 20 * count_scale)
-    x, t = _arc_samples(x0, x0 + 0.4, t0 + 0.76, 0.04, 40 * count_scale)
-    pieces.append((x, t))
-    vertical(x0 + 0.4, t0 + 0.76, t0 + 0.14, 20 * count_scale)
-    x, t = _arc_samples(x0 + 0.4, x0 + 0.8, t0 + 0.14, -0.04, 40 * count_scale)
-    pieces.append((x, t))
-    vertical(x0 + 0.8, t0 + 0.14, t0 + 0.90, 20 * count_scale)
-    u = (np.arange(16 * count_scale) + 0.5) / (16 * count_scale)
+    vertical(x0, t0, t0 + 0.76, 20)
+    pieces.append(_arc_samples(x0, x0 + 0.4, t0 + 0.76, 0.04, 40))
+    vertical(x0 + 0.4, t0 + 0.76, t0 + 0.14, 20)
+    pieces.append(_arc_samples(x0 + 0.4, x0 + 0.8, t0 + 0.14, -0.04, 40))
+    vertical(x0 + 0.8, t0 + 0.14, t0 + 0.90, 20)
+    u = (np.arange(16) + 0.5) / 16
     pieces.append((x0 + 0.8 * (1 - _smoothstep(u)), t0 + 0.90 + 0.10 * u))
     xs = np.concatenate([p[0] for p in pieces])
     ts = np.concatenate([p[1] for p in pieces])
     return xs, ts
 
 
-def plat(word, n, cups, caps, *, window_samples=56, arc_samples=160, bulge=0.18):
+def _arcs(pairs, lanes, t_base, sign):
+    """Per lane: the (x, y, t) samples of its cup or cap traversed from
+    that lane, and the lane at the other end."""
+    arcs = {}
+    for i, (a, b) in enumerate(pairs):
+        depth = 0.45 + 0.18 * (b - a) + 0.06 * i
+        x, t = _arc_samples(lanes[a], lanes[b], t_base, sign * depth, ARC_SAMPLES)
+        y = np.zeros_like(x)
+        arcs[a] = ((x, y, t), b)
+        arcs[b] = ((x[::-1], y, t[::-1]), a)
+    return arcs
+
+
+def plat(word, n, cups, caps):
     """Build the sampled curve and shadow diagram of a plat closure.
 
     Returns (components, shadow, meta): components are lists of (z, t)
@@ -181,106 +104,85 @@ def plat(word, n, cups, caps, *, window_samples=56, arc_samples=160, bulge=0.18)
     """
     _validate_pairing(cups, n, "cup")
     _validate_pairing(caps, n, "cap")
-    shadow, walk, dirs = _plat_combinatorics(word, n, cups, caps)
-
     lanes = [float(p + 1) for p in range(n)]
-    L = len(word)
+    tau = (np.arange(WINDOW_SAMPLES) + 0.5) / WINDOW_SAMPLES
+    ramp = _smoothstep(tau)
+    hump_y = BULGE * np.sin(np.pi * tau) ** 2
 
-    # strand geometry through the braid windows
+    # One pass over the word.  A strand's id is its bottom lane; bottom
+    # to top it collects one (x, y, t) window per letter and one
+    # ("O"|"U", crossing id) token per crossing it passes through.
     occupant = list(range(n))
-    xs = {s: [] for s in range(n)}
-    ys = {s: [] for s in range(n)}
-    ts = {s: [] for s in range(n)}
+    samples = [[] for _ in range(n)]
+    tokens = [[] for _ in range(n)]
+    crossings = []  # per crossing id: (left strand, right strand, letter sign)
+    n_wiggles = 0
     for j, letter in enumerate(word):
-        tau = (np.arange(window_samples) + 0.5) / window_samples
         t_here = j + tau
         if isinstance(letter, tuple) and letter[0] == "wiggle":
             lane = letter[1]
             if not 0 <= lane < n:
                 raise ValueError(f"wiggle lane {lane} out of range")
             wx, wt = _wiggle_path(lanes[lane], float(j))
-            for p in range(n):
-                s = occupant[p]
-                if p == lane:
-                    xs[s].append(wx)
-                    ys[s].append(np.zeros_like(wx))
-                    ts[s].append(wt)
-                else:
-                    xs[s].append(np.full(window_samples, lanes[p]))
-                    ys[s].append(np.zeros(window_samples))
-                    ts[s].append(t_here)
-            continue
-        k = abs(letter)
-        left, right = occupant[k - 1], occupant[k]
-        ramp = _smoothstep(tau)
-        hump_y = bulge * np.sin(np.pi * tau) ** 2
-        over_y = hump_y if letter > 0 else -hump_y
-        for p in range(n):
-            s = occupant[p]
-            if s == left:
-                xs[s].append(lanes[k - 1] + ramp * (lanes[k] - lanes[k - 1]))
-                ys[s].append(over_y)
-            elif s == right:
-                xs[s].append(lanes[k] - ramp * (lanes[k] - lanes[k - 1]))
-                ys[s].append(-over_y)
-            else:
-                xs[s].append(np.full(window_samples, lanes[p]))
-                ys[s].append(np.zeros(window_samples))
-            ts[s].append(t_here)
-        occupant[k - 1], occupant[k] = occupant[k], occupant[k - 1]
-
-    strand_xyz = {}
-    for s in range(n):
-        if xs[s]:
-            strand_xyz[s] = (
-                np.concatenate(xs[s]),
-                np.concatenate(ys[s]),
-                np.concatenate(ts[s]),
-            )
+            samples[occupant[lane]].append((wx, np.zeros_like(wx), wt))
+            n_wiggles += 1
+            busy = (lane,)
         else:
-            strand_xyz[s] = (np.array([]), np.array([]), np.array([]))
-
-    def pair_depth(pairs, idx):
-        a, b = pairs[idx]
-        return 0.45 + 0.18 * (b - a) + 0.06 * idx
-
-    components = []
-    for steps in walk:
-        px, py, pt = [], [], []
-        for kind, idx, flag in steps:
-            if kind in ("cup", "cap"):
-                pairs = cups if kind == "cup" else caps
-                a, b = pairs[idx]
-                d = pair_depth(pairs, idx)
-                base = 0.0 if kind == "cup" else float(L)
-                x, t = _arc_samples(
-                    lanes[a], lanes[b], base, -d if kind == "cup" else d, arc_samples
+            k = abs(letter)
+            if letter == 0 or k >= n:
+                raise ValueError(f"letter {letter} out of range for {n} lanes")
+            left, right = occupant[k - 1], occupant[k]
+            over_y = hump_y if letter > 0 else -hump_y
+            step = lanes[k] - lanes[k - 1]
+            samples[left].append((lanes[k - 1] + ramp * step, over_y, t_here))
+            samples[right].append((lanes[k] - ramp * step, -over_y, t_here))
+            over, under = (left, right) if letter > 0 else (right, left)
+            tokens[over].append(("O", len(crossings)))
+            tokens[under].append(("U", len(crossings)))
+            crossings.append((left, right, 1 if letter > 0 else -1))
+            occupant[k - 1], occupant[k] = right, left
+            busy = (k - 1, k)
+        for p, s in enumerate(occupant):
+            if p not in busy:
+                samples[s].append(
+                    (np.full(WINDOW_SAMPLES, lanes[p]), np.zeros(WINDOW_SAMPLES), t_here)
                 )
-                if flag:
-                    x, t = x[::-1], t[::-1]
-                px.append(x)
-                py.append(np.zeros_like(x))
-                pt.append(t)
-            else:
-                s, up = idx, flag
-                x, y, t = strand_xyz[s]
-                if len(x) == 0:
-                    continue
-                if not up:
-                    x, y, t = x[::-1], y[::-1], t[::-1]
-                px.append(x)
-                py.append(y)
-                pt.append(t)
-        x = np.concatenate(px)
-        y = np.concatenate(py)
-        t = np.concatenate(pt)
-        components.append(list(zip(x + 1j * y, t)))
 
+    # One walk per component: up a strand, across its cap, down the
+    # partner strand, across a cup, until the loop closes.  The curve
+    # and its shadow component come from the same steps.
+    cup_arcs = _arcs(cups, lanes, 0.0, -1)
+    cap_arcs = _arcs(caps, lanes, float(len(word)), 1)
+    components, shadow_components, dirs = [], [], {}
+    for start in range(n):
+        if start in dirs:
+            continue
+        bottom = start
+        pieces, toks = [], []
+        while bottom not in dirs:
+            dirs[bottom] = 1
+            pieces += samples[bottom]
+            toks += tokens[bottom]
+            arc, top = cap_arcs[occupant.index(bottom)]
+            pieces.append(arc)
+            down = occupant[top]
+            dirs[down] = -1
+            pieces += [(x[::-1], y[::-1], t[::-1]) for x, y, t in reversed(samples[down])]
+            toks += reversed(tokens[down])
+            arc, bottom = cup_arcs[down]
+            pieces.append(arc)
+        x, y, t = (np.concatenate(c) for c in zip(*pieces))
+        components.append(list(zip(x + 1j * y, t)))
+        shadow_components.append(tuple(toks))
+
+    signs = {
+        sid: sign * dirs[left] * dirs[right]
+        for sid, (left, right, sign) in enumerate(crossings)
+    }
+    shadow = SingularDiagram(shadow_components, signs)
     meta = {
         "n_lanes": n,
-        "n_maxima": len(caps) + sum(
-            1 for w in word if isinstance(w, tuple) and w[0] == "wiggle"
-        ),
+        "n_maxima": len(caps) + n_wiggles,
         "shadow_writhe": shadow.writhe,
     }
     return components, shadow, meta
@@ -292,7 +194,9 @@ STANDARD_CUPS = ((0, 1), (2, 3))
 STANDARD_CAPS = ((0, 1), (2, 3))
 HUMP_CAPS = ((1, 2), (0, 3))
 
-FIGURE_EIGHT_PLAT_WORD = (2, 2, -1, 2)  # verified against conway in tests
+# Found by machine search over short plat words: the 4-plat closure of
+# this word has Conway polynomial 1 - z^2 (verified in tests).
+FIGURE_EIGHT_PLAT_WORD = (2, 2, -1, 2)
 
 
 def round_circle(n=720, radius=1.0, center=0.0, height=0.0):
@@ -308,37 +212,17 @@ def two_circles(distance, n=720):
     return [a[0], b[0]]
 
 
-def hump_plat():
-    return plat([], 4, STANDARD_CUPS, HUMP_CAPS)
-
-
-def trefoil_2max_plat():
-    return plat([2, 2, 2], 4, STANDARD_CUPS, STANDARD_CAPS)
-
-
-def trefoil_3max_plat():
-    return plat([2, 2, 2, ("wiggle", 0)], 4, STANDARD_CUPS, STANDARD_CAPS)
-
-
-def figure_eight_plat():
-    return plat(list(FIGURE_EIGHT_PLAT_WORD), 4, STANDARD_CUPS, STANDARD_CAPS)
-
-
-def hopf_plat():
-    return plat([2, 2], 4, STANDARD_CUPS, STANDARD_CAPS)
-
-
-def torus_2_4_plat():
-    return plat([2, 2, 2, 2], 4, STANDARD_CUPS, STANDARD_CAPS)
-
-
 PLAT_FIXTURES = {
-    "hump": hump_plat,
-    "trefoil_2max": trefoil_2max_plat,
-    "trefoil_3max": trefoil_3max_plat,
-    "figure_eight": figure_eight_plat,
-    "hopf": hopf_plat,
-    "torus_2_4": torus_2_4_plat,
+    "hump": functools.partial(plat, (), 4, STANDARD_CUPS, HUMP_CAPS),
+    "trefoil_2max": functools.partial(plat, (2, 2, 2), 4, STANDARD_CUPS, STANDARD_CAPS),
+    "trefoil_3max": functools.partial(
+        plat, (2, 2, 2, ("wiggle", 0)), 4, STANDARD_CUPS, STANDARD_CAPS
+    ),
+    "figure_eight": functools.partial(
+        plat, FIGURE_EIGHT_PLAT_WORD, 4, STANDARD_CUPS, STANDARD_CAPS
+    ),
+    "hopf": functools.partial(plat, (2, 2), 4, STANDARD_CUPS, STANDARD_CAPS),
+    "torus_2_4": functools.partial(plat, (2, 2, 2, 2), 4, STANDARD_CUPS, STANDARD_CAPS),
 }
 
 

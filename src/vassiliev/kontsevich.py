@@ -172,13 +172,6 @@ def _down_endpoints(mk, ends):
     return (~up[ends]).sum(axis=(1, 2))
 
 
-@functools.lru_cache(maxsize=256)
-def _matching_diagram(partner):
-    """Chord diagram of a matching of circle positions, given as each
-    position's partner; cache_info() gives the memo's hits and size."""
-    return ChordDiagram((i, j) for i, j in enumerate(partner) if i < j)
-
-
 def _induced_diagrams(mk, ends):
     """Chord diagrams that placements induce on the knot circle: the
     distinct ones in order of first appearance, and per placement its
@@ -186,11 +179,14 @@ def _induced_diagrams(mk, ends):
 
     Endpoints are ordered around the loop: strands in traversal order,
     levels ascending on upward strands and descending on downward ones.
-    Only the matching of circle positions matters, so the diagrams are
-    memoized on it (15 matchings at degree 3).  Only defined for
-    single-component embeddings.
+    Only the matching of circle positions matters: each placement's
+    matching is read as one int64 in base 2m (exact up to degree 7),
+    and one diagram is built per distinct matching (at most 15 at
+    degree 3).  Only defined for single-component embeddings.
     """
     n, m, _ = ends.shape
+    if m > 7:
+        raise ValueError("induced diagrams are encoded in int64 only up to degree 7")
     cycle = mk.component_cycles[0]
     place = np.empty(len(mk.strands), dtype=int)
     place[list(cycle)] = np.arange(len(cycle))
@@ -201,19 +197,11 @@ def _induced_diagrams(mk, ends):
     pos = key.reshape(n, 2 * m).argsort(axis=1).argsort(axis=1)
     partner = np.empty_like(pos)
     np.put_along_axis(partner, pos, pos[:, np.arange(2 * m) ^ 1], axis=1)
-    # group equal matchings: sort the rows, cut where a row differs from
-    # the one before; the sort is stable, so each group's first member is
-    # its earliest placement
-    order = np.lexsort(partner.T)
-    rows = partner[order]
-    cut = np.ones(n, dtype=bool)
-    cut[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-    group = np.empty(n, dtype=int)
-    group[order] = np.cumsum(cut) - 1
-    first = order[cut]
+    code = partner @ (2 * m) ** np.arange(2 * m)
+    _, first, group = np.unique(code, return_index=True, return_inverse=True)
     diagrams, of_group = {}, np.empty(len(first), dtype=int)
     for g in np.argsort(first):
-        d = _matching_diagram(tuple(partner[first[g]].tolist()))
+        d = ChordDiagram((i, j) for i, j in enumerate(partner[first[g]].tolist()) if i < j)
         of_group[g] = diagrams.setdefault(d, len(diagrams))
     return list(diagrams), of_group[group]
 

@@ -81,7 +81,7 @@ class Strand:
 
     def at(self, t):
         """(z, dz/dt) at heights t; the end cubics extend past t_lo/t_hi."""
-        i = np.clip(np.searchsorted(self._t, t, side="right") - 1, 0, len(self._t) - 2)
+        i = np.searchsorted(self._t[1:-1], t, side="right")
         s = t - self._t[i]
         a, b, c, z0 = (k[i] for k in self._coeffs)
         return ((a * s + b) * s + c) * s + z0, (3 * a * s + 2 * b) * s + c

@@ -1,3 +1,4 @@
+import json
 import random
 
 import numpy as np
@@ -7,6 +8,7 @@ from vassiliev.codes import braid_closure, linking_matrix_total
 from vassiliev.fixtures import (
     ALL_FIXTURE_NAMES,
     FIGURE_EIGHT_PLAT_WORD,
+    HUMP_CAPS,
     PLAT_FIXTURES,
     STANDARD_CAPS,
     STANDARD_CUPS,
@@ -14,9 +16,11 @@ from vassiliev.fixtures import (
     load_fixture,
     plat,
     sample_singular_diagrams,
+    write_shipped_data,
 )
+from vassiliev.kontsevich import linking_number
 from vassiliev.laurent import IntegerLaurentPoly
-from vassiliev.morse import morse_embed
+from vassiliev.morse import curve_from_json, morse_embed
 from vassiliev.skein import conway
 
 ONE = IntegerLaurentPoly.one()
@@ -98,9 +102,17 @@ def test_curves_embed_with_expected_shape(name):
     assert mk.n_maxima == EXPECTED_MAXIMA[name]
 
 
+@pytest.fixture(scope="module")
+def regenerated(tmp_path_factory):
+    """Directory holding freshly written shipped curve files."""
+    path = tmp_path_factory.mktemp("data")
+    write_shipped_data(path)
+    return path
+
+
 @pytest.mark.parametrize("name", ALL_FIXTURE_NAMES)
-def test_shipped_data_matches_builders(name):
-    built = fixture_curve(name)
+def test_shipped_data_matches_builders(name, regenerated):
+    built = curve_from_json(json.loads((regenerated / f"{name}.json").read_text()))
     shipped = load_fixture(name)
     assert len(built) == len(shipped)
     for a, b in zip(built, shipped):
@@ -108,8 +120,8 @@ def test_shipped_data_matches_builders(name):
         zb = np.array([complex(s[0]) for s in b])
         ta = np.array([float(s[1]) for s in a])
         tb = np.array([float(s[1]) for s in b])
-        assert np.allclose(za, zb)
-        assert np.allclose(ta, tb)
+        assert np.allclose(za, zb, atol=1e-12, rtol=0)
+        assert np.allclose(ta, tb, atol=1e-12, rtol=0)
 
 
 def test_plat_rejects_bad_pairings():
@@ -121,6 +133,33 @@ def test_plat_rejects_bad_pairings():
         plat([4], 4, STANDARD_CUPS, STANDARD_CAPS)  # letter out of range
     with pytest.raises(ValueError):
         plat([("wiggle", 9)], 4, STANDARD_CUPS, STANDARD_CAPS)
+    with pytest.raises(ValueError):
+        plat([0], 4, STANDARD_CUPS, STANDARD_CAPS)
+    with pytest.raises(ValueError):
+        plat([-4], 4, STANDARD_CUPS, STANDARD_CAPS)
+    with pytest.raises(ValueError):
+        plat([("wiggle", -1)], 4, STANDARD_CUPS, STANDARD_CAPS)
+
+
+def test_plat_curve_and_shadow_describe_the_same_link():
+    # 40 seeded 4-lane words: 0-6 letters from +-1..+-3, an optional
+    # wiggle, either cap family.
+    rng = random.Random(5)
+    links = 0
+    for _ in range(40):
+        word = [rng.choice([1, -1]) * rng.randint(1, 3) for _ in range(rng.randint(0, 6))]
+        if rng.random() < 0.5:
+            word.insert(rng.randint(0, len(word)), ("wiggle", rng.randrange(4)))
+        caps = rng.choice([STANDARD_CAPS, HUMP_CAPS])
+        comps, shadow, meta = plat(word, 4, STANDARD_CUPS, caps)
+        mk = morse_embed(comps)
+        assert mk.n_components == shadow.n_components, word
+        assert mk.n_maxima == meta["n_maxima"], word
+        if shadow.n_components == 2:
+            links += 1
+            lk = linking_number(mk).value.real
+            assert abs(lk - linking_matrix_total(shadow)) < 1e-3, word
+    assert links >= 5
 
 
 def test_plat_samples_are_finite_and_in_band():

@@ -152,6 +152,14 @@ def test_circle_placements():
         enumerate_placements(mk, 0)
 
 
+def test_induced_diagrams_refuse_degrees_past_their_int64_code():
+    # A matching of 2m points is one int64 in base 2m, exact up to m = 7.
+    mk = embed("round_circle")
+    assert len(enumerate_placements(mk, 7)) == 1
+    with pytest.raises(ValueError, match="up to degree 7"):
+        enumerate_placements(mk, 8)
+
+
 def test_two_circle_cross_placements():
     mk = morse_embed(two_circles(3.0))
     cross = [p for p in enumerate_placements(mk, 1) if p.cross_component]
