@@ -37,12 +37,15 @@ class ChordDiagram:
         n = len(partner)
         if n == 0:
             return ()
-        best = None
-        for r in range(n):
-            rotated = tuple((partner[(i + r) % n] - r) % n for i in range(n))
-            if best is None or rotated < best:
-                best = rotated
-        return best
+        # Rotation r puts the gap (partner[r] - r) % n first, so only the
+        # rotations with the least gap can give the least tuple.
+        gaps = [(p - i) % n for i, p in enumerate(partner)]
+        least = min(gaps)
+        return min(
+            tuple((p - r) % n for p in partner[r:] + partner[:r])
+            for r, gap in enumerate(gaps)
+            if gap == least
+        )
 
     @property
     def degree(self):

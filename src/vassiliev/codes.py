@@ -9,8 +9,8 @@ or negative crossing is well defined.
 
 Arc labels never appear internally; they are assigned on the fly when
 serializing to PD text and recovered by the parsers.  Realizability of
-the codes is deliberately not checked: the operations below make sense
-for virtual diagrams as well.
+the codes is deliberately not enforced: the operations below make sense
+for virtual diagrams as well, and `is_planar` tells the two apart.
 """
 
 from __future__ import annotations
@@ -286,6 +286,48 @@ class SingularDiagram:
                 entries.append("V(%d,%d,%d,%d)" % (p_in, p_out, q_out, q_in))
         return " ".join(entries)
 
+    def is_planar(self):
+        """True when the code is classical: its shadow lies on a sphere.
+
+        Each crossing's half-edges go counterclockwise as in the PD text
+        above: U_in, O_out, U_out, O_in when positive and U_in, O_in,
+        U_out, O_out when negative (a node as its positive resolution).
+        Each walk step pairs an "out" half-edge with the next token's
+        "in" half-edge, and the faces are the orbits of rotate . pair.
+        By Euler, a connected shadow with n crossings is planar iff it
+        has n + 2 faces, so the code is planar iff F = n + 2 * pieces.
+        """
+        index = {sid: i for i, sid in enumerate(self._signs.keys() | self._nodes)}
+        pair = [0] * (4 * len(index))
+        for comp in self._components:
+            for (kind, sid), (next_kind, next_sid) in zip(comp, comp[1:] + comp[:1]):
+                out_slot = _ccw_slots(kind, self._signs.get(sid, 1))[1]
+                in_slot = _ccw_slots(next_kind, self._signs.get(next_sid, 1))[0]
+                h, g = 4 * index[sid] + out_slot, 4 * index[next_sid] + in_slot
+                pair[h], pair[g] = g, h
+
+        def rotate(h):
+            return h - h % 4 + (h + 1) % 4
+
+        def orbits(steps):
+            seen = [False] * len(pair)
+            count = 0
+            for start in range(len(pair)):
+                if seen[start]:
+                    continue
+                count += 1
+                stack = [start]
+                while stack:
+                    h = stack.pop()
+                    if not seen[h]:
+                        seen[h] = True
+                        stack.extend(step(h) for step in steps)
+            return count
+
+        faces = orbits([lambda h: rotate(pair[h])])
+        pieces = orbits([rotate, pair.__getitem__])
+        return faces == len(index) + 2 * pieces
+
     def to_json_dict(self):
         comps = [[f"{k}{s}" for k, s in comp] for comp in self._components]
         return {
@@ -308,6 +350,14 @@ class SingularDiagram:
             comps.append(toks)
         signs = {int(k): int(v) for k, v in data.get("signs", {}).items()}
         return cls(comps, signs)
+
+
+def _ccw_slots(kind, sign):
+    """(in, out) counterclockwise slots of a passage at its crossing:
+    under passages hold 0 and 2, over passages 2 + sign and 2 - sign."""
+    if kind in (UNDER, NODE_SECOND):
+        return 0, 2
+    return 2 + sign, 2 - sign
 
 
 def _splice_out(components, sid):

@@ -1,22 +1,38 @@
 """Conway polynomial and Vassiliev extensions of skein invariants.
 
-The Conway evaluation uses the descending-diagram algorithm: walk the
-components from their stored basepoints, call a crossing bad when it is
-first met on the under strand, and resolve the first bad crossing c by
+`conway` takes one of two routes, chosen from the diagram alone.
+
+A one-component, planar code (`SingularDiagram.is_planar`) is a
+classical knot, and its Conway polynomial comes from the Alexander
+matrix (Alexander 1928; Chmutov-Duzhin-Mostovoy, ch. 2): one row per
+crossing, one column per arc between undercrossings.  One first minor
+is taken by Bareiss at a single integer t = B, and its coefficients are
+read back as balanced base-B digits; B exceeds twice a proven bound on
+them.  Delta is normalized to Delta(1) = 1 and checked symmetric, and a
+failed check raises.  These results skip the memo.
+
+Links and non-planar (virtual) codes use the descending-diagram
+recursion: walk the components from their stored basepoints, call a
+crossing bad when it is first met on the under strand, and resolve the
+first bad crossing c by
 
     conway(D) = conway(switch(D, c)) + sign(c) * z * conway(smooth(D, c)).
 
 A diagram with no bad crossings is descending, hence an unlink: value 1
 for one component, 0 otherwise.  Switching the first bad crossing lowers
 the bad count and smoothing lowers the crossing count, so the recursion
-terminates.  Split diagrams are 0 at once; other results are memoized on
-the canonical form of the diagram.  The memo table is the only shared
-state and never changes values.
+terminates.  A planar knot met inside the recursion takes the matrix
+route.  Split diagrams are 0 at once; other results are memoized on the
+canonical form of the diagram.  The memo table is the only shared state
+and never changes values.  Replacing `_alexander_conway` by a function
+returning None leaves the pure recursion, the oracle of the tests.
 """
 
 from __future__ import annotations
 
-from .codes import DiagramError, SingularDiagram
+from math import comb, isqrt
+
+from .codes import UNDER, DiagramError
 from .laurent import IntegerLaurentPoly
 
 _Z = IntegerLaurentPoly.z()
@@ -70,7 +86,8 @@ def conway(diagram, memo=None):
     """Conway polynomial of a node-free diagram, exact in z.
 
     conway(L+) - conway(L-) = z * conway(L0), conway(unknot) = 1, and
-    any split diagram evaluates to 0.
+    any split diagram evaluates to 0.  A planar knot takes the Alexander
+    route and leaves `memo` untouched.
     """
     if diagram.n_nodes:
         raise DiagramError("conway needs a node-free diagram; resolve nodes first")
@@ -80,6 +97,9 @@ def conway(diagram, memo=None):
 
 
 def _conway(diagram, memo):
+    val = _alexander_conway(diagram)
+    if val is not None:
+        return val
     # Split diagrams never reach canonical_key, which refuses some very
     # symmetric ones (many identical split pieces).
     if _is_split(diagram):
@@ -98,6 +118,82 @@ def _conway(diagram, memo):
         val = switched + sign * (_Z * smoothed)
     memo[key] = val
     return val
+
+
+def _alexander_conway(diagram):
+    """Conway polynomial of a planar knot code from its Alexander matrix;
+    None for a link or a non-planar code."""
+    if diagram.n_components != 1 or not diagram.is_planar():
+        return None
+    n = diagram.n_crossings
+    if n == 0:
+        return _ONE
+    # Arc k runs from the k-th under passage to the next one.
+    over, under, arc = {}, {}, 0
+    for kind, sid in diagram.components[0]:
+        if kind == UNDER:
+            under[sid] = (arc, (arc + 1) % n)
+            arc = (arc + 1) % n
+        else:
+            over[sid] = arc
+    # |coefficient| <= max |minor| on |t| = 1 <= sqrt(6) ** (n - 1) (Cauchy,
+    # then Hadamard: each row's 2-norm there is at most sqrt(6)).
+    base = isqrt(4 * 6 ** (n - 1)) + 1
+    rows = []
+    for sid in diagram.crossing_ids[:-1]:
+        u_in, u_out = under[sid]
+        t_in, t_out = (base, -1) if diagram.sign(sid) > 0 else (-1, base)
+        row = [0] * n
+        row[over[sid]] += 1 - base
+        row[u_in] += t_in
+        row[u_out] += t_out
+        rows.append(row[:-1])
+    value = _bareiss_det(rows)
+    coeffs = []
+    for _ in range(n):
+        digit = value % base
+        if 2 * digit > base:
+            digit -= base
+        coeffs.append(digit)
+        value = (value - digit) // base
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    while coeffs and coeffs[0] == 0:
+        coeffs.pop(0)
+    if sum(coeffs) == -1:
+        coeffs = [-c for c in coeffs]
+    if value or sum(coeffs) != 1 or coeffs != coeffs[::-1]:
+        raise ArithmeticError(f"Alexander polynomial {coeffs} of {diagram.to_gauss()} is not normalizable")
+    # Delta(t) = sum_k b_k (t^1/2 - t^-1/2)^2k; peel the top term each time.
+    half = coeffs[len(coeffs) // 2 :]
+    nabla = {}
+    for k in range(len(half) - 1, -1, -1):
+        b = nabla[2 * k] = half[k]
+        for j in range(k + 1):
+            half[j] -= b * (-1) ** (k - j) * comb(2 * k, k - j)
+    return IntegerLaurentPoly(nabla)
+
+
+def _bareiss_det(rows):
+    """Determinant of a square integer matrix by fraction-free elimination;
+    the rows are overwritten."""
+    sign, prev = 1, 1
+    size = len(rows)
+    for k in range(size - 1):
+        if rows[k][k] == 0:
+            swap = next((i for i in range(k + 1, size) if rows[i][k]), None)
+            if swap is None:
+                return 0
+            rows[k], rows[swap] = rows[swap], rows[k]
+            sign = -sign
+        pivot_row = rows[k]
+        pivot = pivot_row[k]
+        for row in rows[k + 1 :]:
+            lead = row[k]
+            for j in range(k + 1, size):
+                row[j] = (row[j] * pivot - lead * pivot_row[j]) // prev
+        prev = pivot
+    return sign * rows[-1][-1] if rows else 1
 
 
 def extend_invariant(invariant, a, b, c):
@@ -136,13 +232,13 @@ def vassiliev_eval(invariant, diagram):
     return extend_invariant(invariant, 1, -1, 0)(diagram)
 
 
-def v2(diagram, memo=None):
+def v2(diagram):
     """Degree-2 coefficient of the Conway polynomial of a knot diagram."""
     if diagram.n_nodes:
         raise DiagramError("v2 needs a node-free diagram")
     if diagram.n_components != 1:
         raise DiagramError("v2 is defined for one-component diagrams")
-    return conway(diagram, memo=memo).coefficient(2)
+    return conway(diagram).coefficient(2)
 
 
 def finite_type_check(invariant, k, diagrams):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from vassiliev.chords import (
@@ -5,6 +7,7 @@ from vassiliev.chords import (
     chord_diagram_of,
     enumerate_diagrams,
     four_term_relations,
+    raw_matchings,
     satisfies_4T,
 )
 from vassiliev.codes import braid_closure, parse_pd
@@ -40,6 +43,29 @@ def test_rotation_invariance_of_canonical_form():
     parallel_b = ChordDiagram([(0, 3), (1, 2)])
     assert parallel_a == parallel_b
     assert d1 != parallel_a
+
+
+def brute_force_canonical(pairs):
+    n = 2 * len(pairs)
+    partner = [0] * n
+    for a, b in pairs:
+        partner[a], partner[b] = b, a
+    return min(
+        (tuple((partner[(i + r) % n] - r) % n for i in range(n)) for r in range(n)),
+        default=(),
+    )
+
+
+def test_canonical_form_is_least_rotation():
+    matchings = [m for deg in range(6) for m in raw_matchings(deg)]
+    rng = random.Random(6)
+    for deg in (6, 7):
+        for _ in range(1000):
+            points = list(range(2 * deg))
+            rng.shuffle(points)
+            matchings.append(list(zip(points[::2], points[1::2])))
+    for pairs in matchings:
+        assert ChordDiagram(pairs).partner == brute_force_canonical(pairs), pairs
 
 
 def test_pairs_and_isolated_chords():

@@ -1,8 +1,10 @@
+import math
 import random
 import time
 
 import pytest
 
+from vassiliev import skein
 from vassiliev.codes import DiagramError, SingularDiagram, braid_closure, parse_gauss, parse_pd
 from vassiliev.fixtures import sample_singular_diagrams
 from vassiliev.laurent import IntegerLaurentPoly as P
@@ -128,12 +130,67 @@ def polyak_viro_v2(knot):
     )
 
 
-def test_v2_matches_polyak_viro_formula():
+def test_v2_matches_polyak_viro_formula(monkeypatch):
     rng = random.Random(1998)
     knots = sample_singular_diagrams(rng, 0, 300, n_strands=4, max_crossings=10, one_component=True)
     assert {polyak_viro_v2(d) for d in knots} >= {-1, 0, 1, 2}
     for d in knots:
         assert v2(d) == polyak_viro_v2(d), d.to_gauss()
+    # The Alexander route against the pure recursion, mirrors included.
+    corpus = knots + [d.mirror() for d in knots]
+    fast = [conway(d).items() for d in corpus]
+    monkeypatch.setattr(skein, "_alexander_conway", lambda d: None)
+    memo = {}
+    assert fast == [conway(d, memo=memo).items() for d in corpus]
+
+
+def test_braid_closure_knots_are_planar_and_virtual_trefoil_is_not():
+    rng = random.Random(1998)
+    knots = sample_singular_diagrams(rng, 0, 100, n_strands=4, max_crossings=10, one_component=True)
+    assert all(d.is_planar() for d in knots)
+    assert all(d.mirror().is_planar() for d in knots)
+    assert TREFOIL.is_planar() and FIG8.is_planar() and unknot().is_planar()
+    assert braid_closure([("node", 1), ("node", 2), 1, -2], n_strands=3).is_planar()
+    assert braid_closure([1, 1, 3, 3], n_strands=4).is_planar()  # two Hopf links side by side
+    virtual = parse_gauss("O1-O2-U1-U2-")
+    assert not virtual.is_planar()
+    assert skein._alexander_conway(virtual) is None
+    assert skein._alexander_conway(braid_closure([1, 1])) is None  # a link
+    memo = {}
+    assert conway(TREFOIL, memo=memo) == 1 + Z * Z and memo == {}  # knots skip the memo
+
+
+def random_gauss_knot(rng, n):
+    tokens = [("O", i) for i in range(n)] + [("U", i) for i in range(n)]
+    rng.shuffle(tokens)
+    return SingularDiagram([tokens], {i: rng.choice((1, -1)) for i in range(n)})
+
+
+def test_conway_routes_agree_on_random_gauss_codes(monkeypatch):
+    rng = random.Random(5)
+    codes = [random_gauss_knot(rng, rng.randint(3, 7)) for _ in range(300)]
+    planar = [d.is_planar() for d in codes]
+    assert 10 <= sum(planar) <= 290
+    for d, flat in zip(codes, planar):
+        assert (skein._alexander_conway(d) is None) == (not flat), d.to_gauss()
+    fast = [conway(d, memo={}).items() for d in codes]
+    monkeypatch.setattr(skein, "_alexander_conway", lambda d: None)
+    assert fast == [conway(d, memo={}).items() for d in codes]
+
+
+def test_conway_torus_knots_closed_form_fast():
+    start = time.perf_counter()
+    for n in range(1, 52, 2):
+        k = n // 2
+        expected = {2 * j: math.comb(k + j, 2 * j) for j in range(k + 1)}
+        assert dict(conway(braid_closure([1] * n)).items()) == expected
+    assert time.perf_counter() - start < 1.0
+
+
+def test_alexander_route_raises_when_normalization_fails(monkeypatch):
+    monkeypatch.setattr(skein, "_bareiss_det", lambda rows: 2)
+    with pytest.raises(ArithmeticError):
+        conway(TREFOIL, memo={})
 
 
 def test_v2_rejects_links_and_nodes():
