@@ -10,7 +10,9 @@ or negative crossing is well defined.
 Arc labels never appear internally; they are assigned on the fly when
 serializing to PD text and recovered by the parsers.  Realizability of
 the codes is deliberately not enforced: the operations below make sense
-for virtual diagrams as well, and `is_planar` tells the two apart.
+for virtual diagrams as well.  Shape questions live on the diagram:
+`is_planar` tells classical codes from virtual ones and `is_split` finds
+pieces that share no site, both from one count of connected pieces.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ NODE_SECOND = "Q"
 
 _CROSSING_KINDS = (OVER, UNDER)
 _NODE_KINDS = (NODE_FIRST, NODE_SECOND)
+_SWITCH = {OVER: UNDER, UNDER: OVER}
 
 # The canonical search raises rather than build more arrangements than
 # this for one slot.
@@ -136,21 +139,20 @@ class SingularDiagram:
         """Swap over/under at crossing sid and negate its sign."""
         if sid not in self._signs:
             raise DiagramError(f"no crossing with id {sid}")
-        flip = {OVER: UNDER, UNDER: OVER}
-        comps = tuple(
-            tuple((flip[k], s) if s == sid and k in flip else (k, s) for k, s in comp)
-            for comp in self._components
-        )
-        signs = dict(self._signs)
-        signs[sid] = -signs[sid]
-        return SingularDiagram(comps, signs, validate=False)
+        return self._retagged({sid}, _SWITCH, {**self._signs, sid: -self._signs[sid]})
 
     def mirror(self):
         """Switch every crossing."""
-        d = self
-        for sid in self.crossing_ids:
-            d = d.switch_crossing(sid)
-        return d
+        return self._retagged(self._signs, _SWITCH, {sid: -sgn for sid, sgn in self._signs.items()})
+
+    def _retagged(self, sites, kinds, signs):
+        """This diagram with the tokens at `sites` renamed by `kinds` and
+        the given signs."""
+        comps = tuple(
+            tuple((kinds[k], s) if s in sites and k in kinds else (k, s) for k, s in comp)
+            for comp in self._components
+        )
+        return SingularDiagram(comps, signs, validate=False)
 
     def smooth_crossing(self, sid):
         """Oriented smoothing at crossing sid (the crossing disappears)."""
@@ -174,20 +176,10 @@ class SingularDiagram:
             comps = _splice_out(self._components, sid)
             return SingularDiagram(comps, self._signs, validate=False)
         if resolution == "positive":
-            repl = {NODE_FIRST: OVER, NODE_SECOND: UNDER}
-            new_sign = 1
-        elif resolution == "negative":
-            repl = {NODE_FIRST: UNDER, NODE_SECOND: OVER}
-            new_sign = -1
-        else:
-            raise DiagramError(f"unknown resolution {resolution!r}")
-        comps = tuple(
-            tuple((repl[k], s) if s == sid and k in repl else (k, s) for k, s in comp)
-            for comp in self._components
-        )
-        signs = dict(self._signs)
-        signs[sid] = new_sign
-        return SingularDiagram(comps, signs, validate=False)
+            return self._retagged({sid}, {NODE_FIRST: OVER, NODE_SECOND: UNDER}, {**self._signs, sid: 1})
+        if resolution == "negative":
+            return self._retagged({sid}, {NODE_FIRST: UNDER, NODE_SECOND: OVER}, {**self._signs, sid: -1})
+        raise DiagramError(f"unknown resolution {resolution!r}")
 
     # -- equality up to relabeling --------------------------------------
 
@@ -249,84 +241,73 @@ class SingularDiagram:
     def _pd_text_unchecked(self):
         if not self._components:
             raise DiagramError("PD text cannot express the empty diagram")
+        tuples = {}
+        label = 0
         for comp in self._components:
-            if len(comp) == 0:
-                raise DiagramError("PD text cannot express a crossingless circle")
-        arc = {}
-        label = 1
-        for ci, comp in enumerate(self._components):
-            for pi in range(len(comp)):
-                arc[(ci, pi)] = label
-                label += 1
-        ends = {}
-        order = []
-        for ci, comp in enumerate(self._components):
             length = len(comp)
+            if length == 0:
+                raise DiagramError("PD text cannot express a crossingless circle")
             for pi, (kind, sid) in enumerate(comp):
-                a_in = arc[(ci, (pi - 1) % length)]
-                a_out = arc[(ci, pi)]
-                if sid not in ends:
-                    ends[sid] = {}
-                    order.append(sid)
-                ends[sid][kind] = (a_in, a_out)
-        entries = []
-        for sid in order:
-            rec = ends[sid]
-            if OVER in rec:
-                u_in, u_out = rec[UNDER]
-                o_in, o_out = rec[OVER]
-                if self._signs[sid] > 0:
-                    tup = (u_in, o_out, u_out, o_in)
+                if kind in _NODE_KINDS:
+                    slot_in, slot_out = _V_SLOTS[kind]
                 else:
-                    tup = (u_in, o_in, u_out, o_out)
-                entries.append("X(%d,%d,%d,%d)" % tup)
-            else:
-                p_in, p_out = rec[NODE_FIRST]
-                q_in, q_out = rec[NODE_SECOND]
-                entries.append("V(%d,%d,%d,%d)" % (p_in, p_out, q_out, q_in))
-        return " ".join(entries)
+                    slot_in, slot_out = _ccw_slots(kind, self._signs[sid])
+                tup = tuples.setdefault(sid, [0] * 4)
+                tup[slot_in] = label + (pi - 1) % length + 1
+                tup[slot_out] = label + pi + 1
+            label += length
+        return " ".join(
+            ("V(%d,%d,%d,%d)" if sid in self._nodes else "X(%d,%d,%d,%d)") % tuple(tup)
+            for sid, tup in tuples.items()
+        )
 
     def is_planar(self):
         """True when the code is classical: its shadow lies on a sphere.
 
         Each crossing's half-edges go counterclockwise as in the PD text
-        above: U_in, O_out, U_out, O_in when positive and U_in, O_in,
-        U_out, O_out when negative (a node as its positive resolution).
-        Each walk step pairs an "out" half-edge with the next token's
-        "in" half-edge, and the faces are the orbits of rotate . pair.
-        By Euler, a connected shadow with n crossings is planar iff it
-        has n + 2 faces, so the code is planar iff F = n + 2 * pieces.
+        (`_ccw_slots`; a node as its positive resolution).  Each walk step
+        pairs an "out" half-edge with the next token's "in" half-edge, and
+        the faces are the cycles of rotate . pair.  By Euler, a connected
+        shadow with n crossings is planar iff it has n + 2 faces; a
+        crossingless circle is a piece with two faces.  So the code is
+        planar iff faces + 2 * circles = n + 2 * pieces.
         """
         index = {sid: i for i, sid in enumerate(self._signs.keys() | self._nodes)}
         pair = [0] * (4 * len(index))
         for comp in self._components:
             for (kind, sid), (next_kind, next_sid) in zip(comp, comp[1:] + comp[:1]):
-                out_slot = _ccw_slots(kind, self._signs.get(sid, 1))[1]
-                in_slot = _ccw_slots(next_kind, self._signs.get(next_sid, 1))[0]
-                h, g = 4 * index[sid] + out_slot, 4 * index[next_sid] + in_slot
+                h = 4 * index[sid] + _ccw_slots(kind, self._signs.get(sid, 1))[1]
+                g = 4 * index[next_sid] + _ccw_slots(next_kind, self._signs.get(next_sid, 1))[0]
                 pair[h], pair[g] = g, h
+        step = [g - g % 4 + (g + 1) % 4 for g in pair]  # rotate . pair
+        faces = 0
+        for h in range(len(step)):
+            if step[h] >= 0:
+                faces += 1
+                while step[h] >= 0:
+                    step[h], h = -1, step[h]
+        circles = sum(not comp for comp in self._components)
+        return faces + 2 * circles == len(index) + 2 * self._pieces()
 
-        def rotate(h):
-            return h - h % 4 + (h + 1) % 4
+    def is_split(self):
+        """True when the components fall into two or more pieces that
+        share no site (a crossingless circle is a piece of its own)."""
+        return len(self._components) > 1 and self._pieces() > 1
 
-        def orbits(steps):
-            seen = [False] * len(pair)
-            count = 0
-            for start in range(len(pair)):
-                if seen[start]:
-                    continue
-                count += 1
-                stack = [start]
-                while stack:
-                    h = stack.pop()
-                    if not seen[h]:
-                        seen[h] = True
-                        stack.extend(step(h) for step in steps)
-            return count
+    def _pieces(self):
+        """Number of connected pieces: components joined by shared sites."""
+        root = list(range(len(self._components)))
 
-        faces = orbits([lambda h: rotate(pair[h])])
-        pieces = orbits([rotate, pair.__getitem__])
-        return faces == len(index) + 2 * pieces
+        def find(ci):
+            while root[ci] != ci:
+                ci = root[ci]
+            return ci
+
+        first = {}
+        for ci, comp in enumerate(self._components):
+            for _, sid in comp:
+                root[find(first.setdefault(sid, ci))] = find(ci)
+        return sum(root[ci] == ci for ci in range(len(root)))
 
     def to_json_dict(self):
         comps = [[f"{k}{s}" for k, s in comp] for comp in self._components]
@@ -358,6 +339,20 @@ def _ccw_slots(kind, sign):
     if kind in (UNDER, NODE_SECOND):
         return 0, 2
     return 2 + sign, 2 - sign
+
+
+# (in, out) slots of the two passages of a PD entry V(a, b, c, d).
+_V_SLOTS = {NODE_FIRST: (0, 1), NODE_SECOND: (3, 2)}
+
+# Per PD entry type: in slot -> (kind, out slot, crossing sign) of the
+# passage that enters there.
+_PD_DOORS = {
+    "X": {
+        _ccw_slots(kind, sign)[0]: (kind, _ccw_slots(kind, sign)[1], sign)
+        for kind, sign in ((UNDER, 1), (OVER, 1), (OVER, -1))
+    },
+    "V": {slots[0]: (kind, slots[1], 0) for kind, slots in _V_SLOTS.items()},
+}
 
 
 def _splice_out(components, sid):
@@ -516,15 +511,20 @@ _PD_ENTRY = re.compile(r"\s*([XV])\s*\(\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*,\s*(\
 def parse_pd(text):
     """Parse PD text: whitespace-separated X(a,b,c,d) and V(a,b,c,d).
 
-    X tuples are read counterclockwise from the incoming under-strand
-    (under passage a->c); the over-strand orientation is inferred from
-    global head/tail consistency, with a consecutive-arc-numbering
-    heuristic and a deterministic positive default breaking ties.  The
-    crossing is positive exactly when the over strand runs d->b.
+    Slots are read counterclockwise.  An X under passage runs a -> c; the
+    over passage runs d -> b (a positive crossing) or b -> d (negative),
+    as `_ccw_slots` says.  A V entry's first passage enters at a and
+    leaves at b, its second enters at d and leaves at c.
 
-    V tuples are read as (in1, out1, out2, in2): the first strand
-    passage enters at a and leaves at b, the second enters at d and
-    leaves at c.  Blank text raises.
+    Orientation is a walk: from every under and node passage, follow each
+    arc to its other end, which fixes the way through the next over
+    passage, until the walk closes.  Reaching a slot that cannot be
+    entered (the other end of an arc some passage already leaves by)
+    raises.  A circuit made of over passages only is oriented by its
+    first crossing in entry order with consecutive over arcs (d = b + 1
+    negative, b = d + 1 positive), or else its first crossing is
+    positive.  Components start at the least (entry, kind) passage and
+    signs are keyed by entry index in entry order.  Blank text raises.
     """
     text = text.strip()
     if not text:
@@ -541,120 +541,64 @@ def parse_pd(text):
         entries.append((m.group(1), tuple(int(g) for g in m.group(2, 3, 4, 5))))
         pos = m.end()
 
-    slot_count = {}
-    for _, tup in entries:
-        for a in tup:
-            slot_count[a] = slot_count.get(a, 0) + 1
-    for a, cnt in slot_count.items():
-        if cnt != 2:
-            raise ParseError(f"arc {a} appears {cnt} times; every arc must appear exactly twice")
+    ends = {}
+    for e, (_, tup) in enumerate(entries):
+        for slot, a in enumerate(tup):
+            ends.setdefault(a, []).append((e, slot))
+    other_end = {}
+    for a, where in ends.items():
+        if len(where) != 2:
+            raise ParseError(f"arc {a} appears {len(where)} times; every arc must appear exactly twice")
+        other_end[where[0]], other_end[where[1]] = where[1], where[0]
 
-    # Fixed passages: (site, kind, in_arc, out_arc).  Crossing over
-    # passages start undecided.
-    passages = []
-    undecided = []
-    for sid, (typ, (a, b, c, d)) in enumerate(entries):
-        if typ == "V":
-            passages.append((sid, NODE_FIRST, a, b))
-            passages.append((sid, NODE_SECOND, d, c))
-        else:
-            passages.append((sid, UNDER, a, c))
-            if b == d:
-                passages.append((sid, OVER, b, d))
-                undecided.append((sid, None))  # orientation moot, sign defaults +
-            else:
-                undecided.append((sid, (b, d)))
+    # Each passage (entry, kind) maps to the passage its out arc enters.
+    # A walk ends at the first passage already walked.  That passage
+    # started a walk and is met at its in slot: had a walk passed through
+    # it, or left it by this slot, it would have met this walk's previous
+    # passage first.
+    nxt = {}
+    signs = {}
 
-    heads = {a: 0 for a in slot_count}
-    tails = {a: 0 for a in slot_count}
-    for _, _, a_in, a_out in passages:
-        heads[a_in] += 1
-        tails[a_out] += 1
-    for a in slot_count:
-        if heads[a] > 1 or tails[a] > 1:
-            raise ParseError(f"arc {a} is over-constrained; invalid code")
-
-    over_sign = {}
-    for sid, bd in undecided:
-        if bd is None:
-            over_sign[sid] = 1
-
-    pending = [(sid, bd) for sid, bd in undecided if bd is not None]
-
-    def feasible(b, d):
-        # orientation b -> d (over in at b): needs head slot for b, tail for d
-        return heads[b] == 0 and tails[d] == 0
-
-    def decide(sid, a_in, a_out, sign):
-        passages.append((sid, OVER, a_in, a_out))
-        heads[a_in] += 1
-        tails[a_out] += 1
-        over_sign[sid] = sign
-
-    while pending:
-        progressed = False
-        still = []
-        for sid, (b, d) in pending:
-            neg_ok = feasible(b, d)   # over b->d, negative
-            pos_ok = feasible(d, b)   # over d->b, positive
-            if not neg_ok and not pos_ok:
-                raise ParseError(f"over strand at crossing entry {sid} cannot be oriented consistently")
-            if neg_ok and not pos_ok:
-                decide(sid, b, d, -1)
-                progressed = True
-            elif pos_ok and not neg_ok:
-                decide(sid, d, b, 1)
-                progressed = True
-            else:
-                still.append((sid, (b, d)))
-        pending = still
-        if pending and not progressed:
-            # Consecutive numbering heuristic: over strand runs x -> x+1.
-            chosen = False
-            for i, (sid, (b, d)) in enumerate(pending):
-                if d == b + 1 and feasible(b, d):
-                    decide(sid, b, d, -1)
-                    pending.pop(i)
-                    chosen = True
-                    break
-                if b == d + 1 and feasible(d, b):
-                    decide(sid, d, b, 1)
-                    pending.pop(i)
-                    chosen = True
-                    break
-            if not chosen:
-                # Deterministic default: force the first pending crossing positive.
-                sid, (b, d) = pending.pop(0)
-                if feasible(d, b):
-                    decide(sid, d, b, 1)
-                else:
-                    decide(sid, b, d, -1)
-
-    for a in slot_count:
-        if heads[a] != 1 or tails[a] != 1:
-            raise ParseError(f"arc {a} lacks a consistent orientation; invalid code")
-
-    # Trace circuits: each passage consumes its in-arc.
-    by_in = {}
-    for sid, kind, a_in, a_out in passages:
-        by_in[a_in] = (sid, kind, a_out)
-    visited = set()
-    comps = []
-    for sid, kind, a_in, a_out in sorted(passages, key=lambda p: (p[0], p[1])):
-        if (sid, kind) in visited:
-            continue
-        toks = []
-        cur = (sid, kind, a_out)
+    def walk(e, slot):
+        prev = None
         while True:
-            toks.append((cur[1], cur[0]))
-            visited.add((cur[0], cur[1]))
-            cur = by_in[cur[2]]
-            if (cur[0], cur[1]) in visited:
-                break
-        comps.append(tuple(toks))
+            typ, tup = entries[e]
+            door = _PD_DOORS[typ].get(slot)
+            if door is None:
+                raise ParseError(f"arc {tup[slot]} is over-constrained; invalid code")
+            kind, out, sign = door
+            passage = (e, kind)
+            if prev is not None:
+                nxt[prev] = passage
+            if passage in nxt:
+                return
+            nxt[passage] = None
+            if kind == OVER:
+                signs[e] = sign
+            prev = passage
+            e, slot = other_end[e, out]
 
-    signs = {sid: over_sign[sid] for sid, (typ, _) in enumerate(entries) if typ == "X"}
-    return SingularDiagram(comps, signs)
+    for e, (typ, _) in enumerate(entries):
+        for slot, (kind, _, _) in _PD_DOORS[typ].items():
+            if kind != OVER:
+                walk(e, slot)
+    # What is left are circuits of over passages only.
+    for e, (typ, (_, b, _, d)) in enumerate(entries):
+        if typ == "X" and e not in signs and abs(b - d) == 1:
+            walk(e, _ccw_slots(OVER, b - d)[0])
+    for e, (typ, _) in enumerate(entries):
+        if typ == "X" and e not in signs:
+            walk(e, _ccw_slots(OVER, 1)[0])
+
+    comps = []
+    for passage in sorted(nxt):
+        toks = []
+        while passage in nxt:
+            toks.append((passage[1], passage[0]))
+            passage = nxt.pop(passage)
+        if toks:
+            comps.append(tuple(toks))
+    return SingularDiagram(comps, {e: signs[e] for e in sorted(signs)})
 
 
 # -- braid closures --------------------------------------------------------

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -585,13 +585,15 @@ def linking_number(mk, quadrature=DEFAULT_QUADRATURE):
 
     Sum of all degree-1 cross-component placement integrals; matches
     half the signed inter-component crossing count of a diagram of the
-    same link.
+    same link.  The log|dz| terms telescope, so the limit is real and the
+    error covers the imaginary part of the value as well.
     """
     if len(mk.component_cycles) < 2:
         raise ValueError("linking number needs at least 2 components")
     pools = _pair_pools(mk, cross_only=True)
     values = _placement_values(_SlabBlocks(mk, quadrature, 1, pools), mk, *_placements(pools, 1))
-    return _classify(_sums(values, np.zeros(values.shape[1], dtype=int), 1)[0])
+    res = _classify(_sums(values, np.zeros(values.shape[1], dtype=int), 1)[0])
+    return replace(res, error=res.error + abs(res.value.imag))
 
 
 # -- pairing with weight systems --------------------------------------------

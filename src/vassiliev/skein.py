@@ -22,10 +22,11 @@ A diagram with no bad crossings is descending, hence an unlink: value 1
 for one component, 0 otherwise.  Switching the first bad crossing lowers
 the bad count and smoothing lowers the crossing count, so the recursion
 terminates.  A planar knot met inside the recursion takes the matrix
-route.  Split diagrams are 0 at once; other results are memoized on the
-canonical form of the diagram.  The memo table is the only shared state
-and never changes values.  Replacing `_alexander_conway` by a function
-returning None leaves the pure recursion, the oracle of the tests.
+route.  Split diagrams (`SingularDiagram.is_split`) are 0 at once; other
+results are memoized on the canonical form of the diagram.  The memo
+table is the only shared state and never changes values.  Replacing
+`_alexander_conway` by a function returning None leaves the pure
+recursion, the oracle of the tests.
 """
 
 from __future__ import annotations
@@ -56,32 +57,6 @@ def _first_bad_crossing(diagram):
     return None
 
 
-def _is_split(diagram):
-    """True when the components fall into >= 2 groups that share no site."""
-    n = diagram.n_components
-    if n < 2:
-        return False
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    first_comp = {}
-    for ci, comp in enumerate(diagram.components):
-        for _, sid in comp:
-            if sid in first_comp:
-                a, b = find(first_comp[sid]), find(ci)
-                if a != b:
-                    parent[a] = b
-            else:
-                first_comp[sid] = ci
-    roots = {find(ci) for ci in range(n)}
-    return len(roots) > 1
-
-
 def conway(diagram, memo=None):
     """Conway polynomial of a node-free diagram, exact in z.
 
@@ -102,7 +77,7 @@ def _conway(diagram, memo):
         return val
     # Split diagrams never reach canonical_key, which refuses some very
     # symmetric ones (many identical split pieces).
-    if _is_split(diagram):
+    if diagram.is_split():
         return _ZERO
     key = diagram.canonical_key()
     val = memo.get(key)

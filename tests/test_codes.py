@@ -1,4 +1,5 @@
 import random
+import re
 import time
 
 import pytest
@@ -120,6 +121,52 @@ def test_pd_roundtrip_figure_eight():
     assert parse_pd(d.to_pd()) == d
 
 
+def relabelled_pd(text, rng, shift):
+    """PD text with its arcs renamed (a cyclic shift by `shift` or, for
+    shift None, a random permutation onto larger labels) and its entries
+    shuffled."""
+    entries = re.findall(r"([XV])\((\d+),(\d+),(\d+),(\d+)\)", text)
+    arcs = sorted({int(a) for entry in entries for a in entry[1:]})
+    if shift is None:
+        new = rng.sample(range(10, 10 + 3 * len(arcs)), len(arcs))
+    else:
+        new = arcs[shift % len(arcs) :] + arcs[: shift % len(arcs)]
+    rename = dict(zip(arcs, new))
+    rng.shuffle(entries)
+    return " ".join("%s(%d,%d,%d,%d)" % (typ, *(rename[int(a)] for a in arcs4)) for typ, *arcs4 in entries)
+
+
+def test_parse_pd_recovers_knots_from_relabelled_and_shuffled_text():
+    rng = random.Random(11)
+    knots = [d for d in seeded_diagrams(rng) if d.n_components == 1 and d.n_crossings]
+    assert len(knots) == 115
+    for d in knots:
+        text = d.to_pd()
+        for shift in (0, rng.randrange(1, 4 * d.n_crossings), None):
+            assert parse_pd(relabelled_pd(text, rng, shift)) == d, text
+
+
+def test_parse_pd_orients_over_only_circuits_by_numbering_then_positive():
+    # the unders close on arcs 1 and 2; the overs form a circuit of their own
+    assert parse_pd("X(1,3,2,4) X(2,4,1,3)").signs == {0: -1, 1: -1}  # d = b + 1
+    assert parse_pd("X(1,4,2,3) X(2,3,1,4)").signs == {0: 1, 1: 1}  # b = d + 1
+    assert parse_pd("X(1,5,2,3) X(2,3,1,5)").signs == {0: 1, 1: 1}  # neither: positive
+
+
+def test_parse_pd_keeps_entry_order_and_starts_at_least_passage():
+    hopf = parse_pd("X(4,1,3,2) X(1,4,2,3)")
+    assert hopf.components == ((("O", 0), ("U", 1)), (("U", 0), ("O", 1)))
+    assert list(hopf.signs) == [0, 1]
+    trefoil = parse_pd(TREFOIL_PD)
+    assert trefoil.components == ((("O", 0), ("U", 2), ("O", 1), ("U", 0), ("O", 2), ("U", 1)),)
+
+
+def test_parse_pd_rejects_node_strands_that_collide():
+    for text in ("V(2,1,1,2)", "V(1,2,2,1)"):
+        with pytest.raises(ParseError):
+            parse_pd(text)
+
+
 def test_json_roundtrip_with_nodes():
     d = parse_pd("V(1,2,1,2)")
     again = SingularDiagram.from_json_dict(d.to_json_dict())
@@ -220,12 +267,18 @@ def skein_subdiagrams(d):
     return [d] + skein_subdiagrams(d.switch_crossing(bad)) + skein_subdiagrams(d.smooth_crossing(bad))
 
 
-def test_canonical_key_ignores_labels_component_order_and_basepoints():
-    rng = random.Random(11)
+def seeded_diagrams(rng):
+    """Sampled knots with every skein subdiagram, and a few torus closures."""
     knots = sample_singular_diagrams(rng, 0, 12, n_strands=3, max_crossings=6, one_component=True)
     diagrams = [sub for d in knots for sub in skein_subdiagrams(d)]
     diagrams += [braid_closure([1] * n, 2) for n in range(1, 9)]
     diagrams += [braid_closure([1, 2] * 3, 3), braid_closure([1, 2, 3] * 4, 4)]
+    return diagrams
+
+
+def test_canonical_key_ignores_labels_component_order_and_basepoints():
+    rng = random.Random(11)
+    diagrams = seeded_diagrams(rng)
     assert max(d.n_components for d in diagrams) == 4
     for d in diagrams:
         assert scrambled(d, rng).canonical_key() == d.canonical_key()

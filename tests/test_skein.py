@@ -160,6 +160,16 @@ def test_braid_closure_knots_are_planar_and_virtual_trefoil_is_not():
     assert conway(TREFOIL, memo=memo) == 1 + Z * Z and memo == {}  # knots skip the memo
 
 
+def test_crossingless_circles_are_planar_split_pieces():
+    circles = braid_closure([], 3)
+    assert circles.is_planar() and circles.is_split()
+    assert not unknot().is_split() and not braid_closure([1, 1]).is_split()
+    beside_trefoil = parse_gauss(";O1+U2+O3+U1+O2+U3+")
+    assert beside_trefoil.is_planar() and beside_trefoil.is_split()
+    assert conway(beside_trefoil) == 0
+    assert not parse_gauss("O1-O2-U1-U2-;").is_planar()  # beside the virtual trefoil
+
+
 def random_gauss_knot(rng, n):
     tokens = [("O", i) for i in range(n)] + [("U", i) for i in range(n)]
     rng.shuffle(tokens)
