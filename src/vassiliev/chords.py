@@ -1,9 +1,12 @@
 """Chord diagrams and four-term relations.
 
 A chord diagram of degree m is a perfect matching on 2m points of an
-oriented circle.  Diagrams are stored canonically: the partner table is
-minimized over rotations of the circle (reflections are not quotiented
-out; the circle orientation is part of the data).
+oriented circle.  A matching is held as one representation throughout,
+its partner tuple: entry i is the point paired with point i.  Raw
+matchings come from one generator of partner tuples, and diagrams are
+stored canonically: the partner tuple is minimized over rotations of the
+circle (reflections are not quotiented out; the circle orientation is
+part of the data).
 """
 
 from __future__ import annotations
@@ -32,6 +35,13 @@ class ChordDiagram:
             partner[a], partner[b] = b, a
         self._partner = self._canonicalize(tuple(partner))
 
+    @classmethod
+    def _from_canonical(cls, partner):
+        """Wrap a partner tuple that is already canonical, unchecked."""
+        diagram = object.__new__(cls)
+        diagram._partner = partner
+        return diagram
+
     @staticmethod
     def _canonicalize(partner):
         n = len(partner)
@@ -56,13 +66,7 @@ class ChordDiagram:
         return self._partner
 
     def pairs(self):
-        seen = set()
-        out = []
-        for i, j in enumerate(self._partner):
-            if i not in seen:
-                out.append((i, j))
-                seen.update((i, j))
-        return tuple(out)
+        return tuple((i, j) for i, j in enumerate(self._partner) if i < j)
 
     def isolated_chords(self):
         """Chords whose endpoints are cyclically adjacent."""
@@ -99,37 +103,68 @@ class ChordDiagram:
         return ",".join(f"{a}-{b}" for a, b in self.pairs())
 
 
-def _matchings(points):
-    """All perfect matchings of the given point list, recursively."""
-    if not points:
-        yield []
-        return
-    first, rest = points[0], points[1:]
-    for i, second in enumerate(rest):
-        remaining = rest[:i] + rest[i + 1 :]
-        for sub in _matchings(remaining):
-            yield [(first, second)] + sub
+def _partner_tables(n):
+    """Every perfect matching of n points as a partner tuple.  The first
+    free point is paired with each later free point in ascending order,
+    so the tuples come out in ascending order."""
+    if n < 0:
+        raise ValueError("degree must be nonnegative")
+    partner = [-1] * n
+
+    def fill(i):
+        while i < n and partner[i] >= 0:
+            i += 1
+        if i == n:
+            yield tuple(partner)
+            return
+        for j in range(i + 1, n):
+            if partner[j] < 0:
+                partner[i], partner[j] = j, i
+                yield from fill(i + 1)
+                partner[j] = -1
+        partner[i] = -1
+
+    return fill(0)
 
 
 def raw_matchings(m):
-    """All (2m-1)!! raw perfect matchings of 2m labeled circle points."""
-    if m < 0:
-        raise ValueError("degree must be nonnegative")
-    yield from _matchings(list(range(2 * m)))
+    """All (2m-1)!! raw perfect matchings of 2m labeled circle points,
+    each a list of pairs (i, j) with i < j in ascending i."""
+    for partner in _partner_tables(2 * m):
+        yield [(i, j) for i, j in enumerate(partner) if i < j]
+
+
+def _is_least_rotation(partner):
+    # Rotation r leads with the gap (partner[r] - r) % n, so it can only
+    # be smaller if that gap is at most partner[0]; only ties are built.
+    n = len(partner)
+    lead = partner[0] if n else 0
+    for r in range(1, n):
+        gap = (partner[r] - r) % n
+        if gap < lead:
+            return False
+        if gap == lead and tuple((p - r) % n for p in partner[r:] + partner[:r]) < partner:
+            return False
+    return True
 
 
 def enumerate_diagrams(m):
-    """All canonical chord diagrams of degree m.
+    """All canonical chord diagrams of degree m, in ascending order.
 
-    Returns (diagrams, raw_count) where raw_count is the number of raw
-    matchings of 2m points, (2m-1)!!.
+    A raw partner tuple is kept only if it is the least of its 2m
+    rotations, so each class is found once, at its canonical form, with
+    no set of seen diagrams.  Rotations whose leading gap is below
+    partner[0] reject at once; only those whose gap equals it are built
+    and compared.  Returns (diagrams, raw_count) where raw_count is the
+    number of raw matchings of 2m points, (2m-1)!!.
     """
-    seen = set()
+    diagrams = []
     raw = 0
-    for matching in raw_matchings(m):
+    for partner in _partner_tables(2 * m):
         raw += 1
-        seen.add(ChordDiagram(matching))
-    return sorted(seen), raw
+        if _is_least_rotation(partner):
+            diagrams.append(ChordDiagram._from_canonical(partner))
+    return diagrams, raw
 
 
 def chord_diagram_of(diagram):
@@ -162,22 +197,18 @@ def four_term_relations(m):
     """
     if m < 2:
         raise ValueError("four-term relations need degree >= 2")
-    npts = 2 * m - 1
-    fixed = npts - 1  # the moving chord's anchored end; rotations cover other spots
+    last = 2 * m - 1  # the moving chord's anchored end; rotations cover other spots
     relations = []
     seen = set()
-    for matching in _matchings(list(range(npts - 1))):
-        for k1, k2 in matching:
+    for partner in _partner_tables(last - 1):
+        for k1, k2 in enumerate(partner):
+            if k1 > k2:
+                continue
             terms = []
-            for anchor, side, sign in ((k1, "b", 1), (k1, "a", -1), (k2, "b", 1), (k2, "a", -1)):
-                gap = anchor if side == "b" else anchor + 1
-
-                def lift(p):
-                    return p + 1 if p >= gap else p
-
-                pairs = [(lift(a), lift(b)) for a, b in matching]
-                pairs.append((gap, lift(fixed)))
-                terms.append((sign, ChordDiagram(pairs)))
+            for gap, sign in ((k1, 1), (k1 + 1, -1), (k2, 1), (k2 + 1, -1)):
+                lifted = [p + 1 if p >= gap else p for p in partner]
+                table = tuple(lifted[:gap] + [last] + lifted[gap:] + [gap])
+                terms.append((sign, ChordDiagram._from_canonical(ChordDiagram._canonicalize(table))))
             key = _relation_key(terms)
             if key not in seen:
                 seen.add(key)
@@ -195,14 +226,19 @@ def satisfies_4T(weight_fn, m, tol=1e-9):
     """Check a weight function against every degree-m four-term relation.
 
     Exact values (int, Fraction) are compared to zero exactly; floats
-    and complex values use the tolerance.  Returns (ok, counterexample)
-    where the counterexample carries the violated relation and its sum.
+    and complex values use the tolerance.  weight_fn is called once per
+    distinct diagram in the relations, and its value reused.  Returns
+    (ok, counterexample) where the counterexample carries the violated
+    relation and its sum.
     """
+    weights = {}
     for relation in four_term_relations(m):
         total = None
         exact = True
         for sign, diagram in relation:
-            value = weight_fn(diagram)
+            if diagram not in weights:
+                weights[diagram] = weight_fn(diagram)
+            value = weights[diagram]
             if not isinstance(value, (int, Fraction)):
                 exact = False
             term = sign * value

@@ -436,14 +436,28 @@ def _canonical_key(components, signs):
         for left in range(len(group), 0, -1):
             if len(ties) * left * starts > _TIE_BUDGET:
                 raise DiagramError("diagram too symmetric for the canonical form")
+            # Every rotation's first token is (lead, label of its first site);
+            # only the rotations with the least label are built.
+            least = min(
+                relabel.get(comp[r][1], len(relabel))
+                for _, relabel, rest in ties
+                for comp in rest
+                for r in range(length)
+                if comp[r][0] == lead
+            )
             arrangements = [
-                (placed + (comp[r:] + comp[:r],), dict(relabel), rest[:i] + rest[i + 1 :])
+                (placed + (comp[r:] + comp[:r],), {**relabel, comp[r][1]: least}, rest[:i] + rest[i + 1 :])
                 for placed, relabel, rest in ties
                 for i, comp in enumerate(rest)
                 for r in range(length)
-                if comp[r][0] == lead
+                if comp[r][0] == lead and relabel.get(comp[r][1], len(relabel)) == least
             ]
-            for pos in range(length):
+            for pos in range(1, length):
+                if len(arrangements) == 1:  # a lone survivor only labels its sites
+                    (placed, relabel, _), = arrangements
+                    for _, sid in placed[-1][pos:]:
+                        relabel.setdefault(sid, len(relabel))
+                    break
                 toks = []
                 for placed, relabel, _ in arrangements:
                     kind, sid = placed[-1][pos]

@@ -1,7 +1,9 @@
+import json
 import random
 
 import pytest
 
+from vassiliev import cli
 from vassiliev.chords import (
     ChordDiagram,
     chord_diagram_of,
@@ -27,12 +29,109 @@ def test_counts_match_double_factorial():
 def test_canonical_class_counts():
     # distinct diagrams up to rotation; frozen from a first run and
     # cross-checked at low degree by hand (m=2: crossed and parallel)
-    counts = [len(enumerate_diagrams(m)[0]) for m in range(5)]
+    counts = [len(enumerate_diagrams(m)[0]) for m in range(7)]
     assert counts[0] == 1
     assert counts[1] == 1
     assert counts[2] == 2
     assert counts[3] == 5
-    assert counts == [1, 1, 2, 3 + 2, 18]
+    assert counts == [1, 1, 2, 3 + 2, 18, 105, 902]
+
+
+def pair_matchings(points):
+    """Perfect matchings of a point list as lists of pairs, recursively."""
+    if not points:
+        yield []
+        return
+    first, rest = points[0], points[1:]
+    for i, second in enumerate(rest):
+        for sub in pair_matchings(rest[:i] + rest[i + 1 :]):
+            yield [(first, second)] + sub
+
+
+def pair_built_relations(m):
+    """Four-term relations built from point pairs through the checked
+    constructor, deduplicated up to an overall sign."""
+    fixed = 2 * m - 2
+    relations, seen = [], set()
+    for matching in pair_matchings(list(range(fixed))):
+        for k1, k2 in matching:
+            terms = []
+            for gap, sign in ((k1, 1), (k1 + 1, -1), (k2, 1), (k2 + 1, -1)):
+                def lift(p, gap=gap):
+                    return p + 1 if p >= gap else p
+
+                pairs = [(lift(a), lift(b)) for a, b in matching] + [(gap, lift(fixed))]
+                terms.append((sign, ChordDiagram(pairs)))
+            key = min(tuple(sorted((d.partner, s * e) for s, d in terms)) for e in (1, -1))
+            if key not in seen:
+                seen.add(key)
+                relations.append(tuple(terms))
+    return relations
+
+
+def test_raw_matchings_match_pair_recursion():
+    for m in range(7):
+        assert list(raw_matchings(m)) == list(pair_matchings(list(range(2 * m))))
+
+
+def test_enumerate_diagrams_matches_per_matching_oracle():
+    for m in range(7):
+        diagrams, _ = enumerate_diagrams(m)
+        assert diagrams == sorted({ChordDiagram(mt) for mt in raw_matchings(m)})
+        for d in diagrams:
+            assert ChordDiagram(d.pairs()).partner == d.partner
+
+
+def test_four_term_relations_match_pair_built_oracle():
+    for m, count in ((2, 1), (3, 4), (4, 34), (5, 396)):
+        relations = four_term_relations(m)
+        assert len(relations) == count
+        assert relations == pair_built_relations(m)
+        for rel in relations:
+            for _, d in rel:
+                assert ChordDiagram(d.pairs()).partner == d.partner
+
+
+def test_satisfies_4T_weighs_each_distinct_diagram_once():
+    calls = []
+
+    def weight_fn(d):
+        calls.append(d)
+        return _crossing_pairs(d)
+
+    ok, _ = satisfies_4T(weight_fn, 4)
+    assert ok
+    distinct = {d for rel in four_term_relations(4) for _, d in rel}
+    assert len(calls) == len(set(calls)) == len(distinct) == 18
+    assert set(calls) == distinct
+
+
+def chords_json(capsys, argv):
+    assert cli.main(argv) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_cli_chords_matches_pair_built_oracle(capsys):
+    for m in range(7):
+        matchings = list(pair_matchings(list(range(2 * m))))
+        canonical = sorted({ChordDiagram(mt) for mt in matchings})
+        payload = chords_json(capsys, ["chords", "enumerate", str(m)])
+        assert payload["raw_count"] == len(matchings)
+        assert payload["raw_matchings"] == [
+            ",".join(f"{a}-{b}" for a, b in mt) or "(empty)" for mt in matchings
+        ]
+        assert payload["canonical_count"] == len(canonical)
+        assert payload["canonical"] == [str(d) for d in canonical]
+        if m < 2:
+            assert cli.main(["chords", "4t", str(m)]) == 3
+            capsys.readouterr()
+            continue
+        relations = pair_built_relations(m)
+        payload = chords_json(capsys, ["chords", "4t", str(m)])
+        assert payload["n_relations"] == len(relations)
+        assert payload["relations"] == [
+            [{"sign": s, "diagram": str(d)} for s, d in rel] for rel in relations
+        ]
 
 
 def test_rotation_invariance_of_canonical_form():

@@ -298,6 +298,23 @@ def test_canonical_key_exact_on_many_arrangements():
     assert scrambled(t66, random.Random(6)) == t66
 
 
+def test_canonical_key_bytes_are_pinned():
+    # A search that keeps the wrong arrangements can still give keys that
+    # ignore labels, so two small links' keys are frozen as computed.
+    clasp = SingularDiagram([[("O", 0), ("O", 1)], [("U", 0), ("U", 1)]], {0: 1, 1: -1})
+    assert clasp.canonical_key() == (
+        ((("O", 0), ("O", 1)), (("U", 0), ("U", 1))),
+        ((0, -1), (1, 1)),
+    )
+    link = SingularDiagram(
+        [[("O", 3), ("U", 1)], [("O", 0), ("O", 1), ("U", 3), ("U", 0)]], {0: 1, 1: 1, 3: 1}
+    )
+    assert link.canonical_key() == (
+        ((("O", 0), ("U", 1)), (("O", 1), ("U", 0), ("U", 2), ("O", 2))),
+        ((0, 1), (1, 1), (2, 1)),
+    )
+
+
 def test_canonical_key_refuses_too_symmetric_diagram_fast():
     split_hopfs = braid_closure([k for k in range(1, 16, 2) for _ in (0, 1)], 16)
     assert split_hopfs.n_components == 16
