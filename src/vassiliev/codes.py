@@ -13,6 +13,8 @@ the codes is deliberately not enforced: the operations below make sense
 for virtual diagrams as well.  Shape questions live on the diagram:
 `is_planar` tells classical codes from virtual ones and `is_split` finds
 pieces that share no site, both from one count of connected pieces.
+Moves that keep the shadow (switches, mirrors, +/- node resolutions)
+share those answers with the diagram they came from.
 """
 
 from __future__ import annotations
@@ -47,6 +49,18 @@ class ParseError(DiagramError):
         super().__init__(message)
 
 
+class _Shadow:
+    """What a diagram's shadow decides, computed on first use: the
+    `is_planar` verdict and the piece count.  Switches, mirrors and +/-
+    node resolutions keep the shadow and share their parent's record;
+    `__init__`, and so every smoothing, starts a fresh one."""
+
+    __slots__ = ("planar", "pieces")
+
+    def __init__(self):
+        self.planar = self.pieces = None
+
+
 class SingularDiagram:
     """Immutable singular link diagram.
 
@@ -56,7 +70,7 @@ class SingularDiagram:
     signs : mapping crossing id -> +1 or -1
     """
 
-    __slots__ = ("_components", "_signs", "_nodes", "_canonical")
+    __slots__ = ("_components", "_signs", "_nodes", "_canonical", "_shadow")
 
     def __init__(self, components, signs, validate=True):
         self._components = tuple(tuple((k, int(s)) for k, s in comp) for comp in components)
@@ -68,6 +82,7 @@ class SingularDiagram:
                     nodes.add(sid)
         self._nodes = frozenset(nodes)
         self._canonical = None
+        self._shadow = _Shadow()
         if validate:
             self._validate()
 
@@ -147,12 +162,15 @@ class SingularDiagram:
 
     def _retagged(self, sites, kinds, signs):
         """This diagram with the tokens at `sites` renamed by `kinds` and
-        the given signs."""
+        the given signs.  Retagging keeps the shadow, so the result shares
+        this diagram's shadow record."""
         comps = tuple(
             tuple((kinds[k], s) if s in sites and k in kinds else (k, s) for k, s in comp)
             for comp in self._components
         )
-        return SingularDiagram(comps, signs, validate=False)
+        out = SingularDiagram(comps, signs, validate=False)
+        out._shadow = self._shadow
+        return out
 
     def smooth_crossing(self, sid):
         """Oriented smoothing at crossing sid (the crossing disappears)."""
@@ -271,7 +289,13 @@ class SingularDiagram:
         shadow with n crossings is planar iff it has n + 2 faces; a
         crossingless circle is a piece with two faces.  So the code is
         planar iff faces + 2 * circles = n + 2 * pieces.
+
+        Switches, mirrors and +/- node resolutions keep the shadow, so the
+        verdict is computed once for a diagram and all of those.
         """
+        shadow = self._shadow
+        if shadow.planar is not None:
+            return shadow.planar
         index = {sid: i for i, sid in enumerate(self._signs.keys() | self._nodes)}
         pair = [0] * (4 * len(index))
         for comp in self._components:
@@ -287,15 +311,21 @@ class SingularDiagram:
                 while step[h] >= 0:
                     step[h], h = -1, step[h]
         circles = sum(not comp for comp in self._components)
-        return faces + 2 * circles == len(index) + 2 * self._pieces()
+        shadow.planar = faces + 2 * circles == len(index) + 2 * self._pieces()
+        return shadow.planar
 
     def is_split(self):
         """True when the components fall into two or more pieces that
-        share no site (a crossingless circle is a piece of its own)."""
+        share no site (a crossingless circle is a piece of its own).
+        Like `is_planar`, the piece count is shared by switches, mirrors
+        and +/- node resolutions."""
         return len(self._components) > 1 and self._pieces() > 1
 
     def _pieces(self):
         """Number of connected pieces: components joined by shared sites."""
+        shadow = self._shadow
+        if shadow.pieces is not None:
+            return shadow.pieces
         root = list(range(len(self._components)))
 
         def find(ci):
@@ -307,7 +337,8 @@ class SingularDiagram:
         for ci, comp in enumerate(self._components):
             for _, sid in comp:
                 root[find(first.setdefault(sid, ci))] = find(ci)
-        return sum(root[ci] == ci for ci in range(len(root)))
+        shadow.pieces = sum(root[ci] == ci for ci in range(len(root)))
+        return shadow.pieces
 
     def to_json_dict(self):
         comps = [[f"{k}{s}" for k, s in comp] for comp in self._components]

@@ -1,5 +1,10 @@
 """Conway polynomial and Vassiliev extensions of skein invariants.
 
+`v2` of a planar knot is the Polyak-Viro arrow count, a sum over
+pairs of crossings of the knot's code that builds no polynomial; a
+non-planar (virtual) knot reads its z^2 coefficient from `conway`.
+`conway` itself keeps the Alexander route below for planar knots.
+
 `conway` takes one of two routes, chosen from the diagram alone.
 
 A one-component, planar code (`SingularDiagram.is_planar`) is a
@@ -33,7 +38,7 @@ from __future__ import annotations
 
 from math import comb, isqrt
 
-from .codes import UNDER, DiagramError
+from .codes import OVER, UNDER, DiagramError
 from .laurent import IntegerLaurentPoly
 
 _Z = IntegerLaurentPoly.z()
@@ -208,12 +213,32 @@ def vassiliev_eval(invariant, diagram):
 
 
 def v2(diagram):
-    """Degree-2 coefficient of the Conway polynomial of a knot diagram."""
+    """Degree-2 coefficient of the Conway polynomial of a knot diagram.
+
+    A planar knot gives it as the Polyak-Viro arrow count (Polyak-Viro,
+    *Gauss diagram formulas for Vassiliev invariants*, IMRN 1994): the
+    sum of sign(a) * sign(b) over the crossing pairs whose passages are
+    met from the basepoint as a over, b under, a under, b over.  A
+    non-planar (virtual) code reads it from `conway`, because there the
+    arrow count is not the z^2 coefficient.
+    """
     if diagram.n_nodes:
         raise DiagramError("v2 needs a node-free diagram")
     if diagram.n_components != 1:
         raise DiagramError("v2 is defined for one-component diagrams")
-    return conway(diagram).coefficient(2)
+    if not diagram.is_planar():
+        return conway(diagram).coefficient(2)
+    over, under = {}, {}
+    for at, (kind, sid) in enumerate(diagram.components[0]):
+        (over if kind == OVER else under)[sid] = at
+    arrows = [(over[sid], under[sid], diagram.sign(sid)) for sid in over]
+    return sum(
+        sign_a * sign_b
+        for over_a, under_a, sign_a in arrows
+        if over_a < under_a
+        for over_b, under_b, sign_b in arrows
+        if over_a < under_b < under_a < over_b
+    )
 
 
 def finite_type_check(invariant, k, diagrams):

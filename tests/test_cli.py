@@ -17,7 +17,7 @@ import jsonschema
 
 import vassiliev
 from vassiliev import cli
-from vassiliev.codes import parse_gauss
+from vassiliev.codes import braid_closure, parse_gauss
 from vassiliev.skein import conway
 
 TREFOIL = "O1+U2+O3+U1+O2+U3+"
@@ -57,6 +57,14 @@ def test_v2_literal_gauss(capsys):
 
 def test_v2_figure_eight(capsys):
     assert run_json(capsys, ["v2", FIGURE_EIGHT])["v2"] == -1
+
+
+def test_v2_of_a_large_torus_knot_and_of_a_virtual_code(capsys):
+    # T(2,201) passes its crossings 1..201 twice, alternately over and under.
+    t_2_201 = "".join(f"{'OU'[k % 2]}{k % 201 + 1}+" for k in range(402))
+    assert parse_gauss(t_2_201) == braid_closure([1] * 201)
+    assert run_json(capsys, ["v2", t_2_201])["v2"] == 5050
+    assert run_json(capsys, ["v2", "O1-O2-U1-U2-"])["v2"] == 0
 
 
 def test_conway_from_file(tmp_path, capsys):

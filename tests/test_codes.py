@@ -235,6 +235,63 @@ def test_resolve_positive_lemniscate_is_curl():
     assert pos == parse_gauss("O1+U1+")
 
 
+def one_step_moves(d):
+    """Switches, the mirror and +/- node resolutions, which keep the
+    shadow, then smoothings of crossings and nodes, which may not."""
+    kept = [d.switch_crossing(sid) for sid in d.crossing_ids] + [d.mirror()]
+    kept += [d.resolve_node(nid, res) for nid in d.node_ids for res in ("positive", "negative")]
+    changed = [d.smooth_crossing(sid) for sid in d.crossing_ids]
+    changed += [d.resolve_node(nid, "smooth") for nid in d.node_ids]
+    return kept, changed
+
+
+def random_gauss_codes(rng, count):
+    codes = []
+    for _ in range(count):
+        n = rng.randint(1, 6)
+        tokens = [("O", i) for i in range(n)] + [("U", i) for i in range(n)]
+        rng.shuffle(tokens)
+        cut = rng.randint(0, 2 * n)
+        comps = [tokens[:cut], tokens[cut:]] if rng.random() < 0.3 else [tokens]
+        codes.append(SingularDiagram(comps, {i: rng.choice((1, -1)) for i in range(n)}))
+    return codes
+
+
+def test_moves_keep_the_shadow_verdicts_of_a_fresh_build():
+    corpus = (
+        sample_singular_diagrams(random.Random(2026), 1, 100, max_crossings=8)  # AC2
+        + sample_singular_diagrams(random.Random(314), 3, 60, max_crossings=8, one_component=True)  # AC3
+        + sample_singular_diagrams(random.Random(1729), 2, 50, max_crossings=8, one_component=True)  # AC4
+        + random_gauss_codes(random.Random(4), 200)
+    )
+    assert not all(d.is_planar() for d in corpus)
+    flips = 0
+    for d in corpus:
+        verdict = (d.is_planar(), d.is_split())  # fills the record the kept moves share
+        kept, changed = one_step_moves(d)
+        for moved in kept + changed:
+            fresh = SingularDiagram(moved.components, moved.signs)
+            assert (moved.is_planar(), moved.is_split()) == (fresh.is_planar(), fresh.is_split())
+        assert all((m.is_planar(), m.is_split()) == verdict for m in kept)
+        flips += sum((m.is_planar(), m.is_split()) != verdict for m in changed)
+    assert flips > 0
+
+
+def test_only_shadow_keeping_moves_share_the_record():
+    curl = parse_gauss("O1+U1+")
+    assert curl.is_planar() and not curl.is_split()
+    assert curl.switch_crossing(1)._shadow is curl._shadow
+    assert curl.mirror()._shadow is curl._shadow
+    circles = curl.smooth_crossing(1)
+    assert circles._shadow is not curl._shadow
+    assert circles.is_split()
+    node = parse_pd("V(1,2,1,2)")
+    nid = node.node_ids[0]
+    assert node.resolve_node(nid, "positive")._shadow is node._shadow
+    assert node.resolve_node(nid, "negative")._shadow is node._shadow
+    assert node.resolve_node(nid, "smooth")._shadow is not node._shadow
+
+
 def test_equality_ignores_labels_rotation_component_order():
     a = parse_gauss(TREFOIL_GAUSS)
     b = parse_gauss("O7+U9+O4+U7+O9+U4+")

@@ -6,7 +6,7 @@ import pytest
 
 from vassiliev import skein
 from vassiliev.codes import DiagramError, SingularDiagram, braid_closure, parse_gauss, parse_pd
-from vassiliev.fixtures import sample_singular_diagrams
+from vassiliev.fixtures import PLAT_FIXTURES, sample_singular_diagrams
 from vassiliev.laurent import IntegerLaurentPoly as P
 from vassiliev.skein import (
     conway,
@@ -144,6 +144,43 @@ def test_v2_matches_polyak_viro_formula(monkeypatch):
     assert fast == [conway(d, memo=memo).items() for d in corpus]
 
 
+def recursion_v2(monkeypatch):
+    """z^2 coefficient of the pure recursion (no Alexander route), one
+    fresh memo shared by the calls."""
+    monkeypatch.setattr(skein, "_alexander_conway", lambda d: None)
+    memo = {}
+    return lambda d: conway(d, memo=memo).coefficient(2)
+
+
+def test_v2_arrow_count_equals_recursion_on_planar_knots(monkeypatch):
+    rng = random.Random(1998)
+    knots = sample_singular_diagrams(rng, 0, 300, n_strands=4, max_crossings=10, one_component=True)
+    shadow_knots = []
+    for name in sorted(PLAT_FIXTURES):
+        shadow = PLAT_FIXTURES[name]()[1]
+        if shadow.n_components == 1:
+            shadow_knots += [shadow, shadow.mirror()]
+        else:  # a link shadow enters through its one-component smoothings
+            smoothings = map(shadow.smooth_crossing, shadow.crossing_ids)
+            shadow_knots += [k for k in smoothings if k.n_components == 1]
+    assert len(shadow_knots) > 2 * len(PLAT_FIXTURES)
+    rotations = [
+        SingularDiagram([d.components[0][r:] + d.components[0][:r]], d.signs)
+        for d in knots[:50]
+        for r in range(2 * d.n_crossings)
+    ]
+    corpus = knots + [d.mirror() for d in knots] + shadow_knots + rotations
+    assert all(d.is_planar() for d in corpus)
+    z2 = recursion_v2(monkeypatch)
+    assert [v2(d) for d in corpus] == [z2(d) for d in corpus]
+
+
+def test_v2_arrow_count_on_torus_knots():
+    for n in range(1, 202, 2):
+        assert v2(braid_closure([1] * n)) == (n * n - 1) // 8, n
+        assert v2(braid_closure([-1] * n)) == (n * n - 1) // 8, n
+
+
 def test_braid_closure_knots_are_planar_and_virtual_trefoil_is_not():
     rng = random.Random(1998)
     knots = sample_singular_diagrams(rng, 0, 100, n_strands=4, max_crossings=10, one_component=True)
@@ -186,6 +223,24 @@ def test_conway_routes_agree_on_random_gauss_codes(monkeypatch):
     fast = [conway(d, memo={}).items() for d in codes]
     monkeypatch.setattr(skein, "_alexander_conway", lambda d: None)
     assert fast == [conway(d, memo={}).items() for d in codes]
+
+
+def test_v2_of_virtual_codes_takes_the_recursion(monkeypatch):
+    rng = random.Random(12)
+    codes = [parse_gauss("O1-O2-U1-U2-")]
+    while len(codes) < 201:
+        d = random_gauss_knot(rng, rng.randint(1, 7))
+        if not d.is_planar():
+            codes.append(d)
+    # The recursion's value on a virtual code depends on its basepoint,
+    # which the memo key ignores, so both sides start from an empty memo.
+    monkeypatch.setattr(skein, "_memo", {})
+    values = [v2(d) for d in codes]
+    # The arrow count is not v2 here: the route must be the recursion.
+    assert sum(polyak_viro_v2(d) != value for d, value in zip(codes, values)) >= 10
+    z2 = recursion_v2(monkeypatch)
+    assert values == [z2(d) for d in codes]
+    assert values[0] == 0
 
 
 def test_conway_torus_knots_closed_form_fast():
