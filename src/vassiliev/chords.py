@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .codes import NODE_FIRST, NODE_SECOND
+
 
 class ChordDiagram:
     """Canonical chord diagram.  Construct from an iterable of point
@@ -176,7 +178,7 @@ def chord_diagram_of(diagram):
     pairs = []
     idx = 0
     for kind, sid in diagram.components[0]:
-        if kind in ("P", "Q"):
+        if kind in (NODE_FIRST, NODE_SECOND):
             if sid in positions:
                 pairs.append((positions[sid], idx))
             else:

@@ -72,19 +72,29 @@ class SingularDiagram:
 
     __slots__ = ("_components", "_signs", "_nodes", "_canonical", "_shadow")
 
-    def __init__(self, components, signs, validate=True):
-        self._components = tuple(tuple((k, int(s)) for k, s in comp) for comp in components)
-        self._signs = {int(i): int(v) for i, v in dict(signs).items()}
-        nodes = set()
-        for comp in self._components:
-            for kind, sid in comp:
-                if kind in _NODE_KINDS:
-                    nodes.add(sid)
-        self._nodes = frozenset(nodes)
+    def __init__(self, components, signs):
+        self._set_parts(
+            tuple(tuple((k, int(s)) for k, s in comp) for comp in components),
+            {int(i): int(v) for i, v in dict(signs).items()},
+            _Shadow(),
+        )
+        self._validate()
+
+    @classmethod
+    def _from_parts(cls, components, signs, shadow=None):
+        """A move's result, taken as valid: `components` is a tuple of
+        token tuples and `signs` a dict no one changes.  A move that keeps
+        the shadow passes its diagram's record."""
+        out = cls.__new__(cls)
+        out._set_parts(components, signs, _Shadow() if shadow is None else shadow)
+        return out
+
+    def _set_parts(self, components, signs, shadow):
+        self._components = components
+        self._signs = signs
+        self._nodes = frozenset(sid for comp in components for kind, sid in comp if kind in _NODE_KINDS)
         self._canonical = None
-        self._shadow = _Shadow()
-        if validate:
-            self._validate()
+        self._shadow = shadow
 
     def _validate(self):
         seen = {}
@@ -168,9 +178,7 @@ class SingularDiagram:
             tuple((kinds[k], s) if s in sites and k in kinds else (k, s) for k, s in comp)
             for comp in self._components
         )
-        out = SingularDiagram(comps, signs, validate=False)
-        out._shadow = self._shadow
-        return out
+        return SingularDiagram._from_parts(comps, signs, self._shadow)
 
     def smooth_crossing(self, sid):
         """Oriented smoothing at crossing sid (the crossing disappears)."""
@@ -179,7 +187,7 @@ class SingularDiagram:
         comps = _splice_out(self._components, sid)
         signs = dict(self._signs)
         del signs[sid]
-        return SingularDiagram(comps, signs, validate=False)
+        return SingularDiagram._from_parts(comps, signs)
 
     def resolve_node(self, sid, resolution):
         """Replace node sid by a crossing or by the oriented smoothing.
@@ -192,7 +200,7 @@ class SingularDiagram:
             raise DiagramError(f"no node with id {sid}")
         if resolution == "smooth":
             comps = _splice_out(self._components, sid)
-            return SingularDiagram(comps, self._signs, validate=False)
+            return SingularDiagram._from_parts(comps, self._signs)
         if resolution == "positive":
             return self._retagged({sid}, {NODE_FIRST: OVER, NODE_SECOND: UNDER}, {**self._signs, sid: 1})
         if resolution == "negative":
@@ -416,31 +424,6 @@ def _splice_out(components, sid):
 # -- canonical form ------------------------------------------------------
 
 
-def _token_sig(token, signs):
-    kind, sid = token
-    if kind in _CROSSING_KINDS:
-        return (kind, signs[sid])
-    return (kind, 0)
-
-
-def _walk_encode(components, signs):
-    """Relabel sites in first-encounter order along the components as
-    given and encode the whole diagram as a nested tuple."""
-    relabel = {}
-    encoded = []
-    for comp in components:
-        toks = []
-        for kind, sid in comp:
-            if sid not in relabel:
-                relabel[sid] = len(relabel)
-            toks.append((kind, relabel[sid]))
-        encoded.append(tuple(toks))
-    sign_part = tuple(
-        sorted((relabel[sid], sgn) for sid, sgn in signs.items())
-    )
-    return (tuple(encoded), sign_part)
-
-
 def _canonical_key(components, signs):
     """Least encoding over basepoint rotations and over orders of the
     components that share a signature, built one token at a time.
@@ -455,7 +438,7 @@ def _canonical_key(components, signs):
     groups = {}
     for comp in components:
         if comp:
-            sig = (len(comp), tuple(sorted(_token_sig(t, signs) for t in comp)))
+            sig = (len(comp), tuple(sorted((kind, signs.get(sid, 0)) for kind, sid in comp)))
             groups.setdefault(sig, []).append(comp)
     empty = tuple(comp for comp in components if not comp)
     # A tie is (placed rotations, relabel map, unplaced components of the group).
@@ -496,7 +479,12 @@ def _canonical_key(components, signs):
                 least = min(toks)
                 arrangements = [a for a, tok in zip(arrangements, toks) if tok == least]
             ties = arrangements
-    return min(_walk_encode(empty + placed, signs) for placed, _, _ in ties)
+    # The slots kept only least tokens, so every survivor spells the same
+    # components, with sites numbered in first-encounter order.
+    placed, relabel, _ = ties[0]
+    encoded = tuple(tuple((kind, relabel[sid]) for kind, sid in comp) for comp in placed)
+    sign_part = min(tuple(sorted((relabel[sid], sgn) for sid, sgn in signs.items())) for _, relabel, _ in ties)
+    return (empty + encoded, sign_part)
 
 
 # -- Gauss text ----------------------------------------------------------
@@ -542,9 +530,6 @@ def parse_gauss(text):
     for sid, kinds in counts.items():
         if sorted(kinds) != ["O", "U"]:
             raise ParseError(f"crossing {sid} must appear exactly once as O and once as U")
-    for sid in signs:
-        if sid not in counts:
-            raise ParseError(f"sign given for absent crossing {sid}")
     return SingularDiagram(comps, signs)
 
 

@@ -1,9 +1,8 @@
 """Conway polynomial and Vassiliev extensions of skein invariants.
 
-`v2` of a planar knot is the Polyak-Viro arrow count, a sum over
-pairs of crossings of the knot's code that builds no polynomial; a
-non-planar (virtual) knot reads its z^2 coefficient from `conway`.
-`conway` itself keeps the Alexander route below for planar knots.
+`v2` of any knot code is the Polyak-Viro arrow count, a sum over pairs
+of crossings of the code read from its stored basepoint, and builds no
+polynomial.
 
 `conway` takes one of two routes, chosen from the diagram alone.
 
@@ -27,11 +26,18 @@ A diagram with no bad crossings is descending, hence an unlink: value 1
 for one component, 0 otherwise.  Switching the first bad crossing lowers
 the bad count and smoothing lowers the crossing count, so the recursion
 terminates.  A planar knot met inside the recursion takes the matrix
-route.  Split diagrams (`SingularDiagram.is_split`) are 0 at once; other
-results are memoized on the canonical form of the diagram.  The memo
-table is the only shared state and never changes values.  Replacing
-`_alexander_conway` by a function returning None leaves the pure
-recursion, the oracle of the tests.
+route.  Split diagrams (`SingularDiagram.is_split`) are 0 at once.
+
+Other results go into a memo that lives for one `conway` call unless
+the caller passes one.  A planar subdiagram is keyed on its canonical
+form, because its value is a link invariant.  On a non-planar code the
+recursion's value depends on the basepoints, so such a subdiagram is
+keyed on the code as given; site ids are inherited through the
+recursion, so repeats still meet.  The keys cannot collide: a canonical
+form is itself a planar code.  So `conway` of a virtual code is the
+memo-free recursion from its stored basepoints, whatever the memo held.
+Replacing `_alexander_conway` by a function returning None leaves the
+pure recursion, the oracle of the tests.
 """
 
 from __future__ import annotations
@@ -45,20 +51,17 @@ _Z = IntegerLaurentPoly.z()
 _ONE = IntegerLaurentPoly.one()
 _ZERO = IntegerLaurentPoly.zero()
 
-_memo = {}
-
 
 def _first_bad_crossing(diagram):
+    """The first crossing met on its under strand; None for a descending
+    diagram.  The recursion never sees nodes."""
     seen = set()
     for comp in diagram.components:
         for kind, sid in comp:
-            if kind in ("P", "Q"):
-                continue
-            if sid in seen:
-                continue
-            seen.add(sid)
-            if kind == "U":
-                return sid
+            if sid not in seen:
+                if kind == UNDER:
+                    return sid
+                seen.add(sid)
     return None
 
 
@@ -67,13 +70,12 @@ def conway(diagram, memo=None):
 
     conway(L+) - conway(L-) = z * conway(L0), conway(unknot) = 1, and
     any split diagram evaluates to 0.  A planar knot takes the Alexander
-    route and leaves `memo` untouched.
+    route and leaves `memo` untouched.  Without `memo` the call starts a
+    fresh one.
     """
     if diagram.n_nodes:
         raise DiagramError("conway needs a node-free diagram; resolve nodes first")
-    if memo is None:
-        memo = _memo
-    return _conway(diagram, memo)
+    return _conway(diagram, {} if memo is None else memo)
 
 
 def _conway(diagram, memo):
@@ -84,7 +86,10 @@ def _conway(diagram, memo):
     # symmetric ones (many identical split pieces).
     if diagram.is_split():
         return _ZERO
-    key = diagram.canonical_key()
+    if diagram.is_planar():
+        key = diagram.canonical_key()
+    else:
+        key = (diagram.components, tuple(sorted(diagram.signs.items())))
     val = memo.get(key)
     if val is not None:
         return val
@@ -213,21 +218,17 @@ def vassiliev_eval(invariant, diagram):
 
 
 def v2(diagram):
-    """Degree-2 coefficient of the Conway polynomial of a knot diagram.
-
-    A planar knot gives it as the Polyak-Viro arrow count (Polyak-Viro,
-    *Gauss diagram formulas for Vassiliev invariants*, IMRN 1994): the
-    sum of sign(a) * sign(b) over the crossing pairs whose passages are
-    met from the basepoint as a over, b under, a under, b over.  A
-    non-planar (virtual) code reads it from `conway`, because there the
-    arrow count is not the z^2 coefficient.
+    """Degree-2 coefficient of the Conway polynomial of a knot diagram,
+    as the Polyak-Viro arrow count (Polyak-Viro, *Gauss diagram formulas
+    for Vassiliev invariants*, IMRN 1994): the sum of sign(a) * sign(b)
+    over the crossing pairs whose passages are met from the basepoint as
+    a over, b under, a under, b over.  On a non-planar (virtual) code it
+    is the z^2 coefficient of `conway` from the same basepoint.
     """
     if diagram.n_nodes:
         raise DiagramError("v2 needs a node-free diagram")
     if diagram.n_components != 1:
         raise DiagramError("v2 is defined for one-component diagrams")
-    if not diagram.is_planar():
-        return conway(diagram).coefficient(2)
     over, under = {}, {}
     for at, (kind, sid) in enumerate(diagram.components[0]):
         (over if kind == OVER else under)[sid] = at

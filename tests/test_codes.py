@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 import time
@@ -370,6 +371,68 @@ def test_canonical_key_bytes_are_pinned():
         ((("O", 0), ("U", 1)), (("O", 1), ("U", 0), ("U", 2), ("O", 2))),
         ((0, 1), (1, 1), (2, 1)),
     )
+
+
+def walk_encoding(components, signs):
+    """Sites numbered in first-encounter order along the components as
+    given, and the diagram spelled with those numbers."""
+    relabel = {}
+    encoded = tuple(
+        tuple((kind, relabel.setdefault(sid, len(relabel))) for kind, sid in comp) for comp in components
+    )
+    return encoded, tuple(sorted((relabel[sid], sgn) for sid, sgn in signs.items()))
+
+
+def brute_force_key(d):
+    """Least walk encoding over every component order and rotation, where
+    an order keeps the key's slots: empty components first, then the
+    components by (how many share their signature, signature)."""
+    signs = d.signs
+
+    def sig(comp):
+        return (len(comp), tuple(sorted((kind, signs.get(sid, 0)) for kind, sid in comp)))
+
+    share = {}
+    for comp in d.components:
+        share[sig(comp)] = share.get(sig(comp), 0) + 1
+
+    def slot(comp):
+        return (0,) if not comp else (1, share[sig(comp)], sig(comp))
+
+    orders = [p for p in itertools.permutations(d.components) if list(map(slot, p)) == sorted(map(slot, p))]
+    return min(
+        walk_encoding(rotated, signs)
+        for order in orders
+        for rotated in itertools.product(*[[c[r:] + c[:r] for r in range(len(c))] or [c] for c in order])
+    )
+
+
+def small_random_diagram(rng):
+    """Up to 5 sites, some of them nodes, cut into up to 3 components
+    (a cut may leave a component empty)."""
+    n = rng.randint(0, 5)
+    tokens, signs = [], {}
+    for sid in rng.sample(range(10), n):
+        if rng.random() < 0.25:
+            tokens += [("P", sid), ("Q", sid)]
+        else:
+            tokens += [("O", sid), ("U", sid)]
+            signs[sid] = rng.choice((1, -1))
+    rng.shuffle(tokens)
+    cuts = sorted(rng.randint(0, len(tokens)) for _ in range(rng.randint(0, 2)))
+    bounds = [0] + cuts + [len(tokens)]
+    return SingularDiagram([tokens[a:b] for a, b in zip(bounds, bounds[1:])], signs)
+
+
+def test_canonical_key_is_the_least_walk_encoding():
+    rng = random.Random(2000)
+    diagrams = [small_random_diagram(rng) for _ in range(2000)]
+    # Ties that the sign part breaks, and a slot whose last token decides.
+    diagrams += [parse_gauss("O1+U1+O2-U2-"), parse_gauss("O1+U2+;O2+U1+;O3-U3-")]
+    diagrams.append(parse_gauss("U0+O1-;U2-U1-;O2-O0+"))
+    assert any(d.n_nodes for d in diagrams) and any(d.n_components == 3 for d in diagrams)
+    for d in diagrams:
+        assert d.canonical_key() == brute_force_key(d), d.to_json_dict()
 
 
 def test_canonical_key_refuses_too_symmetric_diagram_fast():

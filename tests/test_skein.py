@@ -152,6 +152,11 @@ def recursion_v2(monkeypatch):
     return lambda d: conway(d, memo=memo).coefficient(2)
 
 
+def rotations(d):
+    (comp,) = d.components
+    return [SingularDiagram([comp[r:] + comp[:r]], d.signs) for r in range(len(comp))]
+
+
 def test_v2_arrow_count_equals_recursion_on_planar_knots(monkeypatch):
     rng = random.Random(1998)
     knots = sample_singular_diagrams(rng, 0, 300, n_strands=4, max_crossings=10, one_component=True)
@@ -164,12 +169,8 @@ def test_v2_arrow_count_equals_recursion_on_planar_knots(monkeypatch):
             smoothings = map(shadow.smooth_crossing, shadow.crossing_ids)
             shadow_knots += [k for k in smoothings if k.n_components == 1]
     assert len(shadow_knots) > 2 * len(PLAT_FIXTURES)
-    rotations = [
-        SingularDiagram([d.components[0][r:] + d.components[0][:r]], d.signs)
-        for d in knots[:50]
-        for r in range(2 * d.n_crossings)
-    ]
-    corpus = knots + [d.mirror() for d in knots] + shadow_knots + rotations
+    rotated = [r for d in knots[:50] for r in rotations(d)]
+    corpus = knots + [d.mirror() for d in knots] + shadow_knots + rotated
     assert all(d.is_planar() for d in corpus)
     z2 = recursion_v2(monkeypatch)
     assert [v2(d) for d in corpus] == [z2(d) for d in corpus]
@@ -225,22 +226,68 @@ def test_conway_routes_agree_on_random_gauss_codes(monkeypatch):
     assert fast == [conway(d, memo={}).items() for d in codes]
 
 
-def test_v2_of_virtual_codes_takes_the_recursion(monkeypatch):
+class Forgetful(dict):
+    """A memo that stores nothing, so every lookup misses."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def memo_free_conway(monkeypatch):
+    """The pure recursion (no Alexander route) with no memo at all: its
+    value on a code is read from the code's own basepoints."""
+    monkeypatch.setattr(skein, "_alexander_conway", lambda d: None)
+    return lambda d: conway(d, memo=Forgetful())
+
+
+def test_v2_arrow_count_equals_memo_free_recursion_on_virtual_codes(monkeypatch):
     rng = random.Random(12)
     codes = [parse_gauss("O1-O2-U1-U2-")]
     while len(codes) < 201:
         d = random_gauss_knot(rng, rng.randint(1, 7))
         if not d.is_planar():
             codes.append(d)
-    # The recursion's value on a virtual code depends on its basepoint,
-    # which the memo key ignores, so both sides start from an empty memo.
-    monkeypatch.setattr(skein, "_memo", {})
+    codes += [r for d in codes[:20] for r in rotations(d)]
+    assert not any(d.is_planar() for d in codes)
     values = [v2(d) for d in codes]
-    # The arrow count is not v2 here: the route must be the recursion.
-    assert sum(polyak_viro_v2(d) != value for d, value in zip(codes, values)) >= 10
-    z2 = recursion_v2(monkeypatch)
-    assert values == [z2(d) for d in codes]
-    assert values[0] == 0
+    assert values == [polyak_viro_v2(d) for d in codes]
+    assert {-1, 0, 1} <= set(values)
+    recursion = memo_free_conway(monkeypatch)
+    assert values == [recursion(d).coefficient(2) for d in codes]
+
+
+def random_virtual_code(rng, n, n_components):
+    """A seeded non-planar code with n crossings cut into n_components
+    non-empty components, or None when the cut code is planar."""
+    tokens = [("O", i) for i in range(n)] + [("U", i) for i in range(n)]
+    rng.shuffle(tokens)
+    cuts = [0] + sorted(rng.sample(range(1, 2 * n), n_components - 1)) + [2 * n]
+    d = SingularDiagram(
+        [tokens[a:b] for a, b in zip(cuts, cuts[1:])], {i: rng.choice((1, -1)) for i in range(n)}
+    )
+    return None if d.is_planar() else d
+
+
+def test_conway_of_virtual_codes_is_the_memo_free_recursion(monkeypatch):
+    rng = random.Random(13)
+    codes = []
+    while len(codes) < 300:
+        d = random_virtual_code(rng, rng.randint(2, 6), rng.choice((1, 2)))
+        if d is not None:
+            codes.append(d)
+    assert {d.n_components for d in codes} == {1, 2}
+    # One after another, so a memo shared between calls would show.
+    values = [conway(d).items() for d in codes]
+    recursion = memo_free_conway(monkeypatch)
+    assert values == [recursion(d).items() for d in codes]
+
+
+def test_virtual_rotations_do_not_depend_on_memo_order():
+    rots = rotations(parse_gauss("O1-O2-U1-U2-"))
+    memo = {}
+    forward = [conway(d, memo=memo) for d in rots]
+    backward = [conway(d, memo=memo) for d in reversed(rots)][::-1]
+    assert forward == backward == [1, 1 + Z * Z, 1, 1]
 
 
 def test_conway_torus_knots_closed_form_fast():
