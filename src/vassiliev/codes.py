@@ -13,8 +13,6 @@ the codes is deliberately not enforced: the operations below make sense
 for virtual diagrams as well.  Shape questions live on the diagram:
 `is_planar` tells classical codes from virtual ones and `is_split` finds
 pieces that share no site, both from one count of connected pieces.
-Moves that keep the shadow (switches, mirrors, +/- node resolutions)
-share those answers with the diagram they came from.
 """
 
 from __future__ import annotations
@@ -49,18 +47,6 @@ class ParseError(DiagramError):
         super().__init__(message)
 
 
-class _Shadow:
-    """What a diagram's shadow decides, computed on first use: the
-    `is_planar` verdict and the piece count.  Switches, mirrors and +/-
-    node resolutions keep the shadow and share their parent's record;
-    `__init__`, and so every smoothing, starts a fresh one."""
-
-    __slots__ = ("planar", "pieces")
-
-    def __init__(self):
-        self.planar = self.pieces = None
-
-
 class SingularDiagram:
     """Immutable singular link diagram.
 
@@ -70,31 +56,28 @@ class SingularDiagram:
     signs : mapping crossing id -> +1 or -1
     """
 
-    __slots__ = ("_components", "_signs", "_nodes", "_canonical", "_shadow")
+    __slots__ = ("_components", "_signs", "_nodes", "_canonical")
 
     def __init__(self, components, signs):
         self._set_parts(
             tuple(tuple((k, int(s)) for k, s in comp) for comp in components),
             {int(i): int(v) for i, v in dict(signs).items()},
-            _Shadow(),
         )
         self._validate()
 
     @classmethod
-    def _from_parts(cls, components, signs, shadow=None):
+    def _from_parts(cls, components, signs):
         """A move's result, taken as valid: `components` is a tuple of
-        token tuples and `signs` a dict no one changes.  A move that keeps
-        the shadow passes its diagram's record."""
+        token tuples and `signs` a dict no one changes."""
         out = cls.__new__(cls)
-        out._set_parts(components, signs, _Shadow() if shadow is None else shadow)
+        out._set_parts(components, signs)
         return out
 
-    def _set_parts(self, components, signs, shadow):
+    def _set_parts(self, components, signs):
         self._components = components
         self._signs = signs
         self._nodes = frozenset(sid for comp in components for kind, sid in comp if kind in _NODE_KINDS)
         self._canonical = None
-        self._shadow = shadow
 
     def _validate(self):
         seen = {}
@@ -172,13 +155,12 @@ class SingularDiagram:
 
     def _retagged(self, sites, kinds, signs):
         """This diagram with the tokens at `sites` renamed by `kinds` and
-        the given signs.  Retagging keeps the shadow, so the result shares
-        this diagram's shadow record."""
+        the given signs."""
         comps = tuple(
             tuple((kinds[k], s) if s in sites and k in kinds else (k, s) for k, s in comp)
             for comp in self._components
         )
-        return SingularDiagram._from_parts(comps, signs, self._shadow)
+        return SingularDiagram._from_parts(comps, signs)
 
     def smooth_crossing(self, sid):
         """Oriented smoothing at crossing sid (the crossing disappears)."""
@@ -290,20 +272,21 @@ class SingularDiagram:
     def is_planar(self):
         """True when the code is classical: its shadow lies on a sphere.
 
-        Each crossing's half-edges go counterclockwise as in the PD text
-        (`_ccw_slots`; a node as its positive resolution).  Each walk step
-        pairs an "out" half-edge with the next token's "in" half-edge, and
-        the faces are the cycles of rotate . pair.  By Euler, a connected
-        shadow with n crossings is planar iff it has n + 2 faces; a
-        crossingless circle is a piece with two faces.  So the code is
-        planar iff faces + 2 * circles = n + 2 * pieces.
-
-        Switches, mirrors and +/- node resolutions keep the shadow, so the
-        verdict is computed once for a diagram and all of those.
+        By Euler, a connected shadow with n crossings is planar iff it
+        has n + 2 faces (`_faces`); a crossingless circle is a piece with
+        two faces.  So the code is planar iff
+        faces + 2 * circles = n + 2 * pieces.
         """
-        shadow = self._shadow
-        if shadow.planar is not None:
-            return shadow.planar
+        index, face = self._faces()
+        circles = sum(not comp for comp in self._components)
+        return len(set(face)) + 2 * circles == len(index) + 2 * self._pieces()
+
+    def _faces(self):
+        """The faces of the shadow, as (index, face): face[4 * index[sid] + j]
+        names the face between slots j - 1 and j of a site, counterclockwise
+        as in the PD text (`_ccw_slots`; a node as its positive resolution).
+        A walk step pairs an "out" half-edge with the next token's "in"
+        half-edge; faces are the cycles of rotate . pair."""
         index = {sid: i for i, sid in enumerate(self._signs.keys() | self._nodes)}
         pair = [0] * (4 * len(index))
         for comp in self._components:
@@ -312,28 +295,20 @@ class SingularDiagram:
                 g = 4 * index[next_sid] + _ccw_slots(next_kind, self._signs.get(next_sid, 1))[0]
                 pair[h], pair[g] = g, h
         step = [g - g % 4 + (g + 1) % 4 for g in pair]  # rotate . pair
-        faces = 0
-        for h in range(len(step)):
-            if step[h] >= 0:
-                faces += 1
-                while step[h] >= 0:
-                    step[h], h = -1, step[h]
-        circles = sum(not comp for comp in self._components)
-        shadow.planar = faces + 2 * circles == len(index) + 2 * self._pieces()
-        return shadow.planar
+        face = [-1] * len(step)
+        for start in range(len(step)):
+            h = start
+            while face[h] < 0:
+                face[h], h = start, step[h]
+        return index, face
 
     def is_split(self):
         """True when the components fall into two or more pieces that
-        share no site (a crossingless circle is a piece of its own).
-        Like `is_planar`, the piece count is shared by switches, mirrors
-        and +/- node resolutions."""
+        share no site (a crossingless circle is a piece of its own)."""
         return len(self._components) > 1 and self._pieces() > 1
 
     def _pieces(self):
         """Number of connected pieces: components joined by shared sites."""
-        shadow = self._shadow
-        if shadow.pieces is not None:
-            return shadow.pieces
         root = list(range(len(self._components)))
 
         def find(ci):
@@ -345,8 +320,7 @@ class SingularDiagram:
         for ci, comp in enumerate(self._components):
             for _, sid in comp:
                 root[find(first.setdefault(sid, ci))] = find(ci)
-        shadow.pieces = sum(root[ci] == ci for ci in range(len(root)))
-        return shadow.pieces
+        return sum(root[ci] == ci for ci in range(len(root)))
 
     def to_json_dict(self):
         comps = [[f"{k}{s}" for k, s in comp] for comp in self._components]

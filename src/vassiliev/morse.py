@@ -243,8 +243,7 @@ def curve_from_json(data):
     """
     if isinstance(data, (str, bytes)):
         text = data
-        stripped = data.lstrip() if isinstance(data, str) else data.lstrip(b" ")
-        if stripped[:1] not in ("{", b"{"):
+        if data.lstrip()[:1] not in ("{", b"{"):
             with open(data) as fh:
                 text = fh.read()
         data = json.loads(text)

@@ -4,45 +4,34 @@
 of crossings of the code read from its stored basepoint, and builds no
 polynomial.
 
-`conway` takes one of two routes, chosen from the diagram alone.
+`conway` takes one of two routes, chosen from the diagram alone.  Split
+diagrams (`SingularDiagram.is_split`) are 0 at once.  A planar code
+(`SingularDiagram.is_planar`), knot or link, gets its Conway polynomial
+from one minor of its region matrix (Alexander 1928; Kauffman, *Formal
+Knot Theory*, 1983), exact at one integer; a remainder raises.
 
-A one-component, planar code (`SingularDiagram.is_planar`) is a
-classical knot, and its Conway polynomial comes from the Alexander
-matrix (Alexander 1928; Chmutov-Duzhin-Mostovoy, ch. 2): one row per
-crossing, one column per arc between undercrossings.  One first minor
-is taken by Bareiss at a single integer t = B, and its coefficients are
-read back as balanced base-B digits; B exceeds twice a proven bound on
-them.  Delta is normalized to Delta(1) = 1 and checked symmetric, and a
-failed check raises.  These results skip the memo.
-
-Links and non-planar (virtual) codes use the descending-diagram
-recursion: walk the components from their stored basepoints, call a
-crossing bad when it is first met on the under strand, and resolve the
-first bad crossing c by
+Non-planar (virtual) codes use the descending-diagram recursion: walk
+the components from their stored basepoints, call a crossing bad when
+it is first met on the under strand, and resolve the first bad crossing
+c by
 
     conway(D) = conway(switch(D, c)) + sign(c) * z * conway(smooth(D, c)).
 
 A diagram with no bad crossings is descending, hence an unlink: value 1
 for one component, 0 otherwise.  Switching the first bad crossing lowers
 the bad count and smoothing lowers the crossing count, so the recursion
-terminates.  A planar knot met inside the recursion takes the matrix
-route.  Split diagrams (`SingularDiagram.is_split`) are 0 at once.
-
-Other results go into a memo that lives for one `conway` call unless
-the caller passes one.  A planar subdiagram is keyed on its canonical
-form, because its value is a link invariant.  On a non-planar code the
-recursion's value depends on the basepoints, so such a subdiagram is
-keyed on the code as given; site ids are inherited through the
-recursion, so repeats still meet.  The keys cannot collide: a canonical
-form is itself a planar code.  So `conway` of a virtual code is the
-memo-free recursion from its stored basepoints, whatever the memo held.
-Replacing `_alexander_conway` by a function returning None leaves the
-pure recursion, the oracle of the tests.
+terminates.  A planar subdiagram met inside the recursion takes the
+region route.  The recursion's value depends on the basepoints, so its
+results go into a memo keyed on the code as given, which lives for one
+`conway` call unless the caller passes one; site ids are inherited
+through the recursion, so repeats still meet.  Replacing
+`_region_conway` by a function returning None leaves the pure
+recursion, the oracle of the tests.
 """
 
 from __future__ import annotations
 
-from math import comb, isqrt
+from math import comb
 
 from .codes import OVER, UNDER, DiagramError
 from .laurent import IntegerLaurentPoly
@@ -50,6 +39,9 @@ from .laurent import IntegerLaurentPoly
 _Z = IntegerLaurentPoly.z()
 _ONE = IntegerLaurentPoly.one()
 _ZERO = IntegerLaurentPoly.zero()
+
+# By sign: powers of s at corners 0-3 of a region row times s, and B (`codes._ccw_slots`).
+_CORNERS = {1: ((1, 2, 1, 0), 3), -1: ((2, 1, 0, 1), 0)}
 
 
 def _first_bad_crossing(diagram):
@@ -69,9 +61,8 @@ def conway(diagram, memo=None):
     """Conway polynomial of a node-free diagram, exact in z.
 
     conway(L+) - conway(L-) = z * conway(L0), conway(unknot) = 1, and
-    any split diagram evaluates to 0.  A planar knot takes the Alexander
-    route and leaves `memo` untouched.  Without `memo` the call starts a
-    fresh one.
+    any split diagram evaluates to 0.  Only the recursion on virtual
+    codes fills `memo`; without it the call starts a fresh one.
     """
     if diagram.n_nodes:
         raise DiagramError("conway needs a node-free diagram; resolve nodes first")
@@ -79,17 +70,12 @@ def conway(diagram, memo=None):
 
 
 def _conway(diagram, memo):
-    val = _alexander_conway(diagram)
-    if val is not None:
-        return val
-    # Split diagrams never reach canonical_key, which refuses some very
-    # symmetric ones (many identical split pieces).
     if diagram.is_split():
         return _ZERO
-    if diagram.is_planar():
-        key = diagram.canonical_key()
-    else:
-        key = (diagram.components, tuple(sorted(diagram.signs.items())))
+    val = _region_conway(diagram)
+    if val is not None:
+        return val
+    key = (diagram.components, tuple(sorted(diagram.signs.items())))
     val = memo.get(key)
     if val is not None:
         return val
@@ -105,80 +91,121 @@ def _conway(diagram, memo):
     return val
 
 
-def _alexander_conway(diagram):
-    """Conway polynomial of a planar knot code from its Alexander matrix;
-    None for a link or a non-planar code."""
-    if diagram.n_components != 1 or not diagram.is_planar():
+def _region_conway(diagram):
+    """Conway polynomial of a planar, non-split code from a minor of its
+    region matrix; None for a non-planar code.
+
+    One row per crossing, one column per face (`SingularDiagram._faces`;
+    corner j lies between slots j and j + 1).  A row weighs s^sign on T
+    (between the outgoing strands), s^-sign on B (between the incoming
+    ones) and 1 on the sides; entries in one face add.  Striking the two
+    faces beside one edge leaves a minor eps * nabla(s - 1/s).  A state
+    matches crossings to faces through corners; with the rows in the
+    order one state gives, eps = (-1)^(B corners it uses) by Kauffman's
+    Clock Theorem.  With no state the minor is 0.
+
+    Where B and T share a face the crossing is a cut vertex, and counting
+    faces on either side shows every state uses a side corner there.  So
+    on |s| = 1 the entries a state can use have 2-norm at most 2 per row:
+    by Hadamard and Cauchy, s = 2^(n+1) + 1 exceeds twice every
+    coefficient of s^n * minor, which is taken there, each row times s.
+    """
+    if not diagram.is_planar():
         return None
     n = diagram.n_crossings
     if n == 0:
-        return _ONE
-    # Arc k runs from the k-th under passage to the next one.
-    over, under, arc = {}, {}, 0
-    for kind, sid in diagram.components[0]:
-        if kind == UNDER:
-            under[sid] = (arc, (arc + 1) % n)
-            arc = (arc + 1) % n
-        else:
-            over[sid] = arc
-    # |coefficient| <= max |minor| on |t| = 1 <= sqrt(6) ** (n - 1) (Cauchy,
-    # then Hadamard: each row's 2-norm there is at most sqrt(6)).
-    base = isqrt(4 * 6 ** (n - 1)) + 1
-    rows = []
-    for sid in diagram.crossing_ids[:-1]:
-        u_in, u_out = under[sid]
-        t_in, t_out = (base, -1) if diagram.sign(sid) > 0 else (-1, base)
-        row = [0] * n
-        row[over[sid]] += 1 - base
-        row[u_in] += t_in
-        row[u_out] += t_out
-        rows.append(row[:-1])
-    value = _bareiss_det(rows)
+        return _ONE if diagram.n_components == 1 else _ZERO
+    index, face = diagram._faces()
+    # Strike the faces beside slot 0 of site 0; the densest face goes last.
+    kept = sorted(set(face) - {face[0], face[1]}, key=face.count)
+    column = {f: c for c, f in enumerate(kept)}
+    base = 2 ** (n + 1) + 1
+    rows, b_columns = [], []
+    for sid, i in index.items():
+        powers, b = _CORNERS[diagram.sign(sid)]
+        row = {}
+        for j, power in enumerate(powers):
+            c = column.get(face[4 * i + (j + 1) % 4])
+            if c is not None:
+                row[c] = row.get(c, 0) + base**power
+        rows.append(row)
+        b_columns.append(column.get(face[4 * i + (b + 1) % 4]))
+    owner = _state(rows)
+    if owner is None:
+        return _ZERO
+    value = _bareiss([rows[x] for x in owner])
+    if sum(b_columns[x] == c for c, x in enumerate(owner)) % 2:
+        value = -value
+    # value = s^n * nabla(s - 1/s); its balanced digits are the
+    # coefficients of s^-n ... s^n.  Peel a_k (s - 1/s)^k off the top.
     coeffs = []
-    for _ in range(n):
-        digit = value % base
-        if 2 * digit > base:
-            digit -= base
-        coeffs.append(digit)
-        value = (value - digit) // base
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    while coeffs and coeffs[0] == 0:
-        coeffs.pop(0)
-    if sum(coeffs) == -1:
-        coeffs = [-c for c in coeffs]
-    if value or sum(coeffs) != 1 or coeffs != coeffs[::-1]:
-        raise ArithmeticError(f"Alexander polynomial {coeffs} of {diagram.to_gauss()} is not normalizable")
-    # Delta(t) = sum_k b_k (t^1/2 - t^-1/2)^2k; peel the top term each time.
-    half = coeffs[len(coeffs) // 2 :]
+    for _ in range(2 * n + 1):
+        coeffs.append((value + base // 2) % base - base // 2)
+        value = (value - coeffs[-1]) // base
     nabla = {}
-    for k in range(len(half) - 1, -1, -1):
-        b = nabla[2 * k] = half[k]
-        for j in range(k + 1):
-            half[j] -= b * (-1) ** (k - j) * comb(2 * k, k - j)
+    for k in range(n, -1, -1):
+        a = nabla[k] = coeffs[n + k]
+        for i in range(k + 1):
+            coeffs[n + k - 2 * i] -= a * (-1) ** i * comb(k, i)
+    if value or any(coeffs):
+        raise ArithmeticError(f"region minor of {diagram.to_gauss()} is not nabla(s - 1/s)")
     return IntegerLaurentPoly(nabla)
 
 
-def _bareiss_det(rows):
-    """Determinant of a square integer matrix by fraction-free elimination;
-    the rows are overwritten."""
-    sign, prev = 1, 1
+def _state(rows):
+    """The row owning each column in one perfect matching of rows to the
+    columns of their entries, by augmenting paths; None if there is none."""
+    owner = {}
+
+    def claim(x, seen):
+        for c in rows[x]:
+            if c not in seen:
+                seen.add(c)
+                if c not in owner or claim(owner[c], seen):
+                    owner[c] = x
+                    return True
+        return False
+
+    found = all(claim(x, set()) for x in range(len(rows)))
+    return [owner[c] for c in range(len(rows))] if found else None
+
+
+def _bareiss(rows):
+    """Determinant of a square integer matrix of sparse rows
+    ({column: entry}) by Bareiss elimination, overwriting the rows.
+
+    Step k only multiplies a row with no entry in column k by
+    pivot_k / pivot_(k-1).  A run of such steps telescopes, so a row
+    keeps the pivot it was last exact at, and the next update to touch
+    it divides by that one instead; a pivot row is rescaled.  Every
+    quotient is exact, as the true entries are minors."""
     size = len(rows)
-    for k in range(size - 1):
-        if rows[k][k] == 0:
-            swap = next((i for i in range(k + 1, size) if rows[i][k]), None)
-            if swap is None:
-                return 0
-            rows[k], rows[swap] = rows[swap], rows[k]
-            sign = -sign
-        pivot_row = rows[k]
-        pivot = pivot_row[k]
-        for row in rows[k + 1 :]:
-            lead = row[k]
-            for j in range(k + 1, size):
-                row[j] = (row[j] * pivot - lead * pivot_row[j]) // prev
+    exact_at = [1] * size
+    prev = sign = 1
+    for k in range(size):
+        at = next((i for i in range(k, size) if k in rows[i]), None)
+        if at is None:
+            return 0
+        rows[k], rows[at] = rows[at], rows[k]
+        exact_at[k], exact_at[at] = exact_at[at], exact_at[k]
+        sign *= 1 if at == k else -1
+        top = rows[k]
+        if exact_at[k] != prev:
+            for j in top:
+                top[j] = top[j] * prev // exact_at[k]
+        pivot = top.pop(k)
+        for i in range(k + 1, size):
+            row = rows[i]
+            lead = row.pop(k, 0)
+            if lead:
+                for j in row:
+                    row[j] *= pivot
+                for j, v in top.items():
+                    row[j] = row.get(j, 0) - lead * v
+                rows[i] = {j: v // exact_at[i] for j, v in row.items() if v}
+                exact_at[i] = pivot
         prev = pivot
-    return sign * rows[-1][-1] if rows else 1
+    return sign * prev
 
 
 def extend_invariant(invariant, a, b, c):

@@ -268,7 +268,7 @@ def test_moves_keep_the_shadow_verdicts_of_a_fresh_build():
     assert not all(d.is_planar() for d in corpus)
     flips = 0
     for d in corpus:
-        verdict = (d.is_planar(), d.is_split())  # fills the record the kept moves share
+        verdict = (d.is_planar(), d.is_split())
         kept, changed = one_step_moves(d)
         for moved in kept + changed:
             fresh = SingularDiagram(moved.components, moved.signs)
@@ -276,21 +276,6 @@ def test_moves_keep_the_shadow_verdicts_of_a_fresh_build():
         assert all((m.is_planar(), m.is_split()) == verdict for m in kept)
         flips += sum((m.is_planar(), m.is_split()) != verdict for m in changed)
     assert flips > 0
-
-
-def test_only_shadow_keeping_moves_share_the_record():
-    curl = parse_gauss("O1+U1+")
-    assert curl.is_planar() and not curl.is_split()
-    assert curl.switch_crossing(1)._shadow is curl._shadow
-    assert curl.mirror()._shadow is curl._shadow
-    circles = curl.smooth_crossing(1)
-    assert circles._shadow is not curl._shadow
-    assert circles.is_split()
-    node = parse_pd("V(1,2,1,2)")
-    nid = node.node_ids[0]
-    assert node.resolve_node(nid, "positive")._shadow is node._shadow
-    assert node.resolve_node(nid, "negative")._shadow is node._shadow
-    assert node.resolve_node(nid, "smooth")._shadow is not node._shadow
 
 
 def test_equality_ignores_labels_rotation_component_order():

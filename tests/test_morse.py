@@ -91,9 +91,10 @@ def test_curve_json_roundtrip(tmp_path):
         for (z0, t0), (z1, t1) in zip(orig, loaded):
             assert complex(z0) == pytest.approx(complex(z1))
             assert float(t0) == pytest.approx(float(t1))
-    # string and file forms
+    # string, bytes and file forms
     text = json.dumps(data)
     assert len(curve_from_json(text)) == 2
+    assert len(curve_from_json(("\n" + text).encode())) == 2
     p = tmp_path / "pair.json"
     p.write_text(text)
     assert len(curve_from_json(str(p))) == 2

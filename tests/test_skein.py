@@ -52,8 +52,8 @@ def test_conway_split_zero():
     split = parse_gauss("O1+U2+O3+U1+O2+U3+;")
     assert split.n_components == 2
     assert conway(split) == 0
-    # 8 split Hopf links are too symmetric for a canonical key; the
-    # recursion returns 0 for a split diagram before it asks for one.
+    # 8 split Hopf links are too symmetric for a canonical key, which
+    # conway never asks for.
     split_hopfs = braid_closure([k for k in range(1, 16, 2) for _ in (0, 1)], 16)
     assert conway(split_hopfs, memo={}) == 0
 
@@ -130,26 +130,47 @@ def polyak_viro_v2(knot):
     )
 
 
+class CanonicalMemo(dict):
+    """A memo for the recursion on planar codes that files each code
+    under its canonical key.  Sound because switches and smoothings of a
+    planar code are planar, and there the recursion's value is a link
+    invariant."""
+
+    def __init__(self):
+        super().__init__()
+        self.filed = {}  # code as given -> canonical key
+
+    def canonical_key(self, key):
+        if key not in self.filed:
+            self.filed[key] = SingularDiagram._from_parts(key[0], dict(key[1])).canonical_key()
+        return self.filed[key]
+
+    def get(self, key):
+        return super().get(self.canonical_key(key))
+
+    def __setitem__(self, key, value):
+        super().__setitem__(self.canonical_key(key), value)
+
+
+def planar_recursion(monkeypatch):
+    """The pure recursion (no region route) on planar codes, one
+    canonical memo shared by the calls."""
+    monkeypatch.setattr(skein, "_region_conway", lambda d: None)
+    memo = CanonicalMemo()
+    return lambda d: conway(d, memo=memo)
+
+
 def test_v2_matches_polyak_viro_formula(monkeypatch):
     rng = random.Random(1998)
     knots = sample_singular_diagrams(rng, 0, 300, n_strands=4, max_crossings=10, one_component=True)
     assert {polyak_viro_v2(d) for d in knots} >= {-1, 0, 1, 2}
     for d in knots:
         assert v2(d) == polyak_viro_v2(d), d.to_gauss()
-    # The Alexander route against the pure recursion, mirrors included.
+    # The region route against the pure recursion, mirrors included.
     corpus = knots + [d.mirror() for d in knots]
     fast = [conway(d).items() for d in corpus]
-    monkeypatch.setattr(skein, "_alexander_conway", lambda d: None)
-    memo = {}
-    assert fast == [conway(d, memo=memo).items() for d in corpus]
-
-
-def recursion_v2(monkeypatch):
-    """z^2 coefficient of the pure recursion (no Alexander route), one
-    fresh memo shared by the calls."""
-    monkeypatch.setattr(skein, "_alexander_conway", lambda d: None)
-    memo = {}
-    return lambda d: conway(d, memo=memo).coefficient(2)
+    recursion = planar_recursion(monkeypatch)
+    assert fast == [recursion(d).items() for d in corpus]
 
 
 def rotations(d):
@@ -172,8 +193,8 @@ def test_v2_arrow_count_equals_recursion_on_planar_knots(monkeypatch):
     rotated = [r for d in knots[:50] for r in rotations(d)]
     corpus = knots + [d.mirror() for d in knots] + shadow_knots + rotated
     assert all(d.is_planar() for d in corpus)
-    z2 = recursion_v2(monkeypatch)
-    assert [v2(d) for d in corpus] == [z2(d) for d in corpus]
+    recursion = planar_recursion(monkeypatch)
+    assert [v2(d) for d in corpus] == [recursion(d).coefficient(2) for d in corpus]
 
 
 def test_v2_arrow_count_on_torus_knots():
@@ -192,10 +213,10 @@ def test_braid_closure_knots_are_planar_and_virtual_trefoil_is_not():
     assert braid_closure([1, 1, 3, 3], n_strands=4).is_planar()  # two Hopf links side by side
     virtual = parse_gauss("O1-O2-U1-U2-")
     assert not virtual.is_planar()
-    assert skein._alexander_conway(virtual) is None
-    assert skein._alexander_conway(braid_closure([1, 1])) is None  # a link
+    assert skein._region_conway(virtual) is None
     memo = {}
-    assert conway(TREFOIL, memo=memo) == 1 + Z * Z and memo == {}  # knots skip the memo
+    assert conway(TREFOIL, memo=memo) == 1 + Z * Z and memo == {}  # planar codes skip the memo
+    assert conway(braid_closure([1, 1]), memo=memo) == Z and memo == {}  # links too
 
 
 def test_crossingless_circles_are_planar_split_pieces():
@@ -220,9 +241,9 @@ def test_conway_routes_agree_on_random_gauss_codes(monkeypatch):
     planar = [d.is_planar() for d in codes]
     assert 10 <= sum(planar) <= 290
     for d, flat in zip(codes, planar):
-        assert (skein._alexander_conway(d) is None) == (not flat), d.to_gauss()
+        assert (skein._region_conway(d) is None) == (not flat), d.to_gauss()
     fast = [conway(d, memo={}).items() for d in codes]
-    monkeypatch.setattr(skein, "_alexander_conway", lambda d: None)
+    monkeypatch.setattr(skein, "_region_conway", lambda d: None)
     assert fast == [conway(d, memo={}).items() for d in codes]
 
 
@@ -234,9 +255,9 @@ class Forgetful(dict):
 
 
 def memo_free_conway(monkeypatch):
-    """The pure recursion (no Alexander route) with no memo at all: its
+    """The pure recursion (no region route) with no memo at all: its
     value on a code is read from the code's own basepoints."""
-    monkeypatch.setattr(skein, "_alexander_conway", lambda d: None)
+    monkeypatch.setattr(skein, "_region_conway", lambda d: None)
     return lambda d: conway(d, memo=Forgetful())
 
 
@@ -292,15 +313,116 @@ def test_virtual_rotations_do_not_depend_on_memo_order():
 
 def test_conway_torus_knots_closed_form_fast():
     start = time.perf_counter()
-    for n in range(1, 52, 2):
+    for n in range(1, 52):
         k = n // 2
-        expected = {2 * j: math.comb(k + j, 2 * j) for j in range(k + 1)}
-        assert dict(conway(braid_closure([1] * n)).items()) == expected
+        if n % 2:
+            expected = {2 * j: math.comb(k + j, 2 * j) for j in range(k + 1)}
+        else:  # a two-component link
+            expected = {2 * j + 1: math.comb(k + j, 2 * j + 1) for j in range(k)}
+        assert dict(conway(braid_closure([1] * n)).items()) == expected, n
     assert time.perf_counter() - start < 1.0
 
 
-def test_alexander_route_raises_when_normalization_fails(monkeypatch):
-    monkeypatch.setattr(skein, "_bareiss_det", lambda rows: 2)
+def torus_link(p, q):
+    return braid_closure(list(range(1, p)) * q, p)
+
+
+def random_closure_links(rng, count, n_letters=(2, 9)):
+    """Seeded non-split braid closures on 2-5 strands with 2-4 components."""
+    links = []
+    while len(links) < count:
+        n = rng.randint(2, 5)
+        word = [rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(rng.randint(*n_letters))]
+        d = braid_closure(word, n)
+        if 2 <= d.n_components <= 4 and not d.is_split():
+            links.append(d)
+    return links
+
+
+def test_region_route_equals_recursion_on_torus_link_ladders(monkeypatch):
+    ladders = [torus_link(2, 2 * k) for k in range(1, 8)] + [torus_link(3, 3 * k) for k in range(1, 3)]
+    fast = [conway(d).items() for d in ladders]
+    recursion = planar_recursion(monkeypatch)
+    assert fast == [recursion(d).items() for d in ladders]
+
+
+def test_region_route_equals_recursion_on_closure_links_and_smoothings(monkeypatch):
+    links = random_closure_links(random.Random(14), 80)
+    assert {d.n_components for d in links} == {2, 3, 4}
+    smoothings = [d.smooth_crossing(sid) for d in links[:20] for sid in d.crossing_ids]
+    assert any(d.n_components == 1 for d in smoothings) and any(d.is_split() for d in smoothings)
+    corpus = links + smoothings
+    fast = [conway(d).items() for d in corpus]
+    recursion = planar_recursion(monkeypatch)
+    assert fast == [recursion(d).items() for d in corpus]
+
+
+def with_nugatory_crossing(d, e, rng):
+    """d and e joined at one new crossing x, as O(x) d U(x) e: x is a cut
+    vertex.  e may be empty, and then x is a curl on d."""
+    offset = max(d.crossing_ids, default=-1) + 1
+    x = offset + max(e.crossing_ids, default=-1) + 1
+    first = list(d.components[0])
+    r = rng.randrange(len(first) + 1)
+    comps = [[("O", x)] + first[r:] + first[:r] + [("U", x)]] + [list(c) for c in d.components[1:]]
+    comps[0] += [(kind, sid + offset) for kind, sid in (e.components[0] if e.components else ())]
+    comps += [[(kind, sid + offset) for kind, sid in comp] for comp in e.components[1:]]
+    signs = {**d.signs, **{sid + offset: sgn for sid, sgn in e.signs.items()}, x: rng.choice((1, -1))}
+    return SingularDiagram(comps, signs)
+
+
+def shares_an_unstruck_b_and_t_face(d):
+    """Some crossing has its B and T corners in one face, and that face
+    is not struck from the region matrix."""
+    index, face = d._faces()
+    for sid, i in index.items():
+        b = skein._CORNERS[d.sign(sid)][1]
+        f = face[4 * i + (b + 1) % 4]
+        if f == face[4 * i + (b + 3) % 4] and f not in (face[0], face[1]):
+            return True
+    return False
+
+
+def test_region_route_equals_recursion_on_nugatory_crossings(monkeypatch):
+    rng = random.Random(15)
+    pieces = sample_singular_diagrams(rng, 0, 80, n_strands=3, max_crossings=5)
+    pieces += random_closure_links(rng, 40, n_letters=(2, 5))
+    codes = []
+    for d, e in zip(pieces, pieces[1:] + pieces[:1]):
+        codes.append(with_nugatory_crossing(d, SingularDiagram([], {}), rng))  # a curl
+        codes.append(with_nugatory_crossing(d, e, rng))
+    codes = [d for d in codes if not d.is_split()]
+    assert all(d.is_planar() for d in codes) and len(codes) > 150
+    assert sum(map(shares_an_unstruck_b_and_t_face, codes)) > 50
+    fast = [conway(d).items() for d in codes]
+    recursion = planar_recursion(monkeypatch)
+    assert fast == [recursion(d).items() for d in codes]
+
+
+def test_conway_of_a_mirror_link_is_conway_at_minus_z():
+    rng = random.Random(16)
+    links = random_closure_links(rng, 150) + random_closure_links(rng, 20, n_letters=(20, 24))
+    assert any(conway(d).coefficient(1) for d in links)
+    for d in links:
+        flipped = {e: (-1) ** e * c for e, c in conway(d).items()}
+        assert dict(conway(d.mirror()).items()) == flipped, d.to_gauss()
+
+
+def test_conway_of_large_links_fast():
+    rng = random.Random(24)
+    while True:
+        word = [rng.choice((1, -1)) * rng.randint(1, 3) for _ in range(rng.randint(20, 24))]
+        big = braid_closure(word, 4)
+        if big.n_components > 1 and not big.is_split():
+            break
+    for d in (torus_link(4, 8), big):
+        start = time.perf_counter()
+        conway(d)
+        assert time.perf_counter() - start < 1.0, d.to_gauss()
+
+
+def test_region_route_raises_on_a_remainder(monkeypatch):
+    monkeypatch.setattr(skein, "_bareiss", lambda rows: 2)
     with pytest.raises(ArithmeticError):
         conway(TREFOIL, memo={})
 
