@@ -11,8 +11,10 @@ Arc labels never appear internally; they are assigned on the fly when
 serializing to PD text and recovered by the parsers.  Realizability of
 the codes is deliberately not enforced: the operations below make sense
 for virtual diagrams as well.  Shape questions live on the diagram:
-`is_planar` tells classical codes from virtual ones and `is_split` finds
-pieces that share no site, both from one count of connected pieces.
+`is_planar` tells classical codes from virtual ones by one walk of the
+shadow's faces, whose result the region route of `skein` also reads, and
+`is_split` finds pieces that share no site; both use one count of
+connected pieces.
 """
 
 from __future__ import annotations
@@ -270,23 +272,22 @@ class SingularDiagram:
         )
 
     def is_planar(self):
-        """True when the code is classical: its shadow lies on a sphere.
-
-        By Euler, a connected shadow with n crossings is planar iff it
-        has n + 2 faces (`_faces`); a crossingless circle is a piece with
-        two faces.  So the code is planar iff
-        faces + 2 * circles = n + 2 * pieces.
-        """
-        index, face = self._faces()
-        circles = sum(not comp for comp in self._components)
-        return len(set(face)) + 2 * circles == len(index) + 2 * self._pieces()
+        """True when the code is classical: its shadow lies on a sphere
+        (`_faces` finds its faces)."""
+        return self._faces() is not None
 
     def _faces(self):
-        """The faces of the shadow, as (index, face): face[4 * index[sid] + j]
-        names the face between slots j - 1 and j of a site, counterclockwise
-        as in the PD text (`_ccw_slots`; a node as its positive resolution).
-        A walk step pairs an "out" half-edge with the next token's "in"
-        half-edge; faces are the cycles of rotate . pair."""
+        """The faces of a planar code's shadow, as (index, face), or None
+        when the code is not planar.  face[4 * index[sid] + j] names the
+        face between slots j - 1 and j of a site, counterclockwise as in
+        the PD text (`_ccw_slots`; a node as its positive resolution).  A
+        walk step pairs an "out" half-edge with the next token's "in"
+        half-edge; faces are the cycles of rotate . pair.
+
+        By Euler, a connected shadow with n crossings is planar iff it
+        has n + 2 faces; a crossingless circle is a piece with two faces.
+        So the code is planar iff faces + 2 * circles = n + 2 * pieces.
+        """
         index = {sid: i for i, sid in enumerate(self._signs.keys() | self._nodes)}
         pair = [0] * (4 * len(index))
         for comp in self._components:
@@ -300,6 +301,9 @@ class SingularDiagram:
             h = start
             while face[h] < 0:
                 face[h], h = start, step[h]
+        circles = sum(not comp for comp in self._components)
+        if len(set(face)) + 2 * circles != len(index) + 2 * self._pieces():
+            return None
         return index, face
 
     def is_split(self):

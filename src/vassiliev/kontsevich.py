@@ -15,8 +15,11 @@ run of chords is an ordered block over the slab's strand pairs, so each
 strand is evaluated once per quadrature setting, the pair integrands
 form one (pairs, steps) array, and every k-block comes from cumulative
 sums and matrix products.  A placement's value is the outer product of
-the blocks of its slab runs; values are summed per induced diagram with
-index arrays, each diagram adding its placements in enumeration order.
+the blocks of its slab runs.  One generator, _degree_values, builds the
+blocks once and yields every degree's strand ends and signed values;
+coefficient tables sum them per induced diagram with index arrays (each
+diagram adding its placements in enumeration order), linking numbers
+sum the whole degree, and a single placement reads its own column.
 
 Integrals are truncated eps away from critical heights and evaluated
 at three nested eps levels; a geometric fit in the differences decides
@@ -143,17 +146,11 @@ def _pair_pools(mk, cross_only=False):
     ]
 
 
-def _sequence_ends(pools, slab_seq):
-    """Strand ends (N, m, 2) of the placements on one slab sequence, the
-    pairs of its slabs in itertools.product order."""
-    grid = np.indices([len(pools[s]) for s in slab_seq]).reshape(len(slab_seq), -1)
-    return np.stack([pools[s][g] for s, g in zip(slab_seq, grid)], axis=1)
-
-
 def _placements(pools, m):
     """Degree-m placements on the pair pools in enumeration order: the
     slab sequences with a pair in every slab, and the strand ends
-    (N, m, 2) of all their placements.
+    (N, m, 2) of all their placements, each sequence's pairs in
+    itertools.product order.
 
     Chord heights are ordered, so slab indices run nondecreasing and the
     within-slab chord order is the listed order.
@@ -163,7 +160,10 @@ def _placements(pools, m):
         for slab_seq in itertools.combinations_with_replacement(range(len(pools)), m)
         if all(len(pools[s]) for s in slab_seq)
     ]
-    ends = [np.empty((0, m, 2), dtype=int)] + [_sequence_ends(pools, s) for s in seqs]
+    ends = [np.empty((0, m, 2), dtype=int)]
+    for slab_seq in seqs:
+        grid = np.indices([len(pools[s]) for s in slab_seq]).reshape(m, -1)
+        ends.append(np.stack([pools[s][g] for s, g in zip(slab_seq, grid)], axis=1))
     return seqs, np.concatenate(ends)
 
 
@@ -269,58 +269,53 @@ def _ordered_blocks(F, step, degree):
     return blocks
 
 
-class _SlabBlocks:
-    """Ordered block integrals of one MorseKnot up to one degree.
+def _settings(quadrature):
+    """The (eps, steps) quadrature settings in the order of every
+    per-setting array, which _classify reads: each eps level at full
+    steps, then each at half steps."""
+    return [(eps, steps) for steps in (quadrature.steps, quadrature.steps // 2)
+            for eps in quadrature.epsilons()]
 
-    blocks[slab][k - 1] is one array over the quadrature settings and k
-    indices into that slab's pair pool.  The settings run each eps level
-    at full steps, then each at half steps: the order of every
-    per-setting array, which _classify reads.  Each setting is computed
-    on its own midpoint grid, every strand of a slab with pairs
-    evaluated once on it.
+
+def _degree_values(mk, m, quadrature, pools):
+    """For each degree d = 1..m, the strand ends (N, d, 2) of its
+    placements on the pair pools (see _placements) and their raw
+    integrals, a (settings, N) array including the downward sign and one
+    factor kappa per chord.
+
+    Every degree reads one set of per-slab blocks: blocks[slab][k - 1]
+    stacks that slab's k-block over the settings.  Each setting is
+    computed on its own midpoint grid, every strand of a slab with pairs
+    evaluated once on it; for m = 0 no block is built.  A placement's
+    value is the outer product of the blocks of its runs of equal slabs.
     """
-
-    def __init__(self, mk, quadrature, degree, pools):
-        self.settings = [
-            (eps, steps)
-            for steps in (quadrature.steps, quadrature.steps // 2)
-            for eps in quadrature.epsilons()
-        ]
-        self.blocks = []
-        for slab, pairs in zip(mk.slabs, pools):
-            pairs = pairs.tolist()
-            per_setting = []
-            for eps, steps in self.settings if pairs else ():
-                lo, hi = slab.t_lo + eps * slab.height, slab.t_hi - eps * slab.height
-                step = (hi - lo) / steps
-                t = lo + (np.arange(steps) + 0.5) * step
-                at = {s: mk.strands[s].at(t) for s in {s for pair in pairs for s in pair}}
-                F = np.array([(at[a][1] - at[b][1]) / (at[a][0] - at[b][0]) for a, b in pairs])
-                per_setting.append(_ordered_blocks(F, step, degree))
-            self.blocks.append([np.stack(b) for b in zip(*per_setting)])
-
-    def run_product(self, slab_seq):
-        """(settings, placements) values of a slab sequence's placements,
-        in itertools.product order: the outer product of the blocks of
-        its runs of equal slabs."""
-        n = len(self.settings)
-        val = np.ones((n, 1), dtype=complex)
-        for slab, run in itertools.groupby(slab_seq):
-            block = self.blocks[slab][len(list(run)) - 1].reshape(n, 1, -1)
-            val = (val[:, :, None] * block).reshape(n, -1)
-        return val
-
-
-def _placement_values(blocks, mk, seqs, ends):
-    """(settings, placements) raw integrals of the placements that
-    _placements gives, including the downward sign and one factor kappa
-    per chord."""
-    kappa_m = KAPPA ** ends.shape[1]
-    sign = np.where(_down_endpoints(mk, ends) % 2, -kappa_m, kappa_m)
-    runs = [np.empty((len(blocks.settings), 0), dtype=complex)]
-    values = np.concatenate(runs + [blocks.run_product(slab_seq) for slab_seq in seqs], axis=1)
-    values *= sign
-    return values
+    settings = _settings(quadrature)
+    n = len(settings)
+    blocks = []
+    for slab, pairs in zip(mk.slabs, pools):
+        pairs = pairs.tolist()
+        per_setting = []
+        for eps, steps in settings if pairs and m else ():
+            lo, hi = slab.t_lo + eps * slab.height, slab.t_hi - eps * slab.height
+            step = (hi - lo) / steps
+            t = lo + (np.arange(steps) + 0.5) * step
+            at = {s: mk.strands[s].at(t) for s in {s for pair in pairs for s in pair}}
+            F = np.array([(at[a][1] - at[b][1]) / (at[a][0] - at[b][0]) for a, b in pairs])
+            per_setting.append(_ordered_blocks(F, step, m))
+        blocks.append([np.stack(b) for b in zip(*per_setting)])
+    for d in range(1, m + 1):
+        seqs, ends = _placements(pools, d)
+        values = [np.empty((n, 0), dtype=complex)]
+        for slab_seq in seqs:
+            val = np.ones((n, 1), dtype=complex)
+            for slab, run in itertools.groupby(slab_seq):
+                block = blocks[slab][len(list(run)) - 1].reshape(n, 1, -1)
+                val = (val[:, :, None] * block).reshape(n, -1)
+            values.append(val)
+        values = np.concatenate(values, axis=1)
+        kappa_d = KAPPA**d
+        values *= np.where(_down_endpoints(mk, ends) % 2, -kappa_d, kappa_d)
+        yield ends, values
 
 
 def _sums(values, index, n):
@@ -389,15 +384,14 @@ def _classify(series):
 
 
 def placement_integral(mk, placement, quadrature=DEFAULT_QUADRATURE):
-    """Extrapolated integral of one placement class with error bar."""
-    slab_seq, pools = tuple(placement.slabs), _pair_pools(mk)
-    ends = _sequence_ends(pools, slab_seq)
-    blocks = _SlabBlocks(mk, quadrature, len(slab_seq), pools)
-    values = _placement_values(blocks, mk, [slab_seq], ends)
-    hit = (ends == np.array(placement.pairs)).all(axis=(1, 2))
-    if not hit.any():
+    """Extrapolated integral of one placement class with error bar, read
+    from its degree's values at its place in the enumeration."""
+    key = (tuple(placement.slabs), tuple(map(tuple, placement.pairs)))
+    keys = [(p.slabs, p.pairs) for p in enumerate_placements(mk, placement.degree)]
+    if key not in keys:
         raise ValueError("placement does not belong to this embedding")
-    return _classify(values[:, hit.argmax()])
+    *_, (_, values) = _degree_values(mk, placement.degree, quadrature, _pair_pools(mk))
+    return _classify(values[:, keys.index(key)])
 
 
 # -- per-diagram aggregation -------------------------------------------------
@@ -411,18 +405,12 @@ def _raw_series(mk, m, quadrature):
     """Raw series of a single-component knot up to degree m.
 
     Entry d maps each degree-d chord diagram to its placement sum, an
-    array over the quadrature settings in _SlabBlocks order; degree 0 is
-    the empty diagram, exactly 1.  One _SlabBlocks serves every degree,
-    and each diagram's sum adds its placements in enumeration order, so
-    results are bit-reproducible.
+    array over the quadrature settings in _settings order; degree 0 is
+    the empty diagram, exactly 1.  Each diagram's sum adds its
+    placements in enumeration order, so results are bit-reproducible.
     """
-    series = [{_empty_diagram(): np.ones(2 * quadrature.levels, dtype=complex)}]
-    pools = _pair_pools(mk)
-    if m:
-        blocks = _SlabBlocks(mk, quadrature, m, pools)
-    for deg in range(1, m + 1):
-        seqs, ends = _placements(pools, deg)
-        values = _placement_values(blocks, mk, seqs, ends)
+    series = [{_empty_diagram(): np.ones(len(_settings(quadrature)), dtype=complex)}]
+    for ends, values in _degree_values(mk, m, quadrature, _pair_pools(mk)):
         diagrams, index = _induced_diagrams(mk, ends)
         series.append(dict(zip(diagrams, _sums(values, index, len(diagrams)))))
     return series
@@ -452,7 +440,7 @@ class CoefficientTable:
         return [(d, _classify(sums[d])) for d in sorted(sums)]
 
     def diagrams(self):
-        return sorted(self._entries)
+        return list(self._entries)
 
     def coefficient(self, diagram):
         return self._entries.get(diagram)
@@ -466,7 +454,7 @@ class CoefficientTable:
         return c.error if c is not None else 0.0
 
     def items(self):
-        return [(d, self._entries[d]) for d in self.diagrams()]
+        return list(self._entries.items())
 
     def __len__(self):
         return len(self._entries)
@@ -527,18 +515,15 @@ def degree_coefficients(mk, m, quadrature=DEFAULT_QUADRATURE):
 
 def _series_div(a, divisor, max_degree):
     """c with divisor * c = a, both sides unit at degree 0."""
-    c = [dict() for _ in range(max_degree + 1)]
-    c[0][_empty_diagram()] = 1 + 0j
+    c = [{_empty_diagram(): 1 + 0j}]
     for m in range(1, max_degree + 1):
-        acc = dict(a[m]) if m < len(a) else {}
+        acc = dict(a[m])
         for k in range(1, m + 1):
-            if k >= len(divisor) or not divisor[k]:
-                continue
             for d1, c1 in divisor[k].items():
                 for d2, c2 in c[m - k].items():
                     d = d1.concat(d2)
                     acc[d] = acc.get(d, 0j) - c1 * c2
-        c[m] = acc
+        c.append(acc)
     return c
 
 
@@ -590,8 +575,7 @@ def linking_number(mk, quadrature=DEFAULT_QUADRATURE):
     """
     if len(mk.component_cycles) < 2:
         raise ValueError("linking number needs at least 2 components")
-    pools = _pair_pools(mk, cross_only=True)
-    values = _placement_values(_SlabBlocks(mk, quadrature, 1, pools), mk, *_placements(pools, 1))
+    ((_, values),) = _degree_values(mk, 1, quadrature, _pair_pools(mk, cross_only=True))
     res = _classify(_sums(values, np.zeros(values.shape[1], dtype=int), 1)[0])
     return replace(res, error=res.error + abs(res.value.imag))
 

@@ -139,8 +139,8 @@ def _extrema_indices(t):
 def morse_embed(components, *, jitter=True):
     """Build a MorseKnot from sampled closed curves.
 
-    components: iterable of sample lists, each sample a (z, t) pair (or
-    an object with re/im/t keys already converted by curve_from_json).
+    components: iterable of sample lists, each sample a (z, t) pair as
+    curve_from_json returns them; only s[0] and s[1] are read.
     Critical heights across the whole curve must be distinct; when two
     collide and jitter is enabled, the later component's heights are
     shifted by a recorded epsilon and the embedding is rebuilt.

@@ -8,7 +8,9 @@ polynomial.
 diagrams (`SingularDiagram.is_split`) are 0 at once.  A planar code
 (`SingularDiagram.is_planar`), knot or link, gets its Conway polynomial
 from one minor of its region matrix (Alexander 1928; Kauffman, *Formal
-Knot Theory*, 1983), exact at one integer; a remainder raises.
+Knot Theory*, 1983), exact at one integer; a remainder raises.  One walk
+of the shadow's faces both decides planarity and gives the matrix its
+columns.
 
 Non-planar (virtual) codes use the descending-diagram recursion: walk
 the components from their stored basepoints, call a crossing bad when
@@ -95,14 +97,15 @@ def _region_conway(diagram):
     """Conway polynomial of a planar, non-split code from a minor of its
     region matrix; None for a non-planar code.
 
-    One row per crossing, one column per face (`SingularDiagram._faces`;
-    corner j lies between slots j and j + 1).  A row weighs s^sign on T
-    (between the outgoing strands), s^-sign on B (between the incoming
-    ones) and 1 on the sides; entries in one face add.  Striking the two
-    faces beside one edge leaves a minor eps * nabla(s - 1/s).  A state
-    matches crossings to faces through corners; with the rows in the
-    order one state gives, eps = (-1)^(B corners it uses) by Kauffman's
-    Clock Theorem.  With no state the minor is 0.
+    One row per crossing, one column per face (`SingularDiagram._faces`,
+    whose one walk also decides planarity; corner j lies between slots j
+    and j + 1).  A row weighs s^sign on T (between the outgoing strands),
+    s^-sign on B (between the incoming ones) and 1 on the sides; entries
+    in one face add.  Striking the two faces beside one edge leaves a
+    minor eps * nabla(s - 1/s).  A state matches crossings to faces
+    through corners; with the rows in the order one state gives,
+    eps = (-1)^(B corners it uses) by Kauffman's Clock Theorem.  With no
+    state the minor is 0.
 
     Where B and T share a face the crossing is a cut vertex, and counting
     faces on either side shows every state uses a side corner there.  So
@@ -110,12 +113,13 @@ def _region_conway(diagram):
     by Hadamard and Cauchy, s = 2^(n+1) + 1 exceeds twice every
     coefficient of s^n * minor, which is taken there, each row times s.
     """
-    if not diagram.is_planar():
+    faces = diagram._faces()
+    if faces is None:
         return None
     n = diagram.n_crossings
     if n == 0:
         return _ONE if diagram.n_components == 1 else _ZERO
-    index, face = diagram._faces()
+    index, face = faces
     # Strike the faces beside slot 0 of site 0; the densest face goes last.
     kept = sorted(set(face) - {face[0], face[1]}, key=face.count)
     column = {f: c for c, f in enumerate(kept)}
@@ -217,9 +221,6 @@ def extend_invariant(invariant, a, b, c):
     coefficients prune their branch.
     """
 
-    def zero_like(value):
-        return value * 0
-
     def extended(diagram):
         nodes = diagram.node_ids
         if not nodes:
@@ -232,8 +233,8 @@ def extend_invariant(invariant, a, b, c):
             term = coeff * extended(diagram.resolve_node(nid, res))
             total = term if total is None else total + term
         if total is None:
-            # all three coefficients are zero
-            total = zero_like(invariant(diagram.resolve_node(nid, "positive")))
+            # all three coefficients are zero: a zero of the coefficients' type
+            total = a * extended(diagram.resolve_node(nid, "positive"))
         return total
 
     return extended

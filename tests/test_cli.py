@@ -14,6 +14,7 @@ import subprocess
 import sys
 
 import jsonschema
+import pytest
 
 import vassiliev
 from vassiliev import cli
@@ -22,6 +23,8 @@ from vassiliev.skein import conway
 
 TREFOIL = "O1+U2+O3+U1+O2+U3+"
 FIGURE_EIGHT = "O1+U2+O3-U4-O2+U1+O4-U3-"
+# a node in place of one trefoil crossing, as braid_closure([("node", 1), 1, 1])
+NODE_TREFOIL = '{"components": [["P0", "U1", "O2", "Q0", "O1", "U2"]], "signs": {"1": 1, "2": 1}}'
 
 
 def run_json(capsys, argv):
@@ -238,6 +241,43 @@ def test_csv_kontsevich_quotes_diagrams(tmp_path, capsys):
     assert rows[0][0] == "diagram"
     # the parallel diagram's name contains a comma; csv must keep it one field
     assert any(r[0] == "0-1,2-3" for r in rows[1:])
+
+
+# (arguments, CSV header, data rows the JSON payload implies); curves are fixture names
+CSV_CASES = {
+    "parse": (["parse", TREFOIL], ["component", "position", "kind", "id", "sign"],
+              lambda p: sum(map(len, p["diagram"]["components"]))),
+    "conway": (["conway", TREFOIL], ["exponent", "coefficient"], lambda p: len(p["coefficients"])),
+    "v2": (["v2", TREFOIL], ["v2"], lambda p: 1),
+    "vassiliev-eval": (["vassiliev-eval", NODE_TREFOIL], ["exponent", "coefficient"],
+                       lambda p: len(p["coefficients"])),
+    "chords-enumerate": (["chords", "enumerate", "3"], ["index", "matching"],
+                         lambda p: len(p["raw_matchings"])),
+    "chords-4t": (["chords", "4t", "3"], ["relation", "term", "sign", "diagram"],
+                  lambda p: sum(map(len, p["relations"]))),
+    "weights": (["weights", "--algebra", "su2", "--degree", "3"], ["diagram", "re", "im"],
+                lambda p: len(p["weights"])),
+    "kontsevich": (["kontsevich", "@round_circle", "--degree", "2", "--raw"],
+                   ["diagram", "value_re", "value_im", "error", "converged", "log_divergent"],
+                   lambda p: len(p["coefficients"])),
+    "compare": (["compare", "@trefoil_2max", TREFOIL], ["key", "value"], lambda p: 7),
+}
+
+
+def test_csv_cases_cover_every_command():
+    assert {argv[0] for argv, _, _ in CSV_CASES.values()} == set(cli.COMMANDS)
+
+
+@pytest.mark.parametrize("case", sorted(CSV_CASES))
+def test_csv_rows_match_the_json_payload(case, tmp_path, capsys):
+    argv, header, count = CSV_CASES[case]
+    argv = [curve_file(tmp_path, a[1:]) if a.startswith("@") else a for a in argv]
+    payload = run_json(capsys, argv)
+    assert cli.main(argv + ["--format", "csv"]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert rows[0] == header
+    assert len(rows) - 1 == count(payload) > 0
+    assert all(len(row) == len(header) for row in rows)
 
 
 def test_output_file(tmp_path, capsys):

@@ -450,6 +450,15 @@ def test_extend_invariant_general_coefficients():
     assert smooth_only(d) == conway(braid_closure([1, 1]))
     poly_coeff = extend_invariant(conway, Z, P.zero(), P.zero())
     assert poly_coeff(d) == Z * conway(braid_closure([1, 1, 1]))
+    # all three coefficients zero: zero of the coefficients' type, on one node or more
+    two_nodes = [
+        braid_closure([("node", 1), ("node", 1), 1]),
+        SingularDiagram.from_json_dict({"components": [["P1", "P2", "Q1", "Q2"]], "signs": {}}),
+    ]
+    for g in [d] + two_nodes:
+        assert extend_invariant(conway, 0, 0, 0)(g) == 0
+        zero = extend_invariant(conway, P.zero(), P.zero(), P.zero())(g)
+        assert isinstance(zero, P) and zero == P.zero()
 
 
 def test_conway_not_finite_type_but_coefficients_are():
