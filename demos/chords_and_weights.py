@@ -35,7 +35,7 @@ def main():
     for m in (0, 1, 2):
         table = weight_system(su2, m)
         for d, w in sorted(table.items()):
-            print(f"degree {m}  {str(d):12s} -> {w.real:+.6f}")
+            print(f"degree {m}  {str(d):12s} -> {float(w):+.6f}")
 
     print()
     print("== Weight systems satisfy every 4T relation ==")
@@ -49,11 +49,11 @@ def main():
             print(f"  {name:4s} degree {m}: 4T {'holds' if ok else 'FAILS'}")
 
     print()
-    print("== gl(N) weights count loops: single chord -> N/2 scaling ==")
+    print("== gl(N) weights count loops: single chord -> N^2/2 ==")
     single = ChordDiagram(((0, 1),))
     for n in (1, 2, 3, 4):
         w = weight(gl_fundamental(n), single)
-        print(f"  gl{n}: w(single chord) = {w.real:+.4f}")
+        print(f"  gl{n}: w(single chord) = {float(w):+.4f}")
 
 
 if __name__ == "__main__":

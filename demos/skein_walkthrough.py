@@ -5,15 +5,8 @@ Run:  python3 demos/skein_walkthrough.py
 
 import random
 
-from vassiliev import (
-    braid_closure,
-    conway,
-    parse_gauss,
-    parse_pd,
-    sample_singular_diagrams,
-    v2,
-    vassiliev_eval,
-)
+from vassiliev import braid_closure, conway, parse_gauss, parse_pd, v2, vassiliev_eval
+from vassiliev.codes import sample_singular_diagrams
 
 TREFOIL = "O1+U2+O3+U1+O2+U3+"
 FIGURE_EIGHT = "O1+U2+O3-U4-O2+U1+O4-U3-"

@@ -4,6 +4,8 @@ Skein recursion on singular diagrams, Lie-algebra weight systems on
 chord diagrams, and numerical Kontsevich integrals on Morse embeddings.
 """
 
+import importlib
+
 from .laurent import IntegerLaurentPoly
 from .codes import (
     DiagramError,
@@ -13,6 +15,7 @@ from .codes import (
     linking_matrix_total,
     parse_gauss,
     parse_pd,
+    sample_singular_diagrams,
 )
 from .skein import (
     conway,
@@ -38,39 +41,39 @@ from .lie import (
     weight,
     weight_system,
 )
-from .morse import (
-    EmbeddingError,
-    MorseKnot,
-    Slab,
-    Strand,
-    curve_from_json,
-    curve_to_json,
-    morse_embed,
-)
-from .kontsevich import (
-    ChordPlacement,
-    CoefficientTable,
-    ExpectationSeries,
-    IntegralResult,
-    PropagatorRule,
-    QuadratureSpec,
-    degree_coefficients,
-    enumerate_placements,
-    expectation_series,
-    hump_normalize,
-    linking_number,
-    placement_integral,
-    wick_propagator,
-)
-from .fixtures import (
-    ALL_FIXTURE_NAMES,
-    fixture_curve,
-    load_fixture,
-    plat,
-    round_circle,
-    sample_singular_diagrams,
-    two_circles,
-)
+
+# The numerical side imports numpy, so it loads on first use: a process
+# that touches only codes, skein, chords or lie never imports numpy.
+_LAZY = {
+    **dict.fromkeys((
+        "EmbeddingError", "MorseKnot", "Slab", "Strand", "curve_from_json",
+        "curve_to_json", "morse_embed",
+    ), "morse"),
+    **dict.fromkeys((
+        "ChordPlacement", "CoefficientTable", "ExpectationSeries", "IntegralResult",
+        "PropagatorRule", "QuadratureSpec", "degree_coefficients", "enumerate_placements",
+        "expectation_series", "hump_normalize", "linking_number", "placement_integral",
+        "wick_propagator",
+    ), "kontsevich"),
+    **dict.fromkeys((
+        "ALL_FIXTURE_NAMES", "fixture_curve", "load_fixture", "plat", "round_circle",
+        "two_circles",
+    ), "fixtures"),
+}
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))
+
 
 __all__ = [
     "IntegerLaurentPoly",

@@ -26,9 +26,7 @@ from typing import Callable, NamedTuple
 
 from .chords import ChordDiagram, enumerate_diagrams, four_term_relations, raw_matchings
 from .codes import _GAUSS_TOKEN, DiagramError, SingularDiagram, parse_gauss, parse_pd
-from .kontsevich import DEFAULT_QUADRATURE, QuadratureSpec, degree_coefficients, hump_normalize
 from .lie import commutator_4T_witness, gl_fundamental, su2_fundamental, weight, weight_system
-from .morse import curve_from_json, morse_embed
 from .skein import conway, extend_invariant, v2
 
 CROSSED = ChordDiagram(((0, 2), (1, 3)))
@@ -65,7 +63,10 @@ def load_diagram(text):
 
 
 def _quadrature_from(args):
-    return QuadratureSpec(steps=args.steps, eps_rel=args.epsilon, levels=args.levels)
+    from .kontsevich import QuadratureSpec
+
+    given = {k: getattr(args, k) for k in ("steps", "eps_rel", "levels") if hasattr(args, k)}
+    return QuadratureSpec(**given)
 
 
 # ---------------------------------------------------------------- handlers
@@ -164,6 +165,8 @@ def _algebra_from_name(name):
 
 
 def _run_weights(args):
+    if args.degree > 6:
+        raise ValueError("weights tabulates every canonical diagram; degree capped at 6")
     algebra = _algebra_from_name(args.algebra)
     algebra.check()  # raises with the residual in the message on failure
     _, closure_residual = commutator_4T_witness(algebra)
@@ -175,13 +178,16 @@ def _run_weights(args):
         "axioms_ok": True,
         "commutator_residual": float(closure_residual),
         "weights": [
-            {"diagram": str(d), "re": w.real, "im": w.imag}
+            {"diagram": str(d), "re": float(w), "im": 0.0}
             for d, w in sorted(table.items())
         ],
     }
 
 
 def _run_kontsevich(args):
+    from .kontsevich import degree_coefficients, hump_normalize
+    from .morse import curve_from_json, morse_embed
+
     mk = morse_embed(curve_from_json(args.input))
     table = degree_coefficients(mk, args.degree, _quadrature_from(args))
     normalized = not args.raw
@@ -199,6 +205,9 @@ def _run_kontsevich(args):
 
 
 def _run_compare(args):
+    from .kontsevich import degree_coefficients, hump_normalize
+    from .morse import curve_from_json, morse_embed
+
     if args.degree != 2:
         raise ValueError("compare cross-validates the degree-2 invariant only")
     components = curve_from_json(args.curve)  # a missing file fails before the skein work
@@ -230,7 +239,7 @@ def _run_compare(args):
             "algebra": "su2",
             "value_re": pairing.real,
             "value_im": pairing.imag,
-            "crossed_weight_re": weight(su2, CROSSED).real,
+            "crossed_weight_re": float(weight(su2, CROSSED)),
         },
         "difference": difference,
         "tolerance": args.tolerance,
@@ -368,12 +377,16 @@ def _add_common(sub):
 
 
 def _add_quadrature(sub):
-    sub.add_argument("--steps", type=int, default=DEFAULT_QUADRATURE.steps,
-                     help="quadrature steps per slab (default %(default)s)")
-    sub.add_argument("--epsilon", type=float, default=DEFAULT_QUADRATURE.eps_rel,
-                     help="largest relative clip width (default %(default)s)")
-    sub.add_argument("--levels", type=int, default=DEFAULT_QUADRATURE.levels,
-                     help="number of clip widths for the tail fit (default %(default)s)")
+    # Omitted flags take QuadratureSpec's defaults, read only when the
+    # handler runs, so building the parser never imports kontsevich.
+    sub.add_argument("--steps", type=int, default=argparse.SUPPRESS,
+                     help="quadrature steps per slab (default: QuadratureSpec().steps)")
+    sub.add_argument("--epsilon", dest="eps_rel", metavar="EPSILON", type=float,
+                     default=argparse.SUPPRESS,
+                     help="largest relative clip width (default: QuadratureSpec().eps_rel)")
+    sub.add_argument("--levels", type=int, default=argparse.SUPPRESS,
+                     help="number of clip widths for the tail fit "
+                          "(default: QuadratureSpec().levels)")
 
 
 def build_parser():

@@ -674,6 +674,35 @@ def braid_closure(word, n_strands=None):
     return SingularDiagram(comps, signs)
 
 
+# -- random singular samples -----------------------------------------------
+
+
+def sample_singular_words(rng, n_nodes, *, n_strands=3, max_crossings=8):
+    """One random singular braid word with the given node count."""
+    n_cross = rng.randint(1, max_crossings)
+    word = [("node", rng.randint(1, n_strands - 1)) for _ in range(n_nodes)]
+    word += [
+        rng.choice([1, -1]) * rng.randint(1, n_strands - 1) for _ in range(n_cross)
+    ]
+    rng.shuffle(word)
+    return word
+
+
+def sample_singular_diagrams(rng, n_nodes, count, *, n_strands=3, max_crossings=8,
+                             one_component=False):
+    """Random singular braid closures, optionally filtered to knots."""
+    out = []
+    while len(out) < count:
+        word = sample_singular_words(
+            rng, n_nodes, n_strands=n_strands, max_crossings=max_crossings
+        )
+        d = braid_closure(word, n_strands=n_strands)
+        if one_component and d.n_components != 1:
+            continue
+        out.append(d)
+    return out
+
+
 def linking_matrix_total(diagram):
     """Half the signed sum of crossings between distinct components.
 

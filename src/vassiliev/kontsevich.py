@@ -611,7 +611,7 @@ def expectation_series(mk, algebra, max_degree, k, quadrature=DEFAULT_QUADRATURE
         term = 0j
         err = 0.0
         for diagram, coeff in table._classified(m):
-            w = weight(algebra, diagram)
+            w = complex(weight(algebra, diagram))
             term += w * coeff.value
             err += abs(w) * coeff.error
             flagged = flagged or coeff.log_divergent

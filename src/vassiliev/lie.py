@@ -5,36 +5,91 @@ product of generators: every chord carries a summed generator index and
 deposits one generator at each of its two endpoints; the product is
 taken around the circle.
 
-Generators are normalized so that tr(T_a T_b) = delta_ab / 2.  For
-gl(N) the hermitian u(N) basis is used (generalized Gell-Mann matrices
-plus the scaled identity), which keeps the structure constants real and
-totally antisymmetric.
+Generators are normalized so that tr(T_a T_b) = delta_ab / 2.  For the
+fundamental representation of gl(N) the summed pair is then half the
+index swap, sum_a (T_a)_ij (T_a)_kl = delta_il delta_jk / 2, and for
+su(N) the trace part is removed, (delta_il delta_jk - delta_ij delta_kl
+/ N) / 2.  So a weight is exact: a count of index loops (Bar-Natan, On
+the Vassiliev knot invariants, 1995, sec. 6; Chmutov, Duzhin and
+Mostovoy, ch. 6).  With positions 0..2m-1 on the circle and element p
+the matrix index entering position p:
+
+- gl(N): a chord (p, q) joins p with q+1 and p+1 with q (mod 2m), and
+  w(D) = N^c / 2^m for c loops;
+- su(N): each subset S of the chords takes the trace part instead, a
+  chord in S joining p with p+1 and q with q+1, and
+  w(D) = sum_S (-1)^|S| N^(c_S + m - |S|) / (2N)^m.
+
+`weight` returns a Fraction and never touches the generator matrices.
+They (the hermitian u(N) basis: generalized Gell-Mann matrices plus,
+for gl(N), the scaled identity, which keeps the structure constants
+real and totally antisymmetric) are built with numpy on first use, for
+`LieAlgebraData.check` and `commutator_4T_witness` only.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from fractions import Fraction
+from functools import cached_property
 
 
 class LieAlgebraData:
-    """Generators plus derived structure constants.
+    """Fundamental representation of gl(N), or of su(N) when traceless.
 
     Parameters
     ----------
     name : str
-    generators : array (dim, N, N), hermitian, tr(T_a T_b) = delta/2
+    N : int, the matrix size
+    traceless : bool, drop the identity generator (su(N), N >= 2)
     """
 
-    def __init__(self, name, generators):
+    def __init__(self, name, N, traceless):
+        if N < 1 or (traceless and N < 2):
+            raise ValueError(f"{name}: no fundamental representation of size {N}")
         self.name = name
-        self.generators = np.asarray(generators, dtype=complex)
-        if self.generators.ndim != 3 or self.generators.shape[1] != self.generators.shape[2]:
-            raise ValueError("generators must be a (dim, N, N) array")
-        self.dim = self.generators.shape[0]
-        self.matrix_size = self.generators.shape[1]
-        self.structure_constants = self._structure_constants()
+        self.N = N
+        self.traceless = traceless
 
-    def _structure_constants(self):
+    @property
+    def matrix_size(self):
+        return self.N
+
+    @property
+    def dim(self):
+        return self.N * self.N - self.traceless
+
+    @cached_property
+    def generators(self):
+        """Hermitian basis, (dim, N, N): off-diagonal symmetric and
+        antisymmetric pairs, traceless diagonals, then (gl only) the
+        scaled identity."""
+        import numpy as np
+
+        N = self.N
+        mats = []
+        for j in range(N):
+            for k in range(j + 1, N):
+                sym = np.zeros((N, N), dtype=complex)
+                sym[j, k] = sym[k, j] = 0.5
+                mats.append(sym)
+                asym = np.zeros((N, N), dtype=complex)
+                asym[j, k] = -0.5j
+                asym[k, j] = 0.5j
+                mats.append(asym)
+        for l in range(1, N):
+            diag = np.zeros((N, N), dtype=complex)
+            for i in range(l):
+                diag[i, i] = 1
+            diag[l, l] = -l
+            mats.append(diag / np.sqrt(2 * l * (l + 1)))
+        if not self.traceless:
+            mats.append(np.eye(N, dtype=complex) / np.sqrt(2 * N))
+        return np.stack(mats)
+
+    @cached_property
+    def structure_constants(self):
+        import numpy as np
+
         T = self.generators
         # f_abc = -2i tr([T_a, T_b] T_c) given tr(T_a T_b) = delta/2
         comm = np.einsum("aij,bjk->abik", T, T) - np.einsum("bij,ajk->abik", T, T)
@@ -46,6 +101,8 @@ class LieAlgebraData:
     def check(self, tol=1e-12):
         """Verify hermiticity, trace normalization, commutator closure
         and total antisymmetry of the structure constants."""
+        import numpy as np
+
         T = self.generators
         herm = np.max(np.abs(T - np.conj(np.transpose(T, (0, 2, 1)))))
         if herm > tol:
@@ -75,6 +132,8 @@ def commutator_4T_witness(algebra, tol=1e-12):
     relations, so it is exposed as its own witness.  Returns
     (ok, max_residual).
     """
+    import numpy as np
+
     T = algebra.generators
     f = algebra.structure_constants
     comm = np.einsum("aij,bjk->abik", T, T) - np.einsum("bij,ajk->abik", T, T)
@@ -85,73 +144,65 @@ def commutator_4T_witness(algebra, tol=1e-12):
 
 def su2_fundamental():
     """Pauli matrices over two: tr(T_a T_b) = delta/2, f = epsilon."""
-    sx = np.array([[0, 1], [1, 0]], dtype=complex)
-    sy = np.array([[0, -1j], [1j, 0]], dtype=complex)
-    sz = np.array([[1, 0], [0, -1]], dtype=complex)
-    return LieAlgebraData("su2", np.stack([sx, sy, sz]) / 2)
+    return LieAlgebraData("su2", 2, traceless=True)
 
 
 def gl_fundamental(N):
-    """Hermitian u(N) basis: off-diagonal symmetric and antisymmetric
-    pairs, traceless diagonals, and the scaled identity.  dim = N^2."""
-    if N < 1:
-        raise ValueError("N must be positive")
-    mats = []
-    for j in range(N):
-        for k in range(j + 1, N):
-            sym = np.zeros((N, N), dtype=complex)
-            sym[j, k] = sym[k, j] = 0.5
-            mats.append(sym)
-            asym = np.zeros((N, N), dtype=complex)
-            asym[j, k] = -0.5j
-            asym[k, j] = 0.5j
-            mats.append(asym)
-    for l in range(1, N):
-        diag = np.zeros((N, N), dtype=complex)
-        for i in range(l):
-            diag[i, i] = 1
-        diag[l, l] = -l
-        mats.append(diag / np.sqrt(2 * l * (l + 1)))
-    mats.append(np.eye(N, dtype=complex) / np.sqrt(2 * N))
-    return LieAlgebraData(f"gl{N}", np.stack(mats))
+    """The N x N matrices, dim = N^2."""
+    return LieAlgebraData(f"gl{N}", N, traceless=False)
 
 
-def weight(algebra, diagram, degree_bound=4):
-    """Weight of a chord diagram: sum over per-chord generator indices
-    of the trace of the generator product around the circle.
+def _index_loops(chords, n, traced):
+    """Index loops on n circle positions; chord i takes the trace part
+    when bit i of traced is set."""
+    if n == 0:
+        return 1  # the bare circle
+    parent = list(range(n))
 
-    Contracted with open-chord tensor states, so the cost is
-    dim^(max simultaneously open chords), not dim^m.  Degrees above
-    degree_bound raise (the bound guards memory, not correctness).
-    """
-    if diagram.degree > degree_bound:
-        raise ValueError(
-            f"degree {diagram.degree} exceeds the configured bound {degree_bound}"
-        )
-    return _weight_of_pairing(algebra, diagram.partner)
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
 
-
-def _weight_of_pairing(algebra, partner):
-    T = algebra.generators
-    N = algebra.matrix_size
-    state = np.eye(N, dtype=complex)
-    open_axes = []
-    for p in range(len(partner)):
-        q = partner[p]
-        if q > p:
-            state = np.einsum("...ij,ajk->a...ik", state, T)
-            open_axes.insert(0, p)
+    loops = n
+    for i, (p, q) in enumerate(chords):
+        if traced >> i & 1:
+            joins = ((p, p + 1), (q, q + 1))
         else:
-            ax = open_axes.index(q)
-            open_axes.pop(ax)
-            state = np.moveaxis(state, ax, 0)
-            state = np.einsum("a...ij,ajk->...ik", state, T)
-    return complex(np.trace(state))
+            joins = ((p, q + 1), (p + 1, q))
+        for a, b in joins:
+            ra, rb = find(a % n), find(b % n)
+            if ra != rb:
+                parent[ra] = rb
+                loops -= 1
+    return loops
 
 
-def weight_system(algebra, m, degree_bound=4):
+def _weight_of_partner(algebra, partner):
+    """Exact weight of a matching given as a partner tuple, any rotation."""
+    n = len(partner)
+    chords = [(p, q) for p, q in enumerate(partner) if p < q]
+    m, N = len(chords), algebra.N
+    if not algebra.traceless:
+        return Fraction(N ** _index_loops(chords, n, 0), 2**m)
+    total = 0
+    for traced in range(1 << m):
+        k = traced.bit_count()
+        total += (-1) ** k * N ** (_index_loops(chords, n, traced) + m - k)
+    return Fraction(total, (2 * N) ** m)
+
+
+def weight(algebra, diagram):
+    """Weight of a chord diagram, an exact Fraction: the sum over
+    per-chord generator indices of the trace of the generator product
+    around the circle, counted as index loops."""
+    return _weight_of_partner(algebra, diagram.partner)
+
+
+def weight_system(algebra, m):
     """Table of weights for every canonical degree-m diagram."""
     from .chords import enumerate_diagrams
 
     diagrams, _ = enumerate_diagrams(m)
-    return {d: weight(algebra, d, degree_bound=degree_bound) for d in diagrams}
+    return {d: weight(algebra, d) for d in diagrams}

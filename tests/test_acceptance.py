@@ -12,8 +12,8 @@ import time
 from contextlib import contextmanager
 
 from vassiliev.chords import ChordDiagram, enumerate_diagrams, satisfies_4T
-from vassiliev.codes import braid_closure, linking_matrix_total, parse_gauss
-from vassiliev.fixtures import PLAT_FIXTURES, load_fixture, sample_singular_diagrams
+from vassiliev.codes import braid_closure, linking_matrix_total, parse_gauss, sample_singular_diagrams
+from vassiliev.fixtures import PLAT_FIXTURES, load_fixture
 from vassiliev.kontsevich import (
     QuadratureSpec,
     degree_coefficients,

@@ -6,6 +6,7 @@ the package in a fresh interpreter to see what the import costs.
 """
 
 import csv
+import dataclasses
 import importlib.resources
 import io
 import json
@@ -141,6 +142,10 @@ def test_kontsevich_raw_circle(tmp_path, capsys):
     assert payload["normalized"] is False
     row = payload["coefficients"][0]
     assert abs(row["value_re"]) < 1e-6 and abs(row["value_im"]) < 1e-6
+    assert payload["quadrature"] == dataclasses.asdict(vassiliev.QuadratureSpec())
+    flags = ["--steps", "500", "--epsilon", "2e-3", "--levels", "4"]
+    payload = run_json(capsys, ["kontsevich", path, "--degree", "1", "--raw", *flags])
+    assert payload["quadrature"] == {"steps": 500, "eps_rel": 2e-3, "levels": 4}
 
 
 def test_kontsevich_normalized_hump(tmp_path, capsys):
@@ -180,6 +185,44 @@ def test_import_loads_no_scipy_or_sympy():
     assert done.stdout.strip() == "[]"
 
 
+def _fresh(argv):
+    src = os.path.dirname(os.path.dirname(vassiliev.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return done
+
+
+def test_exact_routes_never_import_numpy():
+    code = (
+        "import random, sys, vassiliev as v\n"
+        "for d in v.sample_singular_diagrams(random.Random(5), 0, 20, one_component=True):\n"
+        "    v.conway(d), v.v2(d)\n"
+        "assert len(v.weight_system(v.su2_fundamental(), 4)) == 18\n"
+        "print('numpy' in sys.modules)"
+    )
+    assert _fresh(["-c", code]).stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("argv", [["conway", TREFOIL], ["v2", TREFOIL], ["chords", "4t", "3"]],
+                         ids=lambda a: a[0])
+def test_light_commands_never_import_numpy(argv):
+    done = _fresh(["-X", "importtime", "-m", "vassiliev.cli", *argv])
+    json.loads(done.stdout)
+    imported = {line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()}
+    assert "vassiliev.skein" in imported
+    assert not {m for m in imported if m.split(".")[0] == "numpy"}
+
+
+def test_every_public_name_resolves():
+    listed = set(dir(vassiliev))
+    for name in vassiliev.__all__:
+        assert getattr(vassiliev, name) is not None
+        assert name in listed
+    with pytest.raises(AttributeError):
+        vassiliev.no_such_name
+
+
 def test_error_empty_input(tmp_path, capsys):
     empty = tmp_path / "empty.gauss"
     empty.write_text(" \n")
@@ -215,6 +258,8 @@ def test_error_degree_out_of_range(tmp_path, capsys):
     path = curve_file(tmp_path, "round_circle")
     err = run_error(capsys, ["kontsevich", path, "--degree", "7"])
     assert err["module"] == "kontsevich"
+    err = run_error(capsys, ["weights", "--algebra", "su2", "--degree", "7"])
+    assert err["module"] == "lie"
 
 
 def test_usage_error_exit_2(capsys):

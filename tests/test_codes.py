@@ -13,8 +13,8 @@ from vassiliev.codes import (
     linking_matrix_total,
     parse_gauss,
     parse_pd,
+    sample_singular_diagrams,
 )
-from vassiliev.fixtures import sample_singular_diagrams
 from vassiliev.skein import _first_bad_crossing
 
 TREFOIL_GAUSS = "O1+U2+O3+U1+O2+U3+"

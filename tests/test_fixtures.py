@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from vassiliev.codes import braid_closure, linking_matrix_total
+from vassiliev.codes import braid_closure, linking_matrix_total, sample_singular_diagrams
 from vassiliev.fixtures import (
     ALL_FIXTURE_NAMES,
     FIGURE_EIGHT_PLAT_WORD,
@@ -15,7 +15,6 @@ from vassiliev.fixtures import (
     fixture_curve,
     load_fixture,
     plat,
-    sample_singular_diagrams,
     write_shipped_data,
 )
 from vassiliev.kontsevich import linking_number

@@ -1,15 +1,17 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from vassiliev.chords import ChordDiagram, enumerate_diagrams, satisfies_4T
 from vassiliev.lie import (
     LieAlgebraData,
+    _weight_of_partner,
     commutator_4T_witness,
     gl_fundamental,
     su2_fundamental,
     weight,
     weight_system,
-    _weight_of_pairing,
 )
 
 EMPTY = ChordDiagram([])
@@ -40,24 +42,60 @@ def test_witness_rejects_corrupted_generators():
     alg = su2_fundamental()
     bad = alg.generators.copy()
     bad[0] = bad[0] + 0.01 * np.eye(2)
-    corrupted = LieAlgebraData.__new__(LieAlgebraData)
-    corrupted.name = "corrupted"
+    corrupted = LieAlgebraData("corrupted", 2, traceless=True)
     corrupted.generators = bad
-    corrupted.dim = 3
-    corrupted.matrix_size = 2
     corrupted.structure_constants = alg.structure_constants
+    assert corrupted.dim == 3 and corrupted.matrix_size == 2
     ok, residual = commutator_4T_witness(corrupted, tol=1e-12)
     assert not ok and residual > 1e-3
     with pytest.raises(ValueError):
         corrupted.check(tol=1e-12)
 
 
+def test_constructor_rejects_sizes_without_a_representation():
+    for args in (("gl0", 0, False), ("su1", 1, True)):
+        with pytest.raises(ValueError):
+            LieAlgebraData(*args)
+    with pytest.raises(ValueError):
+        gl_fundamental(0)
+
+
 def test_su2_pinned_weights():
     alg = su2_fundamental()
-    assert abs(weight(alg, EMPTY) - 2) < 1e-12
-    assert abs(weight(alg, ONE) - 1.5) < 1e-12
-    assert abs(weight(alg, PARALLEL) - 9 / 8) < 1e-12
-    assert abs(weight(alg, CROSSED) + 3 / 8) < 1e-12
+    assert weight(alg, EMPTY) == 2
+    assert weight(alg, ONE) == Fraction(3, 2)
+    assert weight(alg, PARALLEL) == Fraction(9, 8)
+    assert weight(alg, CROSSED) == Fraction(-3, 8)
+
+
+def _weight_of_pairing(algebra, partner):
+    # Oracle: the trace of the generator product, contracted in complex
+    # floats with one open tensor axis per open chord.
+    T = algebra.generators
+    N = algebra.matrix_size
+    state = np.eye(N, dtype=complex)
+    open_axes = []
+    for p in range(len(partner)):
+        q = partner[p]
+        if q > p:
+            state = np.einsum("...ij,ajk->a...ik", state, T)
+            open_axes.insert(0, p)
+        else:
+            ax = open_axes.index(q)
+            open_axes.pop(ax)
+            state = np.moveaxis(state, ax, 0)
+            state = np.einsum("a...ij,ajk->...ik", state, T)
+    return complex(np.trace(state))
+
+
+@pytest.mark.parametrize("alg", [su2_fundamental()] + [gl_fundamental(n) for n in (1, 2, 3)],
+                         ids=lambda a: a.name)
+def test_exact_weights_match_the_einsum_oracle(alg):
+    for m in range(5):
+        for d in enumerate_diagrams(m)[0]:
+            got = weight(alg, d)
+            assert isinstance(got, Fraction)
+            assert abs(_weight_of_pairing(alg, d.partner) - got) < 1e-12, (alg.name, d)
 
 
 def _gl_loop_count(partner, _arcs_cache={}):
@@ -92,9 +130,8 @@ def test_gl_weights_match_loop_model():
         for m in (1, 2, 3):
             diagrams, _ = enumerate_diagrams(m)
             for d in diagrams:
-                expected = (0.5**m) * N ** _gl_loop_count(d.partner)
-                got = weight(alg, d)
-                assert abs(got - expected) < 1e-10, (N, d, got, expected)
+                expected = Fraction(N ** _gl_loop_count(d.partner), 2**m)
+                assert weight(alg, d) == expected, (N, d)
 
 
 def test_weight_rotation_invariance():
@@ -107,25 +144,26 @@ def test_weight_rotation_invariance():
         partner = [None] * n
         for a, b in rotated:
             partner[a], partner[b] = b, a
-        val = _weight_of_pairing(alg, tuple(partner))
+        val = _weight_of_partner(alg, tuple(partner))
         if base is None:
             base = val
-        assert abs(val - base) < 1e-12
+        assert val == base
 
 
-def test_weight_degree_bound():
+def test_weights_above_degree_four_are_exact():
     alg = su2_fundamental()
-    d5 = ChordDiagram([(i, i + 5) for i in range(5)])
-    with pytest.raises(ValueError):
-        weight(alg, d5)
-    assert weight(alg, d5, degree_bound=5) is not None
+    for d in (ChordDiagram([(i, i + 5) for i in range(5)]),
+              ChordDiagram([(i, i + 6) for i in range(6)])):
+        got = weight(alg, d)
+        assert isinstance(got, Fraction)
+        assert abs(_weight_of_pairing(alg, d.partner) - got) < 1e-12
 
 
 def test_weight_systems_satisfy_4T():
     for alg in (su2_fundamental(), gl_fundamental(2), gl_fundamental(3)):
-        for m in (2, 3):
+        for m in (2, 3, 4, 5):
             table = weight_system(alg, m)
-            ok, counter = satisfies_4T(lambda d: table[d], m, tol=1e-9)
+            ok, counter = satisfies_4T(lambda d: table[d], m, tol=0)
             assert ok, (alg.name, m, counter)
 
 

@@ -5,8 +5,15 @@ import time
 import pytest
 
 from vassiliev import skein
-from vassiliev.codes import DiagramError, SingularDiagram, braid_closure, parse_gauss, parse_pd
-from vassiliev.fixtures import PLAT_FIXTURES, sample_singular_diagrams
+from vassiliev.codes import (
+    DiagramError,
+    SingularDiagram,
+    braid_closure,
+    parse_gauss,
+    parse_pd,
+    sample_singular_diagrams,
+)
+from vassiliev.fixtures import PLAT_FIXTURES
 from vassiliev.laurent import IntegerLaurentPoly as P
 from vassiliev.skein import (
     conway,
