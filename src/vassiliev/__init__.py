@@ -1,6 +1,6 @@
 """Finite-type knot invariants three ways.
 
-Skein recursion on singular diagrams, Lie-algebra weight systems on
+Skein invariants of singular diagrams, Lie-algebra weight systems on
 chord diagrams, and numerical Kontsevich integrals on Morse embeddings.
 """
 

@@ -106,6 +106,9 @@ def _run_conway(args):
 
 def _run_v2(args):
     d = load_diagram(args.input)
+    # The library's v2 skips this face walk; outside input gets it here.
+    if not d.is_planar():
+        raise DiagramError("v2 needs a planar code; on a virtual one it depends on the basepoint")
     return {"command": "v2", "v2": v2(d)}
 
 

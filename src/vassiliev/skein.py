@@ -1,44 +1,26 @@
 """Conway polynomial and Vassiliev extensions of skein invariants.
 
-`v2` of any knot code is the Polyak-Viro arrow count, a sum over pairs
-of crossings of the code read from its stored basepoint, and builds no
-polynomial.
+`conway` of a split diagram (`SingularDiagram.is_split`) is 0 at once.
+A planar code (`SingularDiagram.is_planar`), knot or link, gets its
+Conway polynomial from one minor of its region matrix (Alexander 1928;
+Kauffman, *Formal Knot Theory*, 1983), exact at one integer; a remainder
+raises.  One walk of the shadow's faces both decides planarity and gives
+the matrix its columns.  A non-planar (virtual) code raises DiagramError:
+there the descending skein recursion, kept in the tests as the oracle,
+depends on the basepoint (`O1-O2-U1-U2-` gives 1, 1 + z^2, 1, 1 over its
+rotations).
 
-`conway` takes one of two routes, chosen from the diagram alone.  Split
-diagrams (`SingularDiagram.is_split`) are 0 at once.  A planar code
-(`SingularDiagram.is_planar`), knot or link, gets its Conway polynomial
-from one minor of its region matrix (Alexander 1928; Kauffman, *Formal
-Knot Theory*, 1983), exact at one integer; a remainder raises.  One walk
-of the shadow's faces both decides planarity and gives the matrix its
-columns.
-
-Non-planar (virtual) codes use the descending-diagram recursion: walk
-the components from their stored basepoints, call a crossing bad when
-it is first met on the under strand, and resolve the first bad crossing
-c by
-
-    conway(D) = conway(switch(D, c)) + sign(c) * z * conway(smooth(D, c)).
-
-A diagram with no bad crossings is descending, hence an unlink: value 1
-for one component, 0 otherwise.  Switching the first bad crossing lowers
-the bad count and smoothing lowers the crossing count, so the recursion
-terminates.  A planar subdiagram met inside the recursion takes the
-region route.  The recursion's value depends on the basepoints, so its
-results go into a memo keyed on the code as given, which lives for one
-`conway` call unless the caller passes one; site ids are inherited
-through the recursion, so repeats still meet.  Replacing
-`_region_conway` by a function returning None leaves the pure
-recursion, the oracle of the tests.
+`v2` of a knot code is the Polyak-Viro arrow count over pairs of
+crossings, read from the stored basepoint; it builds no polynomial.
 """
 
 from __future__ import annotations
 
 from math import comb
 
-from .codes import OVER, UNDER, DiagramError
+from .codes import OVER, DiagramError
 from .laurent import IntegerLaurentPoly
 
-_Z = IntegerLaurentPoly.z()
 _ONE = IntegerLaurentPoly.one()
 _ZERO = IntegerLaurentPoly.zero()
 
@@ -46,56 +28,23 @@ _ZERO = IntegerLaurentPoly.zero()
 _CORNERS = {1: ((1, 2, 1, 0), 3), -1: ((2, 1, 0, 1), 0)}
 
 
-def _first_bad_crossing(diagram):
-    """The first crossing met on its under strand; None for a descending
-    diagram.  The recursion never sees nodes."""
-    seen = set()
-    for comp in diagram.components:
-        for kind, sid in comp:
-            if sid not in seen:
-                if kind == UNDER:
-                    return sid
-                seen.add(sid)
-    return None
-
-
 def conway(diagram, memo=None):
-    """Conway polynomial of a node-free diagram, exact in z.
+    """Conway polynomial of a planar, node-free diagram, exact in z.
 
     conway(L+) - conway(L-) = z * conway(L0), conway(unknot) = 1, and
-    any split diagram evaluates to 0.  Only the recursion on virtual
-    codes fills `memo`; without it the call starts a fresh one.
+    any split diagram evaluates to 0; a virtual code raises DiagramError.
+    `memo` is unused, and kept for callers that still pass one.
     """
     if diagram.n_nodes:
         raise DiagramError("conway needs a node-free diagram; resolve nodes first")
-    return _conway(diagram, {} if memo is None else memo)
-
-
-def _conway(diagram, memo):
     if diagram.is_split():
         return _ZERO
-    val = _region_conway(diagram)
-    if val is not None:
-        return val
-    key = (diagram.components, tuple(sorted(diagram.signs.items())))
-    val = memo.get(key)
-    if val is not None:
-        return val
-    bad = _first_bad_crossing(diagram)
-    if bad is None:
-        val = _ONE if diagram.n_components == 1 else _ZERO
-    else:
-        sign = diagram.sign(bad)
-        switched = _conway(diagram.switch_crossing(bad), memo)
-        smoothed = _conway(diagram.smooth_crossing(bad), memo)
-        val = switched + sign * (_Z * smoothed)
-    memo[key] = val
-    return val
+    return _region_conway(diagram)
 
 
 def _region_conway(diagram):
     """Conway polynomial of a planar, non-split code from a minor of its
-    region matrix; None for a non-planar code.
+    region matrix; DiagramError for a non-planar (virtual) code.
 
     One row per crossing, one column per face (`SingularDiagram._faces`,
     whose one walk also decides planarity; corner j lies between slots j
@@ -115,7 +64,7 @@ def _region_conway(diagram):
     """
     faces = diagram._faces()
     if faces is None:
-        return None
+        raise DiagramError("conway needs a planar code; this one is virtual")
     n = diagram.n_crossings
     if n == 0:
         return _ONE if diagram.n_components == 1 else _ZERO
@@ -140,8 +89,15 @@ def _region_conway(diagram):
     value = _bareiss([rows[x] for x in owner])
     if sum(b_columns[x] == c for c, x in enumerate(owner)) % 2:
         value = -value
-    # value = s^n * nabla(s - 1/s); its balanced digits are the
-    # coefficients of s^-n ... s^n.  Peel a_k (s - 1/s)^k off the top.
+    return _nabla(value, n)
+
+
+def _nabla(value, n):
+    """nabla from value = s^n * nabla(s - 1/s) at s = 2^(n+1) + 1, for
+    nabla of degree at most n; a value not of that form raises."""
+    base = 2 ** (n + 1) + 1
+    # The balanced digits of value are the coefficients of s^-n ... s^n.
+    # Peel a_k (s - 1/s)^k off the top.
     coeffs = []
     for _ in range(2 * n + 1):
         coeffs.append((value + base // 2) % base - base // 2)
@@ -152,7 +108,7 @@ def _region_conway(diagram):
         for i in range(k + 1):
             coeffs[n + k - 2 * i] -= a * (-1) ** i * comb(k, i)
     if value or any(coeffs):
-        raise ArithmeticError(f"region minor of {diagram.to_gauss()} is not nabla(s - 1/s)")
+        raise ArithmeticError(f"region minor is not s^{n} * nabla(s - 1/s) at s = 2^{n + 1} + 1")
     return IntegerLaurentPoly(nabla)
 
 
@@ -250,8 +206,12 @@ def v2(diagram):
     as the Polyak-Viro arrow count (Polyak-Viro, *Gauss diagram formulas
     for Vassiliev invariants*, IMRN 1994): the sum of sign(a) * sign(b)
     over the crossing pairs whose passages are met from the basepoint as
-    a over, b under, a under, b over.  On a non-planar (virtual) code it
-    is the z^2 coefficient of `conway` from the same basepoint.
+    a over, b under, a under, b over.
+
+    Planarity is not checked, as a face walk costs more than the count.
+    On a virtual code the count is the z^2 coefficient of the descending
+    recursion from the stored basepoint: an invariant of the long virtual
+    knot cut there (Goussarov-Polyak-Viro 2000), not of the knot.
     """
     if diagram.n_nodes:
         raise DiagramError("v2 needs a node-free diagram")

@@ -68,7 +68,15 @@ def test_v2_of_a_large_torus_knot_and_of_a_virtual_code(capsys):
     t_2_201 = "".join(f"{'OU'[k % 2]}{k % 201 + 1}+" for k in range(402))
     assert parse_gauss(t_2_201) == braid_closure([1] * 201)
     assert run_json(capsys, ["v2", t_2_201])["v2"] == 5050
-    assert run_json(capsys, ["v2", "O1-O2-U1-U2-"])["v2"] == 0
+    err = run_error(capsys, ["v2", "O1-O2-U1-U2-"])
+    assert err["module"] == "codes" and "virtual" in err["message"]
+
+
+def test_conway_and_compare_refuse_a_virtual_code(tmp_path, capsys):
+    curve = curve_file(tmp_path, "trefoil_2max")
+    for argv in (["conway", "O1-O2-U1-U2-"], ["compare", curve, "O1-O2-U1-U2-"]):
+        err = run_error(capsys, argv)
+        assert err["module"] == "codes" and "virtual" in err["message"], argv
 
 
 def test_conway_from_file(tmp_path, capsys):
@@ -89,17 +97,15 @@ def test_parse_pd_and_json_agree(capsys):
 
 
 def test_vassiliev_eval_matches_exchange(capsys):
-    node = {
-        "format": "singular-diagram",
-        "components": [["P1", "O2", "Q1", "U2"]],
-        "signs": {"2": 1},
-    }
-    payload = run_json(capsys, ["vassiliev-eval", json.dumps(node)])
-    from vassiliev.codes import SingularDiagram
-
-    d = SingularDiagram.from_json_dict(node)
-    expected = conway(d.resolve_node(1, "positive")) - conway(d.resolve_node(1, "negative"))
-    assert payload["coefficients"] == {str(e): c for e, c in expected.items()}
+    payload = run_json(capsys, ["vassiliev-eval", NODE_TREFOIL])
+    d = braid_closure([("node", 1), 1, 1])
+    assert d.to_json_dict() == json.loads(NODE_TREFOIL) | {"format": "singular-diagram"}
+    expected = conway(d.resolve_node(0, "positive")) - conway(d.resolve_node(0, "negative"))
+    assert payload["coefficients"] == {str(e): c for e, c in expected.items()} == {"2": 1}
+    # Both resolutions of this node are virtual codes.
+    node = {"components": [["P1", "O2", "Q1", "U2"]], "signs": {"2": 1}}
+    err = run_error(capsys, ["vassiliev-eval", json.dumps(node)])
+    assert err["module"] == "codes" and "virtual" in err["message"]
 
 
 def test_chords_enumerate(capsys):

@@ -4,6 +4,7 @@ import re
 import time
 
 import pytest
+from oracles import first_bad_crossing
 
 from vassiliev.codes import (
     DiagramError,
@@ -15,7 +16,6 @@ from vassiliev.codes import (
     parse_pd,
     sample_singular_diagrams,
 )
-from vassiliev.skein import _first_bad_crossing
 
 TREFOIL_GAUSS = "O1+U2+O3+U1+O2+U3+"
 TREFOIL_PD = "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"
@@ -304,7 +304,7 @@ def scrambled(d, rng):
 
 def skein_subdiagrams(d):
     """d and every diagram the descending Conway recursion resolves it into."""
-    bad = _first_bad_crossing(d)
+    bad = first_bad_crossing(d)
     if bad is None:
         return [d]
     return [d] + skein_subdiagrams(d.switch_crossing(bad)) + skein_subdiagrams(d.smooth_crossing(bad))

@@ -3,6 +3,7 @@ import random
 import time
 
 import pytest
+from oracles import conway_recursion, polyak_viro_v2
 
 from vassiliev import skein
 from vassiliev.codes import (
@@ -62,7 +63,7 @@ def test_conway_split_zero():
     # 8 split Hopf links are too symmetric for a canonical key, which
     # conway never asks for.
     split_hopfs = braid_closure([k for k in range(1, 16, 2) for _ in (0, 1)], 16)
-    assert conway(split_hopfs, memo={}) == 0
+    assert conway(split_hopfs) == 0
 
 
 def test_conway_keychain():
@@ -74,7 +75,7 @@ def test_conway_keychain():
         leaves.append([("U", a), ("O", a + 1)])
         signs[a] = signs[a + 1] = 1
     start = time.perf_counter()
-    assert conway(SingularDiagram([ring] + leaves, signs), memo={}) == Z.shifted(7)
+    assert conway(SingularDiagram([ring] + leaves, signs)) == Z.shifted(7)
     assert time.perf_counter() - start < 1.0
 
 
@@ -124,60 +125,15 @@ def test_v2_values():
     assert v2(TREFOIL.mirror()) == 1
 
 
-def polyak_viro_v2(knot):
-    """Sum of sign(a) * sign(b) over the pairs of crossings whose passages
-    are met from the basepoint as a over, b under, a under, b over."""
-    (comp,) = knot.components
-    at = {token: i for i, token in enumerate(comp)}
-    return sum(
-        knot.sign(a) * knot.sign(b)
-        for a in knot.crossing_ids
-        for b in knot.crossing_ids
-        if at["O", a] < at["U", b] < at["U", a] < at["O", b]
-    )
-
-
-class CanonicalMemo(dict):
-    """A memo for the recursion on planar codes that files each code
-    under its canonical key.  Sound because switches and smoothings of a
-    planar code are planar, and there the recursion's value is a link
-    invariant."""
-
-    def __init__(self):
-        super().__init__()
-        self.filed = {}  # code as given -> canonical key
-
-    def canonical_key(self, key):
-        if key not in self.filed:
-            self.filed[key] = SingularDiagram._from_parts(key[0], dict(key[1])).canonical_key()
-        return self.filed[key]
-
-    def get(self, key):
-        return super().get(self.canonical_key(key))
-
-    def __setitem__(self, key, value):
-        super().__setitem__(self.canonical_key(key), value)
-
-
-def planar_recursion(monkeypatch):
-    """The pure recursion (no region route) on planar codes, one
-    canonical memo shared by the calls."""
-    monkeypatch.setattr(skein, "_region_conway", lambda d: None)
-    memo = CanonicalMemo()
-    return lambda d: conway(d, memo=memo)
-
-
-def test_v2_matches_polyak_viro_formula(monkeypatch):
+def test_v2_matches_polyak_viro_formula():
     rng = random.Random(1998)
     knots = sample_singular_diagrams(rng, 0, 300, n_strands=4, max_crossings=10, one_component=True)
     assert {polyak_viro_v2(d) for d in knots} >= {-1, 0, 1, 2}
     for d in knots:
         assert v2(d) == polyak_viro_v2(d), d.to_gauss()
-    # The region route against the pure recursion, mirrors included.
+    # The region route against the recursion, mirrors included.
     corpus = knots + [d.mirror() for d in knots]
-    fast = [conway(d).items() for d in corpus]
-    recursion = planar_recursion(monkeypatch)
-    assert fast == [recursion(d).items() for d in corpus]
+    assert [conway(d).items() for d in corpus] == [conway_recursion(d).items() for d in corpus]
 
 
 def rotations(d):
@@ -185,7 +141,7 @@ def rotations(d):
     return [SingularDiagram([comp[r:] + comp[:r]], d.signs) for r in range(len(comp))]
 
 
-def test_v2_arrow_count_equals_recursion_on_planar_knots(monkeypatch):
+def test_v2_arrow_count_equals_recursion_on_planar_knots():
     rng = random.Random(1998)
     knots = sample_singular_diagrams(rng, 0, 300, n_strands=4, max_crossings=10, one_component=True)
     shadow_knots = []
@@ -200,8 +156,7 @@ def test_v2_arrow_count_equals_recursion_on_planar_knots(monkeypatch):
     rotated = [r for d in knots[:50] for r in rotations(d)]
     corpus = knots + [d.mirror() for d in knots] + shadow_knots + rotated
     assert all(d.is_planar() for d in corpus)
-    recursion = planar_recursion(monkeypatch)
-    assert [v2(d) for d in corpus] == [recursion(d).coefficient(2) for d in corpus]
+    assert [v2(d) for d in corpus] == [conway_recursion(d).coefficient(2) for d in corpus]
 
 
 def test_v2_arrow_count_on_torus_knots():
@@ -220,10 +175,8 @@ def test_braid_closure_knots_are_planar_and_virtual_trefoil_is_not():
     assert braid_closure([1, 1, 3, 3], n_strands=4).is_planar()  # two Hopf links side by side
     virtual = parse_gauss("O1-O2-U1-U2-")
     assert not virtual.is_planar()
-    assert skein._region_conway(virtual) is None
-    memo = {}
-    assert conway(TREFOIL, memo=memo) == 1 + Z * Z and memo == {}  # planar codes skip the memo
-    assert conway(braid_closure([1, 1]), memo=memo) == Z and memo == {}  # links too
+    with pytest.raises(DiagramError, match="virtual"):
+        conway(virtual)
 
 
 def test_crossingless_circles_are_planar_split_pieces():
@@ -242,33 +195,20 @@ def random_gauss_knot(rng, n):
     return SingularDiagram([tokens], {i: rng.choice((1, -1)) for i in range(n)})
 
 
-def test_conway_routes_agree_on_random_gauss_codes(monkeypatch):
+def test_conway_routes_agree_on_random_gauss_codes():
     rng = random.Random(5)
     codes = [random_gauss_knot(rng, rng.randint(3, 7)) for _ in range(300)]
     planar = [d.is_planar() for d in codes]
     assert 10 <= sum(planar) <= 290
     for d, flat in zip(codes, planar):
-        assert (skein._region_conway(d) is None) == (not flat), d.to_gauss()
-    fast = [conway(d, memo={}).items() for d in codes]
-    monkeypatch.setattr(skein, "_region_conway", lambda d: None)
-    assert fast == [conway(d, memo={}).items() for d in codes]
+        if flat:
+            assert conway(d).items() == conway_recursion(d).items(), d.to_gauss()
+        else:
+            with pytest.raises(DiagramError, match="virtual"):
+                conway(d)
 
 
-class Forgetful(dict):
-    """A memo that stores nothing, so every lookup misses."""
-
-    def __setitem__(self, key, value):
-        pass
-
-
-def memo_free_conway(monkeypatch):
-    """The pure recursion (no region route) with no memo at all: its
-    value on a code is read from the code's own basepoints."""
-    monkeypatch.setattr(skein, "_region_conway", lambda d: None)
-    return lambda d: conway(d, memo=Forgetful())
-
-
-def test_v2_arrow_count_equals_memo_free_recursion_on_virtual_codes(monkeypatch):
+def test_v2_arrow_count_equals_memo_free_recursion_on_virtual_codes():
     rng = random.Random(12)
     codes = [parse_gauss("O1-O2-U1-U2-")]
     while len(codes) < 201:
@@ -280,8 +220,7 @@ def test_v2_arrow_count_equals_memo_free_recursion_on_virtual_codes(monkeypatch)
     values = [v2(d) for d in codes]
     assert values == [polyak_viro_v2(d) for d in codes]
     assert {-1, 0, 1} <= set(values)
-    recursion = memo_free_conway(monkeypatch)
-    assert values == [recursion(d).coefficient(2) for d in codes]
+    assert values == [conway_recursion(d).coefficient(2) for d in codes]
 
 
 def random_virtual_code(rng, n, n_components):
@@ -296,7 +235,7 @@ def random_virtual_code(rng, n, n_components):
     return None if d.is_planar() else d
 
 
-def test_conway_of_virtual_codes_is_the_memo_free_recursion(monkeypatch):
+def test_conway_refuses_virtual_codes():
     rng = random.Random(13)
     codes = []
     while len(codes) < 300:
@@ -304,18 +243,25 @@ def test_conway_of_virtual_codes_is_the_memo_free_recursion(monkeypatch):
         if d is not None:
             codes.append(d)
     assert {d.n_components for d in codes} == {1, 2}
-    # One after another, so a memo shared between calls would show.
-    values = [conway(d).items() for d in codes]
-    recursion = memo_free_conway(monkeypatch)
-    assert values == [recursion(d).items() for d in codes]
+    # conway answers a split code 0 before it asks planarity, and the
+    # recursion gives 0 there from every basepoint.  One code is split.
+    assert sum(d.is_split() for d in codes) == 1
+    for d in codes:
+        if d.is_split():
+            assert conway(d) == 0 == conway_recursion(d)
+        else:
+            with pytest.raises(DiagramError, match="virtual"):
+                conway(d)
 
 
-def test_virtual_rotations_do_not_depend_on_memo_order():
+def test_virtual_rotations_move_the_recursion_and_conway_refuses_them():
+    # The recursion's value moves with the basepoint, which is why
+    # conway refuses virtual codes.
     rots = rotations(parse_gauss("O1-O2-U1-U2-"))
-    memo = {}
-    forward = [conway(d, memo=memo) for d in rots]
-    backward = [conway(d, memo=memo) for d in reversed(rots)][::-1]
-    assert forward == backward == [1, 1 + Z * Z, 1, 1]
+    assert [conway_recursion(d) for d in rots] == [1, 1 + Z * Z, 1, 1]
+    for d in rots:
+        with pytest.raises(DiagramError, match="virtual"):
+            conway(d)
 
 
 def test_conway_torus_knots_closed_form_fast():
@@ -346,22 +292,20 @@ def random_closure_links(rng, count, n_letters=(2, 9)):
     return links
 
 
-def test_region_route_equals_recursion_on_torus_link_ladders(monkeypatch):
+def test_region_route_equals_recursion_on_torus_link_ladders():
     ladders = [torus_link(2, 2 * k) for k in range(1, 8)] + [torus_link(3, 3 * k) for k in range(1, 3)]
     fast = [conway(d).items() for d in ladders]
-    recursion = planar_recursion(monkeypatch)
-    assert fast == [recursion(d).items() for d in ladders]
+    assert fast == [conway_recursion(d).items() for d in ladders]
 
 
-def test_region_route_equals_recursion_on_closure_links_and_smoothings(monkeypatch):
+def test_region_route_equals_recursion_on_closure_links_and_smoothings():
     links = random_closure_links(random.Random(14), 80)
     assert {d.n_components for d in links} == {2, 3, 4}
     smoothings = [d.smooth_crossing(sid) for d in links[:20] for sid in d.crossing_ids]
     assert any(d.n_components == 1 for d in smoothings) and any(d.is_split() for d in smoothings)
     corpus = links + smoothings
     fast = [conway(d).items() for d in corpus]
-    recursion = planar_recursion(monkeypatch)
-    assert fast == [recursion(d).items() for d in corpus]
+    assert fast == [conway_recursion(d).items() for d in corpus]
 
 
 def with_nugatory_crossing(d, e, rng):
@@ -390,7 +334,7 @@ def shares_an_unstruck_b_and_t_face(d):
     return False
 
 
-def test_region_route_equals_recursion_on_nugatory_crossings(monkeypatch):
+def test_region_route_equals_recursion_on_nugatory_crossings():
     rng = random.Random(15)
     pieces = sample_singular_diagrams(rng, 0, 80, n_strands=3, max_crossings=5)
     pieces += random_closure_links(rng, 40, n_letters=(2, 5))
@@ -402,8 +346,7 @@ def test_region_route_equals_recursion_on_nugatory_crossings(monkeypatch):
     assert all(d.is_planar() for d in codes) and len(codes) > 150
     assert sum(map(shares_an_unstruck_b_and_t_face, codes)) > 50
     fast = [conway(d).items() for d in codes]
-    recursion = planar_recursion(monkeypatch)
-    assert fast == [recursion(d).items() for d in codes]
+    assert fast == [conway_recursion(d).items() for d in codes]
 
 
 def test_conway_of_a_mirror_link_is_conway_at_minus_z():
@@ -413,6 +356,29 @@ def test_conway_of_a_mirror_link_is_conway_at_minus_z():
     for d in links:
         flipped = {e: (-1) ** e * c for e, c in conway(d).items()}
         assert dict(conway(d.mirror()).items()) == flipped, d.to_gauss()
+
+
+def test_conway_multiplies_and_v2_adds_under_connected_sum():
+    # beta1 on strands 1..a and beta2 shifted onto strands a..a+b-1 close
+    # to the connected sum of their closures along strand a.
+    rng = random.Random(7)
+    pairs = knots = 0
+    while pairs < 150:
+        (a, w1), (b, w2) = [
+            (n, [rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(rng.randint(1, 7))])
+            for n in (rng.randint(2, 4), rng.randint(2, 4))
+        ]
+        k1, k2 = braid_closure(w1, a), braid_closure(w2, b)
+        if k1.is_split() or k2.is_split():
+            continue
+        pairs += 1
+        shifted = [x + a - 1 if x > 0 else x - a + 1 for x in w2]
+        total = braid_closure(w1 + shifted, a + b - 1)
+        assert conway(total) == conway(k1) * conway(k2), (w1, w2)
+        if total.n_components == 1:
+            knots += 1
+            assert v2(total) == v2(k1) + v2(k2), (w1, w2)
+    assert knots >= 20
 
 
 def test_conway_of_large_links_fast():
@@ -428,10 +394,12 @@ def test_conway_of_large_links_fast():
         assert time.perf_counter() - start < 1.0, d.to_gauss()
 
 
-def test_region_route_raises_on_a_remainder(monkeypatch):
-    monkeypatch.setattr(skein, "_bareiss", lambda rows: 2)
-    with pytest.raises(ArithmeticError):
-        conway(TREFOIL, memo={})
+def test_region_route_raises_on_a_remainder():
+    # The trefoil's minor at n = 3 is s^3 * (1 + (s - 1/s)^2) = s^5 - s^3 + s, s = 17.
+    assert skein._nabla(17**5 - 17**3 + 17, 3) == 1 + Z * Z
+    for minor in (2, 17**5 - 17**3 + 18, 17**7):
+        with pytest.raises(ArithmeticError):
+            skein._nabla(minor, 3)
 
 
 def test_v2_rejects_links_and_nodes():
@@ -460,12 +428,18 @@ def test_extend_invariant_general_coefficients():
     # all three coefficients zero: zero of the coefficients' type, on one node or more
     two_nodes = [
         braid_closure([("node", 1), ("node", 1), 1]),
-        SingularDiagram.from_json_dict({"components": [["P1", "P2", "Q1", "Q2"]], "signs": {}}),
+        braid_closure([("node", 1), ("node", 2), 1, 2]),
     ]
     for g in [d] + two_nodes:
         assert extend_invariant(conway, 0, 0, 0)(g) == 0
         zero = extend_invariant(conway, P.zero(), P.zero(), P.zero())(g)
         assert isinstance(zero, P) and zero == P.zero()
+    # Two nodes whose resolutions are virtual: conway refuses them.
+    virtual = SingularDiagram.from_json_dict({"components": [["P1", "P2", "Q1", "Q2"]], "signs": {}})
+    assert not virtual.is_planar()
+    for coeffs in ((1, 1, 0), (0, 0, 0)):
+        with pytest.raises(DiagramError, match="virtual"):
+            extend_invariant(conway, *coeffs)(virtual)
 
 
 def test_conway_not_finite_type_but_coefficients_are():
