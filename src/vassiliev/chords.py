@@ -3,14 +3,19 @@
 A chord diagram of degree m is a perfect matching on 2m points of an
 oriented circle.  A matching is held as one representation throughout,
 its partner tuple: entry i is the point paired with point i.  Raw
-matchings come from one generator of partner tuples, and diagrams are
-stored canonically: the partner tuple is minimized over rotations of the
-circle (reflections are not quotiented out; the circle orientation is
-part of the data).
+matchings come from one generator of partner tuples, which can skip
+chords shorter than a bound, and diagrams are stored canonically: the
+partner tuple is minimized over rotations of the circle (reflections
+are not quotiented out; the circle orientation is part of the data).
+Enumeration draws only the candidates whose chords are long enough to
+be least rotations, and each degree's four-term relations are built
+once per process.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from fractions import Fraction
 
 from .codes import NODE_FIRST, NODE_SECOND
@@ -105,10 +110,16 @@ class ChordDiagram:
         return ",".join(f"{a}-{b}" for a, b in self.pairs())
 
 
-def _partner_tables(n):
-    """Every perfect matching of n points as a partner tuple.  The first
-    free point is paired with each later free point in ascending order,
-    so the tuples come out in ascending order."""
+def _partner_tables(n, shortest=1):
+    """Every perfect matching of n points as a partner tuple whose chords
+    are all at least `shortest` long both ways round the circle.
+
+    A chord (i, j) with i < j is j - i long one way and n - j + i the
+    other, so the first free point i is paired only with each free j in
+    range(i + shortest, min(n, i + n - shortest + 1)), taken in turn,
+    and the tuples come out in ascending order.  The default bound
+    keeps every matching.
+    """
     if n < 0:
         raise ValueError("degree must be nonnegative")
     partner = [-1] * n
@@ -119,7 +130,7 @@ def _partner_tables(n):
         if i == n:
             yield tuple(partner)
             return
-        for j in range(i + 1, n):
+        for j in range(i + shortest, min(n, i + n - shortest + 1)):
             if partner[j] < 0:
                 partner[i], partner[j] = j, i
                 yield from fill(i + 1)
@@ -137,36 +148,46 @@ def raw_matchings(m):
 
 
 def _is_least_rotation(partner):
-    # Rotation r leads with the gap (partner[r] - r) % n, so it can only
-    # be smaller if that gap is at most partner[0]; only ties are built.
+    # Rotation r leads with the gap (partner[r] - r) % n.  The caller
+    # passes only tables with no gap below partner[0], so just the
+    # rotations whose gap equals it are built and compared.
     n = len(partner)
-    lead = partner[0] if n else 0
+    lead = partner[0]
     for r in range(1, n):
-        gap = (partner[r] - r) % n
-        if gap < lead:
-            return False
-        if gap == lead and tuple((p - r) % n for p in partner[r:] + partner[:r]) < partner:
-            return False
+        if (partner[r] - r) % n == lead:
+            if tuple((p - r) % n for p in partner[r:] + partner[:r]) < partner:
+                return False
     return True
 
 
 def enumerate_diagrams(m):
     """All canonical chord diagrams of degree m, in ascending order.
 
-    A raw partner tuple is kept only if it is the least of its 2m
-    rotations, so each class is found once, at its canonical form, with
-    no set of seen diagrams.  Rotations whose leading gap is below
-    partner[0] reject at once; only those whose gap equals it are built
-    and compared.  Returns (diagrams, raw_count) where raw_count is the
-    number of raw matchings of 2m points, (2m-1)!!.
+    A canonical diagram is the least of its 2m rotations, so each class
+    is found once, at its canonical form, with no set of seen diagrams.
+    Only candidates that can be least are tested.  Rotation r leads with
+    the gap (partner[r] - r) % 2m, so in a least rotation partner[0] is
+    the least gap over all points.  The two gaps at a chord's ends are
+    its lengths both ways round the circle, so every chord is at least
+    partner[0] long both ways, and partner[0] is at most m.  For each
+    lead in 1..m the tables with partner[0] == lead are therefore drawn
+    from `_partner_tables(2m, lead)`, which skips the shorter chords,
+    and only the rotations whose gap ties with the lead are compared.
+    Returns (diagrams, raw_count) where raw_count is the number of raw
+    matchings of 2m points, (2m-1)!!, computed rather than counted.
     """
+    if m < 0:
+        raise ValueError("degree must be nonnegative")
+    if m == 0:
+        return [ChordDiagram._from_canonical(())], 1
     diagrams = []
-    raw = 0
-    for partner in _partner_tables(2 * m):
-        raw += 1
-        if _is_least_rotation(partner):
-            diagrams.append(ChordDiagram._from_canonical(partner))
-    return diagrams, raw
+    for lead in range(1, m + 1):
+        for partner in _partner_tables(2 * m, lead):
+            if partner[0] != lead:
+                break
+            if _is_least_rotation(partner):
+                diagrams.append(ChordDiagram._from_canonical(partner))
+    return diagrams, math.prod(range(1, 2 * m, 2))
 
 
 def chord_diagram_of(diagram):
@@ -196,7 +217,16 @@ def four_term_relations(m):
     (+1, -1, +1, -1).  The relation asserts the signed sum of weights
     vanishes.  Formally coincident insertions are kept; duplicate
     relations are removed.  Degree must be at least 2.
+
+    Each degree is built once per process and shared by every caller;
+    the list returned is a fresh one on every call, so a caller may
+    change it.
     """
+    return list(_four_term_relations(m))
+
+
+@functools.lru_cache(maxsize=8)
+def _four_term_relations(m):
     if m < 2:
         raise ValueError("four-term relations need degree >= 2")
     last = 2 * m - 1  # the moving chord's anchored end; rotations cover other spots
@@ -215,7 +245,7 @@ def four_term_relations(m):
             if key not in seen:
                 seen.add(key)
                 relations.append(tuple(terms))
-    return relations
+    return tuple(relations)
 
 
 def _relation_key(terms):
@@ -234,7 +264,7 @@ def satisfies_4T(weight_fn, m, tol=1e-9):
     relation and its sum.
     """
     weights = {}
-    for relation in four_term_relations(m):
+    for relation in _four_term_relations(m):
         total = None
         exact = True
         for sign, diagram in relation:

@@ -152,45 +152,57 @@ def gl_fundamental(N):
     return LieAlgebraData(f"gl{N}", N, traceless=False)
 
 
-def _index_loops(chords, n, traced):
-    """Index loops on n circle positions; chord i takes the trace part
-    when bit i of traced is set."""
+def _weight_of_partner(algebra, partner):
+    """Exact weight of a matching given as a partner tuple, any rotation.
+
+    Each chord joins index positions in one union-find.  For gl(N) every
+    chord takes the swap.  For su(N) the chords are walked depth first,
+    each taking the swap and then the trace part, with its joins undone
+    on the way back, so the 2^m subsets share the joins of their common
+    prefix; a subset S adds (-1)^|S| N^(c_S + m - |S|).
+    """
+    n = len(partner)
+    N = algebra.N
     if n == 0:
-        return 1  # the bare circle
+        return Fraction(N)  # the bare circle is one loop
+    m = n // 2
+    chords = [(p, q) for p, q in enumerate(partner) if p < q]
+    swaps = [((p, (q + 1) % n), (p + 1, q)) for p, q in chords]
     parent = list(range(n))
 
     def find(x):
         while parent[x] != x:
-            parent[x] = parent[parent[x]]
             x = parent[x]
         return x
 
-    loops = n
-    for i, (p, q) in enumerate(chords):
-        if traced >> i & 1:
-            joins = ((p, p + 1), (q, q + 1))
-        else:
-            joins = ((p, q + 1), (p + 1, q))
-        for a, b in joins:
-            ra, rb = find(a % n), find(b % n)
+    def join(pairs):
+        """Join each pair's loops; return the roots that were linked."""
+        roots = []
+        for a, b in pairs:
+            ra, rb = find(a), find(b)
             if ra != rb:
                 parent[ra] = rb
-                loops -= 1
-    return loops
+                roots.append(ra)
+        return roots
 
-
-def _weight_of_partner(algebra, partner):
-    """Exact weight of a matching given as a partner tuple, any rotation."""
-    n = len(partner)
-    chords = [(p, q) for p, q in enumerate(partner) if p < q]
-    m, N = len(chords), algebra.N
     if not algebra.traceless:
-        return Fraction(N ** _index_loops(chords, n, 0), 2**m)
-    total = 0
-    for traced in range(1 << m):
-        k = traced.bit_count()
-        total += (-1) ** k * N ** (_index_loops(chords, n, traced) + m - k)
-    return Fraction(total, (2 * N) ** m)
+        return Fraction(N ** (n - sum(len(join(pairs)) for pairs in swaps)), 2**m)
+    traces = [((p, p + 1), (q, (q + 1) % n)) for p, q in chords]
+    options = [((swap, N), (trace, -1)) for swap, trace in zip(swaps, traces)]
+
+    def walk(i, loops, scale):
+        # scale is (-1)^|S| N^(i - |S|) for the subset S of chords before i
+        if i == m:
+            return scale * N**loops
+        total = 0
+        for pairs, factor in options[i]:
+            roots = join(pairs)
+            total += walk(i + 1, loops - len(roots), scale * factor)
+            for r in roots:
+                parent[r] = r
+        return total
+
+    return Fraction(walk(0, n, 1), (2 * N) ** m)
 
 
 def weight(algebra, diagram):

@@ -36,16 +36,19 @@ def first_bad_crossing(diagram):
     return None
 
 
-def conway_recursion(diagram):
+def conway_recursion(diagram, memo=None):
     """Conway polynomial of a node-free code by the descending recursion.
 
-    The memo lives for one call.  The subdiagrams of a planar code are
-    filed under their canonical keys: switches and smoothings of a planar
-    code are planar, and there the value is a link invariant.  Those of
-    a virtual code are filed as given, site ids and basepoints included,
-    so a hit repeats the same recursion.
+    The subdiagrams of a planar code are filed under their canonical
+    keys: switches and smoothings of a planar code are planar, and there
+    the value is a link invariant.  Those of a virtual code are filed as
+    given, site ids and basepoints included, so a hit repeats the same
+    recursion.  The memo lives for one call unless one is passed; a memo
+    shared by calls on planar codes only is sound, since its keys are
+    canonical, but a hit then skips the recursion from that basepoint.
     """
-    memo = {}
+    if memo is None:
+        memo = {}
     planar = diagram.is_planar()
 
     def rec(d):

@@ -6,6 +6,7 @@ import pytest
 from vassiliev import cli
 from vassiliev.chords import (
     ChordDiagram,
+    _partner_tables,
     chord_diagram_of,
     enumerate_diagrams,
     four_term_relations,
@@ -20,10 +21,30 @@ def test_counts_match_double_factorial():
     expected = {0: 1, 1: 1, 2: 3, 3: 15, 4: 105, 5: 945, 6: 10395}
     for m, raw_expected in expected.items():
         diagrams, raw = enumerate_diagrams(m)
-        assert raw == raw_expected
+        assert raw == raw_expected == sum(1 for _ in raw_matchings(m))
         assert len(set(diagrams)) == len(diagrams)
         for d in diagrams:
             assert d.degree == m
+
+
+def test_negative_degree_raises():
+    with pytest.raises(ValueError):
+        enumerate_diagrams(-1)
+    with pytest.raises(ValueError):
+        list(raw_matchings(-1))
+
+
+def _least_chord(partner):
+    n = len(partner)
+    return min((min(j - i, n - j + i) for i, j in enumerate(partner) if i < j), default=n)
+
+
+def test_partner_tables_bound_equals_filtering_by_least_chord():
+    for n in range(13):
+        tables = list(_partner_tables(n))
+        for shortest in range(1, n // 2 + 1):
+            kept = [t for t in tables if _least_chord(t) >= shortest]
+            assert list(_partner_tables(n, shortest)) == kept, (n, shortest)
 
 
 def test_canonical_class_counts():
@@ -90,6 +111,15 @@ def test_four_term_relations_match_pair_built_oracle():
         for rel in relations:
             for _, d in rel:
                 assert ChordDiagram(d.pairs()).partner == d.partner
+
+
+def test_four_term_relations_return_a_fresh_list():
+    first = four_term_relations(3)
+    expected = list(first)
+    first.pop()
+    first[0] = None
+    assert four_term_relations(3) == expected
+    assert four_term_relations(3) is not four_term_relations(3)
 
 
 def test_satisfies_4T_weighs_each_distinct_diagram_once():

@@ -161,7 +161,7 @@ def test_weights_above_degree_four_are_exact():
 
 def test_weight_systems_satisfy_4T():
     for alg in (su2_fundamental(), gl_fundamental(2), gl_fundamental(3)):
-        for m in (2, 3, 4, 5):
+        for m in (2, 3, 4, 5, 6):
             table = weight_system(alg, m)
             ok, counter = satisfies_4T(lambda d: table[d], m, tol=0)
             assert ok, (alg.name, m, counter)
