@@ -8,8 +8,11 @@ chords shorter than a bound, and diagrams are stored canonically: the
 partner tuple is minimized over rotations of the circle (reflections
 are not quotiented out; the circle orientation is part of the data).
 Enumeration draws only the candidates whose chords are long enough to
-be least rotations, and each degree's four-term relations are built
-once per process.
+be least rotations.  Each degree's diagrams and four-term relations are
+built once per process, and the public functions return a fresh list
+on every call.  A four-term term is not canonicalized: its table is
+looked up in the degree's rotation index, which maps every raw table to
+its diagram and is built by rotating each canonical diagram.
 """
 
 from __future__ import annotations
@@ -58,11 +61,7 @@ class ChordDiagram:
         # rotations with the least gap can give the least tuple.
         gaps = [(p - i) % n for i, p in enumerate(partner)]
         least = min(gaps)
-        return min(
-            tuple((p - r) % n for p in partner[r:] + partner[:r])
-            for r, gap in enumerate(gaps)
-            if gap == least
-        )
+        return min(_rotated(partner, r) for r, gap in enumerate(gaps) if gap == least)
 
     @property
     def degree(self):
@@ -147,6 +146,13 @@ def raw_matchings(m):
         yield [(i, j) for i, j in enumerate(partner) if i < j]
 
 
+def _rotated(partner, r):
+    """The partner table read from point r: point i of the result is
+    point (i + r) % n of the input."""
+    n = len(partner)
+    return tuple([(p - r) % n for p in partner[r:] + partner[:r]])
+
+
 def _is_least_rotation(partner):
     # Rotation r leads with the gap (partner[r] - r) % n.  The caller
     # passes only tables with no gap below partner[0], so just the
@@ -155,7 +161,7 @@ def _is_least_rotation(partner):
     lead = partner[0]
     for r in range(1, n):
         if (partner[r] - r) % n == lead:
-            if tuple((p - r) % n for p in partner[r:] + partner[:r]) < partner:
+            if _rotated(partner, r) < partner:
                 return False
     return True
 
@@ -175,11 +181,20 @@ def enumerate_diagrams(m):
     and only the rotations whose gap ties with the lead are compared.
     Returns (diagrams, raw_count) where raw_count is the number of raw
     matchings of 2m points, (2m-1)!!, computed rather than counted.
+
+    Each degree is built once per process and shared with
+    `four_term_relations`; the list returned is a fresh one on every
+    call, so a caller may change it.
     """
+    return list(_canonical_diagrams(m)), math.prod(range(1, 2 * m, 2))
+
+
+@functools.lru_cache(maxsize=8)
+def _canonical_diagrams(m):
     if m < 0:
         raise ValueError("degree must be nonnegative")
     if m == 0:
-        return [ChordDiagram._from_canonical(())], 1
+        return (ChordDiagram._from_canonical(()),)
     diagrams = []
     for lead in range(1, m + 1):
         for partner in _partner_tables(2 * m, lead):
@@ -187,7 +202,18 @@ def enumerate_diagrams(m):
                 break
             if _is_least_rotation(partner):
                 diagrams.append(ChordDiagram._from_canonical(partner))
-    return diagrams, math.prod(range(1, 2 * m, 2))
+    return tuple(diagrams)
+
+
+def _rotation_index(m):
+    """Map each of the (2m-1)!! raw partner tables of 2m points to the
+    position of its diagram in `_canonical_diagrams(m)`, by rotating
+    every canonical diagram 2m times."""
+    index = {}
+    for position, diagram in enumerate(_canonical_diagrams(m)):
+        for r in range(2 * m):
+            index[_rotated(diagram.partner, r)] = position
+    return index
 
 
 def chord_diagram_of(diagram):
@@ -218,9 +244,12 @@ def four_term_relations(m):
     vanishes.  Formally coincident insertions are kept; duplicate
     relations are removed.  Degree must be at least 2.
 
-    Each degree is built once per process and shared by every caller;
-    the list returned is a fresh one on every call, so a caller may
-    change it.
+    Each inserted table finds its diagram in the degree's rotation
+    index, a map from every raw table to its diagram's position in
+    `enumerate_diagrams(m)`, so no term is canonicalized; the index
+    lives only while the relations are built.  Each degree is built
+    once per process and shared by every caller; the list returned is a
+    fresh one on every call, so a caller may change it.
     """
     return list(_four_term_relations(m))
 
@@ -229,6 +258,8 @@ def four_term_relations(m):
 def _four_term_relations(m):
     if m < 2:
         raise ValueError("four-term relations need degree >= 2")
+    diagrams = _canonical_diagrams(m)
+    index = _rotation_index(m)
     last = 2 * m - 1  # the moving chord's anchored end; rotations cover other spots
     relations = []
     seen = set()
@@ -236,22 +267,20 @@ def _four_term_relations(m):
         for k1, k2 in enumerate(partner):
             if k1 > k2:
                 continue
-            terms = []
-            for gap, sign in ((k1, 1), (k1 + 1, -1), (k2, 1), (k2 + 1, -1)):
-                lifted = [p + 1 if p >= gap else p for p in partner]
-                table = tuple(lifted[:gap] + [last] + lifted[gap:] + [gap])
-                terms.append((sign, ChordDiagram._from_canonical(ChordDiagram._canonicalize(table))))
-            key = _relation_key(terms)
+            positions = []
+            for gap in (k1, k1 + 1, k2, k2 + 1):
+                table = [p + 1 if p >= gap else p for p in partner]
+                table.insert(gap, last)
+                table.append(gap)
+                positions.append(index[tuple(table)])
+            # A position names one diagram, and negating a relation
+            # swaps its plus and minus terms.
+            plus, minus = tuple(sorted(positions[::2])), tuple(sorted(positions[1::2]))
+            key = min(plus, minus), max(plus, minus)
             if key not in seen:
                 seen.add(key)
-                relations.append(tuple(terms))
+                relations.append(tuple(zip((1, -1, 1, -1), (diagrams[p] for p in positions))))
     return tuple(relations)
-
-
-def _relation_key(terms):
-    fwd = tuple(sorted((d.partner, s) for s, d in terms))
-    bwd = tuple(sorted((d.partner, -s) for s, d in terms))
-    return min(fwd, bwd)
 
 
 def satisfies_4T(weight_fn, m, tol=1e-9):

@@ -255,9 +255,11 @@ def _ordered_blocks(F, step, degree):
     def tail(g):
         return step * (np.cumsum(g[::-1])[::-1] - 0.5 * g)
 
+    blocks = [step * F.sum(axis=1)]
+    if degree < 2:
+        return blocks
     n = len(F)
     H = step * (np.cumsum(F, axis=1) - 0.5 * F)
-    blocks = [step * F.sum(axis=1)]
     for k in range(2, degree + 1):
         block = np.empty((n,) * k, dtype=complex)
         for above in itertools.product(range(n), repeat=k - 2):

@@ -7,6 +7,7 @@ from vassiliev import cli
 from vassiliev.chords import (
     ChordDiagram,
     _partner_tables,
+    _rotation_index,
     chord_diagram_of,
     enumerate_diagrams,
     four_term_relations,
@@ -28,6 +29,9 @@ def test_counts_match_double_factorial():
 
 
 def test_negative_degree_raises():
+    with pytest.raises(ValueError):
+        enumerate_diagrams(-1)
+    enumerate_diagrams(2)
     with pytest.raises(ValueError):
         enumerate_diagrams(-1)
     with pytest.raises(ValueError):
@@ -104,13 +108,32 @@ def test_enumerate_diagrams_matches_per_matching_oracle():
 
 
 def test_four_term_relations_match_pair_built_oracle():
-    for m, count in ((2, 1), (3, 4), (4, 34), (5, 396)):
+    for m, count in ((2, 1), (3, 4), (4, 34), (5, 396), (6, 4597)):
         relations = four_term_relations(m)
         assert len(relations) == count
         assert relations == pair_built_relations(m)
         for rel in relations:
             for _, d in rel:
                 assert ChordDiagram(d.pairs()).partner == d.partner
+
+
+def test_enumerate_diagrams_return_a_fresh_list():
+    first, raw = enumerate_diagrams(3)
+    expected = list(first)
+    first.pop()
+    first[0] = None
+    assert enumerate_diagrams(3) == (expected, raw)
+    assert enumerate_diagrams(3)[0] is not enumerate_diagrams(3)[0]
+
+
+def test_rotation_index_maps_every_raw_table_to_its_diagram():
+    for m in range(1, 6):
+        diagrams, _ = enumerate_diagrams(m)
+        index = _rotation_index(m)
+        assert sorted(index) == list(_partner_tables(2 * m))
+        for table, position in index.items():
+            pairs = [(i, j) for i, j in enumerate(table) if i < j]
+            assert diagrams[position] == ChordDiagram(pairs), table
 
 
 def test_four_term_relations_return_a_fresh_list():
