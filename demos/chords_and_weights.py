@@ -29,13 +29,12 @@ def main():
     print(f"crossed chords : {crossed}   isolated: {crossed.isolated_chords()}")
 
     print()
-    print("== su(2) fundamental weights ==")
+    print("== su(2) fundamental weights, exact ==")
     su2 = su2_fundamental()
-    su2.check()
     for m in (0, 1, 2):
         table = weight_system(su2, m)
         for d, w in sorted(table.items()):
-            print(f"degree {m}  {str(d):12s} -> {float(w):+.6f}")
+            print(f"degree {m}  {str(d):12s} -> {w}")
 
     print()
     print("== Weight systems satisfy every 4T relation ==")
@@ -53,7 +52,7 @@ def main():
     single = ChordDiagram(((0, 1),))
     for n in (1, 2, 3, 4):
         w = weight(gl_fundamental(n), single)
-        print(f"  gl{n}: w(single chord) = {float(w):+.4f}")
+        print(f"  gl{n}: w(single chord) = {w}")
 
 
 if __name__ == "__main__":

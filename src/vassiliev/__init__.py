@@ -35,7 +35,6 @@ from .chords import (
 )
 from .lie import (
     LieAlgebraData,
-    commutator_4T_witness,
     gl_fundamental,
     su2_fundamental,
     weight,
@@ -97,7 +96,6 @@ __all__ = [
     "raw_matchings",
     "satisfies_4T",
     "LieAlgebraData",
-    "commutator_4T_witness",
     "gl_fundamental",
     "su2_fundamental",
     "weight",

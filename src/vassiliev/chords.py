@@ -283,31 +283,29 @@ def _four_term_relations(m):
     return tuple(relations)
 
 
-def satisfies_4T(weight_fn, m, tol=1e-9):
+def satisfies_4T(weight_fn, m):
     """Check a weight function against every degree-m four-term relation.
 
-    Exact values (int, Fraction) are compared to zero exactly; floats
-    and complex values use the tolerance.  weight_fn is called once per
-    distinct diagram in the relations, and its value reused.  Returns
-    (ok, counterexample) where the counterexample carries the violated
+    The check is exact: weight_fn must return an int or a Fraction, and
+    each relation's sum is compared to zero.  Any other value raises
+    TypeError naming its diagram.  weight_fn is called once per distinct
+    diagram in the relations, and its value reused.  Returns (ok,
+    counterexample) where the counterexample carries the violated
     relation and its sum.
     """
     weights = {}
     for relation in _four_term_relations(m):
-        total = None
-        exact = True
+        total = 0
         for sign, diagram in relation:
             if diagram not in weights:
-                weights[diagram] = weight_fn(diagram)
-            value = weights[diagram]
-            if not isinstance(value, (int, Fraction)):
-                exact = False
-            term = sign * value
-            total = term if total is None else total + term
-        if exact:
-            bad = total != 0
-        else:
-            bad = abs(total) > tol
-        if bad:
+                value = weight_fn(diagram)
+                if not isinstance(value, (int, Fraction)):
+                    raise TypeError(
+                        f"weight of {diagram} is {type(value).__name__} {value!r};"
+                        " 4T is checked exactly on int or Fraction values"
+                    )
+                weights[diagram] = value
+            total += sign * weights[diagram]
+        if total != 0:
             return False, (relation, total)
     return True, None

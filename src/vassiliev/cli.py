@@ -24,9 +24,15 @@ import sys
 from dataclasses import asdict
 from typing import Callable, NamedTuple
 
-from .chords import ChordDiagram, enumerate_diagrams, four_term_relations, raw_matchings
+from .chords import (
+    ChordDiagram,
+    enumerate_diagrams,
+    four_term_relations,
+    raw_matchings,
+    satisfies_4T,
+)
 from .codes import _GAUSS_TOKEN, DiagramError, SingularDiagram, parse_gauss, parse_pd
-from .lie import commutator_4T_witness, gl_fundamental, su2_fundamental, weight, weight_system
+from .lie import gl_fundamental, su2_fundamental, weight, weight_system
 from .skein import conway, extend_invariant, v2
 
 CROSSED = ChordDiagram(((0, 2), (1, 3)))
@@ -156,34 +162,32 @@ def _run_chords(args):
     }
 
 
+_ALGEBRAS = {"su2": su2_fundamental(), **{f"gl{n}": gl_fundamental(n) for n in range(1, 7)}}
+
+
 def _algebra_from_name(name):
-    if name == "su2":
-        return su2_fundamental()
-    if name.startswith("gl") and name[2:].isdigit():
-        n = int(name[2:])
-        if not 1 <= n <= 6:
-            raise ValueError("gl algebras are supported for N between 1 and 6")
-        return gl_fundamental(n)
-    raise ValueError(f"unknown algebra {name!r}; use su2 or glN (N <= 6)")
+    if name not in _ALGEBRAS:
+        raise ValueError(f"unknown algebra {name!r}; use one of {', '.join(_ALGEBRAS)}")
+    return _ALGEBRAS[name]
 
 
 def _run_weights(args):
     if args.degree > 6:
         raise ValueError("weights tabulates every canonical diagram; degree capped at 6")
     algebra = _algebra_from_name(args.algebra)
-    algebra.check()  # raises with the residual in the message on failure
-    _, closure_residual = commutator_4T_witness(algebra)
     table = weight_system(algebra, args.degree)
+    if args.degree >= 2:  # an exact proof for the printed table; below 2 there is no relation
+        ok, counterexample = satisfies_4T(table.__getitem__, args.degree)
+        if not ok:
+            relation, total = counterexample
+            terms = " ".join(f"{'+' if s > 0 else '-'} w({d})" for s, d in relation)
+            raise ValueError(f"{algebra.name} weights violate the 4T relation {terms} = {total}")
     return {
         "command": "weights",
         "algebra": algebra.name,
         "degree": args.degree,
-        "axioms_ok": True,
-        "commutator_residual": float(closure_residual),
-        "weights": [
-            {"diagram": str(d), "re": float(w), "im": 0.0}
-            for d, w in sorted(table.items())
-        ],
+        "four_term_ok": True,
+        "weights": [{"diagram": str(d), "weight": str(w)} for d, w in sorted(table.items())],
     }
 
 
@@ -289,8 +293,8 @@ def _chords_rows(payload):
 
 
 def _weights_rows(payload):
-    rows = [("diagram", "re", "im")]
-    rows += [(w["diagram"], w["re"], w["im"]) for w in payload["weights"]]
+    rows = [("diagram", "weight")]
+    rows += [(w["diagram"], w["weight"]) for w in payload["weights"]]
     return rows
 
 

@@ -19,22 +19,19 @@ the matrix index entering position p:
 - su(N): each subset S of the chords takes the trace part instead, a
   chord in S joining p with p+1 and q with q+1, and
   w(D) = sum_S (-1)^|S| N^(c_S + m - |S|) / (2N)^m.
-
-`weight` returns a Fraction and never touches the generator matrices.
-They (the hermitian u(N) basis: generalized Gell-Mann matrices plus,
-for gl(N), the scaled identity, which keeps the structure constants
-real and totally antisymmetric) are built with numpy on first use, for
-`LieAlgebraData.check` and `commutator_4T_witness` only.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 
 
 class LieAlgebraData:
     """Fundamental representation of gl(N), or of su(N) when traceless.
+
+    The matrix size and the trace part are all a weight reads: `weight`
+    counts index loops and builds no generator matrix.  `dim` is the
+    number of generators, N^2 for gl(N) and N^2 - 1 for su(N).
 
     Parameters
     ----------
@@ -51,95 +48,8 @@ class LieAlgebraData:
         self.traceless = traceless
 
     @property
-    def matrix_size(self):
-        return self.N
-
-    @property
     def dim(self):
         return self.N * self.N - self.traceless
-
-    @cached_property
-    def generators(self):
-        """Hermitian basis, (dim, N, N): off-diagonal symmetric and
-        antisymmetric pairs, traceless diagonals, then (gl only) the
-        scaled identity."""
-        import numpy as np
-
-        N = self.N
-        mats = []
-        for j in range(N):
-            for k in range(j + 1, N):
-                sym = np.zeros((N, N), dtype=complex)
-                sym[j, k] = sym[k, j] = 0.5
-                mats.append(sym)
-                asym = np.zeros((N, N), dtype=complex)
-                asym[j, k] = -0.5j
-                asym[k, j] = 0.5j
-                mats.append(asym)
-        for l in range(1, N):
-            diag = np.zeros((N, N), dtype=complex)
-            for i in range(l):
-                diag[i, i] = 1
-            diag[l, l] = -l
-            mats.append(diag / np.sqrt(2 * l * (l + 1)))
-        if not self.traceless:
-            mats.append(np.eye(N, dtype=complex) / np.sqrt(2 * N))
-        return np.stack(mats)
-
-    @cached_property
-    def structure_constants(self):
-        import numpy as np
-
-        T = self.generators
-        # f_abc = -2i tr([T_a, T_b] T_c) given tr(T_a T_b) = delta/2
-        comm = np.einsum("aij,bjk->abik", T, T) - np.einsum("bij,ajk->abik", T, T)
-        f = -2j * np.einsum("abij,cji->abc", comm, T)
-        if np.max(np.abs(f.imag)) > 1e-10:
-            raise ValueError(f"{self.name}: structure constants are not real in this basis")
-        return f.real
-
-    def check(self, tol=1e-12):
-        """Verify hermiticity, trace normalization, commutator closure
-        and total antisymmetry of the structure constants."""
-        import numpy as np
-
-        T = self.generators
-        herm = np.max(np.abs(T - np.conj(np.transpose(T, (0, 2, 1)))))
-        if herm > tol:
-            raise ValueError(f"{self.name}: generators not hermitian (residual {herm:.3e})")
-        gram = np.einsum("aij,bji->ab", T, T)
-        target = 0.5 * np.eye(self.dim)
-        norm_res = np.max(np.abs(gram - target))
-        if norm_res > tol:
-            raise ValueError(f"{self.name}: tr(T_a T_b) != delta/2 (residual {norm_res:.3e})")
-        ok, residual = commutator_4T_witness(self, tol=tol)
-        if not ok:
-            raise ValueError(f"{self.name}: commutator closure fails (residual {residual:.3e})")
-        f = self.structure_constants
-        anti = max(
-            np.max(np.abs(f + np.transpose(f, (1, 0, 2)))),
-            np.max(np.abs(f + np.transpose(f, (0, 2, 1)))),
-        )
-        if anti > tol:
-            raise ValueError(f"{self.name}: structure constants not totally antisymmetric")
-        return True
-
-
-def commutator_4T_witness(algebra, tol=1e-12):
-    """Largest residual of [T_a, T_b] = i f_abc T_c over all pairs.
-
-    This identity is what makes the weight system satisfy the four-term
-    relations, so it is exposed as its own witness.  Returns
-    (ok, max_residual).
-    """
-    import numpy as np
-
-    T = algebra.generators
-    f = algebra.structure_constants
-    comm = np.einsum("aij,bjk->abik", T, T) - np.einsum("bij,ajk->abik", T, T)
-    target = 1j * np.einsum("abc,cij->abij", f, T)
-    residual = float(np.max(np.abs(comm - target)))
-    return residual <= tol, residual
 
 
 def su2_fundamental():

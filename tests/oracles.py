@@ -15,7 +15,17 @@ ends.  On a planar code the value is a link invariant.  On a virtual
 code it depends on the basepoints: at best an invariant of the long
 virtual knot (Goussarov-Polyak-Viro, *Finite-type invariants of
 classical and virtual knots*, Topology 2000).
+
+`UBasis` is the hermitian u(N) basis of a fundamental representation:
+generalized Gell-Mann matrices plus, for gl(N), the scaled identity,
+which keeps the structure constants real and totally antisymmetric.
+The library's weights count index loops and never build it; the tests
+check its axioms and contract it with einsum to check the loop counts.
 """
+
+from functools import cached_property
+
+import numpy as np
 
 from vassiliev.codes import UNDER
 from vassiliev.laurent import IntegerLaurentPoly
@@ -78,3 +88,85 @@ def polyak_viro_v2(knot):
         for b in knot.crossing_ids
         if at["O", a] < at["U", b] < at["U", a] < at["O", b]
     )
+
+
+class UBasis:
+    """Generator matrices of `algebra` (a LieAlgebraData), normalized so
+    that tr(T_a T_b) = delta_ab / 2."""
+
+    def __init__(self, algebra):
+        self.name = algebra.name
+        self.N = algebra.N
+        self.traceless = algebra.traceless
+        self.dim = algebra.dim
+
+    @cached_property
+    def generators(self):
+        """Hermitian basis, (dim, N, N): off-diagonal symmetric and
+        antisymmetric pairs, traceless diagonals, then (gl only) the
+        scaled identity."""
+        N = self.N
+        mats = []
+        for j in range(N):
+            for k in range(j + 1, N):
+                sym = np.zeros((N, N), dtype=complex)
+                sym[j, k] = sym[k, j] = 0.5
+                mats.append(sym)
+                asym = np.zeros((N, N), dtype=complex)
+                asym[j, k] = -0.5j
+                asym[k, j] = 0.5j
+                mats.append(asym)
+        for l in range(1, N):
+            diag = np.zeros((N, N), dtype=complex)
+            for i in range(l):
+                diag[i, i] = 1
+            diag[l, l] = -l
+            mats.append(diag / np.sqrt(2 * l * (l + 1)))
+        if not self.traceless:
+            mats.append(np.eye(N, dtype=complex) / np.sqrt(2 * N))
+        return np.stack(mats)
+
+    @cached_property
+    def structure_constants(self):
+        T = self.generators
+        # f_abc = -2i tr([T_a, T_b] T_c) given tr(T_a T_b) = delta/2
+        comm = np.einsum("aij,bjk->abik", T, T) - np.einsum("bij,ajk->abik", T, T)
+        f = -2j * np.einsum("abij,cji->abc", comm, T)
+        if np.max(np.abs(f.imag)) > 1e-10:
+            raise ValueError(f"{self.name}: structure constants are not real in this basis")
+        return f.real
+
+    def check(self, tol=1e-12):
+        """Verify hermiticity, trace normalization, commutator closure
+        and total antisymmetry of the structure constants."""
+        T = self.generators
+        herm = np.max(np.abs(T - np.conj(np.transpose(T, (0, 2, 1)))))
+        if herm > tol:
+            raise ValueError(f"{self.name}: generators not hermitian (residual {herm:.3e})")
+        gram = np.einsum("aij,bji->ab", T, T)
+        norm_res = np.max(np.abs(gram - 0.5 * np.eye(self.dim)))
+        if norm_res > tol:
+            raise ValueError(f"{self.name}: tr(T_a T_b) != delta/2 (residual {norm_res:.3e})")
+        ok, residual = commutator_4T_witness(self, tol=tol)
+        if not ok:
+            raise ValueError(f"{self.name}: commutator closure fails (residual {residual:.3e})")
+        f = self.structure_constants
+        anti = max(
+            np.max(np.abs(f + np.transpose(f, (1, 0, 2)))),
+            np.max(np.abs(f + np.transpose(f, (0, 2, 1)))),
+        )
+        if anti > tol:
+            raise ValueError(f"{self.name}: structure constants not totally antisymmetric")
+        return True
+
+
+def commutator_4T_witness(basis, tol=1e-12):
+    """Largest residual of [T_a, T_b] = i f_abc T_c over all pairs, the
+    identity that makes the weight system satisfy the four-term
+    relations.  Returns (ok, max_residual)."""
+    T = basis.generators
+    f = basis.structure_constants
+    comm = np.einsum("aij,bjk->abik", T, T) - np.einsum("bij,ajk->abik", T, T)
+    target = 1j * np.einsum("abc,cij->abij", f, T)
+    residual = float(np.max(np.abs(comm - target)))
+    return residual <= tol, residual

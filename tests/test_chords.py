@@ -1,5 +1,7 @@
 import json
 import random
+import re
+from fractions import Fraction
 
 import pytest
 
@@ -309,6 +311,16 @@ def test_satisfies_4T_accepts_invariant_counts():
     assert ok
     ok, _ = satisfies_4T(_crossing_pairs, 3)
     assert ok
+
+
+def test_satisfies_4T_refuses_float_weights():
+    # 4T is checked exactly; a float or complex weight is refused, naming
+    # its diagram, rather than compared within a tolerance
+    crossed = ChordDiagram(((0, 2), (1, 3)))
+    with pytest.raises(TypeError, match=re.escape(f"weight of {crossed} is float")):
+        satisfies_4T(lambda d: -0.375 if d == crossed else Fraction(9, 8), 2)
+    with pytest.raises(TypeError, match="complex"):
+        satisfies_4T(lambda d: 1 + 0j, 3)
 
 
 def test_satisfies_4T_rejects_an_indicator():

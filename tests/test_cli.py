@@ -19,7 +19,9 @@ import pytest
 
 import vassiliev
 from vassiliev import cli
+from vassiliev.chords import ChordDiagram
 from vassiliev.codes import braid_closure, parse_gauss
+from vassiliev.lie import weight_system
 from vassiliev.skein import conway
 
 TREFOIL = "O1+U2+O3+U1+O2+U3+"
@@ -131,15 +133,28 @@ def test_chords_degree_capped(capsys):
 
 def test_weights_su2_degree2(capsys):
     payload = run_json(capsys, ["weights", "--algebra", "su2", "--degree", "2"])
-    values = sorted(w["re"] for w in payload["weights"])
-    assert values == [-0.375, 1.125]
-    assert all(abs(w["im"]) < 1e-12 for w in payload["weights"])
+    assert sorted(w["weight"] for w in payload["weights"]) == ["-3/8", "9/8"]
+    assert payload["four_term_ok"] is True
+
+
+def test_weights_refuses_a_table_that_violates_4T(monkeypatch, capsys):
+    # degree 2's one relation is formally trivial, so break degree 3
+    def broken(algebra, m):
+        table = weight_system(algebra, m)
+        table[ChordDiagram(((0, 3), (1, 4), (2, 5)))] += 1
+        return table
+
+    monkeypatch.setattr(cli, "weight_system", broken)
+    err = run_error(capsys, ["weights", "--algebra", "su2", "--degree", "3"])
+    assert err["module"] == "lie"
+    assert err["message"].endswith(
+        "4T relation + w(0-1,2-4,3-5) - w(0-2,1-4,3-5) + w(0-3,1-4,2-5) - w(0-2,1-4,3-5) = 1")
 
 
 def test_weights_gl3(capsys):
     payload = run_json(capsys, ["weights", "--algebra", "gl3", "--degree", "1"])
     assert payload["algebra"] == "gl3"
-    assert len(payload["weights"]) == 1
+    assert [w["weight"] for w in payload["weights"]] == ["9/2"]
 
 
 def test_kontsevich_raw_circle(tmp_path, capsys):
@@ -210,7 +225,8 @@ def test_exact_routes_never_import_numpy():
     assert _fresh(["-c", code]).stdout.strip() == "False"
 
 
-@pytest.mark.parametrize("argv", [["conway", TREFOIL], ["v2", TREFOIL], ["chords", "4t", "3"]],
+@pytest.mark.parametrize("argv", [["conway", TREFOIL], ["v2", TREFOIL], ["chords", "4t", "3"],
+                                  ["weights", "--algebra", "su2", "--degree", "3"]],
                          ids=lambda a: a[0])
 def test_light_commands_never_import_numpy(argv):
     done = _fresh(["-X", "importtime", "-m", "vassiliev.cli", *argv])
@@ -256,8 +272,10 @@ def test_error_parse_has_position(capsys):
 
 
 def test_error_bad_algebra(capsys):
-    err = run_error(capsys, ["weights", "--algebra", "e8", "--degree", "2"])
-    assert err["module"] == "lie"
+    # only su2 and gl1..gl6, spelled exactly so: no leading zero, no non-ASCII digit
+    for name in ("e8", "gl03", "gl\u0663", "gl7", "gl0"):
+        err = run_error(capsys, ["weights", "--algebra", name, "--degree", "2"])
+        assert err["module"] == "lie"
 
 
 def test_error_degree_out_of_range(tmp_path, capsys):
@@ -306,7 +324,7 @@ CSV_CASES = {
                          lambda p: len(p["raw_matchings"])),
     "chords-4t": (["chords", "4t", "3"], ["relation", "term", "sign", "diagram"],
                   lambda p: sum(map(len, p["relations"]))),
-    "weights": (["weights", "--algebra", "su2", "--degree", "3"], ["diagram", "re", "im"],
+    "weights": (["weights", "--algebra", "su2", "--degree", "3"], ["diagram", "weight"],
                 lambda p: len(p["weights"])),
     "kontsevich": (["kontsevich", "@round_circle", "--degree", "2", "--raw"],
                    ["diagram", "value_re", "value_im", "error", "converged", "log_divergent"],

@@ -3,11 +3,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oracles import UBasis, commutator_4T_witness
 from vassiliev.chords import ChordDiagram, enumerate_diagrams, satisfies_4T
 from vassiliev.lie import (
     LieAlgebraData,
     _weight_of_partner,
-    commutator_4T_witness,
     gl_fundamental,
     su2_fundamental,
     weight,
@@ -21,7 +21,7 @@ CROSSED = ChordDiagram([(0, 2), (1, 3)])
 
 
 def test_su2_axioms():
-    alg = su2_fundamental()
+    alg = UBasis(su2_fundamental())
     assert alg.check(tol=1e-12)
     assert alg.dim == 3
     # structure constants are the Levi-Civita tensor
@@ -33,19 +33,19 @@ def test_su2_axioms():
 
 def test_gl_axioms():
     for n in (1, 2, 3, 4):
-        alg = gl_fundamental(n)
+        alg = UBasis(gl_fundamental(n))
         assert alg.dim == n * n
         assert alg.check(tol=1e-12)
 
 
 def test_witness_rejects_corrupted_generators():
-    alg = su2_fundamental()
+    alg = UBasis(su2_fundamental())
     bad = alg.generators.copy()
     bad[0] = bad[0] + 0.01 * np.eye(2)
-    corrupted = LieAlgebraData("corrupted", 2, traceless=True)
+    corrupted = UBasis(LieAlgebraData("corrupted", 2, traceless=True))
     corrupted.generators = bad
     corrupted.structure_constants = alg.structure_constants
-    assert corrupted.dim == 3 and corrupted.matrix_size == 2
+    assert corrupted.dim == 3 and corrupted.N == 2
     ok, residual = commutator_4T_witness(corrupted, tol=1e-12)
     assert not ok and residual > 1e-3
     with pytest.raises(ValueError):
@@ -68,12 +68,10 @@ def test_su2_pinned_weights():
     assert weight(alg, CROSSED) == Fraction(-3, 8)
 
 
-def _weight_of_pairing(algebra, partner):
-    # Oracle: the trace of the generator product, contracted in complex
-    # floats with one open tensor axis per open chord.
-    T = algebra.generators
-    N = algebra.matrix_size
-    state = np.eye(N, dtype=complex)
+def _weight_of_pairing(T, partner):
+    # Oracle: the trace of the generator product T (dim, N, N), contracted
+    # in complex floats with one open tensor axis per open chord.
+    state = np.eye(T.shape[1], dtype=complex)
     open_axes = []
     for p in range(len(partner)):
         q = partner[p]
@@ -91,11 +89,12 @@ def _weight_of_pairing(algebra, partner):
 @pytest.mark.parametrize("alg", [su2_fundamental()] + [gl_fundamental(n) for n in (1, 2, 3)],
                          ids=lambda a: a.name)
 def test_exact_weights_match_the_einsum_oracle(alg):
+    T = UBasis(alg).generators
     for m in range(5):
         for d in enumerate_diagrams(m)[0]:
             got = weight(alg, d)
             assert isinstance(got, Fraction)
-            assert abs(_weight_of_pairing(alg, d.partner) - got) < 1e-12, (alg.name, d)
+            assert abs(_weight_of_pairing(T, d.partner) - got) < 1e-12, (alg.name, d)
 
 
 def _gl_loop_count(partner, _arcs_cache={}):
@@ -152,22 +151,17 @@ def test_weight_rotation_invariance():
 
 def test_weights_above_degree_four_are_exact():
     alg = su2_fundamental()
+    T = UBasis(alg).generators
     for d in (ChordDiagram([(i, i + 5) for i in range(5)]),
               ChordDiagram([(i, i + 6) for i in range(6)])):
         got = weight(alg, d)
         assert isinstance(got, Fraction)
-        assert abs(_weight_of_pairing(alg, d.partner) - got) < 1e-12
+        assert abs(_weight_of_pairing(T, d.partner) - got) < 1e-12
 
 
 def test_weight_systems_satisfy_4T():
     for alg in (su2_fundamental(), gl_fundamental(2), gl_fundamental(3)):
         for m in (2, 3, 4, 5, 6):
             table = weight_system(alg, m)
-            ok, counter = satisfies_4T(lambda d: table[d], m, tol=0)
+            ok, counter = satisfies_4T(lambda d: table[d], m)
             assert ok, (alg.name, m, counter)
-
-
-def test_weight_values_are_real_for_these_algebras():
-    for alg in (su2_fundamental(), gl_fundamental(3)):
-        for d in enumerate_diagrams(3)[0]:
-            assert abs(weight(alg, d).imag) < 1e-10
