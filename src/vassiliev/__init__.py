@@ -83,6 +83,7 @@ __all__ = [
     "linking_matrix_total",
     "parse_gauss",
     "parse_pd",
+    "sample_singular_diagrams",
     "conway",
     "embedding_independence_check",
     "extend_invariant",
@@ -100,31 +101,5 @@ __all__ = [
     "su2_fundamental",
     "weight",
     "weight_system",
-    "EmbeddingError",
-    "MorseKnot",
-    "Slab",
-    "Strand",
-    "curve_from_json",
-    "curve_to_json",
-    "morse_embed",
-    "ChordPlacement",
-    "CoefficientTable",
-    "ExpectationSeries",
-    "IntegralResult",
-    "PropagatorRule",
-    "QuadratureSpec",
-    "degree_coefficients",
-    "enumerate_placements",
-    "expectation_series",
-    "hump_normalize",
-    "linking_number",
-    "placement_integral",
-    "wick_propagator",
-    "ALL_FIXTURE_NAMES",
-    "fixture_curve",
-    "load_fixture",
-    "plat",
-    "round_circle",
-    "sample_singular_diagrams",
-    "two_circles",
+    *_LAZY,
 ]

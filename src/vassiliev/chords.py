@@ -291,8 +291,11 @@ def satisfies_4T(weight_fn, m):
     TypeError naming its diagram.  weight_fn is called once per distinct
     diagram in the relations, and its value reused.  Returns (ok,
     counterexample) where the counterexample carries the violated
-    relation and its sum.
+    relation and its sum.  Degrees 0 and 1 have no relation, so every
+    weight function passes there; a negative degree raises ValueError.
     """
+    if m in (0, 1):
+        return True, None
     weights = {}
     for relation in _four_term_relations(m):
         total = 0

@@ -71,7 +71,7 @@ def load_diagram(text):
 def _quadrature_from(args):
     from .kontsevich import QuadratureSpec
 
-    given = {k: getattr(args, k) for k in ("steps", "eps_rel", "levels") if hasattr(args, k)}
+    given = {k: getattr(args, k) for k in ("steps", "eps_rel") if hasattr(args, k)}
     return QuadratureSpec(**given)
 
 
@@ -176,12 +176,11 @@ def _run_weights(args):
         raise ValueError("weights tabulates every canonical diagram; degree capped at 6")
     algebra = _algebra_from_name(args.algebra)
     table = weight_system(algebra, args.degree)
-    if args.degree >= 2:  # an exact proof for the printed table; below 2 there is no relation
-        ok, counterexample = satisfies_4T(table.__getitem__, args.degree)
-        if not ok:
-            relation, total = counterexample
-            terms = " ".join(f"{'+' if s > 0 else '-'} w({d})" for s, d in relation)
-            raise ValueError(f"{algebra.name} weights violate the 4T relation {terms} = {total}")
+    ok, counterexample = satisfies_4T(table.__getitem__, args.degree)  # an exact proof
+    if not ok:
+        relation, total = counterexample
+        terms = " ".join(f"{'+' if s > 0 else '-'} w({d})" for s, d in relation)
+        raise ValueError(f"{algebra.name} weights violate the 4T relation {terms} = {total}")
     return {
         "command": "weights",
         "algebra": algebra.name,
@@ -246,7 +245,7 @@ def _run_compare(args):
             "algebra": "su2",
             "value_re": pairing.real,
             "value_im": pairing.imag,
-            "crossed_weight_re": float(weight(su2, CROSSED)),
+            "crossed_weight": str(weight(su2, CROSSED)),
         },
         "difference": difference,
         "tolerance": args.tolerance,
@@ -390,10 +389,8 @@ def _add_quadrature(sub):
                      help="quadrature steps per slab (default: QuadratureSpec().steps)")
     sub.add_argument("--epsilon", dest="eps_rel", metavar="EPSILON", type=float,
                      default=argparse.SUPPRESS,
-                     help="largest relative clip width (default: QuadratureSpec().eps_rel)")
-    sub.add_argument("--levels", type=int, default=argparse.SUPPRESS,
-                     help="number of clip widths for the tail fit "
-                          "(default: QuadratureSpec().levels)")
+                     help="largest of the three relative clip widths eps, eps/2, eps/4 "
+                          "(default: QuadratureSpec().eps_rel)")
 
 
 def build_parser():

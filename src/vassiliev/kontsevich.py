@@ -22,11 +22,11 @@ diagram adding its placements in enumeration order), linking numbers
 sum the whole degree, and a single placement reads its own column.
 
 Integrals are truncated eps away from critical heights and evaluated
-at three nested eps levels; a geometric fit in the differences decides
-between convergence (extrapolated), a logarithmic drift (flagged, the
-isolated-chord framing anomaly), and noise.  Every reported value also
-carries the change under halving the step count, so the error bars are
-measurements, not guesses.
+at the three nested insets eps, eps/2 and eps/4; a geometric fit in
+the differences decides between convergence (extrapolated), a
+logarithmic drift (flagged, the isolated-chord framing anomaly), and
+noise.  Every reported value also carries the change under halving the
+step count, so the error bars are measurements, not guesses.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import asdict, dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -49,26 +50,25 @@ KAPPA = -1.0 / TWO_PI_I
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Composite-midpoint settings: steps per slab, relative endpoint
-    inset, and the number of nested inset levels used to extrapolate."""
+    """Composite-midpoint settings: steps per slab and the largest
+    relative endpoint inset.  The tail fit reads the insets eps_rel,
+    eps_rel/2 and eps_rel/4, so a finer fit is a smaller eps_rel."""
 
     steps: int = 2000
     eps_rel: float = 1e-3
-    levels: int = 3
+    levels: ClassVar[int] = 3  # insets the tail fit reads; not a setting
 
     def __post_init__(self):
         if self.steps < 16:
             raise ValueError("steps must be at least 16")
         if not 0 < self.eps_rel <= 0.05:
             raise ValueError("eps_rel must lie in (0, 0.05]")
-        if not 3 <= self.levels <= 6:
-            raise ValueError("levels must lie in [3, 6]")
 
     def epsilons(self):
         return tuple(self.eps_rel / 2**k for k in range(self.levels))
 
     def halved(self):
-        return QuadratureSpec(self.steps // 2, self.eps_rel, self.levels)
+        return QuadratureSpec(self.steps // 2, self.eps_rel)
 
 
 DEFAULT_QUADRATURE = QuadratureSpec()
@@ -345,14 +345,15 @@ class IntegralResult:
 
 
 def _fit_epsilon_tail(vals, floor):
-    """Classify the eps sequence by the ratio of successive differences.
+    """Classify the three-inset eps sequence by the ratio of its
+    successive differences.
 
     A geometric ratio below 0.85 is a power law (extrapolated: the
     exact limit for a pure power); a ratio near 1 is the logarithmic
     drift of a chord pinching at a critical point (flagged, value
     reported as-is); anything larger is treated as non-convergent.
     """
-    v0, v1, v2 = vals[-3], vals[-2], vals[-1]
+    v0, v1, v2 = vals
     d1, d2 = v1 - v0, v2 - v1
     if abs(d2) <= floor and abs(d1) <= floor:
         return v2, abs(d2) + floor, True, False

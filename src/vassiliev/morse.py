@@ -4,8 +4,9 @@ A curve component is a closed loop of samples (z, t) with z complex and
 t the height.  morse_embed cuts every component at its height extrema
 into monotone strands, interpolates each strand as a function z(t), and
 organizes the strands into slabs between consecutive critical heights.
-Degenerate critical heights are separated by a tiny documented jitter;
-genuinely coincident strands are rejected.
+Critical heights that coincide across components are always separated
+by a tiny jitter, recorded in the embedding's notes; genuinely
+coincident strands are rejected.
 """
 
 from __future__ import annotations
@@ -136,14 +137,14 @@ def _extrema_indices(t):
     return idx.tolist(), np.where(rises_in[idx], 1, -1).tolist()
 
 
-def morse_embed(components, *, jitter=True):
+def morse_embed(components):
     """Build a MorseKnot from sampled closed curves.
 
     components: iterable of sample lists, each sample a (z, t) pair as
     curve_from_json returns them; only s[0] and s[1] are read.
     Critical heights across the whole curve must be distinct; when two
-    collide and jitter is enabled, the later component's heights are
-    shifted by a recorded epsilon and the embedding is rebuilt.
+    collide, each component's heights are shifted by its own multiple
+    of a tiny epsilon, recorded in notes, and the embedding is rebuilt.
     """
     comps = []
     for samples in components:
@@ -162,8 +163,6 @@ def morse_embed(components, *, jitter=True):
         crits = np.sort(np.concatenate([t[idx] for (_, t), (idx, _) in zip(comps, extrema)]))
         if np.all(np.diff(crits) > 1e-9 * scale):
             break
-        if not jitter:
-            raise EmbeddingError("degenerate critical heights (jitter disabled)")
         # shift each component by a distinct tiny offset and retry
         delta = 3e-8 * scale * (attempt + 1)
         comps = [(z, t + ci * delta) for ci, (z, t) in enumerate(comps)]

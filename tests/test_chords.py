@@ -313,6 +313,15 @@ def test_satisfies_4T_accepts_invariant_counts():
     assert ok
 
 
+def test_satisfies_4T_below_degree_two():
+    # degrees 0 and 1 have no relation, so the weight is never read;
+    # a negative degree has no diagrams
+    for m in (0, 1):
+        assert satisfies_4T(lambda d: 1 / 0, m) == (True, None)
+    with pytest.raises(ValueError):
+        satisfies_4T(lambda d: 1, -1)
+
+
 def test_satisfies_4T_refuses_float_weights():
     # 4T is checked exactly; a float or complex weight is refused, naming
     # its diagram, rather than compared within a tolerance

@@ -164,9 +164,11 @@ def test_kontsevich_raw_circle(tmp_path, capsys):
     row = payload["coefficients"][0]
     assert abs(row["value_re"]) < 1e-6 and abs(row["value_im"]) < 1e-6
     assert payload["quadrature"] == dataclasses.asdict(vassiliev.QuadratureSpec())
-    flags = ["--steps", "500", "--epsilon", "2e-3", "--levels", "4"]
+    flags = ["--steps", "500", "--epsilon", "2e-3"]
     payload = run_json(capsys, ["kontsevich", path, "--degree", "1", "--raw", *flags])
-    assert payload["quadrature"] == {"steps": 500, "eps_rel": 2e-3, "levels": 4}
+    assert payload["quadrature"] == {"steps": 500, "eps_rel": 2e-3}
+    # the number of clip widths is not a setting, so the flag is unknown
+    assert cli.main(["kontsevich", path, "--degree", "1", "--levels", "4"]) == 2
 
 
 def test_kontsevich_normalized_hump(tmp_path, capsys):
@@ -182,6 +184,7 @@ def test_compare_trefoil(tmp_path, capsys):
     path = curve_file(tmp_path, "trefoil_2max")
     payload = run_json(capsys, ["compare", path, TREFOIL])
     assert payload["skein"]["v2"] == 1
+    assert payload["weight_pairing"]["crossed_weight"] == "-3/8"
     assert payload["within_tolerance"] is True
     assert payload["difference"] < payload["tolerance"]
 

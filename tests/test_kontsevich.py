@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -118,9 +119,12 @@ def test_quadrature_validation():
         QuadratureSpec(steps=8)
     with pytest.raises(ValueError):
         QuadratureSpec(eps_rel=0.2)
-    with pytest.raises(ValueError):
-        QuadratureSpec(levels=2)
-    assert QuadratureSpec().halved().steps == 1000
+    # the tail fit reads three insets; their number is not a setting
+    with pytest.raises(TypeError):
+        QuadratureSpec(levels=4)
+    assert QuadratureSpec.levels == 3
+    assert dataclasses.asdict(QuadratureSpec()).keys() == {"steps", "eps_rel"}
+    assert QuadratureSpec().halved() == QuadratureSpec(steps=1000)
     assert QuadratureSpec().epsilons() == (1e-3, 5e-4, 2.5e-4)
 
 
@@ -177,13 +181,11 @@ def test_circle_coefficients_vanish():
 
 
 def test_degree_zero_table():
-    mk = embed("round_circle")
-    for levels in (3, 4, 6):
-        table = degree_coefficients(mk, 0, QuadratureSpec(levels=levels))
-        assert table.value(ChordDiagram(())) == 1
-        assert table.error(ChordDiagram(())) == 0.0
-        c = table.coefficient(ChordDiagram(()))
-        assert len(c.per_epsilon) == len(c.per_epsilon_half) == levels
+    table = degree_coefficients(embed("round_circle"), 0, Q)
+    assert table.value(ChordDiagram(())) == 1
+    assert table.error(ChordDiagram(())) == 0.0
+    c = table.coefficient(ChordDiagram(()))
+    assert len(c.per_epsilon) == len(c.per_epsilon_half) == QuadratureSpec.levels
 
 
 def test_degree_bounds_and_components():
@@ -277,17 +279,15 @@ def test_half_steps_repeat_the_full_steps_of_a_halved_spec():
         return np.array(values, dtype=complex).tobytes()
 
     trefoil, hopf = embed("trefoil_3max"), embed("hopf")
-    for levels in (3, 4):
-        double = QuadratureSpec(steps=200, levels=levels)
-        single = QuadratureSpec(steps=100, levels=levels)
-        for m in (1, 2):
-            a = degree_coefficients(trefoil, m, double).items()
-            b = degree_coefficients(trefoil, m, single).items()
-            assert [d for d, _ in a] == [d for d, _ in b]
-            for (_, ca), (_, cb) in zip(a, b):
-                assert bits(ca.per_epsilon_half) == bits(cb.per_epsilon)
-        a, b = linking_number(hopf, double), linking_number(hopf, single)
-        assert bits(a.per_epsilon_half) == bits(b.per_epsilon)
+    double, single = QuadratureSpec(steps=200), QuadratureSpec(steps=100)
+    for m in (1, 2):
+        a = degree_coefficients(trefoil, m, double).items()
+        b = degree_coefficients(trefoil, m, single).items()
+        assert [d for d, _ in a] == [d for d, _ in b]
+        for (_, ca), (_, cb) in zip(a, b):
+            assert bits(ca.per_epsilon_half) == bits(cb.per_epsilon)
+    a, b = linking_number(hopf, double), linking_number(hopf, single)
+    assert bits(a.per_epsilon_half) == bits(b.per_epsilon)
 
 
 def test_deterministic_reproducibility():
@@ -344,8 +344,8 @@ def test_hump_raw_crossed_regression():
 
 def test_log_divergence_is_flagged():
     mk = embed("trefoil_3max")
-    q4 = QuadratureSpec(levels=4)
-    c = degree_coefficients(mk, 1, q4).coefficient(SINGLE)
+    # eps_rel 5e-4 fits the three finest widths of a four-width ladder from 1e-3
+    c = degree_coefficients(mk, 1, QuadratureSpec(eps_rel=5e-4)).coefficient(SINGLE)
     assert c.log_divergent
     assert not c.converged
 

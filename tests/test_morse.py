@@ -60,12 +60,6 @@ def test_jitter_separates_equal_criticals():
     assert min(gaps) > 0
 
 
-def test_jitter_disabled_raises():
-    far = round_circle(center=6.0)
-    with pytest.raises(EmbeddingError):
-        morse_embed(round_circle() + far, jitter=False)
-
-
 def test_overlapping_components_rejected():
     with pytest.raises(EmbeddingError):
         morse_embed(round_circle() + round_circle(center=1e-13))
