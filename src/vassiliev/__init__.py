@@ -55,8 +55,7 @@ _LAZY = {
         "wick_propagator",
     ), "kontsevich"),
     **dict.fromkeys((
-        "ALL_FIXTURE_NAMES", "fixture_curve", "load_fixture", "plat", "round_circle",
-        "two_circles",
+        "ALL_FIXTURE_NAMES", "load_fixture", "plat", "round_circle", "two_circles",
     ), "fixtures"),
 }
 

@@ -336,18 +336,29 @@ class SingularDiagram:
 
     @classmethod
     def from_json_dict(cls, data):
+        """Inverse of to_json_dict; a missing or bad field raises ParseError."""
         tok_re = re.compile(r"([OUPQ])(\d+)$")
+        components = data.get("components") if isinstance(data, dict) else None
+        if not isinstance(components, list) or not all(isinstance(c, list) for c in components):
+            raise ParseError("JSON diagram needs 'components', a list of token lists")
         comps = []
-        for comp in data["components"]:
+        for comp in components:
             toks = []
             for t in comp:
-                m = tok_re.match(t)
+                m = tok_re.match(t) if isinstance(t, str) else None
                 if not m:
-                    raise ParseError(f"bad token {t!r} in JSON diagram")
+                    raise ParseError(f"bad token {t!r} in JSON diagram 'components'")
                 toks.append((m.group(1), int(m.group(2))))
             comps.append(toks)
-        signs = {int(k): int(v) for k, v in data.get("signs", {}).items()}
-        return cls(comps, signs)
+        signs = data.get("signs", {})
+        if not isinstance(signs, dict):
+            raise ParseError("JSON diagram 'signs' must map crossing ids to signs")
+        parsed = {}
+        for k, v in signs.items():
+            if not (re.fullmatch(r"[0-9]+", str(k)) and type(v) is int):
+                raise ParseError(f"bad entry {k!r}: {v!r} in JSON diagram 'signs'")
+            parsed[int(k)] = v
+        return cls(comps, parsed)
 
 
 def _ccw_slots(kind, sign):

@@ -1,4 +1,9 @@
-"""Shipped fixtures: plat-built curves with combinatorial shadows.
+"""Named fixtures: curves built from recipes, with combinatorial shadows.
+
+Every fixture is a recipe (a plat word, or a circle's size and place),
+and load_fixture builds its samples from that recipe on each call.  The
+files under data/ are the command line's sample curve inputs, written
+from the same recipes by write_shipped_data.
 
 The plat builder lays n strand lanes side by side, joins them by
 non-crossing cups below and caps above, and runs a braid word between.
@@ -16,7 +21,6 @@ and one minimum without changing the knot.
 from __future__ import annotations
 
 import functools
-import importlib.resources
 import json
 
 import numpy as np
@@ -226,8 +230,11 @@ PLAT_FIXTURES = {
 }
 
 
-def fixture_curve(name):
-    """Curve samples for a named fixture (built fresh, not from disk)."""
+ALL_FIXTURE_NAMES = ("round_circle", "split") + tuple(PLAT_FIXTURES)
+
+
+def load_fixture(name):
+    """Curve samples for a named fixture, built from its recipe."""
     if name == "round_circle":
         return round_circle()
     if name == "split":
@@ -237,25 +244,14 @@ def fixture_curve(name):
     raise KeyError(f"unknown fixture {name!r}")
 
 
-ALL_FIXTURE_NAMES = ("round_circle", "split") + tuple(PLAT_FIXTURES)
-
-
-def load_fixture(name):
-    """Shipped curve JSON for a named fixture."""
-    from .morse import curve_from_json
-
-    res = importlib.resources.files("vassiliev.data").joinpath(f"{name}.json")
-    return curve_from_json(json.loads(res.read_text()))
-
-
 def write_shipped_data(dirpath):
-    """Regenerate the shipped curve files (used at development time)."""
+    """Write the CLI's sample curve files, one <name>.json per fixture."""
     import os
 
     from .morse import curve_to_json
 
     os.makedirs(dirpath, exist_ok=True)
     for name in ALL_FIXTURE_NAMES:
-        data = curve_to_json(fixture_curve(name), name=name)
+        data = curve_to_json(load_fixture(name), name=name)
         with open(os.path.join(dirpath, f"{name}.json"), "w") as fh:
             json.dump(data, fh)

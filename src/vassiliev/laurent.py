@@ -11,7 +11,8 @@ class IntegerLaurentPoly:
     """Immutable Laurent polynomial with int coefficients.
 
     Stored as a mapping exponent -> coefficient with zero coefficients
-    dropped, so equality and hashing are structural.
+    dropped, so equality and hashing are structural; a constant equals
+    its int and hashes as it.
     """
 
     __slots__ = ("_coeffs",)
@@ -106,6 +107,8 @@ class IntegerLaurentPoly:
         return self._coeffs == other._coeffs
 
     def __hash__(self):
+        if self._coeffs.keys() <= {0}:
+            return hash(self._coeffs.get(0, 0))
         return hash(tuple(self._coeffs.items()))
 
     def __bool__(self):

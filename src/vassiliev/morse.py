@@ -5,8 +5,9 @@ t the height.  morse_embed cuts every component at its height extrema
 into monotone strands, interpolates each strand as a function z(t), and
 organizes the strands into slabs between consecutive critical heights.
 Critical heights that coincide across components are always separated
-by a tiny jitter, recorded in the embedding's notes; genuinely
-coincident strands are rejected.
+by a tiny jitter, recorded in the embedding's notes; critical heights
+that coincide within one component, and genuinely coincident strands,
+are rejected.
 """
 
 from __future__ import annotations
@@ -142,9 +143,11 @@ def morse_embed(components):
 
     components: iterable of sample lists, each sample a (z, t) pair as
     curve_from_json returns them; only s[0] and s[1] are read.
-    Critical heights across the whole curve must be distinct; when two
-    collide, each component's heights are shifted by its own multiple
-    of a tiny epsilon, recorded in notes, and the embedding is rebuilt.
+    Critical heights across the whole curve must be distinct.  Two of
+    one component that coincide raise EmbeddingError at once; when two
+    of different components collide, each component's heights are
+    shifted by its own multiple of a tiny epsilon, recorded in notes,
+    and the embedding is rebuilt.
     """
     comps = []
     for samples in components:
@@ -157,9 +160,17 @@ def morse_embed(components):
         raise EmbeddingError("no components")
 
     scale = max(float(np.ptp(t)) for _, t in comps) or 1.0
+    # A constant shift moves no extremum and separates no two heights
+    # of one component, so those must differ before any jitter.
+    extrema = [_extrema_indices(t) for _, t in comps]
+    for ci, ((_, t), (idx, _)) in enumerate(zip(comps, extrema)):
+        if np.any(np.diff(np.sort(t[idx])) <= 1e-9 * scale):
+            raise EmbeddingError(
+                f"component {ci} has two critical heights that coincide; "
+                "jitter shifts whole components and cannot separate them"
+            )
     notes = []
     for attempt in range(6):
-        extrema = [_extrema_indices(t) for _, t in comps]
         crits = np.sort(np.concatenate([t[idx] for (_, t), (idx, _) in zip(comps, extrema)]))
         if np.all(np.diff(crits) > 1e-9 * scale):
             break
@@ -238,7 +249,8 @@ def curve_from_json(data):
     """Samples from the curve JSON form {"components": [[{re, im, t}...]]}.
 
     Accepts a dict, a JSON string, or a path to a JSON file.  Returns a
-    list of components, each a list of (z, t) pairs.
+    list of components, each a list of (z, t) pairs.  A missing or bad
+    field raises EmbeddingError.
     """
     if isinstance(data, (str, bytes)):
         text = data
@@ -246,11 +258,23 @@ def curve_from_json(data):
             with open(data) as fh:
                 text = fh.read()
         data = json.loads(text)
+    components = data.get("components") if isinstance(data, dict) else None
+    if not isinstance(components, list) or not all(isinstance(c, list) for c in components):
+        raise EmbeddingError("curve JSON needs 'components', a list of sample lists")
     comps = []
-    for comp in data["components"]:
+    for ci, comp in enumerate(components):
         samples = []
-        for s in comp:
-            samples.append((complex(float(s["re"]), float(s["im"])), float(s["t"])))
+        for si, s in enumerate(comp):
+            try:
+                samples.append((complex(float(s["re"]), float(s["im"])), float(s["t"])))
+            except KeyError as exc:
+                raise EmbeddingError(
+                    f"sample {si} of curve component {ci} has no {exc.args[0]!r} field"
+                ) from None
+            except (TypeError, ValueError):
+                raise EmbeddingError(
+                    f"sample {si} of curve component {ci} needs numbers 're', 'im' and 't'"
+                ) from None
         comps.append(samples)
     return comps
 

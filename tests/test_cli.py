@@ -274,6 +274,45 @@ def test_error_parse_has_position(capsys):
     assert isinstance(err["position"], int)
 
 
+def test_error_bad_diagram_json_names_the_field(capsys):
+    cases = {
+        '{"signs": {"1": 1}}': "'components'",
+        '{"components": "O1U1"}': "'components'",
+        '{"components": [["O1", 7]]}': "bad token 7",
+        '{"components": [["O1", "U1"]], "signs": {"x": 1}}': "'x'",
+        '{"components": [["O1", "U1"]], "signs": {"1": "up"}}': "'up'",
+        '{"components": [["O1", "U1"]], "signs": {"1": 1.7}}': "1.7",
+        '{"components": [["O1", "U1"]], "signs": {"1": true}}': "True",
+        '{"components": [["O1", "U1"]], "signs": [1]}': "'signs'",
+    }
+    for text, named in cases.items():
+        for argv in (["parse", text], ["v2", text]):
+            err = run_error(capsys, argv)
+            assert err["module"] == "codes", (argv, err)
+            assert named in err["message"], (argv, err)
+
+
+def test_error_bad_curve_json_names_the_field(tmp_path, capsys):
+    sample = {"re": 1.0, "im": 0.0, "t": 0.0}
+    cases = {
+        json.dumps({"name": "nothing"}): "'components'",
+        json.dumps({"components": [sample]}): "'components'",
+        json.dumps({"components": [[sample, {"re": 0.0, "im": 1.0}]]}): "'t' field",
+        json.dumps({"components": [[{"re": 1.0, "t": 0.0}]]}): "'im' field",
+        json.dumps({"components": [[sample, ["re", 0.0]]]}): "sample 1 of curve component 0",
+        json.dumps({"components": [[sample], [{"re": "x", "im": 0, "t": 0}]]}):
+            "sample 0 of curve component 1",
+    }
+    for i, (text, named) in enumerate(cases.items()):
+        path = tmp_path / f"bad{i}.curve.json"
+        path.write_text(text)
+        for argv in (["kontsevich", str(path)], ["kontsevich", text],
+                     ["compare", str(path), TREFOIL]):
+            err = run_error(capsys, argv)
+            assert err["module"] == "morse", (argv, err)
+            assert named in err["message"], (argv, err)
+
+
 def test_error_bad_algebra(capsys):
     # only su2 and gl1..gl6, spelled exactly so: no leading zero, no non-ASCII digit
     for name in ("e8", "gl03", "gl\u0663", "gl7", "gl0"):

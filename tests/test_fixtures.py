@@ -1,3 +1,4 @@
+import importlib.resources
 import json
 import random
 
@@ -12,7 +13,6 @@ from vassiliev.fixtures import (
     PLAT_FIXTURES,
     STANDARD_CAPS,
     STANDARD_CUPS,
-    fixture_curve,
     load_fixture,
     plat,
     write_shipped_data,
@@ -96,7 +96,7 @@ def test_torus_2_4_shadow():
 
 @pytest.mark.parametrize("name", ALL_FIXTURE_NAMES)
 def test_curves_embed_with_expected_shape(name):
-    mk = morse_embed(fixture_curve(name))
+    mk = morse_embed(load_fixture(name))
     assert mk.n_components == EXPECTED_COMPONENTS[name]
     assert mk.n_maxima == EXPECTED_MAXIMA[name]
 
@@ -112,7 +112,8 @@ def regenerated(tmp_path_factory):
 @pytest.mark.parametrize("name", ALL_FIXTURE_NAMES)
 def test_shipped_data_matches_builders(name, regenerated):
     built = curve_from_json(json.loads((regenerated / f"{name}.json").read_text()))
-    shipped = load_fixture(name)
+    res = importlib.resources.files("vassiliev.data").joinpath(f"{name}.json")
+    shipped = curve_from_json(json.loads(res.read_text()))
     assert len(built) == len(shipped)
     for a, b in zip(built, shipped):
         za = np.array([complex(s[0]) for s in a])
@@ -121,6 +122,17 @@ def test_shipped_data_matches_builders(name, regenerated):
         tb = np.array([float(s[1]) for s in b])
         assert np.allclose(za, zb, atol=1e-12, rtol=0)
         assert np.allclose(ta, tb, atol=1e-12, rtol=0)
+
+
+def test_fixtures_load_without_package_data(monkeypatch):
+    def unreadable(package):
+        raise OSError(f"no package data for {package}")
+
+    monkeypatch.setattr(importlib.resources, "files", unreadable)
+    for name in ALL_FIXTURE_NAMES:
+        assert len(load_fixture(name)) == EXPECTED_COMPONENTS[name]
+    with pytest.raises(KeyError):
+        load_fixture("no_such_fixture")
 
 
 def test_plat_rejects_bad_pairings():

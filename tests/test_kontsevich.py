@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from vassiliev.chords import ChordDiagram
-from vassiliev.fixtures import fixture_curve, two_circles
+from vassiliev.fixtures import load_fixture, two_circles
 from vassiliev.kontsevich import (
     KAPPA,
     CoefficientTable,
@@ -28,7 +28,7 @@ SINGLE = ChordDiagram(((0, 1),))
 
 
 def embed(name):
-    return morse_embed(fixture_curve(name))
+    return morse_embed(load_fixture(name))
 
 
 # -- slow oracle: one Python call per placement, nested cumsums per block ----
@@ -194,7 +194,7 @@ def test_degree_bounds_and_components():
     with pytest.raises(ValueError):
         degree_coefficients(embed("hopf"), 2, Q)
     with pytest.raises(TypeError):
-        degree_coefficients(fixture_curve("round_circle"), 2, Q)
+        degree_coefficients(load_fixture("round_circle"), 2, Q)
 
 
 def test_circle_self_chord_integral():
@@ -221,7 +221,7 @@ def test_linking_decays_with_separation():
 
 def test_linking_of_stacked_circles_is_zero():
     # no slab holds both components, so there is no cross placement
-    circle = fixture_curve("round_circle")[0]
+    circle = load_fixture("round_circle")[0]
     mk = morse_embed([circle, [(z, t + 10) for z, t in circle]])
     res = linking_number(mk, Q)
     assert res.value == 0 and res.converged
@@ -432,7 +432,7 @@ def test_enumerated_diagrams_match_unmemoized_induction():
 
 
 def test_raw_table_invariant_under_rigid_motion_and_scaling():
-    curve = fixture_curve("trefoil_2max")
+    curve = load_fixture("trefoil_2max")
     turn, shift = np.exp(0.7j), 0.3 - 1.1j
     moved = [[(turn * z + shift, t + 2.5) for z, t in comp] for comp in curve]
     scaled = [[(3 * z, 3 * t) for z, t in comp] for comp in curve]

@@ -69,6 +69,20 @@ def test_eq_hash_dict_roundtrip():
     assert P.from_dict({int(k): v for k, v in as_dict.items()}) == p
 
 
+def test_constants_hash_as_their_ints():
+    # A constant polynomial == its int, so sets and dicts must treat
+    # the two as one key.
+    for n in (0, 1, -3):
+        c = P.from_dict({0: n}) if n else P.zero()
+        assert c == n and hash(c) == hash(n)
+        assert len({n, c}) == 1
+        assert {n: "int"}.get(c) == "int"
+        assert {c: "poly"}.get(n) == "poly"
+        assert c in {n} and n in {c}
+    assert len({0, 1, -3, P.zero(), P.one(), P.from_dict({0: -3})}) == 3
+    assert P.z() not in {0, 1, -3} and P.z() in {P.z(), 0}
+
+
 def test_type_strictness():
     with pytest.raises(TypeError):
         P.from_dict({0: 1.5})

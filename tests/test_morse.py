@@ -60,6 +60,18 @@ def test_jitter_separates_equal_criticals():
     assert min(gaps) > 0
 
 
+def test_equal_criticals_within_one_component_rejected():
+    # Two maxima at t = 1 (theta = 0 and pi) on one knot: no shift of
+    # the whole component separates them, so no jitter is tried.
+    theta = 2 * np.pi * np.arange(400) / 400
+    z = np.exp(1j * theta) * (1 + 0.3 * np.sin(theta))
+    knot = list(zip(z, np.cos(2 * theta)))
+    with pytest.raises(EmbeddingError, match="component 0 has two critical heights"):
+        morse_embed([knot])
+    with pytest.raises(EmbeddingError, match="component 1 has two critical heights"):
+        morse_embed(round_circle(center=6.0) + [knot])
+
+
 def test_overlapping_components_rejected():
     with pytest.raises(EmbeddingError):
         morse_embed(round_circle() + round_circle(center=1e-13))
