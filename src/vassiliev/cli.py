@@ -31,7 +31,7 @@ from .chords import (
     raw_matchings,
     satisfies_4T,
 )
-from .codes import _GAUSS_TOKEN, DiagramError, SingularDiagram, parse_gauss, parse_pd
+from .codes import _GAUSS_TOKEN, DiagramError, ParseError, SingularDiagram, parse_gauss, parse_pd
 from .lie import gl_fundamental, su2_fundamental, weight, weight_system
 from .skein import conway, extend_invariant, v2
 
@@ -62,7 +62,11 @@ def load_diagram(text):
         with open(s) as fh:
             s = fh.read().strip()
     if s.startswith("{"):
-        return SingularDiagram.from_json_dict(json.loads(s))
+        try:
+            data = json.loads(s)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"diagram JSON does not decode: {exc.msg}", exc.pos) from None
+        return SingularDiagram.from_json_dict(data)
     if _PD_HEAD.search(s):
         return parse_pd(s)
     return parse_gauss(s)

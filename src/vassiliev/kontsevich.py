@@ -531,13 +531,19 @@ def _series_div(a, divisor, max_degree):
 
 
 @functools.lru_cache(maxsize=16)
-def _hump_reference_series(quadrature, max_degree):
-    """Raw series of the shipped 2-maxima unknot; cache_info() gives
-    the cache's hits and size."""
+def _hump_reference_series(quadrature):
+    """Raw series of the shipped 2-maxima unknot to degree 3, the most
+    degree_coefficients allows; cache_info() gives the cache's hits and
+    size.
+
+    One series serves every degree: its entries 0..m are bit-identical
+    to a degree-m series, since the k-blocks for k <= m and the
+    placements of degree <= m are the same arithmetic at any top degree.
+    """
     from .fixtures import load_fixture
     from .morse import morse_embed
 
-    return _raw_series(morse_embed(load_fixture("hump")), max_degree, quadrature)
+    return _raw_series(morse_embed(load_fixture("hump")), 3, quadrature)
 
 
 def hump_normalize(raw, mk):
@@ -547,8 +553,8 @@ def hump_normalize(raw, mk):
     in diagram degree, divided elementwise over the quadrature settings
     so the corrected sequences extrapolate exactly like raw ones.  The
     raw table carries its lower degrees and the 2-maxima unknot series
-    is cached, so the knot needs no new quadrature.  A 1-maximum
-    embedding is returned unchanged.
+    is cached once per quadrature spec, to degree 3, so the knot needs
+    no new quadrature.  A 1-maximum embedding is returned unchanged.
     """
     if not isinstance(raw, CoefficientTable):
         raise TypeError("hump_normalize expects a CoefficientTable")
@@ -558,7 +564,7 @@ def hump_normalize(raw, mk):
     if raw.degree == 0 or power == 0:
         return raw
     m = raw.degree
-    hump = _hump_reference_series(raw.quadrature, m)
+    hump = _hump_reference_series(raw.quadrature)
     corrected = raw._series
     for _ in range(power):
         corrected = _series_div(corrected, hump, m)

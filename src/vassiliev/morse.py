@@ -42,13 +42,13 @@ def _not_a_knot_cubic(t, z):
     else:
         h, w = dt.tolist(), m.tolist()
         span0, span1 = float(t[2] - t[0]), float(t[-1] - t[-3])
-        diag = [h[1]] + [2 * (a + b) for a, b in zip(h, h[1:])] + [h[-2]]
+        diag = np.r_[h[1], 2 * (dt[:-1] + dt[1:]), h[-2]].tolist()
         upper = [span0] + h[:-1]
-        rhs = (
-            [((h[0] + 2 * span0) * h[1] * w[0] + h[0] ** 2 * w[1]) / span0]
-            + [3 * (b * p + a * q) for a, b, p, q in zip(h, h[1:], w, w[1:])]
-            + [(h[-1] ** 2 * w[-2] + (2 * span1 + h[-1]) * h[-2] * w[-1]) / span1]
-        )
+        rhs = np.r_[
+            ((h[0] + 2 * span0) * h[1] * w[0] + h[0] ** 2 * w[1]) / span0,
+            3 * (dt[1:] * m[:-1] + dt[:-1] * m[1:]),
+            (h[-1] ** 2 * w[-2] + (2 * span1 + h[-1]) * h[-2] * w[-1]) / span1,
+        ].tolist()
         for i, lower in enumerate(h[1:] + [span1], 1):
             f = lower / diag[i - 1]
             diag[i] -= f * upper[i - 1]
@@ -84,9 +84,23 @@ class Strand:
     def at(self, t):
         """(z, dz/dt) at heights t; the end cubics extend past t_lo/t_hi."""
         i = np.searchsorted(self._t[1:-1], t, side="right")
-        s = t - self._t[i]
+        # One cast of s; Horner then runs in place on the fresh
+        # coefficient rows (numpy scalars just rebind for a scalar t).
+        s = np.asarray(t - self._t[i], dtype=complex)
         a, b, c, z0 = (k[i] for k in self._coeffs)
-        return ((a * s + b) * s + c) * s + z0, (3 * a * s + 2 * b) * s + c
+        z = a * s
+        z += b
+        z *= s
+        z += c
+        z *= s
+        z += z0
+        a *= 3
+        a *= s
+        b *= 2
+        a += b
+        a *= s
+        a += c
+        return z, a
 
     def __repr__(self):
         arrow = "up" if self.goes_up else "down"
@@ -141,8 +155,8 @@ def _extrema_indices(t):
 def morse_embed(components):
     """Build a MorseKnot from sampled closed curves.
 
-    components: iterable of sample lists, each sample a (z, t) pair as
-    curve_from_json returns them; only s[0] and s[1] are read.
+    components: iterable of sample lists, each sample a (z, t) pair with
+    real t, as curve_from_json returns them.
     Critical heights across the whole curve must be distinct.  Two of
     one component that coincide raise EmbeddingError at once; when two
     of different components collide, each component's heights are
@@ -151,11 +165,12 @@ def morse_embed(components):
     """
     comps = []
     for samples in components:
-        z = np.array([complex(s[0]) for s in samples])
-        t = np.array([float(s[1]) for s in samples])
-        if len(z) < 4:
+        zt = np.array(samples, dtype=complex)
+        if len(zt) < 4:
             raise EmbeddingError("need at least 4 samples per component")
-        comps.append((z, t))
+        if np.any(zt[:, 1].imag):
+            raise EmbeddingError("sample heights t must be real")
+        comps.append((zt[:, 0], zt[:, 1].real))
     if not comps:
         raise EmbeddingError("no components")
 
@@ -193,7 +208,7 @@ def morse_embed(components):
         n = len(t)
         cycle = []
         for a, b in zip(idx, idx[1:] + [idx[0] + n]):
-            sel = [(k % n) for k in range(a, b + 1)]
+            sel = np.arange(a, b + 1) % n
             ts, zs = t[sel], z[sel]
             goes_up = ts[-1] > ts[0]
             strand = Strand(len(strands), ci, goes_up, ts, zs)
@@ -235,10 +250,8 @@ def _check_embedding(strands, slabs):
         h = slab.height
         ts = np.linspace(slab.t_lo + 0.02 * h, slab.t_hi - 0.02 * h, 25)
         zs = np.array([strands[i].at(ts)[0] for i in slab.strand_ids])
-        for i in range(len(zs)):
-            for j in range(i + 1, len(zs)):
-                sep = float(np.min(np.abs(zs[i] - zs[j])))
-                margin = min(margin, sep)
+        i, j = np.triu_indices(len(zs), 1)
+        margin = min(margin, float(np.min(np.abs(zs[i] - zs[j]))))
     return margin
 
 
@@ -257,7 +270,12 @@ def curve_from_json(data):
         if data.lstrip()[:1] not in ("{", b"{"):
             with open(data) as fh:
                 text = fh.read()
-        data = json.loads(text)
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise EmbeddingError(
+                f"curve JSON does not decode: {exc.msg} at char {exc.pos}"
+            ) from None
     components = data.get("components") if isinstance(data, dict) else None
     if not isinstance(components, list) or not all(isinstance(c, list) for c in components):
         raise EmbeddingError("curve JSON needs 'components', a list of sample lists")

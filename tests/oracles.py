@@ -21,6 +21,11 @@ generalized Gell-Mann matrices plus, for gl(N), the scaled identity,
 which keeps the structure constants real and totally antisymmetric.
 The library's weights count index loops and never build it; the tests
 check its axioms and contract it with einsum to check the loop counts.
+
+`not_a_knot_cubic` is the strand spline with its rows built and swept
+one Python float at a time, and `check_embedding` the embedding margin
+as a loop over strand pairs; the library builds the same rows and
+minimum with numpy, and must match both bit for bit.
 """
 
 from functools import cached_property
@@ -170,3 +175,57 @@ def commutator_4T_witness(basis, tol=1e-12):
     target = 1j * np.einsum("abc,cij->abij", f, T)
     residual = float(np.max(np.abs(comm - target)))
     return residual <= tol, residual
+
+
+def not_a_knot_cubic(t, z):
+    """Per-interval coefficients, cubic first, of the not-a-knot cubic
+    spline through (t, z) with t increasing.
+
+    The knot slopes solve the usual tridiagonal system: a continuous
+    second derivative at the interior knots, and a continuous third
+    derivative at t[1] and t[-2].  Elimination needs no pivoting: every
+    pivot is positive, at least one interval width except in the last
+    row, which keeps dt[-2]**2 / (2 (dt[-2] + dt[-1])).  Through 2 or 3
+    samples the spline is the line or the parabola.
+    """
+    dt = np.diff(t)
+    m = np.diff(z) / dt
+    n = len(t)
+    if n <= 3:
+        mid = np.dot(dt[::-1], m) / (t[-1] - t[0])
+        d = np.r_[2 * m[0] - mid, [mid] * (n - 2), 2 * m[-1] - mid]
+    else:
+        h, w = dt.tolist(), m.tolist()
+        span0, span1 = float(t[2] - t[0]), float(t[-1] - t[-3])
+        diag = [h[1]] + [2 * (a + b) for a, b in zip(h, h[1:])] + [h[-2]]
+        upper = [span0] + h[:-1]
+        rhs = (
+            [((h[0] + 2 * span0) * h[1] * w[0] + h[0] ** 2 * w[1]) / span0]
+            + [3 * (b * p + a * q) for a, b, p, q in zip(h, h[1:], w, w[1:])]
+            + [(h[-1] ** 2 * w[-2] + (2 * span1 + h[-1]) * h[-2] * w[-1]) / span1]
+        )
+        for i, lower in enumerate(h[1:] + [span1], 1):
+            f = lower / diag[i - 1]
+            diag[i] -= f * upper[i - 1]
+            rhs[i] -= f * rhs[i - 1]
+        rhs[-1] /= diag[-1]
+        for i in range(n - 2, -1, -1):
+            rhs[i] = (rhs[i] - upper[i] * rhs[i + 1]) / diag[i]
+        d = np.array(rhs)
+    c = (d[:-1] + d[1:] - 2 * m) / dt
+    return c / dt, (m - d[:-1]) / dt - c, d[:-1], z[:-1]
+
+
+def check_embedding(strands, slabs):
+    margin = np.inf
+    for slab in slabs:
+        if len(slab.strand_ids) < 2:
+            continue
+        h = slab.height
+        ts = np.linspace(slab.t_lo + 0.02 * h, slab.t_hi - 0.02 * h, 25)
+        zs = np.array([strands[i].at(ts)[0] for i in slab.strand_ids])
+        for i in range(len(zs)):
+            for j in range(i + 1, len(zs)):
+                sep = float(np.min(np.abs(zs[i] - zs[j])))
+                margin = min(margin, sep)
+    return margin

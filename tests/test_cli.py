@@ -313,6 +313,24 @@ def test_error_bad_curve_json_names_the_field(tmp_path, capsys):
             assert named in err["message"], (argv, err)
 
 
+def test_error_undecodable_diagram_json_is_tagged_codes(capsys):
+    for argv in (["conway", '{"components": [["O1"'], ["parse", '{"components": [['],
+                 ["v2", "{"]):
+        err = run_error(capsys, argv)
+        assert err["module"] == "codes", (argv, err)
+        assert "does not decode" in err["message"], (argv, err)
+
+
+def test_error_undecodable_curve_json_is_tagged_morse(tmp_path, capsys):
+    path = tmp_path / "cut.curve.json"
+    path.write_text('{"components": [[')
+    for argv in (["kontsevich", '{"components": [['], ["kontsevich", str(path)],
+                 ["compare", str(path), TREFOIL]):
+        err = run_error(capsys, argv)
+        assert err["module"] == "morse", (argv, err)
+        assert "does not decode" in err["message"], (argv, err)
+
+
 def test_error_bad_algebra(capsys):
     # only su2 and gl1..gl6, spelled exactly so: no leading zero, no non-ASCII digit
     for name in ("e8", "gl03", "gl\u0663", "gl7", "gl0"):

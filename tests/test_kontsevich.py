@@ -4,6 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
+from vassiliev import kontsevich
 from vassiliev.chords import ChordDiagram
 from vassiliev.fixtures import load_fixture, two_circles
 from vassiliev.kontsevich import (
@@ -314,6 +315,25 @@ def test_normalize_twice_leaves_raw_table_unchanged():
     second = hump_normalize(raw, mk)
     assert raw.items() == before
     assert first.items() == second.items()
+
+
+def test_one_hump_reference_serves_every_degree():
+    # the hump series is built once per spec, to degree 3; its lower
+    # entries are those of a series built to the lower degree
+    def bits(c):
+        return np.array([c.value, c.error, *c.per_epsilon, *c.per_epsilon_half]).tobytes()
+
+    spec = QuadratureSpec(steps=64)
+    mk = embed("trefoil_2max")
+    kontsevich._hump_reference_series.cache_clear()
+    tables = {m: hump_normalize(degree_coefficients(mk, m, spec), mk) for m in (1, 2, 3)}
+    assert kontsevich._hump_reference_series.cache_info().misses == 1
+    raw = degree_coefficients(mk, 2, spec)
+    hump2 = kontsevich._raw_series(embed("hump"), 2, spec)
+    want = CoefficientTable(kontsevich._series_div(raw._series, hump2, 2), spec, mk.n_maxima)
+    got = tables[2].items()
+    assert [d for d, _ in got] == [d for d, _ in want.items()]
+    assert [bits(c) for _, c in got] == [bits(c) for _, c in want.items()]
 
 
 def test_normalize_rejects_mismatched_embedding():

@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+from oracles import check_embedding, not_a_knot_cubic
+from vassiliev import morse
 from vassiliev.morse import (
     EmbeddingError,
     Strand,
@@ -10,7 +12,8 @@ from vassiliev.morse import (
     curve_to_json,
     morse_embed,
 )
-from vassiliev.fixtures import round_circle, two_circles
+from vassiliev.fixtures import ALL_FIXTURE_NAMES, load_fixture, round_circle, two_circles
+from vassiliev.kontsevich import DEFAULT_QUADRATURE
 
 
 def test_round_circle_structure():
@@ -88,6 +91,13 @@ def test_too_few_samples_rejected():
         morse_embed([[(1 + 0j, 0.0), (1j, 1.0), (-1 + 0j, 0.5)]])
 
 
+def test_complex_height_rejected():
+    (samples,) = round_circle(n=16)
+    samples[3] = (samples[3][0], samples[3][1] + 1e-3j)
+    with pytest.raises(EmbeddingError, match="must be real"):
+        morse_embed([samples])
+
+
 def test_curve_json_roundtrip(tmp_path):
     comps = two_circles(3.0, n=12)
     data = curve_to_json(comps, name="pair")
@@ -159,3 +169,45 @@ def test_strand_matches_scipy_cubic_spline():
         z, dz = s.at(tau)
         for got, want in ((z, spline(tau)), (dz, spline.derivative()(tau))):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), n
+
+
+def _bits(x):
+    return np.asarray(x).tobytes()
+
+
+def test_embedding_matches_the_loop_oracles(monkeypatch):
+    # Library: one array conversion of the fixture's numpy samples, numpy
+    # spline rows and one minimum per slab.  Oracle: per-sample complex()
+    # and float(), the spline rows one float at a time, a pair loop.
+    got = {name: morse_embed(load_fixture(name)) for name in ALL_FIXTURE_NAMES}
+    monkeypatch.setattr(morse, "_not_a_knot_cubic", not_a_knot_cubic)
+    monkeypatch.setattr(morse, "_check_embedding", check_embedding)
+    for name, mk in got.items():
+        curve = [[(complex(z), float(t)) for z, t in comp] for comp in load_fixture(name)]
+        want = morse_embed(curve)
+        assert _bits(mk.embedding_margin) == _bits(want.embedding_margin), name
+        assert len(mk.strands) == len(want.strands), name
+        for s, w in zip(mk.strands, want.strands):
+            assert _bits(s._t) == _bits(w._t), (name, s)
+            assert len(s._coeffs) == len(w._coeffs) == 4
+            for k_got, k_want in zip(s._coeffs, w._coeffs):
+                assert _bits(k_got) == _bits(k_want), (name, s)
+
+
+def test_strand_at_is_the_horner_formula_bit_for_bit():
+    mk = morse_embed(load_fixture("trefoil_3max"))
+    rng = np.random.default_rng(5)
+    for strand in mk.strands:
+        lo, hi = strand.t_lo, strand.t_hi
+        steps = DEFAULT_QUADRATURE.steps
+        inset = DEFAULT_QUADRATURE.eps_rel * (hi - lo)
+        step = (hi - lo - 2 * inset) / steps
+        grid = lo + inset + (np.arange(steps) + 0.5) * step
+        for t in (0.5 * (lo + hi), lo, rng.uniform(lo, hi, 300), grid):
+            i = np.searchsorted(strand._t[1:-1], t, side="right")
+            s = t - strand._t[i]
+            a, b, c, z0 = (k[i] for k in strand._coeffs)
+            z, dz = strand.at(t)
+            assert np.shape(z) == np.shape(dz) == np.shape(t)
+            assert _bits(z) == _bits(((a * s + b) * s + c) * s + z0)
+            assert _bits(dz) == _bits((3 * a * s + 2 * b) * s + c)
