@@ -688,25 +688,16 @@ def braid_closure(word, n_strands=None):
 # -- random singular samples -----------------------------------------------
 
 
-def sample_singular_words(rng, n_nodes, *, n_strands=3, max_crossings=8):
-    """One random singular braid word with the given node count."""
-    n_cross = rng.randint(1, max_crossings)
-    word = [("node", rng.randint(1, n_strands - 1)) for _ in range(n_nodes)]
-    word += [
-        rng.choice([1, -1]) * rng.randint(1, n_strands - 1) for _ in range(n_cross)
-    ]
-    rng.shuffle(word)
-    return word
-
-
 def sample_singular_diagrams(rng, n_nodes, count, *, n_strands=3, max_crossings=8,
                              one_component=False):
-    """Random singular braid closures, optionally filtered to knots."""
+    """Random singular braid closures, optionally filtered to knots: each
+    from a shuffled word of n_nodes nodes and 1..max_crossings crossings."""
     out = []
     while len(out) < count:
-        word = sample_singular_words(
-            rng, n_nodes, n_strands=n_strands, max_crossings=max_crossings
-        )
+        n_cross = rng.randint(1, max_crossings)
+        word = [("node", rng.randint(1, n_strands - 1)) for _ in range(n_nodes)]
+        word += [rng.choice([1, -1]) * rng.randint(1, n_strands - 1) for _ in range(n_cross)]
+        rng.shuffle(word)
         d = braid_closure(word, n_strands=n_strands)
         if one_component and d.n_components != 1:
             continue

@@ -104,7 +104,8 @@ def plat(word, n, cups, caps):
     """Build the sampled curve and shadow diagram of a plat closure.
 
     Returns (components, shadow, meta): components are lists of (z, t)
-    samples per closed loop; meta records maxima and lane geometry.
+    samples, Python (complex, float) pairs, per closed loop; meta
+    records maxima and lane geometry.
     """
     _validate_pairing(cups, n, "cup")
     _validate_pairing(caps, n, "cap")
@@ -176,7 +177,7 @@ def plat(word, n, cups, caps):
             arc, bottom = cup_arcs[down]
             pieces.append(arc)
         x, y, t = (np.concatenate(c) for c in zip(*pieces))
-        components.append(list(zip(x + 1j * y, t)))
+        components.append(list(zip((x + 1j * y).tolist(), t.tolist())))
         shadow_components.append(tuple(toks))
 
     signs = {
@@ -207,7 +208,7 @@ def round_circle(n=720, radius=1.0, center=0.0, height=0.0):
     theta = 2 * np.pi * (np.arange(n) + _PHASE) / n
     z = center + radius * np.cos(theta)
     t = height + radius * np.sin(theta)
-    return [list(zip(z.astype(complex), t))]
+    return [list(zip(z.astype(complex).tolist(), t.tolist()))]
 
 
 def two_circles(distance, n=720):

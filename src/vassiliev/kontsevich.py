@@ -16,10 +16,12 @@ strand is evaluated once per quadrature setting, the pair integrands
 form one (pairs, steps) array, and every k-block comes from cumulative
 sums and matrix products.  A placement's value is the outer product of
 the blocks of its slab runs.  One generator, _degree_values, builds the
-blocks once and yields every degree's strand ends and signed values;
-coefficient tables sum them per induced diagram with index arrays (each
+blocks once and yields every degree's slabs, strand ends and signed
+values; a query only chooses the pair pools.  Coefficient tables sum
+every pair's placements per induced diagram with index arrays (each
 diagram adding its placements in enumeration order), linking numbers
-sum the whole degree, and a single placement reads its own column.
+sum the cross-component pairs, and a single placement keeps the pools
+of its own slabs (a slab's blocks do not depend on the others).
 
 Integrals are truncated eps away from critical heights and evaluated
 at the three nested insets eps, eps/2 and eps/4; a geometric fit in
@@ -132,24 +134,16 @@ class ChordPlacement:
         return len(self.slabs)
 
 
-def _pair_pools(mk, cross_only=False):
-    """Per slab, its strand pairs (a, b) with a < b in sorted order, as an
-    (n, 2) array; only pairs on two components if cross_only."""
-    comp = [s.component for s in mk.strands]
-    return [
-        np.array(
-            [(a, b) for a, b in itertools.combinations(sorted(slab.strand_ids), 2)
-             if not cross_only or comp[a] != comp[b]],
-            dtype=int,
-        ).reshape(-1, 2)
-        for slab in mk.slabs
-    ]
+def _pair_pools(mk):
+    """Per slab, its strand pairs (a, b) with a < b in sorted order, as an (n, 2) array."""
+    pools = (itertools.combinations(sorted(slab.strand_ids), 2) for slab in mk.slabs)
+    return [np.array(list(pool), dtype=int).reshape(-1, 2) for pool in pools]
 
 
 def _placements(pools, m):
     """Degree-m placements on the pair pools in enumeration order: the
-    slab sequences with a pair in every slab, and the strand ends
-    (N, m, 2) of all their placements, each sequence's pairs in
+    slab sequences with a pair in every slab, and per placement its
+    slabs (N, m) and strand ends (N, m, 2), each sequence's pairs in
     itertools.product order.
 
     Chord heights are ordered, so slab indices run nondecreasing and the
@@ -164,7 +158,8 @@ def _placements(pools, m):
     for slab_seq in seqs:
         grid = np.indices([len(pools[s]) for s in slab_seq]).reshape(m, -1)
         ends.append(np.stack([pools[s][g] for s, g in zip(slab_seq, grid)], axis=1))
-    return seqs, np.concatenate(ends)
+    slabs = np.repeat(np.array(seqs, dtype=int).reshape(-1, m), [len(e) for e in ends[1:]], 0)
+    return seqs, slabs, np.concatenate(ends)
 
 
 def _down_endpoints(mk, ends):
@@ -216,7 +211,7 @@ def enumerate_placements(mk, m):
     if m < 1:
         raise ValueError("placement degree must be at least 1")
     pools = _pair_pools(mk)
-    seqs, ends = _placements(pools, m)
+    seqs, _, ends = _placements(pools, m)
     pair_tuples = [list(map(tuple, pool.tolist())) for pool in pools]
     classes = [
         (slab_seq, pairs)
@@ -280,10 +275,10 @@ def _settings(quadrature):
 
 
 def _degree_values(mk, m, quadrature, pools):
-    """For each degree d = 1..m, the strand ends (N, d, 2) of its
-    placements on the pair pools (see _placements) and their raw
-    integrals, a (settings, N) array including the downward sign and one
-    factor kappa per chord.
+    """For each degree d = 1..m, the slabs (N, d) and strand ends
+    (N, d, 2) of its placements on the pair pools (see _placements) and
+    their raw integrals, a (settings, N) array including the downward
+    sign and one factor kappa per chord.
 
     Every degree reads one set of per-slab blocks: blocks[slab][k - 1]
     stacks that slab's k-block over the settings.  Each setting is
@@ -306,7 +301,7 @@ def _degree_values(mk, m, quadrature, pools):
             per_setting.append(_ordered_blocks(F, step, m))
         blocks.append([np.stack(b) for b in zip(*per_setting)])
     for d in range(1, m + 1):
-        seqs, ends = _placements(pools, d)
+        seqs, slabs, ends = _placements(pools, d)
         values = [np.empty((n, 0), dtype=complex)]
         for slab_seq in seqs:
             val = np.ones((n, 1), dtype=complex)
@@ -317,7 +312,7 @@ def _degree_values(mk, m, quadrature, pools):
         values = np.concatenate(values, axis=1)
         kappa_d = KAPPA**d
         values *= np.where(_down_endpoints(mk, ends) % 2, -kappa_d, kappa_d)
-        yield ends, values
+        yield slabs, ends, values
 
 
 def _sums(values, index, n):
@@ -387,14 +382,16 @@ def _classify(series):
 
 
 def placement_integral(mk, placement, quadrature=DEFAULT_QUADRATURE):
-    """Extrapolated integral of one placement class with error bar, read
-    from its degree's values at its place in the enumeration."""
-    key = (tuple(placement.slabs), tuple(map(tuple, placement.pairs)))
-    keys = [(p.slabs, p.pairs) for p in enumerate_placements(mk, placement.degree)]
-    if key not in keys:
+    """Extrapolated integral of one placement class with error bar: its
+    column of the generator run on the pools of its own slabs alone."""
+    if placement.degree < 1:
+        raise ValueError("placement degree must be at least 1")
+    pools = [p if s in placement.slabs else p[:0] for s, p in enumerate(_pair_pools(mk))]
+    *_, (slabs, ends, values) = _degree_values(mk, placement.degree, quadrature, pools)
+    hit = (slabs == placement.slabs).all(axis=1) & (ends == placement.pairs).all(axis=(1, 2))
+    if not hit.any():
         raise ValueError("placement does not belong to this embedding")
-    *_, (_, values) = _degree_values(mk, placement.degree, quadrature, _pair_pools(mk))
-    return _classify(values[:, keys.index(key)])
+    return _classify(values[:, hit.argmax()])
 
 
 # -- per-diagram aggregation -------------------------------------------------
@@ -413,7 +410,7 @@ def _raw_series(mk, m, quadrature):
     placements in enumeration order, so results are bit-reproducible.
     """
     series = [{_empty_diagram(): np.ones(len(_settings(quadrature)), dtype=complex)}]
-    for ends, values in _degree_values(mk, m, quadrature, _pair_pools(mk)):
+    for _, ends, values in _degree_values(mk, m, quadrature, _pair_pools(mk)):
         diagrams, index = _induced_diagrams(mk, ends)
         series.append(dict(zip(diagrams, _sums(values, index, len(diagrams)))))
     return series
@@ -584,7 +581,9 @@ def linking_number(mk, quadrature=DEFAULT_QUADRATURE):
     """
     if len(mk.component_cycles) < 2:
         raise ValueError("linking number needs at least 2 components")
-    ((_, values),) = _degree_values(mk, 1, quadrature, _pair_pools(mk, cross_only=True))
+    comp = np.array([s.component for s in mk.strands])
+    pools = [pool[comp[pool[:, 0]] != comp[pool[:, 1]]] for pool in _pair_pools(mk)]
+    ((_, _, values),) = _degree_values(mk, 1, quadrature, pools)
     res = _classify(_sums(values, np.zeros(values.shape[1], dtype=int), 1)[0])
     return replace(res, error=res.error + abs(res.value.imag))
 

@@ -432,12 +432,36 @@ def test_slab_blocks_match_per_placement_oracle():
     )
     assert_series_close(linking_number(hopf, q), want)
 
+    # single placements: their column of the unrestricted generator, bit
+    # for bit, and the oracle's value
     circle = embed("round_circle")
-    quad = OracleQuad(circle, q)
-    for m in (1, 2):
-        for p in enumerate_placements(circle, m):
-            want = quad.value(p.slabs, p.pairs, p.down_endpoints)
-            assert_series_close(placement_integral(circle, p, q), want)
+    for mk, m in ((circle, 1), (circle, 2), (mk, 2)):
+        quad = OracleQuad(mk, q)
+        *_, (_, _, every) = kontsevich._degree_values(mk, m, q, kontsevich._pair_pools(mk))
+        for p, column in zip(enumerate_placements(mk, m), every.T, strict=True):
+            got = placement_integral(mk, p, q)
+            assert got.per_epsilon + got.per_epsilon_half == tuple(column.tolist())
+            assert_series_close(got, quad.value(p.slabs, p.pairs, p.down_endpoints))
+
+
+def test_placement_integral_refuses_placements_not_of_the_embedding():
+    mk = embed("trefoil_3max")
+    placements = enumerate_placements(mk, 2)
+    keys = {(p.slabs, p.pairs) for p in placements}
+    foreign = next(
+        p for p in enumerate_placements(embed("figure_eight"), 2) if (p.slabs, p.pairs) not in keys
+    )
+    pools = [set(map(tuple, pool.tolist())) for pool in kontsevich._pair_pools(mk)]
+    p = placements[0]
+    stray = next(pair for pool in pools for pair in pool if pair not in pools[p.slabs[0]])
+    p_stray = dataclasses.replace(p, pairs=(stray,) + p.pairs[1:])
+    p = next(p for p in placements if p.slabs[0] < p.slabs[1])
+    p_unordered = dataclasses.replace(p, slabs=p.slabs[::-1], pairs=p.pairs[::-1])
+    for bad in (foreign, p_stray, p_unordered):
+        with pytest.raises(ValueError, match="does not belong"):
+            placement_integral(mk, bad, Q)
+    with pytest.raises(ValueError, match="at least 1"):
+        placement_integral(mk, dataclasses.replace(p, slabs=(), pairs=()), Q)
 
 
 def test_enumerated_diagrams_match_unmemoized_induction():
