@@ -57,7 +57,8 @@ def load_diagram(text):
     else is read as a path.
     """
     s = text.strip()
-    is_code = _GAUSS_TOKEN.match(s) or _PD_HEAD.match(s) or s.startswith((";", "{"))
+    head = _GAUSS_TOKEN.match(s)
+    is_code = (head and head.group(1)) or _PD_HEAD.match(s) or s.startswith((";", "{"))
     if s and (os.path.exists(s) or not is_code):
         with open(s) as fh:
             s = fh.read().strip()

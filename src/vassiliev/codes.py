@@ -61,24 +61,27 @@ class SingularDiagram:
     __slots__ = ("_components", "_signs", "_nodes", "_canonical")
 
     def __init__(self, components, signs):
+        components = tuple(tuple((k, int(s)) for k, s in comp) for comp in components)
         self._set_parts(
-            tuple(tuple((k, int(s)) for k, s in comp) for comp in components),
+            components,
             {int(i): int(v) for i, v in dict(signs).items()},
+            frozenset(sid for comp in components for kind, sid in comp if kind in _NODE_KINDS),
         )
         self._validate()
 
     @classmethod
-    def _from_parts(cls, components, signs):
-        """A move's result, taken as valid: `components` is a tuple of
-        token tuples and `signs` a dict no one changes."""
+    def _from_parts(cls, components, signs, nodes):
+        """A diagram its builder has proved valid: `components` is a tuple
+        of token tuples, `signs` a dict no one changes and `nodes` the
+        frozenset of node ids."""
         out = cls.__new__(cls)
-        out._set_parts(components, signs)
+        out._set_parts(components, signs, nodes)
         return out
 
-    def _set_parts(self, components, signs):
+    def _set_parts(self, components, signs, nodes):
         self._components = components
         self._signs = signs
-        self._nodes = frozenset(sid for comp in components for kind, sid in comp if kind in _NODE_KINDS)
+        self._nodes = nodes
         self._canonical = None
 
     def _validate(self):
@@ -149,20 +152,20 @@ class SingularDiagram:
         """Swap over/under at crossing sid and negate its sign."""
         if sid not in self._signs:
             raise DiagramError(f"no crossing with id {sid}")
-        return self._retagged({sid}, _SWITCH, {**self._signs, sid: -self._signs[sid]})
+        return self._retagged({sid}, _SWITCH, {**self._signs, sid: -self._signs[sid]}, self._nodes)
 
     def mirror(self):
         """Switch every crossing."""
-        return self._retagged(self._signs, _SWITCH, {sid: -sgn for sid, sgn in self._signs.items()})
+        return self._retagged(self._signs, _SWITCH, {sid: -sgn for sid, sgn in self._signs.items()}, self._nodes)
 
-    def _retagged(self, sites, kinds, signs):
+    def _retagged(self, sites, kinds, signs, nodes):
         """This diagram with the tokens at `sites` renamed by `kinds` and
-        the given signs."""
+        the given signs and node ids."""
         comps = tuple(
             tuple((kinds[k], s) if s in sites and k in kinds else (k, s) for k, s in comp)
             for comp in self._components
         )
-        return SingularDiagram._from_parts(comps, signs)
+        return SingularDiagram._from_parts(comps, signs, nodes)
 
     def smooth_crossing(self, sid):
         """Oriented smoothing at crossing sid (the crossing disappears)."""
@@ -171,7 +174,7 @@ class SingularDiagram:
         comps = _splice_out(self._components, sid)
         signs = dict(self._signs)
         del signs[sid]
-        return SingularDiagram._from_parts(comps, signs)
+        return SingularDiagram._from_parts(comps, signs, self._nodes)
 
     def resolve_node(self, sid, resolution):
         """Replace node sid by a crossing or by the oriented smoothing.
@@ -182,13 +185,13 @@ class SingularDiagram:
         """
         if sid not in self._nodes:
             raise DiagramError(f"no node with id {sid}")
+        nodes = self._nodes - {sid}
         if resolution == "smooth":
-            comps = _splice_out(self._components, sid)
-            return SingularDiagram._from_parts(comps, self._signs)
+            return SingularDiagram._from_parts(_splice_out(self._components, sid), self._signs, nodes)
         if resolution == "positive":
-            return self._retagged({sid}, {NODE_FIRST: OVER, NODE_SECOND: UNDER}, {**self._signs, sid: 1})
+            return self._retagged({sid}, {NODE_FIRST: OVER, NODE_SECOND: UNDER}, {**self._signs, sid: 1}, nodes)
         if resolution == "negative":
-            return self._retagged({sid}, {NODE_FIRST: UNDER, NODE_SECOND: OVER}, {**self._signs, sid: -1})
+            return self._retagged({sid}, {NODE_FIRST: UNDER, NODE_SECOND: OVER}, {**self._signs, sid: -1}, nodes)
         raise DiagramError(f"unknown resolution {resolution!r}")
 
     # -- equality up to relabeling --------------------------------------
@@ -478,7 +481,9 @@ def _canonical_key(components, signs):
 
 # -- Gauss text ----------------------------------------------------------
 
-_GAUSS_TOKEN = re.compile(r"\s*([OU])(\d+)([+-])")
+# A Gauss token, or in group 4 a character that opens none.  `findall`
+# searches, so whitespace between tokens is skipped.
+_GAUSS_TOKEN = re.compile(r"([OU])(\d+)([+-])|(\S)")
 
 
 def parse_gauss(text):
@@ -493,38 +498,40 @@ def parse_gauss(text):
         raise ParseError("empty diagram input")
     comps = []
     signs = {}
-    offset = 0
     for piece in text.split(";"):
         toks = []
-        pos = 0
-        while pos < len(piece):
-            if piece[pos].isspace():
-                pos += 1
-                continue
-            m = _GAUSS_TOKEN.match(piece, pos)
-            if not m:
-                raise ParseError("malformed Gauss token", position=offset + pos)
-            kind, sid, sgn = m.group(1), int(m.group(2)), 1 if m.group(3) == "+" else -1
-            if sid in signs and signs[sid] != sgn:
-                raise ParseError(f"crossing {sid} appears with mismatched signs", position=offset + pos)
-            signs.setdefault(sid, sgn)
+        for kind, sid, sgn, bad in _GAUSS_TOKEN.findall(piece):
+            if bad:
+                raise _gauss_error(text, "malformed Gauss token", len(comps), len(toks))
+            sid = int(sid)
+            sgn = 1 if sgn == "+" else -1
+            if signs.setdefault(sid, sgn) != sgn:
+                raise _gauss_error(text, f"crossing {sid} appears with mismatched signs", len(comps), len(toks))
             toks.append((kind, sid))
-            pos = m.end()
         comps.append(tuple(toks))
-        offset += len(piece) + 1
-    counts = {}
-    for comp in comps:
-        for kind, sid in comp:
-            counts.setdefault(sid, []).append(kind)
-    for sid, kinds in counts.items():
-        if sorted(kinds) != ["O", "U"]:
-            raise ParseError(f"crossing {sid} must appear exactly once as O and once as U")
-    return SingularDiagram(comps, signs)
+    # Each crossing has a token; with no token twice, 2 per crossing means one O and one U.
+    n_tokens = sum(map(len, comps))
+    if n_tokens != 2 * len(signs) or n_tokens != len(set().union(*comps)):
+        counts = {}
+        for comp in comps:
+            for kind, sid in comp:
+                counts.setdefault(sid, []).append(kind)
+        sid = next(sid for sid, kinds in counts.items() if sorted(kinds) != ["O", "U"])
+        raise ParseError(f"crossing {sid} must appear exactly once as O and once as U")
+    return SingularDiagram._from_parts(tuple(comps), signs, frozenset())
+
+
+def _gauss_error(text, message, ci, ti):
+    """ParseError at the ti-th match of component ci of the stripped text."""
+    pieces = text.split(";")
+    start = list(_GAUSS_TOKEN.finditer(pieces[ci]))[ti].start()
+    return ParseError(message, position=sum(len(p) + 1 for p in pieces[:ci]) + start)
 
 
 # -- PD text -------------------------------------------------------------
 
-_PD_ENTRY = re.compile(r"\s*([XV])\s*\(\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\)")
+# A PD entry, or in group 6 a character that opens none (as `_GAUSS_TOKEN`).
+_PD_ENTRY = re.compile(r"([XV])\s*\(\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\)|(\S)")
 
 
 def parse_pd(text):
@@ -549,16 +556,10 @@ def parse_pd(text):
     if not text:
         raise ParseError("empty diagram input")
     entries = []
-    pos = 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _PD_ENTRY.match(text, pos)
-        if not m:
-            raise ParseError("malformed PD entry", position=pos)
-        entries.append((m.group(1), tuple(int(g) for g in m.group(2, 3, 4, 5))))
-        pos = m.end()
+    for typ, a, b, c, d, bad in _PD_ENTRY.findall(text):
+        if bad:
+            raise ParseError("malformed PD entry", position=list(_PD_ENTRY.finditer(text))[len(entries)].start())
+        entries.append((typ, (int(a), int(b), int(c), int(d))))
 
     ends = {}
     for e, (_, tup) in enumerate(entries):
@@ -617,7 +618,8 @@ def parse_pd(text):
             passage = nxt.pop(passage)
         if toks:
             comps.append(tuple(toks))
-    return SingularDiagram(comps, {e: signs[e] for e in sorted(signs)})
+    nodes = frozenset(e for e, (typ, _) in enumerate(entries) if typ == "V")
+    return SingularDiagram._from_parts(tuple(comps), {e: signs[e] for e in sorted(signs)}, nodes)
 
 
 # -- braid closures --------------------------------------------------------
@@ -641,6 +643,7 @@ def braid_closure(word, n_strands=None):
     occupant = list(range(n_strands))
     tracks = [[] for _ in range(n_strands)]
     signs = {}
+    nodes = []
     sid = 0
     for letter in word:
         if isinstance(letter, tuple):
@@ -652,6 +655,7 @@ def braid_closure(word, n_strands=None):
             left, right = occupant[i - 1], occupant[i]
             tracks[left].append((NODE_FIRST, sid))
             tracks[right].append((NODE_SECOND, sid))
+            nodes.append(sid)
         else:
             i = abs(letter)
             if letter == 0 or not (1 <= i < n_strands):
@@ -682,7 +686,7 @@ def braid_closure(word, n_strands=None):
             if s == start:
                 break
         comps.append(tuple(toks))
-    return SingularDiagram(comps, signs)
+    return SingularDiagram._from_parts(tuple(comps), signs, frozenset(nodes))
 
 
 # -- random singular samples -----------------------------------------------

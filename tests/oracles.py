@@ -26,16 +26,60 @@ check its axioms and contract it with einsum to check the loop counts.
 one Python float at a time, and `check_embedding` the embedding margin
 as a loop over strand pairs; the library builds the same rows and
 minimum with numpy, and must match both bit for bit.
+
+`parse_gauss_loop` is the Gauss parser that matches one token at a time
+and builds through `SingularDiagram(...)`, so its output is validated
+again; the library scans each component with one regex and must give the
+same diagram, or the same error with the same position.
 """
 
+import re
 from functools import cached_property
 
 import numpy as np
 
-from vassiliev.codes import UNDER
+from vassiliev.codes import UNDER, ParseError, SingularDiagram
 from vassiliev.laurent import IntegerLaurentPoly
 
 Z = IntegerLaurentPoly.z()
+
+_GAUSS_TOKEN = re.compile(r"\s*([OU])(\d+)([+-])")
+
+
+def parse_gauss_loop(text):
+    """Gauss text to a SingularDiagram, one token match at a time."""
+    text = text.strip()
+    if not text:
+        raise ParseError("empty diagram input")
+    comps = []
+    signs = {}
+    offset = 0
+    for piece in text.split(";"):
+        toks = []
+        pos = 0
+        while pos < len(piece):
+            if piece[pos].isspace():
+                pos += 1
+                continue
+            m = _GAUSS_TOKEN.match(piece, pos)
+            if not m:
+                raise ParseError("malformed Gauss token", position=offset + pos)
+            kind, sid, sgn = m.group(1), int(m.group(2)), 1 if m.group(3) == "+" else -1
+            if sid in signs and signs[sid] != sgn:
+                raise ParseError(f"crossing {sid} appears with mismatched signs", position=offset + pos)
+            signs.setdefault(sid, sgn)
+            toks.append((kind, sid))
+            pos = m.end()
+        comps.append(tuple(toks))
+        offset += len(piece) + 1
+    counts = {}
+    for comp in comps:
+        for kind, sid in comp:
+            counts.setdefault(sid, []).append(kind)
+    for sid, kinds in counts.items():
+        if sorted(kinds) != ["O", "U"]:
+            raise ParseError(f"crossing {sid} must appear exactly once as O and once as U")
+    return SingularDiagram(comps, signs)
 
 
 def first_bad_crossing(diagram):

@@ -268,6 +268,13 @@ def test_code_text_opening_as_the_grammars_allow(capsys):
         assert run_json(capsys, ["v2", pd])["v2"] == 1
 
 
+def test_gauss_text_led_by_whitespace_or_separator_is_code(capsys):
+    # load_diagram sniffs with the parser's own token regex
+    assert run_json(capsys, ["v2", " \t" + TREFOIL])["v2"] == 1
+    for text in (" ;" + TREFOIL, ";  " + TREFOIL, "\n" + TREFOIL + ";"):
+        assert run_json(capsys, ["parse", text])["n_components"] == 2
+
+
 def test_error_parse_has_position(capsys):
     err = run_error(capsys, ["parse", "O1+U2+O3x"])
     assert err["module"] == "codes"

@@ -1,10 +1,13 @@
+import collections
 import itertools
 import random
 import re
 import time
 
 import pytest
-from oracles import first_bad_crossing
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from oracles import first_bad_crossing, parse_gauss_loop
 
 from vassiliev.codes import (
     DiagramError,
@@ -166,6 +169,117 @@ def test_parse_pd_rejects_node_strands_that_collide():
     for text in ("V(2,1,1,2)", "V(1,2,2,1)"):
         with pytest.raises(ParseError):
             parse_pd(text)
+
+
+def mutated(text, rng):
+    """text with one character deleted or inserted, one sign flipped, or
+    whitespace or a ';' added."""
+    i = rng.randrange(len(text) + 1)
+    how = rng.randrange(4)
+    if how == 0 and text:
+        i = min(i, len(text) - 1)
+        return text[:i] + text[i + 1 :]
+    if how == 1:
+        return text[:i] + rng.choice("OU+-;0123456789 \tXo") + text[i:]
+    signs = [j for j, c in enumerate(text) if c in "+-"]
+    if how == 2 and signs:
+        j = rng.choice(signs)
+        return text[:j] + "+-"[text[j] == "+"] + text[j + 1 :]
+    return text[:i] + rng.choice((" ", "\t", "\n", ";", " ; ", "\u00a0")) + text[i:]
+
+
+def random_words(rng, count, nodes=0):
+    """(word, n_strands) pairs: 2 to 5 strands, up to 10 crossings and the
+    given number of nodes."""
+    words = []
+    for _ in range(count):
+        n = rng.randint(2, 5)
+        word = [rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(rng.randint(1, 10))]
+        word += [("node", rng.randint(1, n - 1)) for _ in range(nodes)]
+        rng.shuffle(word)
+        words.append((word, n))
+    return words
+
+
+def gauss_corpus(rng):
+    """Gauss texts of sampled closures and links, each with four mutants."""
+    diagrams = sample_singular_diagrams(rng, 0, 150, n_strands=4, max_crossings=9)
+    diagrams += [braid_closure(*case) for case in random_words(rng, 150)]
+    texts = []
+    for d in diagrams:
+        if any(d.components):
+            text = d.to_gauss()
+            texts += [text, mutated(text, rng), mutated(text, rng), mutated(text, rng)]
+            texts.append(mutated(mutated(text, rng), rng))
+    return texts
+
+
+def outcome(parse, text):
+    try:
+        d = parse(text)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+    return d.components, list(d.signs.items()), d.node_ids
+
+
+def test_parse_gauss_matches_the_loop_parser_on_codes_and_mutants():
+    texts = gauss_corpus(random.Random(26))
+    counts = collections.Counter()
+    for text in texts + ["", " ;", "\u00a0O1+U1+\u2003", "O1+ x", "O1+U1-x", "O1+O1+;U1+U1+"]:
+        got = outcome(parse_gauss, text)
+        assert got == outcome(parse_gauss_loop, text), text
+        counts[re.sub(r"\d+", "N", got[1].split(" (at")[0]) if got[0] is ParseError else "parsed"] += 1
+    assert counts["parsed"] > 300
+    assert counts["malformed Gauss token"] > 50
+    assert counts["crossing N appears with mismatched signs"] > 50
+    assert counts["crossing N must appear exactly once as O and once as U"] > 50
+
+
+def built_diagrams(rng):
+    """Outputs of the library's builders: braid closures with up to two
+    nodes, parse_gauss of their Gauss texts and of the mutants that parse,
+    and parse_pd of their PD texts and of random PD texts that parse."""
+    closures = [braid_closure(*case) for k in range(3) for case in random_words(rng, 100, nodes=k)]
+    out = list(closures)
+    for text in gauss_corpus(rng):
+        try:
+            out.append(parse_gauss(text))
+        except ParseError:
+            pass
+    for d in closures:
+        if all(d.components):
+            text = d._pd_text_unchecked()
+            out += [parse_pd(text), parse_pd(relabelled_pd(text, rng, None))]
+    for _ in range(2000):
+        n = rng.randint(1, 4)
+        arcs = list(range(1, 2 * n + 1)) * 2
+        rng.shuffle(arcs)
+        text = " ".join(rng.choice("XV") + "(%d,%d,%d,%d)" % tuple(arcs[4 * e : 4 * e + 4]) for e in range(n))
+        try:
+            out.append(parse_pd(text))
+        except ParseError:
+            pass
+    return out
+
+
+def test_builders_prove_what_validation_would():
+    diagrams = built_diagrams(random.Random(27))
+    assert sum(d.n_nodes > 0 for d in diagrams) > 300
+    for d in diagrams:
+        fresh = SingularDiagram(d.components, d.signs)
+        assert fresh.components == d.components
+        assert list(fresh.signs.items()) == list(d.signs.items())
+        assert fresh.node_ids == d.node_ids
+        assert fresh == d
+
+
+def test_moves_carry_the_node_set():
+    for d in built_diagrams(random.Random(28))[::3]:
+        kept, changed = one_step_moves(d)
+        for moved in kept + changed:
+            tokens = {sid for comp in moved.components for kind, sid in comp if kind in "PQ"}
+            assert moved.node_ids == tuple(sorted(tokens))
+            SingularDiagram(moved.components, moved.signs)
 
 
 def test_json_roundtrip_with_nodes():
@@ -473,3 +587,52 @@ def test_writhe_invariant_under_reidemeister_like_words():
     b = braid_closure([1, 1, 1, 2], n_strands=3)
     assert a.n_components == b.n_components == 1
     assert b.writhe == a.writhe + 1
+
+
+# -- properties on hypothesis-drawn braid words ----------------------------
+
+PROPERTIES = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def braid_words(draw, nodes=True):
+    """(word, n_strands) on 2 to 4 strands, up to 12 letters, nodes allowed
+    unless `nodes` is False."""
+    n = draw(st.integers(2, 4))
+    letter = st.sampled_from([sgn * i for i in range(1, n) for sgn in (1, -1)])
+    if nodes:
+        letter = letter | st.tuples(st.just("node"), st.integers(1, n - 1))
+    return draw(st.lists(letter, min_size=1, max_size=12)), n
+
+
+@PROPERTIES
+@given(braid_words(nodes=False))
+def test_gauss_text_round_trips_token_for_token(case):
+    d = braid_closure(*case)
+    back = parse_gauss(d.to_gauss())
+    assert back.components == d.components
+    assert back.signs == d.signs
+
+
+@PROPERTIES
+@given(braid_words())
+def test_pd_text_round_trips_when_every_component_fixes_its_orientation(case):
+    # a component with a passage other than O is oriented by the walk from it
+    d = braid_closure(*case)
+    assume(all(any(kind != "O" for kind, _ in comp) for comp in d.components))
+    assert parse_pd(d._pd_text_unchecked()) == d
+    assert parse_pd(d.to_pd()) == d
+
+
+@PROPERTIES
+@given(braid_words(), st.data())
+def test_canonical_key_ignores_relabelling_and_basepoint_rotation(case, data):
+    d = braid_closure(*case)
+    ids = sorted({sid for comp in d.components for _, sid in comp})
+    perm = dict(zip(ids, data.draw(st.permutations(range(100, 100 + len(ids))))))
+    comps = []
+    for comp in d.components:
+        r = data.draw(st.integers(0, max(len(comp) - 1, 0)))
+        comps.append([(kind, perm[sid]) for kind, sid in comp[r:] + comp[:r]])
+    moved = SingularDiagram(comps, {perm[sid]: sgn for sid, sgn in d.signs.items()})
+    assert moved.canonical_key() == d.canonical_key()
