@@ -30,8 +30,9 @@ _CROSSING_KINDS = (OVER, UNDER)
 _NODE_KINDS = (NODE_FIRST, NODE_SECOND)
 _SWITCH = {OVER: UNDER, UNDER: OVER}
 
-# The canonical search raises rather than build more arrangements than
-# this for one slot.
+# The canonical key raises rather than try more candidate rotations than
+# this for one slot: ties times unplaced components times the rotations
+# that start with the least kind.
 _TIE_BUDGET = 100_000
 
 
@@ -418,65 +419,49 @@ def _splice_out(components, sid):
 
 def _canonical_key(components, signs):
     """Least encoding over basepoint rotations and over orders of the
-    components that share a signature, built one token at a time.
+    components that share a signature.
 
-    The tokens of slot j depend only on the choices for slots <= j, so
-    only the arrangements whose prefix is least so far are extended; the
-    sign part breaks the ties left at the end.  Slots go by (size of the
-    signature group, signature): a component with a unique signature is
-    placed first and fixes the labels.  Empty components carry no site
-    and lead the key as ().
+    Slots go by (size of the signature group, signature): a component
+    with a unique signature is placed first and fixes the labels.  For
+    each slot, every tie encodes each unplaced component of the group at
+    every rotation that starts with the signature's least kind, numbering
+    new sites in first-encounter order; the least encoding joins the key
+    and the ties that spell it go on.  The sign part breaks the ties left
+    at the end.  Empty components carry no site and lead the key as ().
     """
     groups = {}
     for comp in components:
         if comp:
             sig = (len(comp), tuple(sorted((kind, signs.get(sid, 0)) for kind, sid in comp)))
             groups.setdefault(sig, []).append(comp)
-    empty = tuple(comp for comp in components if not comp)
-    # A tie is (placed rotations, relabel map, unplaced components of the group).
-    ties = [((), {}, ())]
+    key = [comp for comp in components if not comp]
+    # A tie is (relabel map, unplaced components of the group).
+    ties = [({}, ())]
     for (length, sig), group in sorted(groups.items(), key=lambda item: (len(item[1]), item[0])):
-        lead = sig[0][0]  # only a rotation that starts with the least kind can lead
+        lead = sig[0][0]  # only a rotation that starts with the least kind can be least
         starts = [kind for kind, _ in sig].count(lead)
-        ties = [(placed, relabel, group) for placed, relabel, _ in ties]
+        ties = [(relabel, group) for relabel, _ in ties]
         for left in range(len(group), 0, -1):
             if len(ties) * left * starts > _TIE_BUDGET:
                 raise DiagramError("diagram too symmetric for the canonical form")
-            # Every rotation's first token is (lead, label of its first site);
-            # only the rotations with the least label are built.
-            least = min(
-                relabel.get(comp[r][1], len(relabel))
-                for _, relabel, rest in ties
-                for comp in rest
-                for r in range(length)
-                if comp[r][0] == lead
-            )
-            arrangements = [
-                (placed + (comp[r:] + comp[:r],), {**relabel, comp[r][1]: least}, rest[:i] + rest[i + 1 :])
-                for placed, relabel, rest in ties
-                for i, comp in enumerate(rest)
-                for r in range(length)
-                if comp[r][0] == lead and relabel.get(comp[r][1], len(relabel)) == least
-            ]
-            for pos in range(1, length):
-                if len(arrangements) == 1:  # a lone survivor only labels its sites
-                    (placed, relabel, _), = arrangements
-                    for _, sid in placed[-1][pos:]:
-                        relabel.setdefault(sid, len(relabel))
-                    break
-                toks = []
-                for placed, relabel, _ in arrangements:
-                    kind, sid = placed[-1][pos]
-                    toks.append((kind, relabel.setdefault(sid, len(relabel))))
-                least = min(toks)
-                arrangements = [a for a, tok in zip(arrangements, toks) if tok == least]
-            ties = arrangements
-    # The slots kept only least tokens, so every survivor spells the same
-    # components, with sites numbered in first-encounter order.
-    placed, relabel, _ = ties[0]
-    encoded = tuple(tuple((kind, relabel[sid]) for kind, sid in comp) for comp in placed)
-    sign_part = min(tuple(sorted((relabel[sid], sgn) for sid, sgn in signs.items())) for _, relabel, _ in ties)
-    return (empty + encoded, sign_part)
+            least, kept = None, []
+            for relabel, rest in ties:
+                for i, comp in enumerate(rest):
+                    twice = comp + comp
+                    for r, (kind, sid) in enumerate(comp):
+                        # a first site labelled above the least's first token cannot lead
+                        if kind != lead or least and relabel.get(sid, len(relabel)) > least[0][1]:
+                            continue
+                        labels = relabel.copy()
+                        code = tuple([(k, labels.setdefault(s, len(labels))) for k, s in twice[r : r + length]])
+                        if least is None or code < least:
+                            least, kept = code, []
+                        if code == least:
+                            kept.append((labels, rest[:i] + rest[i + 1 :]))
+            key.append(least)
+            ties = kept
+    sign_part = min(tuple(sorted((relabel[sid], sgn) for sid, sgn in signs.items())) for relabel, _ in ties)
+    return (tuple(key), sign_part)
 
 
 # -- Gauss text ----------------------------------------------------------

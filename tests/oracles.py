@@ -31,6 +31,14 @@ minimum with numpy, and must match both bit for bit.
 and builds through `SingularDiagram(...)`, so its output is validated
 again; the library scans each component with one regex and must give the
 same diagram, or the same error with the same position.
+
+`canonical_key_search` is the canonical key built one token at a time:
+it extends only the arrangements whose prefix is least so far, finds the
+least first label in a pass of its own, lets a lone survivor label its
+sites without comparing, and spells the key from the survivors at the
+end.  The library encodes each candidate rotation whole and keeps the
+least, and must give the same bytes, or the same refusal under the
+library's `_TIE_BUDGET`.
 """
 
 import re
@@ -38,7 +46,7 @@ from functools import cached_property
 
 import numpy as np
 
-from vassiliev.codes import UNDER, ParseError, SingularDiagram
+from vassiliev.codes import _TIE_BUDGET, UNDER, DiagramError, ParseError, SingularDiagram
 from vassiliev.laurent import IntegerLaurentPoly
 
 Z = IntegerLaurentPoly.z()
@@ -80,6 +88,66 @@ def parse_gauss_loop(text):
         if sorted(kinds) != ["O", "U"]:
             raise ParseError(f"crossing {sid} must appear exactly once as O and once as U")
     return SingularDiagram(comps, signs)
+
+
+def canonical_key_search(diagram):
+    """The canonical key of `diagram`, one token at a time.
+
+    The tokens of slot j depend only on the choices for slots <= j, so
+    only the arrangements whose prefix is least so far are extended; the
+    sign part breaks the ties left at the end.
+    """
+    components, signs = diagram.components, diagram.signs
+    groups = {}
+    for comp in components:
+        if comp:
+            sig = (len(comp), tuple(sorted((kind, signs.get(sid, 0)) for kind, sid in comp)))
+            groups.setdefault(sig, []).append(comp)
+    empty = tuple(comp for comp in components if not comp)
+    # A tie is (placed rotations, relabel map, unplaced components of the group).
+    ties = [((), {}, ())]
+    for (length, sig), group in sorted(groups.items(), key=lambda item: (len(item[1]), item[0])):
+        lead = sig[0][0]
+        starts = [kind for kind, _ in sig].count(lead)
+        ties = [(placed, relabel, group) for placed, relabel, _ in ties]
+        for left in range(len(group), 0, -1):
+            if len(ties) * left * starts > _TIE_BUDGET:
+                raise DiagramError("diagram too symmetric for the canonical form")
+            # Every rotation's first token is (lead, label of its first site);
+            # only the rotations with the least label are built.
+            least = min(
+                relabel.get(comp[r][1], len(relabel))
+                for _, relabel, rest in ties
+                for comp in rest
+                for r in range(length)
+                if comp[r][0] == lead
+            )
+            arrangements = [
+                (placed + (comp[r:] + comp[:r],), {**relabel, comp[r][1]: least}, rest[:i] + rest[i + 1 :])
+                for placed, relabel, rest in ties
+                for i, comp in enumerate(rest)
+                for r in range(length)
+                if comp[r][0] == lead and relabel.get(comp[r][1], len(relabel)) == least
+            ]
+            for pos in range(1, length):
+                if len(arrangements) == 1:  # a lone survivor only labels its sites
+                    ((placed, relabel, _),) = arrangements
+                    for _, sid in placed[-1][pos:]:
+                        relabel.setdefault(sid, len(relabel))
+                    break
+                toks = []
+                for placed, relabel, _ in arrangements:
+                    kind, sid = placed[-1][pos]
+                    toks.append((kind, relabel.setdefault(sid, len(relabel))))
+                least = min(toks)
+                arrangements = [a for a, tok in zip(arrangements, toks) if tok == least]
+            ties = arrangements
+    # The slots kept only least tokens, so every survivor spells the same
+    # components, with sites numbered in first-encounter order.
+    placed, relabel, _ = ties[0]
+    encoded = tuple(tuple((kind, relabel[sid]) for kind, sid in comp) for comp in placed)
+    sign_part = min(tuple(sorted((relabel[sid], sgn) for sid, sgn in signs.items())) for _, relabel, _ in ties)
+    return (empty + encoded, sign_part)
 
 
 def first_bad_crossing(diagram):

@@ -1,13 +1,15 @@
 import collections
 import itertools
+import json
 import random
 import re
 import time
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given
 from hypothesis import strategies as st
-from oracles import first_bad_crossing, parse_gauss_loop
+from oracles import canonical_key_search, first_bad_crossing, parse_gauss_loop
+from strategies import PROPERTIES, braid_words
 
 from vassiliev.codes import (
     DiagramError,
@@ -534,6 +536,41 @@ def test_canonical_key_is_the_least_walk_encoding():
         assert d.canonical_key() == brute_force_key(d), d.to_json_dict()
 
 
+def split_hopf_links(m):
+    """m split Hopf links, side by side on 2m strands."""
+    return braid_closure([k for k in range(1, 2 * m, 2) for _ in (0, 1)], 2 * m)
+
+
+def key_corpus(rng):
+    """Draws as the exact benchmark makes them (4 strands, up to 9
+    crossings) with their mirrors and switches, random 6-strand links,
+    diagrams with 1 to 3 nodes, 2 to 5 split Hopf links and T(n, n) for
+    n <= 7."""
+    draws = sample_singular_diagrams(rng, 0, 150, n_strands=4, max_crossings=9)
+    out = draws + [d.mirror() for d in draws]
+    out += [d.switch_crossing(sid) for d in draws for sid in d.crossing_ids]
+    for _ in range(200):
+        out.append(braid_closure([rng.choice((1, -1)) * rng.randint(1, 5) for _ in range(rng.randint(1, 14))], 6))
+    out += [d for k in (1, 2, 3) for d in sample_singular_diagrams(rng, k, 60, n_strands=4, max_crossings=6)]
+    out += [split_hopf_links(m) for m in range(2, 6)]
+    out += [braid_closure(list(range(1, n)) * n, n) for n in range(2, 8)]
+    return out
+
+
+def test_canonical_key_equals_the_token_at_a_time_search():
+    diagrams = key_corpus(random.Random(27))
+    assert sum(d.n_nodes > 0 for d in diagrams) == 180
+    assert max(d.n_components for d in diagrams) == 10
+    for d in diagrams:
+        assert d.canonical_key() == canonical_key_search(d), d.to_json_dict()
+    refusals = []
+    for search in (SingularDiagram.canonical_key, canonical_key_search):
+        with pytest.raises(DiagramError, match="too symmetric") as err:
+            search(split_hopf_links(16))
+        refusals.append(str(err.value))
+    assert refusals[0] == refusals[1]
+
+
 def test_canonical_key_refuses_too_symmetric_diagram_fast():
     split_hopfs = braid_closure([k for k in range(1, 16, 2) for _ in (0, 1)], 16)
     assert split_hopfs.n_components == 16
@@ -591,19 +628,6 @@ def test_writhe_invariant_under_reidemeister_like_words():
 
 # -- properties on hypothesis-drawn braid words ----------------------------
 
-PROPERTIES = settings(max_examples=200, deadline=None, derandomize=True, database=None)
-
-
-@st.composite
-def braid_words(draw, nodes=True):
-    """(word, n_strands) on 2 to 4 strands, up to 12 letters, nodes allowed
-    unless `nodes` is False."""
-    n = draw(st.integers(2, 4))
-    letter = st.sampled_from([sgn * i for i in range(1, n) for sgn in (1, -1)])
-    if nodes:
-        letter = letter | st.tuples(st.just("node"), st.integers(1, n - 1))
-    return draw(st.lists(letter, min_size=1, max_size=12)), n
-
 
 @PROPERTIES
 @given(braid_words(nodes=False))
@@ -627,12 +651,24 @@ def test_pd_text_round_trips_when_every_component_fixes_its_orientation(case):
 @PROPERTIES
 @given(braid_words(), st.data())
 def test_canonical_key_ignores_relabelling_and_basepoint_rotation(case, data):
+    # The components are also taken in a drawn order.
     d = braid_closure(*case)
     ids = sorted({sid for comp in d.components for _, sid in comp})
     perm = dict(zip(ids, data.draw(st.permutations(range(100, 100 + len(ids))))))
     comps = []
-    for comp in d.components:
+    for comp in data.draw(st.permutations(d.components)):
         r = data.draw(st.integers(0, max(len(comp) - 1, 0)))
         comps.append([(kind, perm[sid]) for kind, sid in comp[r:] + comp[:r]])
     moved = SingularDiagram(comps, {perm[sid]: sgn for sid, sgn in d.signs.items()})
     assert moved.canonical_key() == d.canonical_key()
+
+
+@PROPERTIES
+@given(braid_words())
+def test_json_text_round_trips_components_signs_nodes_and_key(case):
+    d = braid_closure(*case)
+    back = SingularDiagram.from_json_dict(json.loads(json.dumps(d.to_json_dict())))
+    assert back.components == d.components
+    assert back.signs == d.signs
+    assert back.node_ids == d.node_ids
+    assert back.canonical_key() == d.canonical_key()

@@ -3,7 +3,10 @@ import random
 import time
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from oracles import conway_recursion, polyak_viro_v2
+from strategies import PROPERTIES, braid_words
 
 from vassiliev import skein
 from vassiliev.codes import (
@@ -384,6 +387,27 @@ def test_conway_multiplies_and_v2_adds_under_connected_sum():
             knots += 1
             assert v2(total) == v2(k1) + v2(k2), (w1, w2)
     assert knots >= 20
+
+
+knot_words = braid_words(nodes=False).filter(lambda case: braid_closure(*case).n_components == 1)
+
+
+@PROPERTIES
+@given(knot_words, knot_words, st.data())
+def test_conway_multiplies_and_v2_adds_when_gauss_codes_are_joined(case1, case2, data):
+    # Cutting each knot at a basepoint and joining the two arcs gives a
+    # connected sum, whose Gauss code is the two codes read one after the other.
+    k1, k2 = braid_closure(*case1), braid_closure(*case2)
+    tokens, signs = [], {}
+    for k, offset in ((k1, 0), (k2, k1.n_crossings)):
+        (comp,) = k.components
+        r = data.draw(st.integers(0, len(comp) - 1))
+        tokens += [(kind, sid + offset) for kind, sid in comp[r:] + comp[:r]]
+        signs.update({sid + offset: sgn for sid, sgn in k.signs.items()})
+    total = SingularDiagram([tokens], signs)
+    assert total.is_planar()
+    assert conway(total) == conway(k1) * conway(k2)
+    assert v2(total) == v2(k1) + v2(k2)
 
 
 def test_conway_of_large_links_fast():
