@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
@@ -22,43 +23,81 @@ class EmbeddingError(ValueError):
     pass
 
 
-def _not_a_knot_cubic(t, z):
-    """Per-interval coefficients, cubic first, of the not-a-knot cubic
-    spline through (t, z) with t increasing.
+def _not_a_knot_cubics(ts, zs):
+    """Not-a-knot cubic splines through the pieces (ts[k], zs[k]), each
+    with t increasing: per piece, its heights and its per-interval
+    coefficients, cubic first.
 
-    The knot slopes solve the usual tridiagonal system: a continuous
-    second derivative at the interior knots, and a continuous third
-    derivative at t[1] and t[-2].  Elimination needs no pivoting: every
-    pivot is positive, at least one interval width except in the last
-    row, which keeps dt[-2]**2 / (2 (dt[-2] + dt[-1])).  Through 2 or 3
-    samples the spline is the line or the parabola.
+    A piece's knot slopes solve the usual tridiagonal system: a
+    continuous second derivative at the interior knots, and a continuous
+    third derivative at t[1] and t[-2].  Elimination needs no pivoting:
+    every pivot is positive, at least one interval width except in the
+    last row, which keeps dt[-2]**2 / (2 (dt[-2] + dt[-1])).  Through 2
+    or 3 samples the spline is the line or the parabola.
+
+    The rows and the coefficients of all pieces come from one set of
+    array operations over the concatenated samples.  Only the sweep runs
+    piece by piece, in Python floats, and so do its end rows' right-hand
+    sides: numpy divides a complex by a float through the reciprocal and
+    squares by a product, where Python divides and calls pow.
     """
-    dt = np.diff(t)
-    m = np.diff(z) / dt
-    n = len(t)
-    if n <= 3:
-        mid = np.dot(dt[::-1], m) / (t[-1] - t[0])
-        d = np.r_[2 * m[0] - mid, [mid] * (n - 2), 2 * m[-1] - mid]
-    else:
-        h, w = dt.tolist(), m.tolist()
-        span0, span1 = float(t[2] - t[0]), float(t[-1] - t[-3])
-        diag = np.r_[h[1], 2 * (dt[:-1] + dt[1:]), h[-2]].tolist()
+    sizes = [len(t) for t in ts]
+    t, z = np.concatenate(ts), np.concatenate(zs)
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    # Without the steps across joins, piece k's intervals start at
+    # starts[k] - k, and interior row i of a piece is built from its
+    # intervals i - 1 and i; the rows across a join go unused.
+    joins = ends[:-1] - 1
+    dt = np.delete(np.diff(t), joins)
+    m = np.delete(np.diff(z), joins) / dt
+    inner_diag = 2 * (dt[:-1] + dt[1:])
+    inner_rhs = 3 * (dt[1:] * m[:-1] + dt[:-1] * m[1:])
+    long = np.greater(sizes, 3)
+    spans = zip(
+        (t[starts[long] + 2] - t[starts[long]]).tolist(),
+        (t[ends[long] - 1] - t[ends[long] - 3]).tolist(),
+    )
+    bounds = list(zip(starts.tolist(), ends.tolist()))
+    d = np.empty(len(t), dtype=complex)
+    for k, (a, b) in enumerate(bounds):
+        i, j = a - k, b - k - 1
+        if b - a <= 3:
+            mid = np.dot(dt[i:j][::-1], m[i:j]) / (t[b - 1] - t[a])
+            d[a:b] = np.r_[2 * m[i] - mid, [mid] * (b - a - 2), 2 * m[j - 1] - mid]
+            continue
+        h = dt[i:j].tolist()
+        w = m[i : i + 2].tolist() + m[j - 2 : j].tolist()
+        span0, span1 = next(spans)
+        lower = h[1:] + [span1]
         upper = [span0] + h[:-1]
-        rhs = np.r_[
-            ((h[0] + 2 * span0) * h[1] * w[0] + h[0] ** 2 * w[1]) / span0,
-            3 * (dt[1:] * m[:-1] + dt[:-1] * m[1:]),
-            (h[-1] ** 2 * w[-2] + (2 * span1 + h[-1]) * h[-2] * w[-1]) / span1,
-        ].tolist()
-        for i, lower in enumerate(h[1:] + [span1], 1):
-            f = lower / diag[i - 1]
-            diag[i] -= f * upper[i - 1]
-            rhs[i] -= f * rhs[i - 1]
-        rhs[-1] /= diag[-1]
-        for i in range(n - 2, -1, -1):
-            rhs[i] = (rhs[i] - upper[i] * rhs[i + 1]) / diag[i]
-        d = np.array(rhs)
-    c = (d[:-1] + d[1:] - 2 * m) / dt
-    return c / dt, (m - d[:-1]) / dt - c, d[:-1], z[:-1]
+        diag = [h[1]] + inner_diag[i : j - 1].tolist() + [h[-2]]
+        rhs = (
+            [((h[0] + 2 * span0) * h[1] * w[0] + h[0] ** 2 * w[1]) / span0]
+            + inner_rhs[i : j - 1].tolist()
+            + [(h[-1] ** 2 * w[2] + (2 * span1 + h[-1]) * h[-2] * w[3]) / span1]
+        )
+        piv, r = diag[0], rhs[0]
+        pivots, rights = [piv], [r]
+        for lo, up, dg, rh in zip(lower, upper, diag[1:], rhs[1:]):
+            f = lo / piv
+            piv = dg - f * up
+            r = rh - f * r
+            pivots.append(piv)
+            rights.append(r)
+        x = r / piv
+        back = [x]
+        for up, piv, r in zip(upper[::-1], pivots[-2::-1], rights[-2::-1]):
+            x = (r - up * x) / piv
+            back.append(x)
+        d[a:b] = back[::-1]
+    first, last = np.delete(d, ends - 1), np.delete(d, starts)
+    c = (first + last - 2 * m) / dt
+    coeffs = (c / dt, (m - first) / dt - c, first, np.delete(z, ends - 1))
+    return [
+        (t[a:b], tuple(row[a - k : b - k - 1] for row in coeffs))
+        for k, (a, b) in enumerate(bounds)
+    ]
 
 
 class Strand:
@@ -72,14 +111,27 @@ class Strand:
     __slots__ = ("index", "component", "goes_up", "t_lo", "t_hi", "_t", "_coeffs")
 
     def __init__(self, index, component, goes_up, t_values, z_values):
+        order = np.argsort(t_values)
+        ((t, coeffs),) = _not_a_knot_cubics(
+            [np.asarray(t_values, dtype=float)[order]], [np.asarray(z_values, dtype=complex)[order]]
+        )
+        self._set(index, component, goes_up, t, coeffs)
+
+    @classmethod
+    def _built(cls, index, component, goes_up, t, coeffs):
+        """A strand from its sorted heights and spline coefficients."""
+        strand = cls.__new__(cls)
+        strand._set(index, component, goes_up, t, coeffs)
+        return strand
+
+    def _set(self, index, component, goes_up, t, coeffs):
         self.index = index
         self.component = component
         self.goes_up = goes_up
-        order = np.argsort(t_values)
-        self._t = np.asarray(t_values, dtype=float)[order]
-        self.t_lo = float(self._t[0])
-        self.t_hi = float(self._t[-1])
-        self._coeffs = _not_a_knot_cubic(self._t, np.asarray(z_values, dtype=complex)[order])
+        self.t_lo = float(t[0])
+        self.t_hi = float(t[-1])
+        self._t = t
+        self._coeffs = coeffs
 
     def at(self, t):
         """(z, dz/dt) at heights t; the end cubics extend past t_lo/t_hi."""
@@ -143,13 +195,39 @@ def _extrema_indices(t):
     Returns (indices, kinds) with kind +1 for a maximum.  Plateaus at
     sample resolution are rejected.
     """
-    if np.any(t == np.roll(t, 1)):
+    if t[0] == t[-1] or np.any(t[1:] == t[:-1]):
         raise EmbeddingError(
             "flat height step at sample resolution; resample the curve"
         )
-    rises_in, falls_out = t > np.roll(t, 1), t > np.roll(t, -1)
-    idx = np.flatnonzero(rises_in == falls_out)
-    return idx.tolist(), np.where(rises_in[idx], 1, -1).tolist()
+    # rises[i]: the height rises into sample i.  With no flat step, an
+    # extremum rises into its sample and falls out of it, or the reverse.
+    rises = np.concatenate(([t[0] > t[-1]], t[1:] > t[:-1]))
+    idx = np.flatnonzero(rises != np.concatenate((rises[1:], rises[:1]))).tolist()
+    return idx, [1 if rises[i] else -1 for i in idx]
+
+
+def _component_arrays(ci, samples):
+    """(z, t) arrays of one component's samples; EmbeddingError unless
+    they are at least 4 (z, t) pairs of finite numbers with real t."""
+    if len(samples) < 4:
+        raise EmbeddingError("need at least 4 samples per component")
+    try:
+        z, t = (np.array(values) for values in zip(*samples, strict=True))
+        numeric = z.dtype.kind in "biufc" and t.dtype.kind in "biufc"
+    except (TypeError, ValueError):
+        numeric = False
+    if not numeric:
+        raise EmbeddingError(f"the samples of component {ci} must be (z, t) pairs of numbers")
+    if np.any(t.imag):
+        raise EmbeddingError("sample heights t must be real")
+    z, t = z.astype(complex, copy=False), t.real.astype(float, copy=False)
+    finite = np.isfinite(z) & np.isfinite(t)
+    if not finite.all():
+        si = int(np.argmin(finite))
+        raise EmbeddingError(
+            f"sample {si} of component {ci} is not finite: z = {z[si]}, t = {t[si]}"
+        )
+    return z, t
 
 
 def morse_embed(components):
@@ -163,14 +241,7 @@ def morse_embed(components):
     shifted by its own multiple of a tiny epsilon, recorded in notes,
     and the embedding is rebuilt.
     """
-    comps = []
-    for samples in components:
-        zt = np.array(samples, dtype=complex)
-        if len(zt) < 4:
-            raise EmbeddingError("need at least 4 samples per component")
-        if np.any(zt[:, 1].imag):
-            raise EmbeddingError("sample heights t must be real")
-        comps.append((zt[:, 0], zt[:, 1].real))
+    comps = [_component_arrays(ci, samples) for ci, samples in enumerate(components)]
     if not comps:
         raise EmbeddingError("no components")
 
@@ -196,25 +267,32 @@ def morse_embed(components):
     else:
         raise EmbeddingError("could not separate critical heights by jitter")
 
-    strands = []
     component_cycles = []
     maxima_per_component = []
     criticals = []
+    # Each strand's samples, sorted by height: a strand is monotone
+    # between its two extrema, so a downward one is only reversed.
+    ts, zs, specs = [], [], []
     for ci, ((z, t), (idx, kinds)) in enumerate(zip(comps, extrema)):
         if not idx:
             raise EmbeddingError("closed component with no height extremum")
         criticals.extend(t[i] for i in idx)
         maxima_per_component.append(sum(1 for k in kinds if k > 0))
         n = len(t)
+        # the last strand wraps past the end of the loop to its first extremum
+        t, z = np.concatenate((t, t[: idx[0] + 1])), np.concatenate((z, z[: idx[0] + 1]))
         cycle = []
         for a, b in zip(idx, idx[1:] + [idx[0] + n]):
-            sel = np.arange(a, b + 1) % n
-            ts, zs = t[sel], z[sel]
-            goes_up = ts[-1] > ts[0]
-            strand = Strand(len(strands), ci, goes_up, ts, zs)
-            cycle.append(strand.index)
-            strands.append(strand)
+            goes_up = t[b] > t[a]
+            step = 1 if goes_up else -1
+            ts.append(t[a : b + 1][::step])
+            zs.append(z[a : b + 1][::step])
+            cycle.append(len(specs))
+            specs.append((len(specs), ci, goes_up))
         component_cycles.append(tuple(cycle))
+    strands = [
+        Strand._built(*spec, *built) for spec, built in zip(specs, _not_a_knot_cubics(ts, zs))
+    ]
 
     criticals = tuple(sorted(criticals))
     slabs = []
@@ -227,7 +305,7 @@ def morse_embed(components):
         slabs.append(Slab(lo, hi, ids))
 
     margin = _check_embedding(strands, slabs)
-    if margin < 1e-8 * scale:
+    if not margin >= 1e-8 * scale:
         raise EmbeddingError(
             f"strands nearly coincide (min separation {margin:.3e}); not an embedding"
         )
@@ -243,16 +321,25 @@ def morse_embed(components):
 
 
 def _check_embedding(strands, slabs):
-    margin = np.inf
-    for slab in slabs:
-        if len(slab.strand_ids) < 2:
-            continue
-        h = slab.height
-        ts = np.linspace(slab.t_lo + 0.02 * h, slab.t_hi - 0.02 * h, 25)
-        zs = np.array([strands[i].at(ts)[0] for i in slab.strand_ids])
-        i, j = np.triu_indices(len(zs), 1)
-        margin = min(margin, float(np.min(np.abs(zs[i] - zs[j]))))
-    return margin
+    """Least distance between two strands of one slab, at 25 heights
+    through each slab with 2% of its height left out at either end."""
+    wide = [slab for slab in slabs if len(slab.strand_ids) > 1]
+    if not wide:
+        return np.inf
+    lo, hi = np.array([(slab.t_lo, slab.t_hi) for slab in wide]).T
+    h = hi - lo
+    probes = np.linspace(lo + 0.02 * h, hi - 0.02 * h, 25, axis=1)
+    slabs_of = {}
+    for k, slab in enumerate(wide):
+        for i in slab.strand_ids:
+            slabs_of.setdefault(i, []).append(k)
+    zs = np.zeros((len(strands),) + probes.shape, dtype=complex)
+    for i, ks in slabs_of.items():
+        zs[i, ks] = strands[i].at(probes[ks])[0]
+    one, other, at = np.array(
+        [(a, b, k) for k, slab in enumerate(wide) for a, b in combinations(slab.strand_ids, 2)]
+    ).T
+    return float(np.min(np.abs(zs[one, at] - zs[other, at])))
 
 
 # -- curve files -----------------------------------------------------------

@@ -22,10 +22,13 @@ which keeps the structure constants real and totally antisymmetric.
 The library's weights count index loops and never build it; the tests
 check its axioms and contract it with einsum to check the loop counts.
 
-`not_a_knot_cubic` is the strand spline with its rows built and swept
-one Python float at a time, and `check_embedding` the embedding margin
-as a loop over strand pairs; the library builds the same rows and
-minimum with numpy, and must match both bit for bit.
+`not_a_knot_cubic` is one strand's spline with its rows built and
+swept one Python float at a time, and `check_embedding` the embedding
+margin as a loop over slabs and strand pairs.  The library builds the
+rows and coefficients of every strand of an embedding in one batch of
+numpy operations, evaluates each strand once on the probe heights of
+all its slabs and takes one minimum; it must match both bit for bit,
+the spline piece by piece.
 
 `parse_gauss_loop` is the Gauss parser that matches one token at a time
 and builds through `SingularDiagram(...)`, so its output is validated

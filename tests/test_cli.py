@@ -320,6 +320,19 @@ def test_error_bad_curve_json_names_the_field(tmp_path, capsys):
             assert named in err["message"], (argv, err)
 
 
+def test_error_non_finite_curve_sample_exits_3(tmp_path, capsys):
+    # JSON's NaN and Infinity decode to floats; the embedding refuses them
+    # instead of printing a NaN value and an infinite margin
+    for i, (field, bad) in enumerate([("re", float("nan")), ("im", float("inf")), ("t", float("-inf"))]):
+        data = json.loads(importlib.resources.files("vassiliev.data").joinpath("round_circle.json").read_text())
+        data["components"][0][7][field] = bad
+        path = tmp_path / f"bad{i}.curve.json"
+        path.write_text(json.dumps(data))
+        err = run_error(capsys, ["kontsevich", str(path), "--degree", "1"])
+        assert err["module"] == "morse", err
+        assert "sample 7 of component 0 is not finite" in err["message"], err
+
+
 def test_error_undecodable_diagram_json_is_tagged_codes(capsys):
     for argv in (["conway", '{"components": [["O1"'], ["parse", '{"components": [['],
                  ["v2", "{"]):

@@ -2,8 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
 
 from oracles import check_embedding, not_a_knot_cubic
+from strategies import PROPERTIES, spline_pieces
 from vassiliev import morse
 from vassiliev.morse import (
     EmbeddingError,
@@ -98,6 +100,40 @@ def test_complex_height_rejected():
         morse_embed([samples])
 
 
+def test_non_finite_samples_rejected():
+    for bad in (np.nan, np.inf, -np.inf):
+        for field in range(3):
+            (samples,) = round_circle(n=16)
+            z, t = samples[5]
+            samples[5] = [(bad, t), (complex(z.real, bad), t), (z, bad)][field]
+            with pytest.raises(EmbeddingError, match="sample 5 of component 1 is not finite"):
+                morse_embed(round_circle(center=6.0) + [samples])
+
+
+_PAIRS = round_circle(n=16)[0]
+
+
+@pytest.mark.parametrize(
+    "samples",
+    [
+        _PAIRS[:5] + [_PAIRS[5] + (0.0,)] + _PAIRS[6:],
+        [s + (0.0,) for s in _PAIRS],
+        [(z,) for z, _ in _PAIRS],
+        _PAIRS[:5] + [_PAIRS[5][:1]] + _PAIRS[6:],
+        _PAIRS[:5] + [1.0] + _PAIRS[6:],
+        _PAIRS[:5] + [("abc", 0.5)] + _PAIRS[6:],
+        _PAIRS[:5] + [("1+2j", 0.5)] + _PAIRS[6:],
+        _PAIRS[:5] + [(1j, "0.5")] + _PAIRS[6:],
+        _PAIRS[:5] + [(None, 0.5)] + _PAIRS[6:],
+    ],
+    ids=["one 3-tuple", "3-tuples", "1-tuples", "one 1-tuple", "a number", "a string z",
+         "a numeric string z", "a string t", "a None z"],
+)
+def test_samples_that_are_not_z_t_pairs_rejected(samples):
+    with pytest.raises(EmbeddingError, match="samples of component 1 must be"):
+        morse_embed(round_circle(center=6.0, n=16) + [samples])
+
+
 def test_curve_json_roundtrip(tmp_path):
     comps = two_circles(3.0, n=12)
     data = curve_to_json(comps, name="pair")
@@ -175,12 +211,19 @@ def _bits(x):
     return np.asarray(x).tobytes()
 
 
+def _loop_cubics(ts, zs):
+    """The batched builder's output, one piece at a time through the
+    loop oracle."""
+    return [(np.array(t), not_a_knot_cubic(t, z)) for t, z in zip(ts, zs)]
+
+
 def test_embedding_matches_the_loop_oracles(monkeypatch):
-    # Library: one array conversion of the fixture's numpy samples, numpy
-    # spline rows and one minimum per slab.  Oracle: per-sample complex()
-    # and float(), the spline rows one float at a time, a pair loop.
+    # Library: two array conversions per component, the spline rows and
+    # coefficients of every strand at once, one minimum over all slabs.
+    # Oracle: per-sample complex() and float(), each strand's rows one
+    # float at a time, a loop over slabs and strand pairs.
     got = {name: morse_embed(load_fixture(name)) for name in ALL_FIXTURE_NAMES}
-    monkeypatch.setattr(morse, "_not_a_knot_cubic", not_a_knot_cubic)
+    monkeypatch.setattr(morse, "_not_a_knot_cubics", _loop_cubics)
     monkeypatch.setattr(morse, "_check_embedding", check_embedding)
     for name, mk in got.items():
         curve = [[(complex(z), float(t)) for z, t in comp] for comp in load_fixture(name)]
@@ -192,6 +235,19 @@ def test_embedding_matches_the_loop_oracles(monkeypatch):
             assert len(s._coeffs) == len(w._coeffs) == 4
             for k_got, k_want in zip(s._coeffs, w._coeffs):
                 assert _bits(k_got) == _bits(k_want), (name, s)
+
+
+@PROPERTIES
+@given(spline_pieces())
+def test_batched_splines_equal_the_loop_oracle_piece_by_piece(pieces):
+    ts, zs = zip(*pieces)
+    got = morse._not_a_knot_cubics(ts, zs)
+    assert len(got) == len(pieces)
+    for (t_got, k_got), (t_want, k_want) in zip(got, _loop_cubics(ts, zs)):
+        assert _bits(t_got) == _bits(t_want)
+        assert len(k_got) == len(k_want) == 4
+        for row_got, row_want in zip(k_got, k_want):
+            assert _bits(row_got) == _bits(row_want)
 
 
 def test_strand_at_is_the_horner_formula_bit_for_bit():
