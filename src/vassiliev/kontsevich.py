@@ -397,8 +397,7 @@ def placement_integral(mk, placement, quadrature=DEFAULT_QUADRATURE):
 # -- per-diagram aggregation -------------------------------------------------
 
 
-def _empty_diagram():
-    return ChordDiagram(())
+_EMPTY = ChordDiagram(())
 
 
 def _raw_series(mk, m, quadrature):
@@ -409,7 +408,7 @@ def _raw_series(mk, m, quadrature):
     the empty diagram, exactly 1.  Each diagram's sum adds its
     placements in enumeration order, so results are bit-reproducible.
     """
-    series = [{_empty_diagram(): np.ones(len(_settings(quadrature)), dtype=complex)}]
+    series = [{_EMPTY: np.ones(len(_settings(quadrature)), dtype=complex)}]
     for _, ends, values in _degree_values(mk, m, quadrature, _pair_pools(mk)):
         diagrams, index = _induced_diagrams(mk, ends)
         series.append(dict(zip(diagrams, _sums(values, index, len(diagrams)))))
@@ -435,7 +434,7 @@ class CoefficientTable:
         if m == 0:
             # The empty diagram is exactly 1: there is no quadrature error.
             ones = (1 + 0j,) * self.quadrature.levels
-            return [(_empty_diagram(), IntegralResult(1 + 0j, 0.0, True, False, ones, ones))]
+            return [(_EMPTY, IntegralResult(1 + 0j, 0.0, True, False, ones, ones))]
         sums = self._series[m]
         return [(d, _classify(sums[d])) for d in sorted(sums)]
 
@@ -515,7 +514,7 @@ def degree_coefficients(mk, m, quadrature=DEFAULT_QUADRATURE):
 
 def _series_div(a, divisor, max_degree):
     """c with divisor * c = a, both sides unit at degree 0."""
-    c = [{_empty_diagram(): 1 + 0j}]
+    c = [{_EMPTY: 1 + 0j}]
     for m in range(1, max_degree + 1):
         acc = dict(a[m])
         for k in range(1, m + 1):
@@ -612,7 +611,7 @@ def expectation_series(mk, algebra, max_degree, k, quadrature=DEFAULT_QUADRATURE
     if k == 0:
         raise ValueError("k must be nonzero")
     table = hump_normalize(degree_coefficients(mk, max_degree, quadrature), mk)
-    terms = [complex(weight(algebra, _empty_diagram()))]
+    terms = [complex(weight(algebra, _EMPTY))]
     errors = [0.0]
     flagged = False
     for m in range(1, max_degree + 1):

@@ -53,11 +53,6 @@ def _not_a_knot_cubics(ts, zs):
     m = np.delete(np.diff(z), joins) / dt
     inner_diag = 2 * (dt[:-1] + dt[1:])
     inner_rhs = 3 * (dt[1:] * m[:-1] + dt[:-1] * m[1:])
-    long = np.greater(sizes, 3)
-    spans = zip(
-        (t[starts[long] + 2] - t[starts[long]]).tolist(),
-        (t[ends[long] - 1] - t[ends[long] - 3]).tolist(),
-    )
     bounds = list(zip(starts.tolist(), ends.tolist()))
     d = np.empty(len(t), dtype=complex)
     for k, (a, b) in enumerate(bounds):
@@ -68,7 +63,7 @@ def _not_a_knot_cubics(ts, zs):
             continue
         h = dt[i:j].tolist()
         w = m[i : i + 2].tolist() + m[j - 2 : j].tolist()
-        span0, span1 = next(spans)
+        span0, span1 = float(t[a + 2] - t[a]), float(t[b - 1] - t[b - 3])
         lower = h[1:] + [span1]
         upper = [span0] + h[:-1]
         diag = [h[1]] + inner_diag[i : j - 1].tolist() + [h[-2]]
@@ -105,16 +100,22 @@ class Strand:
 
     at(t) gives z(t) and dz/dt on the spline through the samples;
     t_lo/t_hi are the critical heights bounding the strand; goes_up
-    records the traversal direction along the original loop.
+    records the traversal direction along the original loop.  The
+    constructor sorts its samples by height and raises EmbeddingError
+    unless there are at least 2, all finite, at distinct heights.
     """
 
     __slots__ = ("index", "component", "goes_up", "t_lo", "t_hi", "_t", "_coeffs")
 
     def __init__(self, index, component, goes_up, t_values, z_values):
-        order = np.argsort(t_values)
-        ((t, coeffs),) = _not_a_knot_cubics(
-            [np.asarray(t_values, dtype=float)[order]], [np.asarray(z_values, dtype=complex)[order]]
-        )
+        t, z = np.asarray(t_values, dtype=float), np.asarray(z_values, dtype=complex)
+        if t.ndim != 1 or t.shape != z.shape or len(t) < 2:
+            raise EmbeddingError("a strand needs at least 2 samples, one height per value")
+        order = np.argsort(t)
+        t, z = t[order], z[order]
+        if not (np.isfinite(t).all() and np.isfinite(z).all() and (t[1:] > t[:-1]).all()):
+            raise EmbeddingError("a strand needs finite samples at distinct heights")
+        ((t, coeffs),) = _not_a_knot_cubics([t], [z])
         self._set(index, component, goes_up, t, coeffs)
 
     @classmethod
@@ -274,8 +275,6 @@ def morse_embed(components):
     # between its two extrema, so a downward one is only reversed.
     ts, zs, specs = [], [], []
     for ci, ((z, t), (idx, kinds)) in enumerate(zip(comps, extrema)):
-        if not idx:
-            raise EmbeddingError("closed component with no height extremum")
         criticals.extend(t[i] for i in idx)
         maxima_per_component.append(sum(1 for k in kinds if k > 0))
         n = len(t)
@@ -323,19 +322,13 @@ def morse_embed(components):
 def _check_embedding(strands, slabs):
     """Least distance between two strands of one slab, at 25 heights
     through each slab with 2% of its height left out at either end."""
+    # The slab just above a component's lowest minimum holds the two
+    # strands that leave it, so some slab has a pair.
     wide = [slab for slab in slabs if len(slab.strand_ids) > 1]
-    if not wide:
-        return np.inf
     lo, hi = np.array([(slab.t_lo, slab.t_hi) for slab in wide]).T
     h = hi - lo
     probes = np.linspace(lo + 0.02 * h, hi - 0.02 * h, 25, axis=1)
-    slabs_of = {}
-    for k, slab in enumerate(wide):
-        for i in slab.strand_ids:
-            slabs_of.setdefault(i, []).append(k)
-    zs = np.zeros((len(strands),) + probes.shape, dtype=complex)
-    for i, ks in slabs_of.items():
-        zs[i, ks] = strands[i].at(probes[ks])[0]
+    zs = np.array([strand.at(probes)[0] for strand in strands])
     one, other, at = np.array(
         [(a, b, k) for k, slab in enumerate(wide) for a, b in combinations(slab.strand_ids, 2)]
     ).T

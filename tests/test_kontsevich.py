@@ -138,10 +138,29 @@ def test_wick_propagator_rules():
         assert rule.delta_color
         assert rule.delta_time
         assert rule.pole == "1/(z-w)"
+    assert str(wick_propagator(("+", "+"))) == "<A+ A+> = 0"
+    assert str(wick_propagator(("+", "0"))) == "<A+ A0> = kappa delta^ab delta(t-s) 1/(z-w)"
     with pytest.raises(ValueError):
         wick_propagator(("+", "x"))
     with pytest.raises(ValueError):
         wick_propagator("bad")
+
+
+def test_epsilon_tail_classifier_outcomes():
+    floor = 1e-9
+    # (value, error, converged, log_divergent) by the ratio of differences
+    cases = [
+        ((1.0, 1.0, 1.0), (1.0, floor, True, False)),  # flat
+        ((1.0, 1.0, 1.5), (1.5, 0.5 + floor, False, False)),  # a late jump
+        ((1.5, 1.25, 1.125), (1.0, 0.1375 + floor, True, False)),  # geometric, ratio 1/2
+        ((0.0, 1.0, 2.0), (2.0, 2.0 + floor, False, True)),  # ratio 1: log drift
+        ((0.0, 1.0, 3.0), (3.0, 4.0 + floor, False, False)),  # ratio 2: no limit
+    ]
+    for vals, (value, error, converged, log_divergent) in cases:
+        got = kontsevich._fit_epsilon_tail(vals, floor)
+        assert got[0] == value, vals
+        assert got[1] == pytest.approx(error, rel=1e-15), vals
+        assert got[2:] == (converged, log_divergent), vals
 
 
 def test_circle_placements():

@@ -207,6 +207,25 @@ def test_strand_matches_scipy_cubic_spline():
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), n
 
 
+@pytest.mark.parametrize(
+    "t, z",
+    [
+        ([0.0, 1.0, 1.0, 2.0, 3.0], [0, 1, 2, 3, 4]),
+        ([0.0, 1.0, 1.0], [0, 1, 2]),
+        ([0.0, np.nan, 2.0], [0, 1, 2]),
+        ([0.0, np.inf, 2.0], [0, 1, 2]),
+        ([0.0, 1.0, 2.0], [0, complex(1, np.nan), 2]),
+        ([0.0], [1]),
+        ([0.0, 1.0, 2.0], [0, 1]),
+    ],
+    ids=["a repeated height", "a repeated height, 3 samples", "a NaN height", "an inf height",
+         "a NaN z", "one sample", "fewer values than heights"],
+)
+def test_strand_refuses_bad_samples(t, z):
+    with pytest.raises(EmbeddingError, match="strand needs"):
+        Strand(0, 0, True, t, z)
+
+
 def _bits(x):
     return np.asarray(x).tobytes()
 

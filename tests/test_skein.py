@@ -121,6 +121,20 @@ def test_conway_skein_relation_on_random_closures():
             assert conway(plus) - conway(minus) == Z * conway(zero)
 
 
+@PROPERTIES
+@given(braid_words(nodes=False), st.data())
+def test_conway_skein_relation_on_drawn_braid_words(case, data):
+    # The braid letter k, made positive or negative or removed, is the
+    # crossing of L+, of L- or its oriented smoothing in L0.
+    word, n = case
+    k = data.draw(st.integers(0, len(word) - 1))
+    i = abs(word[k])
+    plus, minus, zero = (
+        braid_closure(word[:k] + letter + word[k + 1 :], n) for letter in ([i], [-i], [])
+    )
+    assert conway(plus) - conway(minus) == Z * conway(zero)
+
+
 def test_v2_values():
     assert v2(TREFOIL) == 1
     assert v2(FIG8) == -1
