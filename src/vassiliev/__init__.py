@@ -51,8 +51,7 @@ _LAZY = {
     **dict.fromkeys((
         "ChordPlacement", "CoefficientTable", "ExpectationSeries", "IntegralResult",
         "PropagatorRule", "QuadratureSpec", "degree_coefficients", "enumerate_placements",
-        "expectation_series", "hump_normalize", "linking_number", "placement_integral",
-        "wick_propagator",
+        "expectation_series", "hump_normalize", "linking_number", "wick_propagator",
     ), "kontsevich"),
     **dict.fromkeys((
         "ALL_FIXTURE_NAMES", "load_fixture", "plat", "round_circle", "two_circles",

@@ -16,12 +16,11 @@ strand is evaluated once per quadrature setting, the pair integrands
 form one (pairs, steps) array, and every k-block comes from cumulative
 sums and matrix products.  A placement's value is the outer product of
 the blocks of its slab runs.  One generator, _degree_values, builds the
-blocks once and yields every degree's slabs, strand ends and signed
-values; a query only chooses the pair pools.  Coefficient tables sum
-every pair's placements per induced diagram with index arrays (each
-diagram adding its placements in enumeration order), linking numbers
-sum the cross-component pairs, and a single placement keeps the pools
-of its own slabs (a slab's blocks do not depend on the others).
+blocks once and yields every degree's strand ends and signed values for
+one of two queries: coefficient tables take every pair and sum the
+placements per induced diagram with index arrays (in enumeration
+order), and linking numbers take the cross-component pairs.  A query
+past MAX_PLACEMENTS or MAX_GRID is refused before any array is built.
 
 Integrals are truncated eps away from critical heights and evaluated
 at the three nested insets eps, eps/2 and eps/4; a geometric fit in
@@ -129,10 +128,6 @@ class ChordPlacement:
     diagram: ChordDiagram | None
     cross_component: bool
 
-    @property
-    def degree(self):
-        return len(self.slabs)
-
 
 def _pair_pools(mk):
     """Per slab, its strand pairs (a, b) with a < b in sorted order, as an (n, 2) array."""
@@ -140,14 +135,31 @@ def _pair_pools(mk):
     return [np.array(list(pool), dtype=int).reshape(-1, 2) for pool in pools]
 
 
+# Bounds on one query, far above the largest shipped case at 16,000
+# steps: trefoil_3max, 9,670 degree-3 placements and a grid of 464,000.
+MAX_PLACEMENTS = 200_000
+MAX_GRID = 5_000_000  # strand pairs times steps, summed over slabs
+
+
+def _check_budget(pools, m, steps=0):
+    """Refuse degree-m placements on the pair pools, or their grid, past
+    the bounds.  The count is h_m of the pool sizes: m slabs in order, a pair in each."""
+    h = [1] + [0] * m  # complete homogeneous symmetric polynomials
+    for size in map(len, pools):
+        for k in range(1, m + 1):
+            h[k] += size * h[k - 1]
+    grid = sum(map(len, pools)) * steps
+    if h[m] > MAX_PLACEMENTS:
+        raise ValueError(f"{h[m]:,} degree-{m} placements exceed the bound {MAX_PLACEMENTS:,}")
+    if grid > MAX_GRID:
+        raise ValueError(f"a quadrature grid of {grid:,} pair-steps exceeds the bound {MAX_GRID:,}")
+
+
 def _placements(pools, m):
     """Degree-m placements on the pair pools in enumeration order: the
     slab sequences with a pair in every slab, and per placement its
-    slabs (N, m) and strand ends (N, m, 2), each sequence's pairs in
-    itertools.product order.
-
-    Chord heights are ordered, so slab indices run nondecreasing and the
-    within-slab chord order is the listed order.
+    strand ends (N, m, 2), each sequence's pairs in itertools.product
+    order.
     """
     seqs = [
         slab_seq
@@ -158,8 +170,7 @@ def _placements(pools, m):
     for slab_seq in seqs:
         grid = np.indices([len(pools[s]) for s in slab_seq]).reshape(m, -1)
         ends.append(np.stack([pools[s][g] for s, g in zip(slab_seq, grid)], axis=1))
-    slabs = np.repeat(np.array(seqs, dtype=int).reshape(-1, m), [len(e) for e in ends[1:]], 0)
-    return seqs, slabs, np.concatenate(ends)
+    return seqs, np.concatenate(ends)
 
 
 def _down_endpoints(mk, ends):
@@ -211,7 +222,8 @@ def enumerate_placements(mk, m):
     if m < 1:
         raise ValueError("placement degree must be at least 1")
     pools = _pair_pools(mk)
-    seqs, _, ends = _placements(pools, m)
+    _check_budget(pools, m)
+    seqs, ends = _placements(pools, m)
     pair_tuples = [list(map(tuple, pool.tolist())) for pool in pools]
     classes = [
         (slab_seq, pairs)
@@ -275,10 +287,10 @@ def _settings(quadrature):
 
 
 def _degree_values(mk, m, quadrature, pools):
-    """For each degree d = 1..m, the slabs (N, d) and strand ends
-    (N, d, 2) of its placements on the pair pools (see _placements) and
-    their raw integrals, a (settings, N) array including the downward
-    sign and one factor kappa per chord.
+    """For each degree d = 1..m, the strand ends (N, d, 2) of its
+    placements on the pair pools (see _placements) and their raw
+    integrals, a (settings, N) array including the downward sign and one
+    factor kappa per chord.
 
     Every degree reads one set of per-slab blocks: blocks[slab][k - 1]
     stacks that slab's k-block over the settings.  Each setting is
@@ -286,6 +298,7 @@ def _degree_values(mk, m, quadrature, pools):
     evaluated once on it; for m = 0 no block is built.  A placement's
     value is the outer product of the blocks of its runs of equal slabs.
     """
+    _check_budget(pools, m, quadrature.steps)
     settings = _settings(quadrature)
     n = len(settings)
     blocks = []
@@ -301,7 +314,7 @@ def _degree_values(mk, m, quadrature, pools):
             per_setting.append(_ordered_blocks(F, step, m))
         blocks.append([np.stack(b) for b in zip(*per_setting)])
     for d in range(1, m + 1):
-        seqs, slabs, ends = _placements(pools, d)
+        seqs, ends = _placements(pools, d)
         values = [np.empty((n, 0), dtype=complex)]
         for slab_seq in seqs:
             val = np.ones((n, 1), dtype=complex)
@@ -312,7 +325,7 @@ def _degree_values(mk, m, quadrature, pools):
         values = np.concatenate(values, axis=1)
         kappa_d = KAPPA**d
         values *= np.where(_down_endpoints(mk, ends) % 2, -kappa_d, kappa_d)
-        yield slabs, ends, values
+        yield ends, values
 
 
 def _sums(values, index, n):
@@ -381,19 +394,6 @@ def _classify(series):
     )
 
 
-def placement_integral(mk, placement, quadrature=DEFAULT_QUADRATURE):
-    """Extrapolated integral of one placement class with error bar: its
-    column of the generator run on the pools of its own slabs alone."""
-    if placement.degree < 1:
-        raise ValueError("placement degree must be at least 1")
-    pools = [p if s in placement.slabs else p[:0] for s, p in enumerate(_pair_pools(mk))]
-    *_, (slabs, ends, values) = _degree_values(mk, placement.degree, quadrature, pools)
-    hit = (slabs == placement.slabs).all(axis=1) & (ends == placement.pairs).all(axis=(1, 2))
-    if not hit.any():
-        raise ValueError("placement does not belong to this embedding")
-    return _classify(values[:, hit.argmax()])
-
-
 # -- per-diagram aggregation -------------------------------------------------
 
 
@@ -409,7 +409,7 @@ def _raw_series(mk, m, quadrature):
     placements in enumeration order, so results are bit-reproducible.
     """
     series = [{_EMPTY: np.ones(len(_settings(quadrature)), dtype=complex)}]
-    for _, ends, values in _degree_values(mk, m, quadrature, _pair_pools(mk)):
+    for ends, values in _degree_values(mk, m, quadrature, _pair_pools(mk)):
         diagrams, index = _induced_diagrams(mk, ends)
         series.append(dict(zip(diagrams, _sums(values, index, len(diagrams)))))
     return series
@@ -582,7 +582,7 @@ def linking_number(mk, quadrature=DEFAULT_QUADRATURE):
         raise ValueError("linking number needs at least 2 components")
     comp = np.array([s.component for s in mk.strands])
     pools = [pool[comp[pool[:, 0]] != comp[pool[:, 1]]] for pool in _pair_pools(mk)]
-    ((_, _, values),) = _degree_values(mk, 1, quadrature, pools)
+    ((_, values),) = _degree_values(mk, 1, quadrature, pools)
     res = _classify(_sums(values, np.zeros(values.shape[1], dtype=int), 1)[0])
     return replace(res, error=res.error + abs(res.value.imag))
 

@@ -21,7 +21,9 @@ import vassiliev
 from vassiliev import cli
 from vassiliev.chords import ChordDiagram
 from vassiliev.codes import braid_closure, parse_gauss
+from vassiliev.fixtures import plat
 from vassiliev.lie import weight_system
+from vassiliev.morse import curve_to_json
 from vassiliev.skein import conway
 
 TREFOIL = "O1+U2+O3+U1+O2+U3+"
@@ -358,12 +360,32 @@ def test_error_bad_algebra(capsys):
         assert err["module"] == "lie"
 
 
+def test_parse_refuses_a_sign_other_than_plus_or_minus_one(capsys):
+    err = run_error(capsys, ["parse", '{"components": [["O0", "U0"]], "signs": {"0": 2}}'])
+    assert err["module"] == "codes"
+    assert "crossing 0 has sign 2" in err["message"]
+
+
 def test_error_degree_out_of_range(tmp_path, capsys):
     path = curve_file(tmp_path, "round_circle")
     err = run_error(capsys, ["kontsevich", path, "--degree", "7"])
     assert err["module"] == "kontsevich"
     err = run_error(capsys, ["weights", "--algebra", "su2", "--degree", "7"])
     assert err["module"] == "lie"
+
+
+def test_kontsevich_refuses_oversized_work(tmp_path, capsys):
+    path = curve_file(tmp_path, "round_circle")
+    err = run_error(capsys, ["kontsevich", path, "--degree", "1", "--steps", str(10**8)])
+    assert err["module"] == "kontsevich"
+    assert "100,000,000 pair-steps exceeds the bound" in err["message"]
+    lanes = tuple((i, i + 1) for i in range(0, 12, 2))
+    components, _, _ = plat(tuple(i % 11 + 1 for i in range(12)), 12, lanes, lanes)
+    path = tmp_path / "twelve_lanes.json"
+    path.write_text(json.dumps(curve_to_json(components)))
+    err = run_error(capsys, ["kontsevich", str(path), "--degree", "3", "--raw"])
+    assert err["module"] == "kontsevich"
+    assert "4,313,558 degree-3 placements exceed the bound" in err["message"]
 
 
 def test_usage_error_exit_2(capsys):
@@ -467,6 +489,10 @@ def test_parse_omits_forms_that_cannot_express_the_diagram(capsys):
     link = {"components": [["O1", "U1"], []], "signs": {"1": 1}}
     payload = run_json(capsys, ["parse", json.dumps(link)])
     assert "pd" not in payload and payload["gauss"] == "O1+U1+;"
+    # nor one crossing between two loops, whose orientation it could not recover
+    loops = {"components": [["O0"], ["U0"]], "signs": {"0": -1}}
+    payload = run_json(capsys, ["parse", json.dumps(loops)])
+    assert "pd" not in payload and payload["gauss"] == "O0-;U0-"
 
 
 def test_parse_omits_gauss_for_a_lone_circle(capsys):

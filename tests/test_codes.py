@@ -672,3 +672,26 @@ def test_json_text_round_trips_components_signs_nodes_and_key(case):
     assert back.signs == d.signs
     assert back.node_ids == d.node_ids
     assert back.canonical_key() == d.canonical_key()
+
+
+def test_refusals_name_what_is_wrong():
+    one_crossing, two_loops = [[("O", 0), ("U", 0)]], [[("O", 0)], [("U", 0)]]
+    cases = [
+        (lambda: SingularDiagram([[("X", 0)]], {}), "unknown passage kind 'X'"),
+        (lambda: SingularDiagram([[("O", 0), ("O", 0)]], {0: 1}),
+         "site 0 has passages ['O', 'O']"),
+        (lambda: SingularDiagram(one_crossing, {}), "signs must be given for exactly"),
+        (lambda: SingularDiagram(one_crossing, {0: 2}), "crossing 0 has sign 2"),
+        # one crossing between two loops, each all over or all under
+        (lambda: SingularDiagram(two_loops, {0: -1}).to_pd(), "PD text would be ambiguous"),
+        (lambda: braid_closure([("twist", 1)]), "unknown braid letter ('twist', 1)"),
+        (lambda: braid_closure([("node", 3)], n_strands=3), "node position 3 out of range"),
+        (lambda: braid_closure([0]), "braid letter 0 out of range"),
+        (lambda: linking_matrix_total(braid_closure([("node", 1)])), "node-free diagram"),
+        (lambda: linking_matrix_total(SingularDiagram(two_loops, {0: -1})),
+         "odd inter-component crossing sum"),
+    ]
+    for call, fragment in cases:
+        with pytest.raises(DiagramError) as err:
+            call()
+        assert fragment in str(err.value)

@@ -136,20 +136,21 @@ def test_fixtures_load_without_package_data(monkeypatch):
 
 
 def test_plat_rejects_bad_pairings():
-    with pytest.raises(ValueError):
-        plat([], 4, ((0, 2), (1, 3)), STANDARD_CAPS)  # crossing cups
-    with pytest.raises(ValueError):
-        plat([], 4, ((0, 1), (1, 3)), STANDARD_CAPS)  # reused lane
-    with pytest.raises(ValueError):
-        plat([4], 4, STANDARD_CUPS, STANDARD_CAPS)  # letter out of range
-    with pytest.raises(ValueError):
-        plat([("wiggle", 9)], 4, STANDARD_CUPS, STANDARD_CAPS)
-    with pytest.raises(ValueError):
-        plat([0], 4, STANDARD_CUPS, STANDARD_CAPS)
-    with pytest.raises(ValueError):
-        plat([-4], 4, STANDARD_CUPS, STANDARD_CAPS)
-    with pytest.raises(ValueError):
-        plat([("wiggle", -1)], 4, STANDARD_CUPS, STANDARD_CAPS)
+    cases = [
+        (((0, 2), (1, 3)), STANDARD_CAPS, [], "cup (0,2) and (1,3) cross"),
+        (((0, 1), (1, 3)), STANDARD_CAPS, [], "cup must perfectly pair the 4 lanes"),
+        (((0, 5), (1, 2)), STANDARD_CAPS, [], "cup (0, 5) out of range"),
+        (STANDARD_CUPS, ((0, 1), (2, 4)), [], "cap (2, 4) out of range"),
+        (STANDARD_CUPS, STANDARD_CAPS, [4], "letter 4 out of range for 4 lanes"),
+        (STANDARD_CUPS, STANDARD_CAPS, [0], "letter 0 out of range"),
+        (STANDARD_CUPS, STANDARD_CAPS, [-4], "letter -4 out of range"),
+        (STANDARD_CUPS, STANDARD_CAPS, [("wiggle", 9)], "wiggle lane 9 out of range"),
+        (STANDARD_CUPS, STANDARD_CAPS, [("wiggle", -1)], "wiggle lane -1 out of range"),
+    ]
+    for cups, caps, word, fragment in cases:
+        with pytest.raises(ValueError) as err:
+            plat(word, 4, cups, caps)
+        assert fragment in str(err.value), (cups, caps, word)
 
 
 def test_plat_curve_and_shadow_describe_the_same_link():

@@ -1,12 +1,13 @@
 import dataclasses
 import itertools
+import time
 
 import numpy as np
 import pytest
 
 from vassiliev import kontsevich
 from vassiliev.chords import ChordDiagram
-from vassiliev.fixtures import load_fixture, two_circles
+from vassiliev.fixtures import ALL_FIXTURE_NAMES, load_fixture, plat, two_circles
 from vassiliev.kontsevich import (
     KAPPA,
     CoefficientTable,
@@ -16,7 +17,6 @@ from vassiliev.kontsevich import (
     expectation_series,
     hump_normalize,
     linking_number,
-    placement_integral,
     wick_propagator,
 )
 from vassiliev.lie import su2_fundamental, weight
@@ -217,10 +217,61 @@ def test_degree_bounds_and_components():
         degree_coefficients(load_fixture("round_circle"), 2, Q)
 
 
+def twelve_lane_knot():
+    """A one-component 12-lane plat with 4,313,558 degree-3 placements."""
+    pairs = tuple((i, i + 1) for i in range(0, 12, 2))
+    components, _, _ = plat(tuple(i % 11 + 1 for i in range(12)), 12, pairs, pairs)
+    return morse_embed(components)
+
+
+def test_refusals_name_what_is_wrong():
+    mk, circle, hopf = twelve_lane_knot(), embed("round_circle"), embed("hopf")
+    huge = QuadratureSpec(steps=10**8)
+    too_many = f"4,313,558 degree-3 placements exceed the bound {kontsevich.MAX_PLACEMENTS:,}"
+    too_fine = f"100,000,000 pair-steps exceeds the bound {kontsevich.MAX_GRID:,}"
+    cases = [
+        (lambda: degree_coefficients(mk, 3, Q), ValueError, too_many),
+        (lambda: enumerate_placements(mk, 3), ValueError, too_many),
+        (lambda: degree_coefficients(circle, 1, huge), ValueError, too_fine),
+        (lambda: linking_number(hopf, huge), ValueError, "pair-steps exceeds the bound"),
+        (lambda: hump_normalize("x", circle), TypeError, "expects a CoefficientTable"),
+    ]
+    start = time.perf_counter()
+    for call, error, fragment in cases:
+        with pytest.raises(error) as err:
+            call()
+        assert fragment in str(err.value)
+    # refused from pool sizes alone, before any placement or block is built
+    assert time.perf_counter() - start < 1.0
+
+
+def test_placement_count_and_grid_bounds_are_exact(monkeypatch):
+    for name in ALL_FIXTURE_NAMES:
+        pools = kontsevich._pair_pools(embed(name))
+        for m in (1, 2, 3):
+            kontsevich._check_budget(pools, m, 16_000)
+    # the count h_m of the pool sizes is the length of the enumeration
+    for name in ("trefoil_3max", "hopf"):
+        mk = embed(name)
+        for m in (1, 2, 3):
+            n = len(enumerate_placements(mk, m))
+            with monkeypatch.context() as patch:
+                patch.setattr(kontsevich, "MAX_PLACEMENTS", n)
+                assert len(enumerate_placements(mk, m)) == n
+                patch.setattr(kontsevich, "MAX_PLACEMENTS", n - 1)
+                with pytest.raises(ValueError, match=f"^{n:,} degree-{m} placements"):
+                    enumerate_placements(mk, m)
+    pools = kontsevich._pair_pools(embed("trefoil_3max"))  # 29 pairs
+    kontsevich._check_budget(pools, 1, kontsevich.MAX_GRID // 29)
+    with pytest.raises(ValueError, match="pair-steps"):
+        kontsevich._check_budget(pools, 1, kontsevich.MAX_GRID // 29 + 1)
+
+
 def test_circle_self_chord_integral():
+    # the round circle has one degree-1 placement, so its one coefficient is that chord
     mk = embed("round_circle")
-    (placement,) = enumerate_placements(mk, 1)
-    res = placement_integral(mk, placement, Q)
+    assert len(enumerate_placements(mk, 1)) == 1
+    ((_, res),) = degree_coefficients(mk, 1, Q).items()
     assert abs(res.value) < 1e-6
     assert res.converged
     assert np.isfinite(res.error)
@@ -450,37 +501,6 @@ def test_slab_blocks_match_per_placement_oracle():
         if hopf.strands[pairs[0][0]].component != hopf.strands[pairs[0][1]].component
     )
     assert_series_close(linking_number(hopf, q), want)
-
-    # single placements: their column of the unrestricted generator, bit
-    # for bit, and the oracle's value
-    circle = embed("round_circle")
-    for mk, m in ((circle, 1), (circle, 2), (mk, 2)):
-        quad = OracleQuad(mk, q)
-        *_, (_, _, every) = kontsevich._degree_values(mk, m, q, kontsevich._pair_pools(mk))
-        for p, column in zip(enumerate_placements(mk, m), every.T, strict=True):
-            got = placement_integral(mk, p, q)
-            assert got.per_epsilon + got.per_epsilon_half == tuple(column.tolist())
-            assert_series_close(got, quad.value(p.slabs, p.pairs, p.down_endpoints))
-
-
-def test_placement_integral_refuses_placements_not_of_the_embedding():
-    mk = embed("trefoil_3max")
-    placements = enumerate_placements(mk, 2)
-    keys = {(p.slabs, p.pairs) for p in placements}
-    foreign = next(
-        p for p in enumerate_placements(embed("figure_eight"), 2) if (p.slabs, p.pairs) not in keys
-    )
-    pools = [set(map(tuple, pool.tolist())) for pool in kontsevich._pair_pools(mk)]
-    p = placements[0]
-    stray = next(pair for pool in pools for pair in pool if pair not in pools[p.slabs[0]])
-    p_stray = dataclasses.replace(p, pairs=(stray,) + p.pairs[1:])
-    p = next(p for p in placements if p.slabs[0] < p.slabs[1])
-    p_unordered = dataclasses.replace(p, slabs=p.slabs[::-1], pairs=p.pairs[::-1])
-    for bad in (foreign, p_stray, p_unordered):
-        with pytest.raises(ValueError, match="does not belong"):
-            placement_integral(mk, bad, Q)
-    with pytest.raises(ValueError, match="at least 1"):
-        placement_integral(mk, dataclasses.replace(p, slabs=(), pairs=()), Q)
 
 
 def test_enumerated_diagrams_match_unmemoized_induction():

@@ -82,6 +82,11 @@ def test_overlapping_components_rejected():
         morse_embed(round_circle() + round_circle(center=1e-13))
 
 
+def test_empty_curve_rejected():
+    with pytest.raises(EmbeddingError, match="no components"):
+        morse_embed([])
+
+
 def test_plateau_rejected():
     samples = [(1 + 0j, 0.0), (1j, 1.0), (-1 + 0j, 1.0), (-1j, -1.0)]
     with pytest.raises(EmbeddingError):

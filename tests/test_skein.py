@@ -542,3 +542,9 @@ def test_embedding_independence_flags_dependence():
     seqs = [[sid] for sid in d.crossing_ids]
     ok, max_dev, _ = embedding_independence_check(conway, 1, d, seqs)
     assert not ok and max_dev > 0
+
+
+def test_embedding_independence_check_needs_exactly_k_nodes():
+    d = braid_closure([("node", 1), 1, 1])
+    with pytest.raises(DiagramError, match="expected exactly 2 nodes, got 1"):
+        embedding_independence_check(v2, 2, d, [])
