@@ -6,44 +6,26 @@ chord diagrams, and numerical Kontsevich integrals on Morse embeddings.
 
 import importlib
 
-from .laurent import IntegerLaurentPoly
-from .codes import (
-    DiagramError,
-    ParseError,
-    SingularDiagram,
-    braid_closure,
-    linking_matrix_total,
-    parse_gauss,
-    parse_pd,
-    sample_singular_diagrams,
-)
-from .skein import (
-    conway,
-    embedding_independence_check,
-    extend_invariant,
-    finite_type_check,
-    v2,
-    vassiliev_eval,
-)
-from .chords import (
-    ChordDiagram,
-    chord_diagram_of,
-    enumerate_diagrams,
-    four_term_relations,
-    raw_matchings,
-    satisfies_4T,
-)
-from .lie import (
-    LieAlgebraData,
-    gl_fundamental,
-    su2_fundamental,
-    weight,
-    weight_system,
-)
-
-# The numerical side imports numpy, so it loads on first use: a process
-# that touches only codes, skein, chords or lie never imports numpy.
+# Every layer loads on first use of one of its names, or of the layer
+# itself (`vassiliev.codes`), so `import vassiliev` compiles this file
+# only, and a process that never integrates never imports numpy.
 _LAZY = {
+    "IntegerLaurentPoly": "laurent",
+    **dict.fromkeys((
+        "DiagramError", "ParseError", "SingularDiagram", "braid_closure",
+        "linking_matrix_total", "parse_gauss", "parse_pd", "sample_singular_diagrams",
+    ), "codes"),
+    **dict.fromkeys((
+        "conway", "embedding_independence_check", "extend_invariant", "finite_type_check",
+        "v2", "vassiliev_eval",
+    ), "skein"),
+    **dict.fromkeys((
+        "ChordDiagram", "chord_diagram_of", "enumerate_diagrams", "four_term_relations",
+        "raw_matchings", "satisfies_4T",
+    ), "chords"),
+    **dict.fromkeys((
+        "LieAlgebraData", "gl_fundamental", "su2_fundamental", "weight", "weight_system",
+    ), "lie"),
     **dict.fromkeys((
         "EmbeddingError", "MorseKnot", "Slab", "Strand", "curve_from_json",
         "curve_to_json", "morse_embed",
@@ -57,9 +39,12 @@ _LAZY = {
         "ALL_FIXTURE_NAMES", "load_fixture", "plat", "round_circle", "two_circles",
     ), "fixtures"),
 }
+_LAYERS = frozenset(_LAZY.values())
 
 
 def __getattr__(name):
+    if name in _LAYERS:  # importing a submodule binds it here
+        return importlib.import_module(f".{name}", __name__)
     module = _LAZY.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
@@ -69,35 +54,7 @@ def __getattr__(name):
 
 
 def __dir__():
-    return sorted(set(globals()) | set(_LAZY))
+    return sorted(set(globals()) | set(_LAZY) | _LAYERS)
 
 
-__all__ = [
-    "IntegerLaurentPoly",
-    "DiagramError",
-    "ParseError",
-    "SingularDiagram",
-    "braid_closure",
-    "linking_matrix_total",
-    "parse_gauss",
-    "parse_pd",
-    "sample_singular_diagrams",
-    "conway",
-    "embedding_independence_check",
-    "extend_invariant",
-    "finite_type_check",
-    "v2",
-    "vassiliev_eval",
-    "ChordDiagram",
-    "chord_diagram_of",
-    "enumerate_diagrams",
-    "four_term_relations",
-    "raw_matchings",
-    "satisfies_4T",
-    "LieAlgebraData",
-    "gl_fundamental",
-    "su2_fundamental",
-    "weight",
-    "weight_system",
-    *_LAZY,
-]
+__all__ = list(_LAZY)

@@ -9,10 +9,9 @@ exit status 3; argparse usage errors keep their conventional status 2.
 Diagram inputs are a path to a file, or the literal text of a Gauss
 code, a PD code, or a diagram JSON document; load_diagram decides
 which.  COMMANDS holds each subcommand's handler, output schema, error
-tag and CSV form.
+tag and CSV form.  Each handler imports the layers it uses, so a command
+loads only its own.
 """
-
-from __future__ import annotations
 
 import argparse
 import csv
@@ -21,21 +20,7 @@ import json
 import os
 import re
 import sys
-from dataclasses import asdict
-from typing import Callable, NamedTuple
-
-from .chords import (
-    ChordDiagram,
-    enumerate_diagrams,
-    four_term_relations,
-    raw_matchings,
-    satisfies_4T,
-)
-from .codes import _GAUSS_TOKEN, DiagramError, ParseError, SingularDiagram, parse_gauss, parse_pd
-from .lie import gl_fundamental, su2_fundamental, weight, weight_system
-from .skein import conway, extend_invariant, v2
-
-CROSSED = ChordDiagram(((0, 2), (1, 3)))
+from collections import namedtuple
 
 
 def load_schema(name):
@@ -56,6 +41,8 @@ def load_diagram(text):
     Gauss component separator ";", a PD entry or "{" is code; anything
     else is read as a path.
     """
+    from .codes import _GAUSS_TOKEN, ParseError, SingularDiagram, parse_gauss, parse_pd
+
     s = text.strip()
     head = _GAUSS_TOKEN.match(s)
     is_code = (head and head.group(1)) or _PD_HEAD.match(s) or s.startswith((";", "{"))
@@ -84,6 +71,8 @@ def _quadrature_from(args):
 
 
 def _run_parse(args):
+    from .codes import DiagramError
+
     d = load_diagram(args.input)
     out = {
         "command": "parse",
@@ -105,6 +94,8 @@ def _run_parse(args):
 
 
 def _run_conway(args):
+    from .skein import conway
+
     d = load_diagram(args.input)
     p = conway(d)
     return {
@@ -116,6 +107,9 @@ def _run_conway(args):
 
 
 def _run_v2(args):
+    from .codes import DiagramError
+    from .skein import v2
+
     d = load_diagram(args.input)
     # The library's v2 skips this face walk; outside input gets it here.
     if not d.is_planar():
@@ -124,6 +118,8 @@ def _run_v2(args):
 
 
 def _run_vassiliev_eval(args):
+    from .skein import conway, extend_invariant
+
     d = load_diagram(args.input)
     p = extend_invariant(conway, args.a, args.b, args.c)(d)
     return {
@@ -138,6 +134,8 @@ def _run_vassiliev_eval(args):
 
 
 def _run_chords(args):
+    from .chords import enumerate_diagrams, four_term_relations, raw_matchings
+
     m = args.degree
     if m > 6:
         raise ValueError("chords lists raw matchings and relations; degree capped at 6")
@@ -167,16 +165,21 @@ def _run_chords(args):
     }
 
 
-_ALGEBRAS = {"su2": su2_fundamental(), **{f"gl{n}": gl_fundamental(n) for n in range(1, 7)}}
+_ALGEBRAS = ("su2", *(f"gl{n}" for n in range(1, 7)))
 
 
 def _algebra_from_name(name):
+    from .lie import gl_fundamental, su2_fundamental
+
     if name not in _ALGEBRAS:
         raise ValueError(f"unknown algebra {name!r}; use one of {', '.join(_ALGEBRAS)}")
-    return _ALGEBRAS[name]
+    return su2_fundamental() if name == "su2" else gl_fundamental(int(name[2:]))
 
 
 def _run_weights(args):
+    from .chords import satisfies_4T
+    from .lie import weight_system
+
     if args.degree > 6:
         raise ValueError("weights tabulates every canonical diagram; degree capped at 6")
     algebra = _algebra_from_name(args.algebra)
@@ -216,8 +219,13 @@ def _run_kontsevich(args):
 
 
 def _run_compare(args):
+    from dataclasses import asdict
+
+    from .chords import ChordDiagram
     from .kontsevich import degree_coefficients, hump_normalize
+    from .lie import su2_fundamental, weight
     from .morse import curve_from_json, morse_embed
+    from .skein import conway, v2
 
     if args.degree != 2:
         raise ValueError("compare cross-validates the degree-2 invariant only")
@@ -229,7 +237,8 @@ def _run_compare(args):
     mk = morse_embed(components)
     quadrature = _quadrature_from(args)
     table = hump_normalize(degree_coefficients(mk, 2, quadrature), mk)
-    coeff = table.coefficient(CROSSED)
+    crossed = ChordDiagram(((0, 2), (1, 3)))
+    coeff = table.coefficient(crossed)
     integral = coeff.value if coeff is not None else 0j
     error = coeff.error if coeff is not None else 0.0
 
@@ -250,7 +259,7 @@ def _run_compare(args):
             "algebra": "su2",
             "value_re": pairing.real,
             "value_im": pairing.imag,
-            "crossed_weight": str(weight(su2, CROSSED)),
+            "crossed_weight": str(weight(su2, crossed)),
         },
         "difference": difference,
         "tolerance": args.tolerance,
@@ -328,13 +337,12 @@ def _compare_rows(payload):
 # ---------------------------------------------------------------- registry
 
 
-class Command(NamedTuple):
-    """How one subcommand runs and how its result is shown."""
-
-    handler: Callable  # parsed arguments -> JSON payload
-    schema: str  # shipped schema file that validates the JSON payload
-    error_tag: str  # module tag for errors whose type lives outside this package
-    csv_rows: Callable  # JSON payload -> CSV rows, header first
+# How one subcommand runs and how its result is shown:
+#   handler    parsed arguments -> JSON payload
+#   schema     shipped schema file that validates the JSON payload
+#   error_tag  module tag for errors whose type lives outside this package
+#   csv_rows   JSON payload -> CSV rows, header first
+Command = namedtuple("Command", "handler schema error_tag csv_rows")
 
 
 COMMANDS = {

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import asdict, dataclass, replace
 from typing import ClassVar
 
@@ -60,6 +61,10 @@ class QuadratureSpec:
     levels: ClassVar[int] = 3  # insets the tail fit reads; not a setting
 
     def __post_init__(self):
+        try:  # a fractional step count would overshoot each slab
+            object.__setattr__(self, "steps", operator.index(self.steps))
+        except TypeError:
+            raise ValueError(f"steps must be an integer, not {self.steps!r}") from None
         if self.steps < 16:
             raise ValueError("steps must be at least 16")
         if not 0 < self.eps_rel <= 0.05:

@@ -18,7 +18,7 @@ import jsonschema
 import pytest
 
 import vassiliev
-from vassiliev import cli
+from vassiliev import cli, lie
 from vassiliev.chords import ChordDiagram
 from vassiliev.codes import braid_closure, parse_gauss
 from vassiliev.fixtures import plat
@@ -146,7 +146,7 @@ def test_weights_refuses_a_table_that_violates_4T(monkeypatch, capsys):
         table[ChordDiagram(((0, 3), (1, 4), (2, 5)))] += 1
         return table
 
-    monkeypatch.setattr(cli, "weight_system", broken)
+    monkeypatch.setattr(lie, "weight_system", broken)  # the handler imports it on each call
     err = run_error(capsys, ["weights", "--algebra", "su2", "--degree", "3"])
     assert err["module"] == "lie"
     assert err["message"].endswith(
@@ -230,15 +230,78 @@ def test_exact_routes_never_import_numpy():
     assert _fresh(["-c", code]).stdout.strip() == "False"
 
 
-@pytest.mark.parametrize("argv", [["conway", TREFOIL], ["v2", TREFOIL], ["chords", "4t", "3"],
-                                  ["weights", "--algebra", "su2", "--degree", "3"]],
-                         ids=lambda a: a[0])
-def test_light_commands_never_import_numpy(argv):
-    done = _fresh(["-X", "importtime", "-m", "vassiliev.cli", *argv])
-    json.loads(done.stdout)
-    imported = {line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()}
-    assert "vassiliev.skein" in imported
-    assert not {m for m in imported if m.split(".")[0] == "numpy"}
+# What a fresh interpreter imports on the way: -S keeps site hooks from
+# loading modules first, and the child reports every module it added.
+_NEW_MODULES = (
+    "import sys\n"
+    "before = set(sys.modules)\n"
+    "{}\n"
+    "print(*sorted(set(sys.modules) - before), file=sys.stderr)"
+)
+
+
+def _loaded(statement):
+    done = _fresh(["-S", "-c", _NEW_MODULES.format(statement)])
+    return done.stdout, set(done.stderr.split())
+
+
+def test_import_loads_no_layer():
+    _, new = _loaded("import vassiliev")
+    assert {m for m in new if m.startswith("vassiliev")} == {"vassiliev"}
+    assert not new & {"re", "fractions", "numpy"}
+
+
+SKEIN_LAYERS = {"codes", "laurent", "skein"}
+LIGHT_COMMAND_LAYERS = {
+    "parse": (["parse", TREFOIL], {"codes"}),
+    "conway": (["conway", TREFOIL], SKEIN_LAYERS),
+    "v2": (["v2", TREFOIL], SKEIN_LAYERS),
+    "vassiliev-eval": (["vassiliev-eval", NODE_TREFOIL], SKEIN_LAYERS),
+    "chords": (["chords", "4t", "3"], {"codes", "chords"}),
+    "weights": (["weights", "--algebra", "su2", "--degree", "3"], {"codes", "chords", "lie"}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(LIGHT_COMMAND_LAYERS))
+def test_light_commands_never_import_numpy(command):
+    argv, layers = LIGHT_COMMAND_LAYERS[command]
+    stdout, new = _loaded(f"from vassiliev.cli import main\nassert main({argv!r}) == 0")
+    assert json.loads(stdout)["command"] == command
+    assert {m for m in new if m.startswith("vassiliev.")} == {f"vassiliev.{m}" for m in {"cli", *layers}}
+    assert ("fractions" in new) == ("chords" in layers)  # Fraction comes in with chords only
+    assert not new & {"numpy", "dataclasses", "typing"}
+
+
+LAYERS = {"laurent", "codes", "skein", "chords", "lie", "morse", "kontsevich", "fixtures"}
+
+
+def test_layers_resolve_as_attributes_after_a_plain_import():
+    code = "import vassiliev\n" + "".join(f"print(vassiliev.{m}.__name__)\n" for m in sorted(LAYERS))
+    assert _fresh(["-c", code]).stdout.split() == [f"vassiliev.{m}" for m in sorted(LAYERS)]
+
+
+# The public API as it stood while the package imported its exact layers
+# eagerly; its dir() listed these and `importlib` once every layer had loaded.
+PUBLIC_NAMES = {
+    "ALL_FIXTURE_NAMES", "ChordDiagram", "ChordPlacement", "CoefficientTable", "DiagramError",
+    "EmbeddingError", "ExpectationSeries", "IntegerLaurentPoly", "IntegralResult",
+    "LieAlgebraData", "MorseKnot", "ParseError", "PropagatorRule", "QuadratureSpec",
+    "SingularDiagram", "Slab", "Strand", "braid_closure", "chord_diagram_of", "conway",
+    "curve_from_json", "curve_to_json", "degree_coefficients", "embedding_independence_check",
+    "enumerate_diagrams", "enumerate_placements", "expectation_series", "extend_invariant",
+    "finite_type_check", "four_term_relations", "gl_fundamental", "hump_normalize",
+    "linking_matrix_total", "linking_number", "load_fixture", "morse_embed", "parse_gauss",
+    "parse_pd", "plat", "raw_matchings", "round_circle", "sample_singular_diagrams",
+    "satisfies_4T", "su2_fundamental", "two_circles", "v2", "vassiliev_eval", "weight",
+    "weight_system", "wick_propagator",
+}
+
+
+def test_public_names_and_dir_are_unchanged():
+    code = "import vassiliev\nprint(*vassiliev.__all__)\nprint(*dir(vassiliev))"
+    names, listed = _fresh(["-c", code]).stdout.splitlines()
+    assert set(names.split()) == PUBLIC_NAMES
+    assert {n for n in listed.split() if not n.startswith("_")} == PUBLIC_NAMES | LAYERS | {"importlib"}
 
 
 def test_every_public_name_resolves():

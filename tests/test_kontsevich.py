@@ -129,6 +129,23 @@ def test_quadrature_validation():
     assert QuadratureSpec().epsilons() == (1e-3, 5e-4, 2.5e-4)
 
 
+@pytest.mark.parametrize("steps, error", [
+    (100, None),
+    (np.int64(100), None),
+    (100.0, "steps must be an integer"),
+    (100.5, "steps must be an integer"),  # its grid overshot each slab by half a step
+    (True, "steps must be at least 16"),
+], ids=repr)
+def test_quadrature_steps_must_be_an_integer(steps, error):
+    if error is None:
+        spec = QuadratureSpec(steps=steps)
+        assert type(spec.steps) is int and spec.steps == 100
+        assert spec == QuadratureSpec(steps=100)
+    else:
+        with pytest.raises(ValueError, match=error):
+            QuadratureSpec(steps=steps)
+
+
 def test_wick_propagator_rules():
     assert wick_propagator(("+", "+")).is_zero
     assert wick_propagator(("0", "0")).is_zero
