@@ -10,7 +10,8 @@ non-crossing cups below and caps above, and runs a braid word between.
 One walk around each closed loop emits both the sampled space curve
 (for the analytic pipeline) and its shadow diagram (for the skein
 pipeline), so every geometric fixture carries a machine-checkable knot
-type.
+type.  The walk emits each strand's tokens once, so the shadow is valid
+as built.
 
 Crossing letters are positive integers k (the strand entering from the
 left at lanes (k, k+1) passes over) or negative for the inverse.  The
@@ -103,9 +104,9 @@ def _arcs(pairs, lanes, t_base, sign):
 def plat(word, n, cups, caps):
     """Build the sampled curve and shadow diagram of a plat closure.
 
-    Returns (components, shadow, meta): components are lists of (z, t)
-    samples, Python (complex, float) pairs, per closed loop; meta
-    records maxima and lane geometry.
+    Returns (components, shadow): components are lists of (z, t)
+    samples, Python (complex, float) pairs, per closed loop, and shadow
+    is the SingularDiagram that the same walk spells.
     """
     _validate_pairing(cups, n, "cup")
     _validate_pairing(caps, n, "cap")
@@ -121,7 +122,6 @@ def plat(word, n, cups, caps):
     samples = [[] for _ in range(n)]
     tokens = [[] for _ in range(n)]
     crossings = []  # per crossing id: (left strand, right strand, letter sign)
-    n_wiggles = 0
     for j, letter in enumerate(word):
         t_here = j + tau
         if isinstance(letter, tuple) and letter[0] == "wiggle":
@@ -130,7 +130,6 @@ def plat(word, n, cups, caps):
                 raise ValueError(f"wiggle lane {lane} out of range")
             wx, wt = _wiggle_path(lanes[lane], float(j))
             samples[occupant[lane]].append((wx, np.zeros_like(wx), wt))
-            n_wiggles += 1
             busy = (lane,)
         else:
             k = abs(letter)
@@ -184,13 +183,7 @@ def plat(word, n, cups, caps):
         sid: sign * dirs[left] * dirs[right]
         for sid, (left, right, sign) in enumerate(crossings)
     }
-    shadow = SingularDiagram(shadow_components, signs)
-    meta = {
-        "n_lanes": n,
-        "n_maxima": len(caps) + n_wiggles,
-        "shadow_writhe": shadow.writhe,
-    }
-    return components, shadow, meta
+    return components, SingularDiagram._from_parts(tuple(shadow_components), signs, frozenset())
 
 
 # -- named fixtures ---------------------------------------------------------

@@ -409,11 +409,11 @@ def _raw_series(mk, m, quadrature):
     """Raw series of a single-component knot up to degree m.
 
     Entry d maps each degree-d chord diagram to its placement sum, an
-    array over the quadrature settings in _settings order; degree 0 is
-    the empty diagram, exactly 1.  Each diagram's sum adds its
+    array over the quadrature settings in _settings order; degree 0 maps
+    the empty diagram to the scalar 1.  Each diagram's sum adds its
     placements in enumeration order, so results are bit-reproducible.
     """
-    series = [{_EMPTY: np.ones(len(_settings(quadrature)), dtype=complex)}]
+    series = [{_EMPTY: 1 + 0j}]
     for ends, values in _degree_values(mk, m, quadrature, _pair_pools(mk)):
         diagrams, index = _induced_diagrams(mk, ends)
         series.append(dict(zip(diagrams, _sums(values, index, len(diagrams)))))

@@ -174,8 +174,7 @@ class Slab:
 @dataclass
 class MorseKnot:
     strands: tuple
-    slabs: tuple
-    criticals: tuple
+    slabs: tuple  # between consecutive critical heights, bottom to top
     component_cycles: tuple  # per component, strand indices in traversal order
     maxima_per_component: tuple
     embedding_margin: float
@@ -311,7 +310,6 @@ def morse_embed(components):
     return MorseKnot(
         strands=tuple(strands),
         slabs=tuple(slabs),
-        criticals=criticals,
         component_cycles=tuple(component_cycles),
         maxima_per_component=tuple(maxima_per_component),
         embedding_margin=margin,

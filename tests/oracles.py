@@ -42,15 +42,33 @@ sites without comparing, and spells the key from the survivors at the
 end.  The library encodes each candidate rotation whole and keeps the
 least, and must give the same bytes, or the same refusal under the
 library's `_TIE_BUDGET`.
+
+`nested_closure` embeds the closure of a braid word on n strands as a
+plat on 2n lanes whose cups and caps nest, ((0, 2n-1), (1, 2n-2), ...,
+(n-1, n)): the word acts on lanes 0..n-1 and the outer lanes carry the
+closure strands back (every braid closure is a plat; Birman, *Braids,
+Links, and Mapping Class Groups*, 1974).  Its shadow must be
+`braid_closure` of the word.  `signed_resolution_sum` extends the raw
+integral to singular knots by Z(K x) = Z(K+) - Z(K-) at each node
+letter: it sums the raw series of the 2^m resolutions, each times the
+product of its resolution signs.  A knot with m double points then has
+a sum that starts at degree m with its chord diagram (Kontsevich;
+Bar-Natan, *On the Vassiliev knot invariants*, Topology 1995).  Every
+resolution has the same maxima, so no hump division is needed.
 """
 
+import itertools
+import math
 import re
 from functools import cached_property
 
 import numpy as np
 
+from vassiliev import kontsevich
 from vassiliev.codes import _TIE_BUDGET, UNDER, DiagramError, ParseError, SingularDiagram
+from vassiliev.fixtures import plat
 from vassiliev.laurent import IntegerLaurentPoly
+from vassiliev.morse import morse_embed
 
 Z = IntegerLaurentPoly.z()
 
@@ -344,3 +362,28 @@ def check_embedding(strands, slabs):
                 sep = float(np.min(np.abs(zs[i] - zs[j])))
                 margin = min(margin, sep)
     return margin
+
+
+def nested_closure(word, n):
+    """(components, shadow) of the plat closing a braid word on n strands."""
+    nested = tuple((i, 2 * n - 1 - i) for i in range(n))
+    return plat(word, 2 * n, nested, nested)
+
+
+def signed_resolution_sum(word, n, quadrature):
+    """Signed sum of the raw series, to degree m, of the nested closures
+    of the 2^m resolutions of the m ("node", i) letters of word: +i with
+    sign +1, -i with sign -1.  Degree 0 is the scalar sum of the signs;
+    degree d maps each diagram to its array over the quadrature settings."""
+    sites = [p for p, letter in enumerate(word) if isinstance(letter, tuple)]
+    total = [{} for _ in range(len(sites) + 1)]
+    for signs in itertools.product((1, -1), repeat=len(sites)):
+        resolved = list(word)
+        for p, sign in zip(sites, signs):
+            resolved[p] = sign * word[p][1]
+        mk = morse_embed(nested_closure(resolved, n)[0])
+        product = math.prod(signs)
+        for acc, sums in zip(total, kontsevich._raw_series(mk, len(sites), quadrature)):
+            for diagram, value in sums.items():
+                acc[diagram] = acc.get(diagram, 0) + product * value
+    return total

@@ -240,6 +240,13 @@ def test_validation():
         ChordDiagram([(0, 5)])
 
 
+def test_equality_with_another_type_is_not_implemented():
+    crossed = ChordDiagram(((0, 2), (1, 3)))
+    for other in (None, 2, "0-2,1-3", ((0, 2), (1, 3)), crossed.partner):
+        assert crossed.__eq__(other) is NotImplemented, other
+        assert crossed != other, other
+
+
 def test_concat():
     one = ChordDiagram([(0, 1)])
     prod = one.concat(one)

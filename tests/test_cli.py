@@ -431,10 +431,15 @@ def test_parse_refuses_a_sign_other_than_plus_or_minus_one(capsys):
 
 def test_error_degree_out_of_range(tmp_path, capsys):
     path = curve_file(tmp_path, "round_circle")
-    err = run_error(capsys, ["kontsevich", path, "--degree", "7"])
-    assert err["module"] == "kontsevich"
-    err = run_error(capsys, ["weights", "--algebra", "su2", "--degree", "7"])
-    assert err["module"] == "lie"
+    cases = [
+        (["kontsevich", path, "--degree", "7"], "kontsevich", "degree must be between 0 and 3"),
+        (["weights", "--algebra", "su2", "--degree", "7"], "lie", "degree capped at 6"),
+        (["compare", path, TREFOIL, "--degree", "3"], "kontsevich", "degree-2 invariant only"),
+    ]
+    for argv, module, fragment in cases:
+        err = run_error(capsys, argv)
+        assert err["module"] == module, (argv, err)
+        assert fragment in err["message"], (argv, err)
 
 
 def test_kontsevich_refuses_oversized_work(tmp_path, capsys):
@@ -443,7 +448,7 @@ def test_kontsevich_refuses_oversized_work(tmp_path, capsys):
     assert err["module"] == "kontsevich"
     assert "100,000,000 pair-steps exceeds the bound" in err["message"]
     lanes = tuple((i, i + 1) for i in range(0, 12, 2))
-    components, _, _ = plat(tuple(i % 11 + 1 for i in range(12)), 12, lanes, lanes)
+    components = plat(tuple(i % 11 + 1 for i in range(12)), 12, lanes, lanes)[0]
     path = tmp_path / "twelve_lanes.json"
     path.write_text(json.dumps(curve_to_json(components)))
     err = run_error(capsys, ["kontsevich", str(path), "--degree", "3", "--raw"])

@@ -676,7 +676,12 @@ def test_json_text_round_trips_components_signs_nodes_and_key(case):
 
 def test_refusals_name_what_is_wrong():
     one_crossing, two_loops = [[("O", 0), ("U", 0)]], [[("O", 0)], [("U", 0)]]
+    trefoil, lemniscate = parse_gauss(TREFOIL_GAUSS), parse_pd("V(1,2,1,2)")
     cases = [
+        (lambda: trefoil.switch_crossing(9), "no crossing with id 9"),
+        (lambda: trefoil.smooth_crossing(9), "no crossing with id 9"),
+        (lambda: lemniscate.resolve_node(9, "positive"), "no node with id 9"),
+        (lambda: lemniscate.resolve_node(lemniscate.node_ids[0], "up"), "unknown resolution 'up'"),
         (lambda: SingularDiagram([[("X", 0)]], {}), "unknown passage kind 'X'"),
         (lambda: SingularDiagram([[("O", 0), ("O", 0)]], {0: 1}),
          "site 0 has passages ['O', 'O']"),
@@ -695,3 +700,10 @@ def test_refusals_name_what_is_wrong():
         with pytest.raises(DiagramError) as err:
             call()
         assert fragment in str(err.value)
+
+
+def test_equality_with_another_type_is_not_implemented():
+    trefoil = parse_gauss(TREFOIL_GAUSS)
+    for other in (None, 1, TREFOIL_GAUSS, trefoil.components, trefoil.canonical_key()):
+        assert trefoil.__eq__(other) is NotImplemented, other
+        assert trefoil != other, other

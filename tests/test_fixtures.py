@@ -4,8 +4,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given
+from oracles import nested_closure
+from strategies import PROPERTIES, braid_words
 
-from vassiliev.codes import braid_closure, linking_matrix_total, sample_singular_diagrams
+from vassiliev.codes import SingularDiagram, braid_closure, linking_matrix_total, sample_singular_diagrams
 from vassiliev.fixtures import (
     ALL_FIXTURE_NAMES,
     FIGURE_EIGHT_PLAT_WORD,
@@ -48,23 +51,23 @@ EXPECTED_COMPONENTS = {
 
 
 def test_hump_shadow_is_unknotted():
-    _, shadow, meta = PLAT_FIXTURES["hump"]()
+    comps, shadow = PLAT_FIXTURES["hump"]()
     assert shadow.n_components == 1
     assert shadow.n_crossings == 0
     assert conway(shadow) == ONE
-    assert meta["n_maxima"] == 2
+    assert morse_embed(comps).n_maxima == len(HUMP_CAPS)
 
 
 def test_trefoil_shadows():
     for name in ("trefoil_2max", "trefoil_3max"):
-        _, shadow, _ = PLAT_FIXTURES[name]()
+        shadow = PLAT_FIXTURES[name]()[1]
         assert shadow.n_components == 1
         assert shadow.writhe == 3
         assert conway(shadow) == ONE + Z * Z
 
 
 def test_figure_eight_shadow():
-    _, shadow, _ = PLAT_FIXTURES["figure_eight"]()
+    shadow = PLAT_FIXTURES["figure_eight"]()[1]
     assert shadow.n_components == 1
     assert conway(shadow) == ONE - Z * Z
 
@@ -74,7 +77,7 @@ def test_figure_eight_word_is_frozen():
 
 
 def test_hopf_shadow():
-    _, shadow, _ = PLAT_FIXTURES["hopf"]()
+    shadow = PLAT_FIXTURES["hopf"]()[1]
     assert shadow.n_components == 2
     assert linking_matrix_total(shadow) == -1
     assert conway(shadow) == -Z
@@ -86,7 +89,7 @@ def test_torus_2_4_shadow():
     # not -(2z + z^3): switching one crossing cancels a pair by a
     # planar move and leaves the antiparallel Hopf (-z), smoothing one
     # merges the components into an unknot (1), so -z - z*1 = -2z.
-    _, shadow, _ = PLAT_FIXTURES["torus_2_4"]()
+    shadow = PLAT_FIXTURES["torus_2_4"]()[1]
     assert shadow.n_components == 2
     assert linking_matrix_total(shadow) == -2
     assert conway(shadow) == -2 * Z
@@ -163,10 +166,10 @@ def test_plat_curve_and_shadow_describe_the_same_link():
         if rng.random() < 0.5:
             word.insert(rng.randint(0, len(word)), ("wiggle", rng.randrange(4)))
         caps = rng.choice([STANDARD_CAPS, HUMP_CAPS])
-        comps, shadow, meta = plat(word, 4, STANDARD_CUPS, caps)
+        comps, shadow = plat(word, 4, STANDARD_CUPS, caps)
         mk = morse_embed(comps)
         assert mk.n_components == shadow.n_components, word
-        assert mk.n_maxima == meta["n_maxima"], word
+        assert mk.n_maxima == len(caps) + sum(isinstance(x, tuple) for x in word), word
         if shadow.n_components == 2:
             links += 1
             res, lk = linking_number(mk), linking_matrix_total(shadow)
@@ -175,8 +178,36 @@ def test_plat_curve_and_shadow_describe_the_same_link():
     assert links >= 5
 
 
+@PROPERTIES
+@given(braid_words(nodes=False))
+def test_nested_closure_shadow_is_the_braid_closure(case):
+    word, n = case
+    shadow = nested_closure(word, n)[1]
+    closure = braid_closure(word, n)
+    assert shadow.canonical_key() == closure.canonical_key()
+    assert shadow == SingularDiagram(shadow.components, shadow.signs)
+    assert linking_matrix_total(shadow) == linking_matrix_total(closure)
+
+
+def test_nested_closure_linking_number_matches_the_shadow():
+    # 8 seeded two-component words on 2-3 strands with 2-7 letters
+    rng = random.Random(1)
+    links = []
+    while len(links) < 8:
+        n = rng.randint(2, 3)
+        word = [rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(rng.randint(2, 7))]
+        if braid_closure(word, n).n_components == 2:
+            links.append((word, n))
+    for word, n in links:
+        comps, shadow = nested_closure(word, n)
+        mk = morse_embed(comps)
+        assert mk.n_maxima == n, word
+        res = linking_number(mk)
+        assert abs(res.value - linking_matrix_total(shadow)) <= res.error, word
+
+
 def test_plat_samples_are_finite_and_in_band():
-    comps, shadow, _ = PLAT_FIXTURES["trefoil_2max"]()
+    comps = PLAT_FIXTURES["trefoil_2max"]()[0]
     for comp in comps:
         z = np.array([complex(s[0]) for s in comp])
         t = np.array([float(s[1]) for s in comp])

@@ -1,12 +1,15 @@
 import dataclasses
 import itertools
+import random
 import time
 
 import numpy as np
 import pytest
+from oracles import signed_resolution_sum
 
 from vassiliev import kontsevich
-from vassiliev.chords import ChordDiagram
+from vassiliev.chords import ChordDiagram, chord_diagram_of
+from vassiliev.codes import braid_closure
 from vassiliev.fixtures import ALL_FIXTURE_NAMES, load_fixture, plat, two_circles
 from vassiliev.kontsevich import (
     KAPPA,
@@ -237,7 +240,7 @@ def test_degree_bounds_and_components():
 def twelve_lane_knot():
     """A one-component 12-lane plat with 4,313,558 degree-3 placements."""
     pairs = tuple((i, i + 1) for i in range(0, 12, 2))
-    components, _, _ = plat(tuple(i % 11 + 1 for i in range(12)), 12, pairs, pairs)
+    components = plat(tuple(i % 11 + 1 for i in range(12)), 12, pairs, pairs)[0]
     return morse_embed(components)
 
 
@@ -543,3 +546,38 @@ def test_raw_table_invariant_under_rigid_motion_and_scaling():
         for (_, c), (_, want) in zip(table.items(), base.items()):
             for a, b in zip((c.value, *c.per_epsilon), (want.value, *want.per_epsilon)):
                 assert abs(a - b) <= 1e-8 * max(1.0, abs(b))
+
+
+# -- singular knots: the integral starts with the chord diagram --------------
+
+
+def singular_knot_words(seed, m, count):
+    """`count` seeded one-component braid words on 2-3 strands: m node
+    letters and 2-6 crossings, shuffled."""
+    rng = random.Random(seed)
+    words = []
+    while len(words) < count:
+        n = rng.randint(2, 3)
+        word = [rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(rng.randint(2, 6))]
+        word += [("node", rng.randint(1, n - 1)) for _ in range(m)]
+        rng.shuffle(word)
+        if braid_closure(word, n).n_components == 1:
+            words.append((word, n))
+    return words
+
+
+@pytest.mark.parametrize("seed, m, count", [(2, 1, 3), (5, 2, 4)])
+def test_signed_resolution_sum_starts_with_the_chord_diagram(seed, m, count):
+    # Z(K x) = Z(K+) - Z(K-) at each node: a knot with m double points
+    # has Z = D + (degree > m), D its chord diagram.
+    for word, n in singular_knot_words(seed, m, count):
+        want = chord_diagram_of(braid_closure(word, n))
+        for spec in (Q, QuadratureSpec(4000)):
+            total = signed_resolution_sum(word, n, spec)
+            assert total[0] == {ChordDiagram(()): 0}, word
+            assert want in total[m], word
+            for d in range(1, m + 1):
+                for diagram, sums in total[d].items():
+                    c = kontsevich._classify(sums)
+                    exact = 1 if (d, diagram) == (m, want) else 0
+                    assert abs(c.value - exact) <= c.error, (word, spec.steps, d, diagram)

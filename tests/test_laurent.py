@@ -84,9 +84,20 @@ def test_constants_hash_as_their_ints():
 
 
 def test_type_strictness():
+    for coeffs in ({0: 1.5}, {0.5: 1}):
+        with pytest.raises(TypeError, match="exponents and coefficients must be int"):
+            P(coeffs)
     with pytest.raises(TypeError):
         P.from_dict({0: 1.5})
     with pytest.raises(TypeError):
         P.one() + 1.5
     with pytest.raises(TypeError):
         P.one() * 2.0
+
+
+def test_equality_with_another_type_is_not_implemented():
+    # an int compares as the constant polynomial; nothing else compares
+    for other in (None, 1.0, "1", (1,), {0: 1}):
+        assert P.one().__eq__(other) is NotImplemented, other
+        assert P.one() != other, other
+    assert P.one() == 1 and P.one().__eq__(1) is True
