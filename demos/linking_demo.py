@@ -6,22 +6,16 @@ sum of the shadow diagram; the integral should land within 1e-3.
 Run:  python3 demos/linking_demo.py
 """
 
-from vassiliev import (
-    linking_matrix_total,
-    linking_number,
-    load_fixture,
-    morse_embed,
-    two_circles,
-)
+from vassiliev import linking_matrix_total, linking_number, morse_embed, two_circles
 from vassiliev.fixtures import PLAT_FIXTURES
 
 
 def main():
     print("== Two-component fixtures ==")
     for name in ("hopf", "torus_2_4"):
-        shadow = PLAT_FIXTURES[name]()[1]
+        curve, shadow = PLAT_FIXTURES[name]()
         oracle = linking_matrix_total(shadow)
-        res = linking_number(morse_embed(load_fixture(name)))
+        res = linking_number(morse_embed(curve))
         print(f"{name:10s} integral {res.value.real:+.6f} (err {res.error:.1e})"
               f"   combinatorial {oracle:+d}")
 

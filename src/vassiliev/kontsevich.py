@@ -125,12 +125,11 @@ def wick_propagator(pair):
 @dataclass(frozen=True)
 class ChordPlacement:
     """One combinatorial class: chords listed bottom to top, chord i in
-    slab slabs[i] joining the strand pair pairs[i]."""
+    slab slabs[i] joining the strand pair pairs[i]; cross_component when
+    every chord joins two components."""
 
     slabs: tuple
     pairs: tuple
-    down_endpoints: int
-    diagram: ChordDiagram | None
     cross_component: bool
 
 
@@ -221,8 +220,9 @@ def enumerate_placements(mk, m):
     """All degree-m chord placement classes of a Morse embedding.
 
     Chord heights are ordered, so slab indices run nondecreasing and
-    the within-slab chord order is the listed order.  Each class
-    records its induced diagram and downward-endpoint count.
+    the within-slab chord order is the listed order.  Only the tables
+    read a placement's induced diagram and sign, from the strand ends of
+    _placements (see _induced_diagrams and _down_endpoints).
     """
     if m < 1:
         raise ValueError("placement degree must be at least 1")
@@ -235,15 +235,9 @@ def enumerate_placements(mk, m):
         for slab_seq in seqs
         for pairs in itertools.product(*(pair_tuples[s] for s in slab_seq))
     ]
-    down = _down_endpoints(mk, ends).tolist()
     comp = np.array([s.component for s in mk.strands])[ends]
     cross = (comp[..., 0] != comp[..., 1]).all(axis=1).tolist()
-    if len(mk.component_cycles) == 1:
-        diagrams, index = _induced_diagrams(mk, ends)
-        induced = [diagrams[i] for i in index]
-    else:
-        induced = [None] * len(ends)
-    return [ChordPlacement(*c, *rest) for c, *rest in zip(classes, down, induced, cross)]
+    return [ChordPlacement(*c, x) for c, x in zip(classes, cross)]
 
 
 # -- quadrature --------------------------------------------------------------

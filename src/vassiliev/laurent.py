@@ -6,6 +6,8 @@ introduce floats.
 
 from __future__ import annotations
 
+import re
+
 
 class IntegerLaurentPoly:
     """Immutable Laurent polynomial with int coefficients.
@@ -140,11 +142,21 @@ class IntegerLaurentPoly:
 
     @classmethod
     def from_dict(cls, d) -> "IntegerLaurentPoly":
+        """Inverse of to_dict: each exponent an int or the decimal string
+        to_dict writes for one, and no exponent given twice."""
         out = {}
         for e, c in d.items():
             if not isinstance(c, int):
                 raise TypeError(f"coefficient {c!r} is not an integer")
-            out[int(e)] = c
+            if isinstance(e, str):
+                if not re.fullmatch(r"0|-?[1-9][0-9]*", e):
+                    raise ValueError(f"exponent {e!r} is not a decimal integer")
+                e = int(e)
+            elif not isinstance(e, int):
+                raise TypeError(f"exponent {e!r} is not an integer")
+            if e in out:
+                raise ValueError(f"exponent {e} is given twice")
+            out[e] = c
         return cls(out)
 
 

@@ -3,11 +3,13 @@
 A curve component is a closed loop of samples (z, t) with z complex and
 t the height.  morse_embed cuts every component at its height extrema
 into monotone strands, interpolates each strand as a function z(t), and
-organizes the strands into slabs between consecutive critical heights.
-Critical heights that coincide across components are always separated
-by a tiny jitter, recorded in the embedding's notes; critical heights
-that coincide within one component, and genuinely coincident strands,
-are rejected.
+organizes the strands into slabs between consecutive critical heights:
+a strand's ends are two of those heights, and their places among them
+give its slabs, the only ones it is evaluated on when checking the
+embedding.  Critical heights that coincide across components are always
+separated by a tiny jitter, recorded in the embedding's notes; critical
+heights that coincide within one component, and genuinely coincident
+strands, are rejected.
 """
 
 from __future__ import annotations
@@ -269,12 +271,10 @@ def morse_embed(components):
 
     component_cycles = []
     maxima_per_component = []
-    criticals = []
     # Each strand's samples, sorted by height: a strand is monotone
     # between its two extrema, so a downward one is only reversed.
     ts, zs, specs = [], [], []
     for ci, ((z, t), (idx, kinds)) in enumerate(zip(comps, extrema)):
-        criticals.extend(t[i] for i in idx)
         maxima_per_component.append(sum(1 for k in kinds if k > 0))
         n = len(t)
         # the last strand wraps past the end of the loop to its first extremum
@@ -292,17 +292,16 @@ def morse_embed(components):
         Strand._built(*spec, *built) for spec, built in zip(specs, _not_a_knot_cubics(ts, zs))
     ]
 
-    criticals = tuple(sorted(criticals))
-    slabs = []
-    for lo, hi in zip(criticals, criticals[1:]):
-        ids = tuple(
-            s.index
-            for s in strands
-            if s.t_lo <= lo + 1e-12 * scale and s.t_hi >= hi - 1e-12 * scale
-        )
-        slabs.append(Slab(lo, hi, ids))
+    # A strand's ends are two of the critical heights, so their places in
+    # crits are exact, and the slabs between them are the strand's span.
+    spans = np.searchsorted(crits, [(s.t_lo, s.t_hi) for s in strands]).tolist()
+    ids = [[] for _ in crits[1:]]
+    for strand, (i, j) in zip(strands, spans):
+        for k in range(i, j):
+            ids[k].append(strand.index)
+    slabs = [Slab(lo, hi, tuple(members)) for lo, hi, members in zip(crits, crits[1:], ids)]
 
-    margin = _check_embedding(strands, slabs)
+    margin = _check_embedding(strands, slabs, spans)
     if not margin >= 1e-8 * scale:
         raise EmbeddingError(
             f"strands nearly coincide (min separation {margin:.3e}); not an embedding"
@@ -317,20 +316,22 @@ def morse_embed(components):
     )
 
 
-def _check_embedding(strands, slabs):
+def _check_embedding(strands, slabs, spans):
     """Least distance between two strands of one slab, at 25 heights
-    through each slab with 2% of its height left out at either end."""
-    # The slab just above a component's lowest minimum holds the two
-    # strands that leave it, so some slab has a pair.
-    wide = [slab for slab in slabs if len(slab.strand_ids) > 1]
-    lo, hi = np.array([(slab.t_lo, slab.t_hi) for slab in wide]).T
+    through each slab with 2% of its height left out at either end.
+    Strand s is evaluated only on its span, slabs spans[s][0] to spans[s][1] - 1."""
+    lo, hi = np.array([(slab.t_lo, slab.t_hi) for slab in slabs]).T
     h = hi - lo
     probes = np.linspace(lo + 0.02 * h, hi - 0.02 * h, 25, axis=1)
-    zs = np.array([strand.at(probes)[0] for strand in strands])
+    zs = np.concatenate([strand.at(probes[i:j])[0] for strand, (i, j) in zip(strands, spans)])
+    # zs holds the strands' rows one after another: strand s's on slab k is offset[s] + k
+    offset = np.cumsum([0] + [j - i for i, j in spans[:-1]]) - [i for i, _ in spans]
+    # The slab just above a component's lowest minimum holds the two
+    # strands that leave it, so some slab has a pair.
     one, other, at = np.array(
-        [(a, b, k) for k, slab in enumerate(wide) for a, b in combinations(slab.strand_ids, 2)]
+        [(a, b, k) for k, slab in enumerate(slabs) for a, b in combinations(slab.strand_ids, 2)]
     ).T
-    return float(np.min(np.abs(zs[one, at] - zs[other, at])))
+    return float(np.min(np.abs(zs[offset[one] + at] - zs[offset[other] + at])))
 
 
 # -- curve files -----------------------------------------------------------

@@ -27,6 +27,11 @@ _ZERO = IntegerLaurentPoly.zero()
 # By sign: powers of s at corners 0-3 of a region row times s, and B (`codes._ccw_slots`).
 _CORNERS = {1: ((1, 2, 1, 0), 3), -1: ((2, 1, 0, 1), 0)}
 
+# Leaves of one Vassiliev extension's resolution tree, (nonzero
+# coefficients)^nodes: 2^12 took 1.1-1.4 s with conway at the leaves
+# on 12-node braid closures, on a 2-CPU machine.
+MAX_RESOLUTIONS = 4096
+
 
 def conway(diagram, memo=None):
     """Conway polynomial of a planar, node-free diagram, exact in z.
@@ -174,10 +179,13 @@ def extend_invariant(invariant, a, b, c):
         V(node) = a * V(positive) + b * V(negative) + c * V(smoothed),
 
     applied at every node.  a, b, c may be ints or ring elements; zero
-    coefficients prune their branch.
+    coefficients prune their branch.  A diagram whose resolution tree
+    has more than MAX_RESOLUTIONS leaves, (nonzero coefficients)^nodes,
+    raises ValueError before any is evaluated.
     """
+    nonzero = sum(1 for coeff in (a, b, c) if coeff != 0)
 
-    def extended(diagram):
+    def resolved(diagram):
         nodes = diagram.node_ids
         if not nodes:
             return invariant(diagram)
@@ -186,12 +194,21 @@ def extend_invariant(invariant, a, b, c):
         for coeff, res in ((a, "positive"), (b, "negative"), (c, "smooth")):
             if coeff == 0:
                 continue
-            term = coeff * extended(diagram.resolve_node(nid, res))
+            term = coeff * resolved(diagram.resolve_node(nid, res))
             total = term if total is None else total + term
         if total is None:
             # all three coefficients are zero: a zero of the coefficients' type
-            total = a * extended(diagram.resolve_node(nid, "positive"))
+            total = a * resolved(diagram.resolve_node(nid, "positive"))
         return total
+
+    def extended(diagram):
+        n = diagram.n_nodes
+        if nonzero**n > MAX_RESOLUTIONS:
+            raise ValueError(
+                f"{n} nodes with {nonzero} nonzero coefficients have {nonzero}^{n} "
+                f"resolutions, past the bound {MAX_RESOLUTIONS:,}"
+            )
+        return resolved(diagram)
 
     return extended
 

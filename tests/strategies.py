@@ -38,3 +38,13 @@ def spline_pieces(draw):
         z.real, z.imag = parts
         pieces.append((t, z))
     return pieces
+
+
+@st.composite
+def rigid_motions(draw):
+    """(rotation, shift, lift, scale) for curve samples (z, t) ->
+    (scale * (rotation * z + shift), scale * t + lift): a rotation of the
+    z plane, a translation in z, a height shift and a positive scale."""
+    rotation = np.exp(1j * draw(st.floats(0.0, 2 * np.pi)))
+    shift = complex(draw(st.floats(-3.0, 3.0)), draw(st.floats(-3.0, 3.0)))
+    return rotation, shift, draw(st.floats(-5.0, 5.0)), draw(st.floats(0.1, 10.0))

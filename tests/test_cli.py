@@ -13,6 +13,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import jsonschema
 import pytest
@@ -110,6 +111,15 @@ def test_vassiliev_eval_matches_exchange(capsys):
     node = {"components": [["P1", "O2", "Q1", "U2"]], "signs": {"2": 1}}
     err = run_error(capsys, ["vassiliev-eval", json.dumps(node)])
     assert err["module"] == "codes" and "virtual" in err["message"]
+
+
+def test_vassiliev_eval_refuses_oversized_work(capsys):
+    twenty = braid_closure([("node", 1)] * 20 + [1]).to_json_dict()
+    start = time.perf_counter()
+    err = run_error(capsys, ["vassiliev-eval", json.dumps(twenty)])
+    assert time.perf_counter() - start < 1.0
+    assert err["module"] == "skein"
+    assert "2^20 resolutions, past the bound 4,096" in err["message"]
 
 
 def test_chords_enumerate(capsys):

@@ -1,11 +1,14 @@
 import dataclasses
+import functools
 import itertools
 import random
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 from oracles import signed_resolution_sum
+from strategies import PROPERTIES, rigid_motions
 
 from vassiliev import kontsevich
 from vassiliev.chords import ChordDiagram, chord_diagram_of
@@ -183,15 +186,24 @@ def test_epsilon_tail_classifier_outcomes():
         assert got[2:] == (converged, log_divergent), vals
 
 
+def table_placements(mk, m):
+    """Strand ends, downward endpoint counts and induced diagrams of the
+    degree-m placements, as the tables read them."""
+    _, ends = kontsevich._placements(kontsevich._pair_pools(mk), m)
+    diagrams, index = kontsevich._induced_diagrams(mk, ends)
+    return ends, kontsevich._down_endpoints(mk, ends).tolist(), [diagrams[i] for i in index]
+
+
 def test_circle_placements():
     mk = embed("round_circle")
-    pl1 = enumerate_placements(mk, 1)
-    assert len(pl1) == 1
-    assert pl1[0].down_endpoints == 1
-    assert pl1[0].diagram == SINGLE
-    pl2 = enumerate_placements(mk, 2)
-    assert pl2
-    assert all(p.diagram == PARALLEL for p in pl2)
+    assert len(enumerate_placements(mk, 1)) == 1
+    ends, down, induced = table_placements(mk, 1)
+    assert ends.tolist() == [[[0, 1]]]
+    assert down == [1]
+    assert induced == [SINGLE]
+    ends, down, induced = table_placements(mk, 2)
+    assert len(ends) == len(enumerate_placements(mk, 2)) > 0
+    assert induced == [PARALLEL] * len(ends)
     with pytest.raises(ValueError):
         enumerate_placements(mk, 0)
 
@@ -199,9 +211,9 @@ def test_circle_placements():
 def test_induced_diagrams_refuse_degrees_past_their_int64_code():
     # A matching of 2m points is one int64 in base 2m, exact up to m = 7.
     mk = embed("round_circle")
-    assert len(enumerate_placements(mk, 7)) == 1
+    assert len(table_placements(mk, 7)[0]) == 1
     with pytest.raises(ValueError, match="up to degree 7"):
-        enumerate_placements(mk, 8)
+        table_placements(mk, 8)
 
 
 def test_two_circle_cross_placements():
@@ -526,12 +538,39 @@ def test_slab_blocks_match_per_placement_oracle():
 def test_enumerated_diagrams_match_unmemoized_induction():
     for name in ("trefoil_3max", "figure_eight"):
         mk = embed(name)
-        got = [(p.slabs, p.pairs, p.down_endpoints, p.diagram) for p in enumerate_placements(mk, 3)]
+        _, down, induced = table_placements(mk, 3)
+        got = [
+            (p.slabs, p.pairs, *rest)
+            for p, *rest in zip(enumerate_placements(mk, 3), down, induced, strict=True)
+        ]
         want = [
             (slabs, pairs, down, oracle_diagram(mk, pairs))
             for slabs, pairs, down in oracle_placements(mk, 3)
         ]
         assert got == want
+
+
+@functools.cache
+def fixture_linking(name):
+    return linking_number(embed(name), Q).value
+
+
+@settings(PROPERTIES, max_examples=30)
+@given(rigid_motions())
+def test_linking_number_is_rigid_and_odd_under_mirrors(motion):
+    # Rotation, translation, height shift and positive scale keep the
+    # linking number; conjugating z or negating t mirrors the link.
+    rotation, shift, lift, scale = motion
+    for name in ("hopf", "torus_2_4"):
+        want = fixture_linking(name)
+        moved = [
+            [(scale * (rotation * z + shift), scale * t + lift) for z, t in comp]
+            for comp in load_fixture(name)
+        ]
+        assert abs(linking_number(morse_embed(moved), Q).value - want) <= 1e-9, name
+        for mirror in ([[(z.conjugate(), t) for z, t in comp] for comp in moved],
+                       [[(z, -t) for z, t in comp] for comp in moved]):
+            assert abs(linking_number(morse_embed(mirror), Q).value + want) <= 1e-9, name
 
 
 def test_raw_table_invariant_under_rigid_motion_and_scaling():

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from vassiliev.laurent import IntegerLaurentPoly as P
@@ -67,6 +69,8 @@ def test_eq_hash_dict_roundtrip():
     as_dict = p.to_dict()
     assert as_dict == {"0": 1, "2": 1}
     assert P.from_dict({int(k): v for k, v in as_dict.items()}) == p
+    assert P.from_dict(as_dict) == p
+    assert P.from_dict((-p * P.z(-11)).to_dict()) == -p * P.z(-11)
 
 
 def test_constants_hash_as_their_ints():
@@ -89,6 +93,21 @@ def test_type_strictness():
             P(coeffs)
     with pytest.raises(TypeError):
         P.from_dict({0: 1.5})
+    # exponents: ints or the decimal strings to_dict writes, each once
+    for exps, error, fragment in [
+        ({0.5: 1}, TypeError, "exponent 0.5 is not an integer"),
+        ({1.9: 3}, TypeError, "exponent 1.9 is not an integer"),
+        ({None: 1}, TypeError, "exponent None is not an integer"),
+        ({"0.5": 1}, ValueError, "exponent '0.5' is not a decimal integer"),
+        ({"01": 1}, ValueError, "exponent '01' is not a decimal integer"),
+        ({"-0": 1}, ValueError, "exponent '-0' is not a decimal integer"),
+        ({" 1": 1}, ValueError, "exponent ' 1' is not a decimal integer"),
+        ({"\u0663": 1}, ValueError, "is not a decimal integer"),
+        ({"0": 1, 0: 2}, ValueError, "exponent 0 is given twice"),
+        ({-2: 1, "-2": 1}, ValueError, "exponent -2 is given twice"),
+    ]:
+        with pytest.raises(error, match=re.escape(fragment)):
+            P.from_dict(exps)
     with pytest.raises(TypeError):
         P.one() + 1.5
     with pytest.raises(TypeError):

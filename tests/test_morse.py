@@ -14,7 +14,7 @@ from vassiliev.morse import (
     curve_to_json,
     morse_embed,
 )
-from vassiliev.fixtures import ALL_FIXTURE_NAMES, load_fixture, round_circle, two_circles
+from vassiliev.fixtures import ALL_FIXTURE_NAMES, load_fixture, plat, round_circle, two_circles
 from vassiliev.kontsevich import DEFAULT_QUADRATURE
 
 
@@ -246,17 +246,40 @@ def test_embedding_matches_the_loop_oracles(monkeypatch):
     # float at a time, a loop over slabs and strand pairs.
     got = {name: morse_embed(load_fixture(name)) for name in ALL_FIXTURE_NAMES}
     monkeypatch.setattr(morse, "_not_a_knot_cubics", _loop_cubics)
-    monkeypatch.setattr(morse, "_check_embedding", check_embedding)
+    # the oracle derives each slab's strands from the slabs alone
+    monkeypatch.setattr(
+        morse, "_check_embedding", lambda strands, slabs, spans: check_embedding(strands, slabs)
+    )
     for name, mk in got.items():
         curve = [[(complex(z), float(t)) for z, t in comp] for comp in load_fixture(name)]
         want = morse_embed(curve)
         assert _bits(mk.embedding_margin) == _bits(want.embedding_margin), name
+        # a slab holds every strand that spans it, in index order
+        for slab in mk.slabs:
+            spanning = (s.index for s in mk.strands if s.t_lo <= slab.t_lo and slab.t_hi <= s.t_hi)
+            assert slab.strand_ids == tuple(spanning), (name, slab)
         assert len(mk.strands) == len(want.strands), name
         for s, w in zip(mk.strands, want.strands):
             assert _bits(s._t) == _bits(w._t), (name, s)
             assert len(s._coeffs) == len(w._coeffs) == 4
             for k_got, k_want in zip(s._coeffs, w._coeffs):
                 assert _bits(k_got) == _bits(k_want), (name, s)
+
+
+def test_embedding_check_evaluates_each_strand_on_its_own_slabs_only(monkeypatch):
+    # 25 probes per slab, each read on that slab's strands: on a plat
+    # with 400 wiggles, 802 strands over 801 slabs, evaluating every
+    # strand on every slab's probes would fill 257 MB of complex values.
+    heights = []
+    at = Strand.at
+    monkeypatch.setattr(Strand, "at", lambda strand, t: heights.append(np.size(t)) or at(strand, t))
+    curves = [load_fixture(name) for name in ALL_FIXTURE_NAMES]
+    curves.append(plat((("wiggle", 0),) * 400, 2, ((0, 1),), ((0, 1),))[0])
+    for curve in curves:
+        heights.clear()
+        mk = morse_embed(curve)
+        assert len(heights) == len(mk.strands)
+        assert sum(heights) == 25 * sum(len(slab.strand_ids) for slab in mk.slabs)
 
 
 @PROPERTIES

@@ -485,6 +485,31 @@ def test_extend_invariant_general_coefficients():
             extend_invariant(conway, *coeffs)(virtual)
 
 
+def test_refusals_name_what_is_wrong(monkeypatch):
+    # the bound is on (nonzero coefficients)^nodes, checked before any resolution
+    twenty = braid_closure([("node", 1)] * 20 + [1])
+    eight = braid_closure([("node", 1)] * 8 + [1])
+    cases = [
+        (lambda: vassiliev_eval(conway, twenty), "20 nodes with 2 nonzero coefficients have 2^20"),
+        (lambda: finite_type_check(conway, 3, [twenty]), "have 2^20 resolutions, past the bound 4,096"),
+        (lambda: extend_invariant(conway, 1, 1, 1)(eight), "8 nodes with 3 nonzero coefficients"),
+    ]
+    start = time.perf_counter()
+    for call, fragment in cases:
+        with pytest.raises(ValueError) as err:
+            call()
+        assert fragment in str(err.value)
+    assert time.perf_counter() - start < 1.0
+    # all-zero coefficients walk one branch, whatever the node count
+    assert extend_invariant(conway, 0, 0, 0)(twenty) == 0
+    three = braid_closure([("node", 1)] * 3 + [1])
+    monkeypatch.setattr(skein, "MAX_RESOLUTIONS", 8)
+    assert vassiliev_eval(conway, three) == P.z(3)
+    monkeypatch.setattr(skein, "MAX_RESOLUTIONS", 7)
+    with pytest.raises(ValueError, match="^3 nodes with 2 nonzero coefficients have 2\\^3 "):
+        vassiliev_eval(conway, three)
+
+
 def test_conway_not_finite_type_but_coefficients_are():
     d = braid_closure([("node", 1), 1, 1])
     ok, failures = finite_type_check(conway, 0, [d])
