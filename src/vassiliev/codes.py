@@ -5,7 +5,9 @@ tokens*.  Each crossing contributes two tokens, ("O", id) for the over
 passage and ("U", id) for the under passage, plus a sign.  Each rigid
 4-valent node contributes two tagged passage tokens ("P", id) and
 ("Q", id); the tags persist so that resolving the node into a positive
-or negative crossing is well defined.
+or negative crossing is well defined.  The tokens are the only record of
+which sites are nodes: the signed sites are the crossings, the others
+the nodes.
 
 Arc labels never appear internally; they are assigned on the fly when
 serializing to PD text and recovered by the parsers.  Realizability of
@@ -59,31 +61,22 @@ class SingularDiagram:
     signs : mapping crossing id -> +1 or -1
     """
 
-    __slots__ = ("_components", "_signs", "_nodes", "_canonical")
+    __slots__ = ("_components", "_signs", "_canonical")
 
     def __init__(self, components, signs):
-        components = tuple(tuple((k, int(s)) for k, s in comp) for comp in components)
-        self._set_parts(
-            components,
-            {int(i): int(v) for i, v in dict(signs).items()},
-            frozenset(sid for comp in components for kind, sid in comp if kind in _NODE_KINDS),
-        )
+        self._components = tuple(tuple((k, int(s)) for k, s in comp) for comp in components)
+        self._signs = {int(i): int(v) for i, v in dict(signs).items()}
+        self._canonical = None
         self._validate()
 
     @classmethod
-    def _from_parts(cls, components, signs, nodes):
+    def _from_parts(cls, components, signs):
         """A diagram its builder has proved valid: `components` is a tuple
-        of token tuples, `signs` a dict no one changes and `nodes` the
-        frozenset of node ids."""
+        of token tuples and `signs` a dict no one changes.  The nodes are
+        the sites of its "P"/"Q" tokens."""
         out = cls.__new__(cls)
-        out._set_parts(components, signs, nodes)
+        out._components, out._signs, out._canonical = components, signs, None
         return out
-
-    def _set_parts(self, components, signs, nodes):
-        self._components = components
-        self._signs = signs
-        self._nodes = nodes
-        self._canonical = None
 
     def _validate(self):
         seen = {}
@@ -120,7 +113,7 @@ class SingularDiagram:
 
     @property
     def node_ids(self):
-        return tuple(sorted(self._nodes))
+        return tuple(sorted(sid for comp in self._components for kind, sid in comp if kind == NODE_FIRST))
 
     @property
     def n_crossings(self):
@@ -128,7 +121,8 @@ class SingularDiagram:
 
     @property
     def n_nodes(self):
-        return len(self._nodes)
+        # every site has two tokens
+        return sum(map(len, self._components)) // 2 - len(self._signs)
 
     def sign(self, sid):
         return self._signs[sid]
@@ -153,20 +147,20 @@ class SingularDiagram:
         """Swap over/under at crossing sid and negate its sign."""
         if sid not in self._signs:
             raise DiagramError(f"no crossing with id {sid}")
-        return self._retagged({sid}, _SWITCH, {**self._signs, sid: -self._signs[sid]}, self._nodes)
+        return self._retagged({sid}, _SWITCH, {**self._signs, sid: -self._signs[sid]})
 
     def mirror(self):
         """Switch every crossing."""
-        return self._retagged(self._signs, _SWITCH, {sid: -sgn for sid, sgn in self._signs.items()}, self._nodes)
+        return self._retagged(self._signs, _SWITCH, {sid: -sgn for sid, sgn in self._signs.items()})
 
-    def _retagged(self, sites, kinds, signs, nodes):
+    def _retagged(self, sites, kinds, signs):
         """This diagram with the tokens at `sites` renamed by `kinds` and
-        the given signs and node ids."""
+        the given signs."""
         comps = tuple(
             tuple((kinds[k], s) if s in sites and k in kinds else (k, s) for k, s in comp)
             for comp in self._components
         )
-        return SingularDiagram._from_parts(comps, signs, nodes)
+        return SingularDiagram._from_parts(comps, signs)
 
     def smooth_crossing(self, sid):
         """Oriented smoothing at crossing sid (the crossing disappears)."""
@@ -175,7 +169,7 @@ class SingularDiagram:
         comps = _splice_out(self._components, sid)
         signs = dict(self._signs)
         del signs[sid]
-        return SingularDiagram._from_parts(comps, signs, self._nodes)
+        return SingularDiagram._from_parts(comps, signs)
 
     def resolve_node(self, sid, resolution):
         """Replace node sid by a crossing or by the oriented smoothing.
@@ -184,15 +178,14 @@ class SingularDiagram:
         the first (tagged P) passage on top with crossing sign +1;
         negative is exactly the crossing-switch of positive.
         """
-        if sid not in self._nodes:
+        if not any((NODE_FIRST, sid) in comp for comp in self._components):
             raise DiagramError(f"no node with id {sid}")
-        nodes = self._nodes - {sid}
         if resolution == "smooth":
-            return SingularDiagram._from_parts(_splice_out(self._components, sid), self._signs, nodes)
+            return SingularDiagram._from_parts(_splice_out(self._components, sid), self._signs)
         if resolution == "positive":
-            return self._retagged({sid}, {NODE_FIRST: OVER, NODE_SECOND: UNDER}, {**self._signs, sid: 1}, nodes)
+            return self._retagged({sid}, {NODE_FIRST: OVER, NODE_SECOND: UNDER}, {**self._signs, sid: 1})
         if resolution == "negative":
-            return self._retagged({sid}, {NODE_FIRST: UNDER, NODE_SECOND: OVER}, {**self._signs, sid: -1}, nodes)
+            return self._retagged({sid}, {NODE_FIRST: UNDER, NODE_SECOND: OVER}, {**self._signs, sid: -1})
         raise DiagramError(f"unknown resolution {resolution!r}")
 
     # -- equality up to relabeling --------------------------------------
@@ -221,7 +214,7 @@ class SingularDiagram:
         expressed in the Gauss grammar and raise, as does any diagram
         whose text would be blank (the empty diagram, a lone crossingless
         circle), which the parser refuses."""
-        if self._nodes:
+        if self.n_nodes:
             raise DiagramError("Gauss text cannot express nodes; use PD or JSON")
         parts = []
         for comp in self._components:
@@ -271,7 +264,7 @@ class SingularDiagram:
                 tup[slot_out] = label + pi + 1
             label += length
         return " ".join(
-            ("V(%d,%d,%d,%d)" if sid in self._nodes else "X(%d,%d,%d,%d)") % tuple(tup)
+            ("X(%d,%d,%d,%d)" if sid in self._signs else "V(%d,%d,%d,%d)") % tuple(tup)
             for sid, tup in tuples.items()
         )
 
@@ -292,7 +285,8 @@ class SingularDiagram:
         has n + 2 faces; a crossingless circle is a piece with two faces.
         So the code is planar iff faces + 2 * circles = n + 2 * pieces.
         """
-        index = {sid: i for i, sid in enumerate(self._signs.keys() | self._nodes)}
+        sites = dict.fromkeys(sid for comp in self._components for _, sid in comp)
+        index = {sid: i for i, sid in enumerate(sites)}
         pair = [0] * (4 * len(index))
         for comp in self._components:
             for (kind, sid), (next_kind, next_sid) in zip(comp, comp[1:] + comp[:1]):
@@ -503,7 +497,7 @@ def parse_gauss(text):
                 counts.setdefault(sid, []).append(kind)
         sid = next(sid for sid, kinds in counts.items() if sorted(kinds) != ["O", "U"])
         raise ParseError(f"crossing {sid} must appear exactly once as O and once as U")
-    return SingularDiagram._from_parts(tuple(comps), signs, frozenset())
+    return SingularDiagram._from_parts(tuple(comps), signs)
 
 
 def _gauss_error(text, message, ci, ti):
@@ -603,8 +597,7 @@ def parse_pd(text):
             passage = nxt.pop(passage)
         if toks:
             comps.append(tuple(toks))
-    nodes = frozenset(e for e, (typ, _) in enumerate(entries) if typ == "V")
-    return SingularDiagram._from_parts(tuple(comps), {e: signs[e] for e in sorted(signs)}, nodes)
+    return SingularDiagram._from_parts(tuple(comps), {e: signs[e] for e in sorted(signs)})
 
 
 # -- braid closures --------------------------------------------------------
@@ -628,7 +621,6 @@ def braid_closure(word, n_strands=None):
     occupant = list(range(n_strands))
     tracks = [[] for _ in range(n_strands)]
     signs = {}
-    nodes = []
     sid = 0
     for letter in word:
         if isinstance(letter, tuple):
@@ -640,7 +632,6 @@ def braid_closure(word, n_strands=None):
             left, right = occupant[i - 1], occupant[i]
             tracks[left].append((NODE_FIRST, sid))
             tracks[right].append((NODE_SECOND, sid))
-            nodes.append(sid)
         else:
             i = abs(letter)
             if letter == 0 or not (1 <= i < n_strands):
@@ -671,7 +662,7 @@ def braid_closure(word, n_strands=None):
             if s == start:
                 break
         comps.append(tuple(toks))
-    return SingularDiagram._from_parts(tuple(comps), signs, frozenset(nodes))
+    return SingularDiagram._from_parts(tuple(comps), signs)
 
 
 # -- random singular samples -----------------------------------------------

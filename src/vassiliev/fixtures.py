@@ -183,7 +183,7 @@ def plat(word, n, cups, caps):
         sid: sign * dirs[left] * dirs[right]
         for sid, (left, right, sign) in enumerate(crossings)
     }
-    return components, SingularDiagram._from_parts(tuple(shadow_components), signs, frozenset())
+    return components, SingularDiagram._from_parts(tuple(shadow_components), signs)
 
 
 # -- named fixtures ---------------------------------------------------------

@@ -178,37 +178,39 @@ def extend_invariant(invariant, a, b, c):
 
         V(node) = a * V(positive) + b * V(negative) + c * V(smoothed),
 
-    applied at every node.  a, b, c may be ints or ring elements; zero
-    coefficients prune their branch.  A diagram whose resolution tree
-    has more than MAX_RESOLUTIONS leaves, (nonzero coefficients)^nodes,
-    raises ValueError before any is evaluated.
+    applied at every node, in the order of the node ids read once from
+    the diagram.  a, b, c may be ints or ring elements; zero coefficients
+    prune their branch.  A diagram whose resolution tree has more than
+    MAX_RESOLUTIONS leaves, (nonzero coefficients)^nodes, raises
+    ValueError before any is evaluated.
     """
     nonzero = sum(1 for coeff in (a, b, c) if coeff != 0)
 
-    def resolved(diagram):
-        nodes = diagram.node_ids
+    def resolved(diagram, nodes):
+        """Resolve `nodes` first to last: a resolution keeps the others' ids."""
         if not nodes:
             return invariant(diagram)
-        nid = nodes[0]
+        nid, rest = nodes[0], nodes[1:]
         total = None
         for coeff, res in ((a, "positive"), (b, "negative"), (c, "smooth")):
             if coeff == 0:
                 continue
-            term = coeff * resolved(diagram.resolve_node(nid, res))
+            term = coeff * resolved(diagram.resolve_node(nid, res), rest)
             total = term if total is None else total + term
         if total is None:
             # all three coefficients are zero: a zero of the coefficients' type
-            total = a * resolved(diagram.resolve_node(nid, "positive"))
+            total = a * resolved(diagram.resolve_node(nid, "positive"), rest)
         return total
 
     def extended(diagram):
-        n = diagram.n_nodes
+        nodes = diagram.node_ids
+        n = len(nodes)
         if nonzero**n > MAX_RESOLUTIONS:
             raise ValueError(
                 f"{n} nodes with {nonzero} nonzero coefficients have {nonzero}^{n} "
                 f"resolutions, past the bound {MAX_RESOLUTIONS:,}"
             )
-        return resolved(diagram)
+        return resolved(diagram, nodes)
 
     return extended
 

@@ -16,6 +16,16 @@ code it depends on the basepoints: at best an invariant of the long
 virtual knot (Goussarov-Polyak-Viro, *Finite-type invariants of
 classical and virtual knots*, Topology 2000).
 
+`jones_recursion` is the same recursion with the Jones skein rule in
+s = t^(1/2), t^-1 V(L+) - t V(L-) = (s - 1/s) V(L0): a bad crossing of
+sign +1 gives s^4 V(switch) + (s^3 - s) V(smooth), one of sign -1 gives
+s^-4 V(switch) + (s^-3 - s^-1) V(smooth), and a descending c-component
+diagram gives (-s - 1/s)^(c - 1).  Its t-derivatives at t = 1 check the
+library's `v2`, as V''(1) = -6 v2, and give v3 = -V'''(1)/36 - V''(1)/12,
+which no library route computes yet (Chmutov-Duzhin-Mostovoy,
+*Introduction to Vassiliev Knot Invariants*, 2012, on the Jones
+polynomial's Taylor coefficients).
+
 `UBasis` is the hermitian u(N) basis of a fundamental representation:
 generalized Gell-Mann matrices plus, for gl(N), the scaled identity,
 which keeps the structure constants real and totally antisymmetric.
@@ -210,6 +220,40 @@ def conway_recursion(diagram, memo=None):
             else:
                 switched = rec(d.switch_crossing(bad))
                 memo[key] = switched + d.sign(bad) * (Z * rec(d.smooth_crossing(bad)))
+        return memo[key]
+
+    return rec(diagram)
+
+
+# By the sign of a bad crossing: the factors of V(switch) and V(smooth),
+# in s = t^(1/2).
+_JONES_RULE = {
+    1: (IntegerLaurentPoly.z(4), IntegerLaurentPoly.z(3) - IntegerLaurentPoly.z(1)),
+    -1: (IntegerLaurentPoly.z(-4), IntegerLaurentPoly.z(-3) - IntegerLaurentPoly.z(-1)),
+}
+_LOOP = -IntegerLaurentPoly.z(1) - IntegerLaurentPoly.z(-1)
+
+
+def jones_recursion(diagram, memo=None):
+    """Jones polynomial of a node-free code in s = t^(1/2), by the
+    descending recursion from the stored basepoints; subdiagrams are
+    filed, and a memo shared, as in `conway_recursion`."""
+    if memo is None:
+        memo = {}
+    planar = diagram.is_planar()
+
+    def rec(d):
+        key = d.canonical_key() if planar else (d.components, tuple(sorted(d.signs.items())))
+        if key not in memo:
+            bad = first_bad_crossing(d)
+            if bad is None:
+                value = IntegerLaurentPoly.one()
+                for _ in range(d.n_components - 1):
+                    value = value * _LOOP
+            else:
+                switch, smooth = _JONES_RULE[d.sign(bad)]
+                value = switch * rec(d.switch_crossing(bad)) + smooth * rec(d.smooth_crossing(bad))
+            memo[key] = value
         return memo[key]
 
     return rec(diagram)

@@ -16,7 +16,9 @@ from vassiliev.chords import (
     raw_matchings,
     satisfies_4T,
 )
-from vassiliev.codes import braid_closure, parse_pd
+from vassiliev.codes import braid_closure, parse_pd, sample_singular_diagrams
+from vassiliev.lie import gl_fundamental, weight
+from vassiliev.skein import conway, vassiliev_eval
 
 
 def test_counts_match_double_factorial():
@@ -263,6 +265,23 @@ def test_chord_diagram_of_singular_diagrams():
     assert cd.degree == 2
     with pytest.raises(ValueError):
         chord_diagram_of(braid_closure([1, 1]))
+
+
+def test_conway_symbol_is_the_one_loop_weight_system():
+    # The z^m coefficient of the Conway extension on a knot with m nodes
+    # is 1 when its chord diagram has one index loop (a gl(2) weight of
+    # 2^loops / 2^m), else 0; every lower coefficient vanishes.
+    gl2 = gl_fundamental(2)
+    reached = []
+    for m in range(1, 5):
+        knots = sample_singular_diagrams(random.Random(11), m, 40, n_strands=4, max_crossings=6,
+                                         one_component=True)
+        for d in knots:
+            value, diagram = vassiliev_eval(conway, d), chord_diagram_of(d)
+            assert [value.coefficient(k) for k in range(m)] == [0] * m
+            assert value.coefficient(m) == (weight(gl2, diagram) * 2**m == 2)
+        reached.append(len({chord_diagram_of(d) for d in knots}))
+    assert reached == [1, 2, 5, 15]
 
 
 def test_four_term_requires_degree_two():

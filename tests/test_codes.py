@@ -674,13 +674,37 @@ def test_json_text_round_trips_components_signs_nodes_and_key(case):
     assert back.canonical_key() == d.canonical_key()
 
 
+@PROPERTIES
+@given(braid_words())
+def test_builders_and_moves_match_their_validated_rebuild(case):
+    # The tokens are the only record of the nodes, so a trusted build
+    # must agree with the validating constructor on every view of them.
+    d = braid_closure(*case)
+    kept, changed = one_step_moves(d)
+    built = [d] + kept + changed
+    try:
+        built.append(parse_pd(d.to_pd()))
+    except DiagramError:
+        pass
+    for moved in built:
+        fresh = SingularDiagram(moved.components, moved.signs)
+        assert fresh.components == moved.components
+        assert list(fresh.signs.items()) == list(moved.signs.items())
+        assert (fresh.node_ids, fresh.n_nodes) == (moved.node_ids, moved.n_nodes)
+        first_tags = sum(kind == "P" for comp in moved.components for kind, _ in comp)
+        assert moved.n_nodes == len(moved.node_ids) == first_tags
+
+
 def test_refusals_name_what_is_wrong():
     one_crossing, two_loops = [[("O", 0), ("U", 0)]], [[("O", 0)], [("U", 0)]]
     trefoil, lemniscate = parse_gauss(TREFOIL_GAUSS), parse_pd("V(1,2,1,2)")
+    node_then_crossing = braid_closure([("node", 1), 1], 2)  # node 0, crossing 1
     cases = [
         (lambda: trefoil.switch_crossing(9), "no crossing with id 9"),
         (lambda: trefoil.smooth_crossing(9), "no crossing with id 9"),
         (lambda: lemniscate.resolve_node(9, "positive"), "no node with id 9"),
+        (lambda: node_then_crossing.resolve_node(1, "positive"), "no node with id 1"),
+        (lambda: node_then_crossing.switch_crossing(node_then_crossing.node_ids[0]), "no crossing with id 0"),
         (lambda: lemniscate.resolve_node(lemniscate.node_ids[0], "up"), "unknown resolution 'up'"),
         (lambda: SingularDiagram([[("X", 0)]], {}), "unknown passage kind 'X'"),
         (lambda: SingularDiagram([[("O", 0), ("O", 0)]], {0: 1}),

@@ -1,11 +1,12 @@
 import math
 import random
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from oracles import conway_recursion, polyak_viro_v2
+from oracles import conway_recursion, jones_recursion, polyak_viro_v2
 from strategies import PROPERTIES, braid_words
 
 from vassiliev import skein
@@ -151,6 +152,37 @@ def test_v2_matches_polyak_viro_formula():
     # The region route against the recursion, mirrors included.
     corpus = knots + [d.mirror() for d in knots]
     assert [conway(d).items() for d in corpus] == [conway_recursion(d).items() for d in corpus]
+
+
+def t_derivatives_at_1(jones, orders):
+    """The t-derivatives of V(t) = sum c_k s^k, s = t^(1/2), at t = 1,
+    exact: d^n t^(k/2) / dt^n at 1 is the falling factorial of k/2."""
+    out = []
+    for n in orders:
+        total = Fraction(0)
+        for k, c in jones.items():
+            total += c * math.prod(Fraction(k, 2) - j for j in range(n))
+        out.append(total)
+    return out
+
+
+def jones_v3(jones):
+    second, third = t_derivatives_at_1(jones, (2, 3))
+    return -third / 36 - second / 12
+
+
+def test_jones_oracle_gives_v2_and_the_torus_knot_v3():
+    memo = {}
+    rng = random.Random(1998)
+    knots = sample_singular_diagrams(rng, 0, 300, n_strands=4, max_crossings=10, one_component=True)
+    for d in knots + [d.mirror() for d in knots]:
+        at_1, second = t_derivatives_at_1(jones_recursion(d, memo), (0, 2))
+        assert (at_1, second) == (1, -6 * v2(d)), d.to_gauss()
+    for n in (3, 5, 7, 11):
+        torus = braid_closure([1] * n, 2)
+        assert jones_v3(jones_recursion(torus, memo)) == Fraction(n**3 - n, 24)
+        assert jones_v3(jones_recursion(torus.mirror(), memo)) == -Fraction(n**3 - n, 24)
+    assert jones_v3(jones_recursion(braid_closure([1, -2, 1, -2], 3), memo)) == 0
 
 
 def rotations(d):
