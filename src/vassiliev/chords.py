@@ -19,9 +19,18 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from fractions import Fraction
 
 from .codes import NODE_FIRST, NODE_SECOND
+
+
+def _point(p):
+    """A chord endpoint as an int; ValueError naming it when it is not an integer."""
+    try:
+        return operator.index(p)
+    except TypeError:
+        raise ValueError(f"chord endpoint {p!r} is not an integer") from None
 
 
 class ChordDiagram:
@@ -31,7 +40,7 @@ class ChordDiagram:
     __slots__ = ("_partner",)
 
     def __init__(self, pairs):
-        pairs = [(int(a), int(b)) for a, b in pairs]
+        pairs = [(_point(a), _point(b)) for a, b in pairs]
         n = 2 * len(pairs)
         partner = [None] * n
         for a, b in pairs:

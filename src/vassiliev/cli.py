@@ -8,9 +8,10 @@ exit status 3; argparse usage errors keep their conventional status 2.
 
 Diagram inputs are a path to a file, or the literal text of a Gauss
 code, a PD code, or a diagram JSON document; load_diagram decides
-which.  COMMANDS holds each subcommand's handler, output schema, error
-tag and CSV form.  Each handler imports the layers it uses, so a command
-loads only its own.
+which.  COMMANDS declares each subcommand once: its help line, its
+arguments, handler, output schema, error tag and CSV form; build_parser
+and run read every subcommand from it.  Each handler imports the layers
+it uses, so a command loads only its own.
 """
 
 import argparse
@@ -75,7 +76,6 @@ def _run_parse(args):
 
     d = load_diagram(args.input)
     out = {
-        "command": "parse",
         "diagram": d.to_json_dict(),
         "n_components": d.n_components,
         "n_crossings": d.n_crossings,
@@ -99,7 +99,6 @@ def _run_conway(args):
     d = load_diagram(args.input)
     p = conway(d)
     return {
-        "command": "conway",
         "coefficients": p.to_dict(),
         "text": str(p),
         "n_components": d.n_components,
@@ -114,7 +113,7 @@ def _run_v2(args):
     # The library's v2 skips this face walk; outside input gets it here.
     if not d.is_planar():
         raise DiagramError("v2 needs a planar code; on a virtual one it depends on the basepoint")
-    return {"command": "v2", "v2": v2(d)}
+    return {"v2": v2(d)}
 
 
 def _run_vassiliev_eval(args):
@@ -123,7 +122,6 @@ def _run_vassiliev_eval(args):
     d = load_diagram(args.input)
     p = extend_invariant(conway, args.a, args.b, args.c)(d)
     return {
-        "command": "vassiliev-eval",
         "a": args.a,
         "b": args.b,
         "c": args.c,
@@ -143,7 +141,6 @@ def _run_chords(args):
         matchings = list(raw_matchings(m))
         canonical, raw_count = enumerate_diagrams(m)
         return {
-            "command": "chords",
             "action": "enumerate",
             "degree": m,
             "raw_count": raw_count,
@@ -155,7 +152,6 @@ def _run_chords(args):
         }
     relations = four_term_relations(m)
     return {
-        "command": "chords",
         "action": "4t",
         "degree": m,
         "n_relations": len(relations),
@@ -190,7 +186,6 @@ def _run_weights(args):
         terms = " ".join(f"{'+' if s > 0 else '-'} w({d})" for s, d in relation)
         raise ValueError(f"{algebra.name} weights violate the 4T relation {terms} = {total}")
     return {
-        "command": "weights",
         "algebra": algebra.name,
         "degree": args.degree,
         "four_term_ok": True,
@@ -207,8 +202,7 @@ def _run_kontsevich(args):
     normalized = not args.raw
     if normalized:
         table = hump_normalize(table, mk)
-    out = {"command": "kontsevich", "normalized": normalized}
-    out.update(table.to_json_dict())
+    out = {"normalized": normalized, **table.to_json_dict()}
     out["embedding"] = {
         "n_components": mk.n_components,
         "n_maxima": mk.n_maxima,
@@ -246,7 +240,6 @@ def _run_compare(args):
     pairing = sum(weight(su2, dg) * table.value(dg) for dg in table.diagrams())
     difference = abs(integral - skein_value)
     return {
-        "command": "compare",
         "degree": 2,
         "skein": {"v2": skein_value, "conway": str(nabla)},
         "integral": {
@@ -337,23 +330,76 @@ def _compare_rows(payload):
 # ---------------------------------------------------------------- registry
 
 
-# How one subcommand runs and how its result is shown:
-#   handler    parsed arguments -> JSON payload
+def _arg(*flags, **options):
+    """One add_argument call, kept as (flags, options)."""
+    return flags, options
+
+
+_INPUT = _arg("input")
+
+# Omitted flags take QuadratureSpec's defaults, read only when the
+# handler runs, so building the parser never imports kontsevich.
+_QUADRATURE = (
+    _arg("--steps", type=int, default=argparse.SUPPRESS,
+         help="quadrature steps per slab (default: QuadratureSpec().steps)"),
+    _arg("--epsilon", dest="eps_rel", metavar="EPSILON", type=float, default=argparse.SUPPRESS,
+         help="largest of the three relative clip widths eps, eps/2, eps/4 "
+              "(default: QuadratureSpec().eps_rel)"),
+)
+
+# Every subcommand ends with these; omitted, each keeps its value from before the subcommand.
+_COMMON = (
+    _arg("--output", default=argparse.SUPPRESS,
+         help="write the document to this file instead of stdout"),
+    _arg("--format", dest="fmt", choices=("json", "csv"), default=argparse.SUPPRESS,
+         help="output format (default json)"),
+    _arg("--seed", type=int, default=argparse.SUPPRESS,
+         help="seed echoed into JSON output, for provenance"),
+)
+
+
+# One subcommand, declared once:
+#   help       its line in `vassiliev --help`
+#   arguments  its add_argument calls in order, as (flags, options)
+#   handler    parsed arguments -> JSON payload; run adds the "command" key
 #   schema     shipped schema file that validates the JSON payload
 #   error_tag  module tag for errors whose type lives outside this package
 #   csv_rows   JSON payload -> CSV rows, header first
-Command = namedtuple("Command", "handler schema error_tag csv_rows")
+Command = namedtuple("Command", "help arguments handler schema error_tag csv_rows")
 
 
 COMMANDS = {
-    "parse": Command(_run_parse, "parse", "codes", _parse_rows),
-    "conway": Command(_run_conway, "polynomial", "skein", _polynomial_rows),
-    "v2": Command(_run_v2, "v2", "skein", _v2_rows),
-    "vassiliev-eval": Command(_run_vassiliev_eval, "polynomial", "skein", _polynomial_rows),
-    "chords": Command(_run_chords, "chords", "chords", _chords_rows),
-    "weights": Command(_run_weights, "weights", "lie", _weights_rows),
-    "kontsevich": Command(_run_kontsevich, "coefficients", "kontsevich", _kontsevich_rows),
-    "compare": Command(_run_compare, "compare", "kontsevich", _compare_rows),
+    "parse": Command("parse a Gauss / PD / JSON diagram and echo it",
+                     (_arg("input", help="path or literal code text"),),
+                     _run_parse, "parse", "codes", _parse_rows),
+    "conway": Command("Conway polynomial of a diagram", (_INPUT,),
+                      _run_conway, "polynomial", "skein", _polynomial_rows),
+    "v2": Command("degree-2 Vassiliev invariant of a knot diagram", (_INPUT,),
+                  _run_v2, "v2", "skein", _v2_rows),
+    "vassiliev-eval": Command(
+        "resolve every node by a*positive + b*negative + c*smooth, then Conway",
+        (_INPUT, _arg("--a", type=int, default=1), _arg("--b", type=int, default=-1),
+         _arg("--c", type=int, default=0)),
+        _run_vassiliev_eval, "polynomial", "skein", _polynomial_rows),
+    "chords": Command("chord diagram enumeration and 4T relations",
+                      (_arg("action", choices=("enumerate", "4t")), _arg("degree", type=int)),
+                      _run_chords, "chords", "chords", _chords_rows),
+    "weights": Command("Lie-algebra weight table for one degree",
+                       (_arg("--algebra", required=True, help="su2 or glN with N <= 6"),
+                        _arg("--degree", type=int, required=True)),
+                       _run_weights, "weights", "lie", _weights_rows),
+    "kontsevich": Command(
+        "numerical coefficient table of a sampled curve",
+        (_arg("input", help="curve JSON file"), _arg("--degree", type=int, default=2),
+         _arg("--raw", action="store_true", help="skip the hump normalization, emit raw integrals"),
+         *_QUADRATURE),
+        _run_kontsevich, "coefficients", "kontsevich", _kontsevich_rows),
+    "compare": Command(
+        "cross-validate the degree-2 invariant: curve integral against skein",
+        (_arg("curve", help="curve JSON file"), _arg("code", help="diagram code for the same knot"),
+         _arg("--degree", type=int, default=2), _arg("--tolerance", type=float, default=5e-2),
+         *_QUADRATURE),
+        _run_compare, "compare", "kontsevich", _compare_rows),
 }
 
 
@@ -374,7 +420,8 @@ def _render(payload, command, args):
 def run(args):
     """Execute one parsed invocation; returns the exit status."""
     command = COMMANDS[args.subcommand]
-    text = _render(command.handler(args), command, args)
+    payload = {"command": args.subcommand, **command.handler(args)}
+    text = _render(payload, command, args)
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text)
@@ -386,26 +433,6 @@ def run(args):
 # ---------------------------------------------------------------- argparse
 
 
-def _add_common(sub):
-    sub.add_argument("--output", default=argparse.SUPPRESS,
-                     help="write the document to this file instead of stdout")
-    sub.add_argument("--format", dest="fmt", choices=("json", "csv"),
-                     default=argparse.SUPPRESS, help="output format (default json)")
-    sub.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                     help="seed echoed into JSON output, for provenance")
-
-
-def _add_quadrature(sub):
-    # Omitted flags take QuadratureSpec's defaults, read only when the
-    # handler runs, so building the parser never imports kontsevich.
-    sub.add_argument("--steps", type=int, default=argparse.SUPPRESS,
-                     help="quadrature steps per slab (default: QuadratureSpec().steps)")
-    sub.add_argument("--epsilon", dest="eps_rel", metavar="EPSILON", type=float,
-                     default=argparse.SUPPRESS,
-                     help="largest of the three relative clip widths eps, eps/2, eps/4 "
-                          "(default: QuadratureSpec().eps_rel)")
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="vassiliev",
@@ -415,60 +442,10 @@ def build_parser():
     parser.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
     parser.add_argument("--seed", type=int, default=None)
     subs = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = subs.add_parser("parse", help="parse a Gauss / PD / JSON diagram and echo it")
-    p.add_argument("input", help="path or literal code text")
-    _add_common(p)
-
-    p = subs.add_parser("conway", help="Conway polynomial of a diagram")
-    p.add_argument("input")
-    _add_common(p)
-
-    p = subs.add_parser("v2", help="degree-2 Vassiliev invariant of a knot diagram")
-    p.add_argument("input")
-    _add_common(p)
-
-    p = subs.add_parser(
-        "vassiliev-eval",
-        help="resolve every node by a*positive + b*negative + c*smooth, then Conway",
-    )
-    p.add_argument("input")
-    p.add_argument("--a", type=int, default=1)
-    p.add_argument("--b", type=int, default=-1)
-    p.add_argument("--c", type=int, default=0)
-    _add_common(p)
-
-    p = subs.add_parser("chords", help="chord diagram enumeration and 4T relations")
-    p.add_argument("action", choices=("enumerate", "4t"))
-    p.add_argument("degree", type=int)
-    _add_common(p)
-
-    p = subs.add_parser("weights", help="Lie-algebra weight table for one degree")
-    p.add_argument("--algebra", required=True, help="su2 or glN with N <= 6")
-    p.add_argument("--degree", type=int, required=True)
-    _add_common(p)
-
-    p = subs.add_parser(
-        "kontsevich", help="numerical coefficient table of a sampled curve"
-    )
-    p.add_argument("input", help="curve JSON file")
-    p.add_argument("--degree", type=int, default=2)
-    p.add_argument("--raw", action="store_true",
-                   help="skip the hump normalization, emit raw integrals")
-    _add_quadrature(p)
-    _add_common(p)
-
-    p = subs.add_parser(
-        "compare",
-        help="cross-validate the degree-2 invariant: curve integral against skein",
-    )
-    p.add_argument("curve", help="curve JSON file")
-    p.add_argument("code", help="diagram code for the same knot")
-    p.add_argument("--degree", type=int, default=2)
-    p.add_argument("--tolerance", type=float, default=5e-2)
-    _add_quadrature(p)
-    _add_common(p)
-
+    for name, command in COMMANDS.items():
+        sub = subs.add_parser(name, help=command.help)
+        for flags, options in command.arguments + _COMMON:
+            sub.add_argument(*flags, **options)
     return parser
 
 

@@ -21,6 +21,7 @@ connected pieces.
 
 from __future__ import annotations
 
+import operator
 import re
 
 OVER = "O"
@@ -52,6 +53,14 @@ class ParseError(DiagramError):
         super().__init__(message)
 
 
+def _integer(value, what):
+    """value as an int; DiagramError naming it when it is not an integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DiagramError(f"{what} {value!r} is not an integer") from None
+
+
 class SingularDiagram:
     """Immutable singular link diagram.
 
@@ -64,8 +73,13 @@ class SingularDiagram:
     __slots__ = ("_components", "_signs", "_canonical")
 
     def __init__(self, components, signs):
-        self._components = tuple(tuple((k, int(s)) for k, s in comp) for comp in components)
-        self._signs = {int(i): int(v) for i, v in dict(signs).items()}
+        self._components = tuple(
+            tuple((k, _integer(s, "site id")) for k, s in comp) for comp in components
+        )
+        self._signs = {
+            _integer(i, "crossing id"): _integer(v, "crossing sign")
+            for i, v in dict(signs).items()
+        }
         self._canonical = None
         self._validate()
 
@@ -603,6 +617,20 @@ def parse_pd(text):
 # -- braid closures --------------------------------------------------------
 
 
+def _braid_position(letter):
+    """Position i of a braid letter: |k| for a crossing k, i for ("node", i)."""
+    try:
+        if isinstance(letter, tuple):
+            tag, i = letter
+            if tag == "node":
+                return operator.index(i)
+        else:
+            return abs(operator.index(letter))
+    except (TypeError, ValueError):  # not an integer, or not a pair
+        pass
+    raise DiagramError(f"unknown braid letter {letter!r}")
+
+
 def braid_closure(word, n_strands=None):
     """Close a (singular) braid word into a SingularDiagram.
 
@@ -613,27 +641,20 @@ def braid_closure(word, n_strands=None):
     goes to the strand entering from the left.
     """
     if n_strands is None:
-        width = 1
-        for letter in word:
-            i = letter[1] if isinstance(letter, tuple) else abs(letter)
-            width = max(width, i + 1)
-        n_strands = width
+        n_strands = max((_braid_position(letter) + 1 for letter in word), default=1)
     occupant = list(range(n_strands))
     tracks = [[] for _ in range(n_strands)]
     signs = {}
     sid = 0
     for letter in word:
+        i = _braid_position(letter)
         if isinstance(letter, tuple):
-            tag, i = letter
-            if tag != "node":
-                raise DiagramError(f"unknown braid letter {letter!r}")
             if not (1 <= i < n_strands):
                 raise DiagramError(f"node position {i} out of range")
             left, right = occupant[i - 1], occupant[i]
             tracks[left].append((NODE_FIRST, sid))
             tracks[right].append((NODE_SECOND, sid))
         else:
-            i = abs(letter)
             if letter == 0 or not (1 <= i < n_strands):
                 raise DiagramError(f"braid letter {letter} out of range")
             left, right = occupant[i - 1], occupant[i]
@@ -672,6 +693,8 @@ def sample_singular_diagrams(rng, n_nodes, count, *, n_strands=3, max_crossings=
                              one_component=False):
     """Random singular braid closures, optionally filtered to knots: each
     from a shuffled word of n_nodes nodes and 1..max_crossings crossings."""
+    if n_strands < 2:
+        raise DiagramError(f"sampled braids need at least 2 strands, not {n_strands}")
     out = []
     while len(out) < count:
         n_cross = rng.randint(1, max_crossings)

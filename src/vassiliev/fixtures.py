@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import json
+import operator
 
 import numpy as np
 
@@ -124,15 +125,20 @@ def plat(word, n, cups, caps):
     crossings = []  # per crossing id: (left strand, right strand, letter sign)
     for j, letter in enumerate(word):
         t_here = j + tau
-        if isinstance(letter, tuple) and letter[0] == "wiggle":
-            lane = letter[1]
+        wiggle = isinstance(letter, tuple) and len(letter) == 2 and letter[0] == "wiggle"
+        try:  # a wiggle's lane, or a crossing letter
+            value = operator.index(letter[1] if wiggle else letter)
+        except TypeError:
+            raise ValueError(f"unknown plat letter {letter!r}") from None
+        if wiggle:
+            lane = value
             if not 0 <= lane < n:
                 raise ValueError(f"wiggle lane {lane} out of range")
             wx, wt = _wiggle_path(lanes[lane], float(j))
             samples[occupant[lane]].append((wx, np.zeros_like(wx), wt))
             busy = (lane,)
         else:
-            k = abs(letter)
+            k = abs(value)
             if letter == 0 or k >= n:
                 raise ValueError(f"letter {letter} out of range for {n} lanes")
             left, right = occupant[k - 1], occupant[k]

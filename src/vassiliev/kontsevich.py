@@ -139,6 +139,8 @@ def _pair_pools(mk):
     return [np.array(list(pool), dtype=int).reshape(-1, 2) for pool in pools]
 
 
+MAX_DEGREE = 3  # the highest degree a coefficient table is computed to
+
 # Bounds on one query, far above the largest shipped case at 16,000
 # steps: trefoil_3max, 9,670 degree-3 placements and a grid of 464,000.
 MAX_PLACEMENTS = 200_000
@@ -157,6 +159,14 @@ def _check_budget(pools, m, steps=0):
         raise ValueError(f"{h[m]:,} degree-{m} placements exceed the bound {MAX_PLACEMENTS:,}")
     if grid > MAX_GRID:
         raise ValueError(f"a quadrature grid of {grid:,} pair-steps exceeds the bound {MAX_GRID:,}")
+
+
+def _degree(m, what="degree"):
+    """m as an int; ValueError naming it when it is not an integer."""
+    try:
+        return operator.index(m)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, not {m!r}") from None
 
 
 def _placements(pools, m):
@@ -224,6 +234,7 @@ def enumerate_placements(mk, m):
     read a placement's induced diagram and sign, from the strand ends of
     _placements (see _induced_diagrams and _down_endpoints).
     """
+    m = _degree(m, "placement degree")
     if m < 1:
         raise ValueError("placement degree must be at least 1")
     pools = _pair_pools(mk)
@@ -494,8 +505,9 @@ def degree_coefficients(mk, m, quadrature=DEFAULT_QUADRATURE):
     """
     if not isinstance(mk, MorseKnot):
         raise TypeError("degree_coefficients expects a MorseKnot")
-    if m < 0 or m > 3:
-        raise ValueError("degree must be between 0 and 3")
+    m = _degree(m)
+    if m < 0 or m > MAX_DEGREE:
+        raise ValueError(f"degree must be between 0 and {MAX_DEGREE}")
     if m > 0 and len(mk.component_cycles) != 1:
         raise ValueError(
             "coefficient tables need a single component; see linking_number"
@@ -527,7 +539,7 @@ def _series_div(a, divisor, max_degree):
 
 @functools.lru_cache(maxsize=16)
 def _hump_reference_series(quadrature):
-    """Raw series of the shipped 2-maxima unknot to degree 3, the most
+    """Raw series of the shipped 2-maxima unknot to MAX_DEGREE, the most
     degree_coefficients allows; cache_info() gives the cache's hits and
     size.
 
@@ -538,7 +550,7 @@ def _hump_reference_series(quadrature):
     from .fixtures import load_fixture
     from .morse import morse_embed
 
-    return _raw_series(morse_embed(load_fixture("hump")), 3, quadrature)
+    return _raw_series(morse_embed(load_fixture("hump")), MAX_DEGREE, quadrature)
 
 
 def hump_normalize(raw, mk):
@@ -548,7 +560,7 @@ def hump_normalize(raw, mk):
     in diagram degree, divided elementwise over the quadrature settings
     so the corrected sequences extrapolate exactly like raw ones.  The
     raw table carries its lower degrees and the 2-maxima unknot series
-    is cached once per quadrature spec, to degree 3, so the knot needs
+    is cached once per quadrature spec, to MAX_DEGREE, so the knot needs
     no new quadrature.  A 1-maximum embedding is returned unchanged.
     """
     if not isinstance(raw, CoefficientTable):

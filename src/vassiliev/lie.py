@@ -23,6 +23,7 @@ the matrix index entering position p:
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 
@@ -41,6 +42,10 @@ class LieAlgebraData:
     """
 
     def __init__(self, name, N, traceless):
+        try:
+            N = operator.index(N)
+        except TypeError:
+            raise ValueError(f"{name}: matrix size {N!r} is not an integer") from None
         if N < 1 or (traceless and N < 2):
             raise ValueError(f"{name}: no fundamental representation of size {N}")
         self.name = name

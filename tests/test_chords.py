@@ -234,12 +234,18 @@ def test_pairs_and_isolated_chords():
 
 
 def test_validation():
-    with pytest.raises(ValueError):
-        ChordDiagram([(0, 0)])
-    with pytest.raises(ValueError):
-        ChordDiagram([(0, 1), (1, 2)])
-    with pytest.raises(ValueError):
-        ChordDiagram([(0, 5)])
+    cases = [
+        ([(0, 0)], "chord (0, 0) pairs a point with itself"),
+        ([(0, 1), (1, 2)], "point 1 used twice"),
+        ([(0, 5)], "point 5 out of range for 1 chords"),
+        # endpoints are integers, never truncated or parsed
+        ([(1.5, 0.2)], "chord endpoint 1.5 is not an integer"),
+        ([("0", 1)], "chord endpoint '0' is not an integer"),
+    ]
+    for pairs, fragment in cases:
+        with pytest.raises(ValueError) as err:
+            ChordDiagram(pairs)
+        assert fragment in str(err.value), pairs
 
 
 def test_equality_with_another_type_is_not_implemented():

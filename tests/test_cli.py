@@ -11,6 +11,7 @@ import importlib.resources
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -548,6 +549,44 @@ def test_global_flags_before_subcommand(capsys):
     out, _ = capsys.readouterr()
     assert status == 0
     assert out.splitlines()[0] == "v2"
+
+
+# One minimal argv per subcommand, the namespace it parses to beyond the
+# global defaults, and the options its --help page lists before the common
+# three.  Omitted quadrature flags leave no key, so QuadratureSpec's
+# defaults apply.
+GLOBAL_DEFAULTS = {"output": None, "fmt": "json", "seed": None}
+PARSER_CASES = {
+    "parse": (["parse", "X"], {"input": "X"}, ()),
+    "conway": (["conway", "X"], {"input": "X"}, ()),
+    "v2": (["v2", "X"], {"input": "X"}, ()),
+    "vassiliev-eval": (["vassiliev-eval", "X"], {"input": "X", "a": 1, "b": -1, "c": 0},
+                       ("--a", "--b", "--c")),
+    "chords": (["chords", "4t", "3"], {"action": "4t", "degree": 3}, ()),
+    "weights": (["weights", "--algebra", "su2", "--degree", "2"], {"algebra": "su2", "degree": 2},
+                ("--algebra", "--degree")),
+    "kontsevich": (["kontsevich", "c.json"], {"input": "c.json", "degree": 2, "raw": False},
+                   ("--degree", "--raw", "--steps", "--epsilon")),
+    "compare": (["compare", "c.json", "X"],
+                {"curve": "c.json", "code": "X", "degree": 2, "tolerance": 0.05},
+                ("--degree", "--tolerance", "--steps", "--epsilon")),
+}
+
+
+def test_parser_cases_cover_every_command():
+    assert set(PARSER_CASES) == set(cli.COMMANDS)
+
+
+@pytest.mark.parametrize("name", sorted(PARSER_CASES))
+def test_parser_dests_defaults_and_help(name, capsys):
+    argv, parsed, options = PARSER_CASES[name]
+    assert vars(cli.build_parser().parse_args(argv)) == {**GLOBAL_DEFAULTS, "subcommand": name, **parsed}
+    declared = [f for flags, _ in cli.COMMANDS[name].arguments for f in flags if f.startswith("-")]
+    assert declared == list(options)
+    assert cli.main([name, "--help"]) == 0
+    page = capsys.readouterr().out
+    for option in (*options, "--output", "--format", "--seed"):
+        assert re.search(rf"{option}\b", page), option
 
 
 def test_shipped_curves_validate(tmp_path):

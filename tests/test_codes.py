@@ -711,11 +711,22 @@ def test_refusals_name_what_is_wrong():
          "site 0 has passages ['O', 'O']"),
         (lambda: SingularDiagram(one_crossing, {}), "signs must be given for exactly"),
         (lambda: SingularDiagram(one_crossing, {0: 2}), "crossing 0 has sign 2"),
+        # ids and signs are integers, never truncated or parsed
+        (lambda: SingularDiagram([[("O", 1.7), ("U", 1.2)]], {1: 1.9}), "site id 1.7 is not an integer"),
+        (lambda: SingularDiagram([[("O", "0"), ("U", "0")]], {0: 1}), "site id '0' is not an integer"),
+        (lambda: SingularDiagram(one_crossing, {"0": 1}), "crossing id '0' is not an integer"),
+        (lambda: SingularDiagram(one_crossing, {0: 1.0}), "crossing sign 1.0 is not an integer"),
         # one crossing between two loops, each all over or all under
         (lambda: SingularDiagram(two_loops, {0: -1}).to_pd(), "PD text would be ambiguous"),
         (lambda: braid_closure([("twist", 1)]), "unknown braid letter ('twist', 1)"),
         (lambda: braid_closure([("node", 3)], n_strands=3), "node position 3 out of range"),
         (lambda: braid_closure([0]), "braid letter 0 out of range"),
+        (lambda: braid_closure([1.5], 3), "unknown braid letter 1.5"),
+        (lambda: braid_closure(["x"], 3), "unknown braid letter 'x'"),
+        (lambda: braid_closure([("node",)], 3), "unknown braid letter ('node',)"),
+        (lambda: braid_closure([("node", 1.5)]), "unknown braid letter ('node', 1.5)"),
+        (lambda: sample_singular_diagrams(random.Random(0), 0, 1, n_strands=1),
+         "sampled braids need at least 2 strands, not 1"),
         (lambda: linking_matrix_total(braid_closure([("node", 1)])), "node-free diagram"),
         (lambda: linking_matrix_total(SingularDiagram(two_loops, {0: -1})),
          "odd inter-component crossing sum"),

@@ -147,6 +147,10 @@ def test_plat_rejects_bad_pairings():
         (STANDARD_CUPS, STANDARD_CAPS, [4], "letter 4 out of range for 4 lanes"),
         (STANDARD_CUPS, STANDARD_CAPS, [0], "letter 0 out of range"),
         (STANDARD_CUPS, STANDARD_CAPS, [-4], "letter -4 out of range"),
+        (STANDARD_CUPS, STANDARD_CAPS, [("node", 1)], "unknown plat letter ('node', 1)"),
+        (STANDARD_CUPS, STANDARD_CAPS, [1.5], "unknown plat letter 1.5"),
+        (STANDARD_CUPS, STANDARD_CAPS, [("wiggle", 1.5)], "unknown plat letter ('wiggle', 1.5)"),
+        (STANDARD_CUPS, STANDARD_CAPS, [("wiggle",)], "unknown plat letter ('wiggle',)"),
         (STANDARD_CUPS, STANDARD_CAPS, [("wiggle", 9)], "wiggle lane 9 out of range"),
         (STANDARD_CUPS, STANDARD_CAPS, [("wiggle", -1)], "wiggle lane -1 out of range"),
     ]

@@ -267,6 +267,9 @@ def test_refusals_name_what_is_wrong():
         (lambda: degree_coefficients(circle, 1, huge), ValueError, too_fine),
         (lambda: linking_number(hopf, huge), ValueError, "pair-steps exceeds the bound"),
         (lambda: hump_normalize("x", circle), TypeError, "expects a CoefficientTable"),
+        (lambda: degree_coefficients(circle, 2.0), ValueError, "degree must be an integer, not 2.0"),
+        (lambda: enumerate_placements(circle, 1.5), ValueError,
+         "placement degree must be an integer, not 1.5"),
     ]
     start = time.perf_counter()
     for call, error, fragment in cases:

@@ -53,11 +53,18 @@ def test_witness_rejects_corrupted_generators():
 
 
 def test_constructor_rejects_sizes_without_a_representation():
-    for args in (("gl0", 0, False), ("su1", 1, True)):
-        with pytest.raises(ValueError):
-            LieAlgebraData(*args)
-    with pytest.raises(ValueError):
-        gl_fundamental(0)
+    cases = [
+        (lambda: LieAlgebraData("gl0", 0, False), "gl0: no fundamental representation of size 0"),
+        (lambda: LieAlgebraData("su1", 1, True), "su1: no fundamental representation of size 1"),
+        (lambda: gl_fundamental(0), "gl0: no fundamental representation of size 0"),
+        # the size is an integer, never truncated or parsed
+        (lambda: gl_fundamental(1.5), "gl1.5: matrix size 1.5 is not an integer"),
+        (lambda: LieAlgebraData("su2", "2", True), "su2: matrix size '2' is not an integer"),
+    ]
+    for call, fragment in cases:
+        with pytest.raises(ValueError) as err:
+            call()
+        assert fragment in str(err.value)
 
 
 def test_su2_pinned_weights():
