@@ -642,6 +642,7 @@ def braid_closure(word, n_strands=None):
     """
     if n_strands is None:
         n_strands = max((_braid_position(letter) + 1 for letter in word), default=1)
+    n_strands = _integer(n_strands, "strand count")
     occupant = list(range(n_strands))
     tracks = [[] for _ in range(n_strands)]
     signs = {}
@@ -693,8 +694,15 @@ def sample_singular_diagrams(rng, n_nodes, count, *, n_strands=3, max_crossings=
                              one_component=False):
     """Random singular braid closures, optionally filtered to knots: each
     from a shuffled word of n_nodes nodes and 1..max_crossings crossings."""
+    n_nodes, count = _integer(n_nodes, "node count"), _integer(count, "sample count")
+    n_strands = _integer(n_strands, "strand count")
+    max_crossings = _integer(max_crossings, "crossing bound")
     if n_strands < 2:
         raise DiagramError(f"sampled braids need at least 2 strands, not {n_strands}")
+    if max_crossings < 1:
+        raise DiagramError(
+            f"sampled braids need a crossing bound of at least 1, not {max_crossings}"
+        )
     out = []
     while len(out) < count:
         n_cross = rng.randint(1, max_crossings)

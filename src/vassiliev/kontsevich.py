@@ -135,7 +135,7 @@ class ChordPlacement:
 
 def _pair_pools(mk):
     """Per slab, its strand pairs (a, b) with a < b in sorted order, as an (n, 2) array."""
-    pools = (itertools.combinations(sorted(slab.strand_ids), 2) for slab in mk.slabs)
+    pools = (itertools.combinations(slab.strand_ids, 2) for slab in mk.slabs)
     return [np.array(list(pool), dtype=int).reshape(-1, 2) for pool in pools]
 
 
@@ -197,22 +197,19 @@ def _induced_diagrams(mk, ends):
     distinct ones in order of first appearance, and per placement its
     index into them.
 
-    Endpoints are ordered around the loop: strands in traversal order,
-    levels ascending on upward strands and descending on downward ones.
-    Only the matching of circle positions matters: each placement's
-    matching is read as one int64 in base 2m (exact up to degree 7),
-    and one diagram is built per distinct matching (at most 15 at
-    degree 3).  Only defined for single-component embeddings.
+    Endpoints are ordered around the loop: strands by index, which is
+    traversal order, levels ascending on upward strands and descending
+    on downward ones.  Only the matching of circle positions matters:
+    each placement's matching is one int64 in base 2m (exact up to
+    degree 7), and one diagram is built per distinct matching (at most
+    15 at degree 3).  Only defined for single-component embeddings.
     """
     n, m, _ = ends.shape
     if m > 7:
         raise ValueError("induced diagrams are encoded in int64 only up to degree 7")
-    cycle = mk.component_cycles[0]
-    place = np.empty(len(mk.strands), dtype=int)
-    place[list(cycle)] = np.arange(len(cycle))
     up = np.array([s.goes_up for s in mk.strands])
     level = np.arange(m)[:, None]
-    key = place[ends] * m + np.where(up[ends], level, m - 1 - level)
+    key = ends * m + np.where(up[ends], level, m - 1 - level)
     # endpoint 2 * level + side sits at circle position pos; its partner is endpoint ^ 1
     pos = key.reshape(n, 2 * m).argsort(axis=1).argsort(axis=1)
     partner = np.empty_like(pos)
@@ -508,7 +505,7 @@ def degree_coefficients(mk, m, quadrature=DEFAULT_QUADRATURE):
     m = _degree(m)
     if m < 0 or m > MAX_DEGREE:
         raise ValueError(f"degree must be between 0 and {MAX_DEGREE}")
-    if m > 0 and len(mk.component_cycles) != 1:
+    if m > 0 and mk.n_components != 1:
         raise ValueError(
             "coefficient tables need a single component; see linking_number"
         )
@@ -589,7 +586,7 @@ def linking_number(mk, quadrature=DEFAULT_QUADRATURE):
     same link.  The log|dz| terms telescope, so the limit is real and the
     error covers the imaginary part of the value as well.
     """
-    if len(mk.component_cycles) < 2:
+    if mk.n_components < 2:
         raise ValueError("linking number needs at least 2 components")
     comp = np.array([s.component for s in mk.strands])
     pools = [pool[comp[pool[:, 0]] != comp[pool[:, 1]]] for pool in _pair_pools(mk)]

@@ -107,9 +107,9 @@ class Strand:
     unless there are at least 2, all finite, at distinct heights.
     """
 
-    __slots__ = ("index", "component", "goes_up", "t_lo", "t_hi", "_t", "_coeffs")
+    __slots__ = ("component", "goes_up", "t_lo", "t_hi", "_t", "_coeffs")
 
-    def __init__(self, index, component, goes_up, t_values, z_values):
+    def __init__(self, component, goes_up, t_values, z_values):
         t, z = np.asarray(t_values, dtype=float), np.asarray(z_values, dtype=complex)
         if t.ndim != 1 or t.shape != z.shape or len(t) < 2:
             raise EmbeddingError("a strand needs at least 2 samples, one height per value")
@@ -118,17 +118,16 @@ class Strand:
         if not (np.isfinite(t).all() and np.isfinite(z).all() and (t[1:] > t[:-1]).all()):
             raise EmbeddingError("a strand needs finite samples at distinct heights")
         ((t, coeffs),) = _not_a_knot_cubics([t], [z])
-        self._set(index, component, goes_up, t, coeffs)
+        self._set(component, goes_up, t, coeffs)
 
     @classmethod
-    def _built(cls, index, component, goes_up, t, coeffs):
+    def _built(cls, component, goes_up, t, coeffs):
         """A strand from its sorted heights and spline coefficients."""
         strand = cls.__new__(cls)
-        strand._set(index, component, goes_up, t, coeffs)
+        strand._set(component, goes_up, t, coeffs)
         return strand
 
-    def _set(self, index, component, goes_up, t, coeffs):
-        self.index = index
+    def _set(self, component, goes_up, t, coeffs):
         self.component = component
         self.goes_up = goes_up
         self.t_lo = float(t[0])
@@ -159,7 +158,7 @@ class Strand:
 
     def __repr__(self):
         arrow = "up" if self.goes_up else "down"
-        return f"<Strand {self.index} comp={self.component} {arrow} [{self.t_lo:.3g},{self.t_hi:.3g}]>"
+        return f"<Strand comp={self.component} {arrow} [{self.t_lo:.3g},{self.t_hi:.3g}]>"
 
 
 @dataclass(frozen=True)
@@ -175,27 +174,29 @@ class Slab:
 
 @dataclass
 class MorseKnot:
-    strands: tuple
+    """Strands and slabs of a Morse embedding.  The order of the strands
+    is the only record of the knot circle: a strand's index is its place
+    there, and the component and maxima counts derive from it."""
+
+    strands: tuple  # each component's strands consecutive, in traversal order; components in order
     slabs: tuple  # between consecutive critical heights, bottom to top
-    component_cycles: tuple  # per component, strand indices in traversal order
-    maxima_per_component: tuple
     embedding_margin: float
     notes: tuple = field(default_factory=tuple)
 
     @property
     def n_components(self):
-        return len(self.component_cycles)
+        return self.strands[-1].component + 1
 
     @property
     def n_maxima(self):
-        return sum(self.maxima_per_component)
+        # extrema alternate around a component, and each strand joins one to the next
+        return len(self.strands) // 2
 
 
 def _extrema_indices(t):
-    """Cyclic strict local extrema of the sample heights.
-
-    Returns (indices, kinds) with kind +1 for a maximum.  Plateaus at
-    sample resolution are rejected.
+    """Indices of the cyclic strict local extrema of the sample heights,
+    ascending; maxima and minima alternate.  Plateaus at sample
+    resolution are rejected.
     """
     if t[0] == t[-1] or np.any(t[1:] == t[:-1]):
         raise EmbeddingError(
@@ -205,7 +206,7 @@ def _extrema_indices(t):
     # extremum rises into its sample and falls out of it, or the reverse.
     rises = np.concatenate(([t[0] > t[-1]], t[1:] > t[:-1]))
     idx = np.flatnonzero(rises != np.concatenate((rises[1:], rises[:1]))).tolist()
-    return idx, [1 if rises[i] else -1 for i in idx]
+    return idx
 
 
 def _component_arrays(ci, samples):
@@ -251,7 +252,7 @@ def morse_embed(components):
     # A constant shift moves no extremum and separates no two heights
     # of one component, so those must differ before any jitter.
     extrema = [_extrema_indices(t) for _, t in comps]
-    for ci, ((_, t), (idx, _)) in enumerate(zip(comps, extrema)):
+    for ci, ((_, t), idx) in enumerate(zip(comps, extrema)):
         if np.any(np.diff(np.sort(t[idx])) <= 1e-9 * scale):
             raise EmbeddingError(
                 f"component {ci} has two critical heights that coincide; "
@@ -259,7 +260,7 @@ def morse_embed(components):
             )
     notes = []
     for attempt in range(6):
-        crits = np.sort(np.concatenate([t[idx] for (_, t), (idx, _) in zip(comps, extrema)]))
+        crits = np.sort(np.concatenate([t[idx] for (_, t), idx in zip(comps, extrema)]))
         if np.all(np.diff(crits) > 1e-9 * scale):
             break
         # shift each component by a distinct tiny offset and retry
@@ -269,25 +270,19 @@ def morse_embed(components):
     else:
         raise EmbeddingError("could not separate critical heights by jitter")
 
-    component_cycles = []
-    maxima_per_component = []
-    # Each strand's samples, sorted by height: a strand is monotone
-    # between its two extrema, so a downward one is only reversed.
+    # Each strand's samples, sorted by height, cut in traversal order: a
+    # strand is monotone between its two extrema, so a downward one is only reversed.
     ts, zs, specs = [], [], []
-    for ci, ((z, t), (idx, kinds)) in enumerate(zip(comps, extrema)):
-        maxima_per_component.append(sum(1 for k in kinds if k > 0))
+    for ci, ((z, t), idx) in enumerate(zip(comps, extrema)):
         n = len(t)
         # the last strand wraps past the end of the loop to its first extremum
         t, z = np.concatenate((t, t[: idx[0] + 1])), np.concatenate((z, z[: idx[0] + 1]))
-        cycle = []
         for a, b in zip(idx, idx[1:] + [idx[0] + n]):
             goes_up = t[b] > t[a]
             step = 1 if goes_up else -1
             ts.append(t[a : b + 1][::step])
             zs.append(z[a : b + 1][::step])
-            cycle.append(len(specs))
-            specs.append((len(specs), ci, goes_up))
-        component_cycles.append(tuple(cycle))
+            specs.append((ci, goes_up))
     strands = [
         Strand._built(*spec, *built) for spec, built in zip(specs, _not_a_knot_cubics(ts, zs))
     ]
@@ -296,9 +291,9 @@ def morse_embed(components):
     # crits are exact, and the slabs between them are the strand's span.
     spans = np.searchsorted(crits, [(s.t_lo, s.t_hi) for s in strands]).tolist()
     ids = [[] for _ in crits[1:]]
-    for strand, (i, j) in zip(strands, spans):
+    for s, (i, j) in enumerate(spans):
         for k in range(i, j):
-            ids[k].append(strand.index)
+            ids[k].append(s)
     slabs = [Slab(lo, hi, tuple(members)) for lo, hi, members in zip(crits, crits[1:], ids)]
 
     margin = _check_embedding(strands, slabs, spans)
@@ -309,8 +304,6 @@ def morse_embed(components):
     return MorseKnot(
         strands=tuple(strands),
         slabs=tuple(slabs),
-        component_cycles=tuple(component_cycles),
-        maxima_per_component=tuple(maxima_per_component),
         embedding_margin=margin,
         notes=tuple(notes),
     )

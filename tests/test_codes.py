@@ -725,8 +725,17 @@ def test_refusals_name_what_is_wrong():
         (lambda: braid_closure(["x"], 3), "unknown braid letter 'x'"),
         (lambda: braid_closure([("node",)], 3), "unknown braid letter ('node',)"),
         (lambda: braid_closure([("node", 1.5)]), "unknown braid letter ('node', 1.5)"),
+        (lambda: braid_closure([1], n_strands=2.0), "strand count 2.0 is not an integer"),
         (lambda: sample_singular_diagrams(random.Random(0), 0, 1, n_strands=1),
          "sampled braids need at least 2 strands, not 1"),
+        (lambda: sample_singular_diagrams(random.Random(0), 0, 1, max_crossings=0),
+         "sampled braids need a crossing bound of at least 1, not 0"),
+        (lambda: sample_singular_diagrams(random.Random(0), 0, 1, n_strands=2.5),
+         "strand count 2.5 is not an integer"),
+        (lambda: sample_singular_diagrams(random.Random(0), 0, 1, max_crossings=3.0),
+         "crossing bound 3.0 is not an integer"),
+        (lambda: sample_singular_diagrams(random.Random(0), 1.0, 1), "node count 1.0 is not an integer"),
+        (lambda: sample_singular_diagrams(random.Random(0), 0, "1"), "sample count '1' is not an integer"),
         (lambda: linking_matrix_total(braid_closure([("node", 1)])), "node-free diagram"),
         (lambda: linking_matrix_total(SingularDiagram(two_loops, {0: -1})),
          "odd inter-component crossing sum"),

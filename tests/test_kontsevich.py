@@ -51,14 +51,14 @@ def oracle_placements(mk, m):
 
 
 def oracle_diagram(mk, pairs):
-    """Induced chord diagram: endpoints around the loop, strands in
-    traversal order, levels ascending on upward strands."""
+    """Induced chord diagram: endpoints around the loop, strands by
+    index, which is traversal order, levels ascending on upward strands."""
     on_strand = {}
     for level, (a, b) in enumerate(pairs):
         on_strand.setdefault(a, []).append(level)
         on_strand.setdefault(b, []).append(level)
     circle = []
-    for s in mk.component_cycles[0]:
+    for s in range(len(mk.strands)):
         levels = sorted(on_strand.get(s, ()))
         if not mk.strands[s].goes_up:
             levels.reverse()
@@ -590,6 +590,29 @@ def test_raw_table_invariant_under_rigid_motion_and_scaling():
                 assert abs(a - b) <= 1e-8 * max(1.0, abs(b))
 
 
+def test_raw_series_of_a_mirror_are_signed_conjugates():
+    # Conjugating z mirrors a knot and keeps its strands, slabs and
+    # placements.  Each chord's dz/(z - z') is conjugated and KAPPA is
+    # imaginary, so a degree-d placement sum becomes (-1)**d times its conjugate.
+    for name in ("round_circle", "hump", "trefoil_2max", "trefoil_3max", "figure_eight"):
+        curve = load_fixture(name)
+        mirror = [[(z.conjugate(), t) for z, t in comp] for comp in curve]
+        mk, mk_bar = morse_embed(curve), morse_embed(mirror)
+        raw, raw_bar = kontsevich._raw_series(mk, 3, Q), kontsevich._raw_series(mk_bar, 3, Q)
+        for d, (sums, sums_bar) in enumerate(zip(raw, raw_bar, strict=True)):
+            assert list(sums_bar) == list(sums), (name, d)
+            for diagram, got in sums_bar.items():
+                want = (-1) ** d * np.conj(sums[diagram])
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), (name, diagram)
+        table, table_bar = degree_coefficients(mk, 3, Q), degree_coefficients(mk_bar, 3, Q)
+        assert table_bar.diagrams() == table.diagrams(), name
+        for (diagram, c), (_, c_bar) in zip(table.items(), table_bar.items()):
+            want = -c.value.conjugate()
+            assert abs(c_bar.value - want) <= 1e-12 * abs(want), (name, diagram)
+            assert (c_bar.error, c_bar.converged, c_bar.log_divergent) == (
+                c.error, c.converged, c.log_divergent), (name, diagram)
+
+
 # -- singular knots: the integral starts with the chord diagram --------------
 
 
@@ -608,7 +631,7 @@ def singular_knot_words(seed, m, count):
     return words
 
 
-@pytest.mark.parametrize("seed, m, count", [(2, 1, 3), (5, 2, 4)])
+@pytest.mark.parametrize("seed, m, count", [(2, 1, 3), (5, 2, 4), (5, 3, 4)])
 def test_signed_resolution_sum_starts_with_the_chord_diagram(seed, m, count):
     # Z(K x) = Z(K+) - Z(K-) at each node: a knot with m double points
     # has Z = D + (degree > m), D its chord diagram.

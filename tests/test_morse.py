@@ -155,13 +155,31 @@ def test_curve_json_roundtrip(tmp_path):
     assert len(curve_from_json(str(p))) == 2
 
 
+def assert_strands_trace_the_circle(mk):
+    """The order of mk.strands is the knot circle: each component's
+    strands consecutive, alternating up and down, each strand's far end
+    the next one's near end, cyclically; components in order."""
+    comps = [s.component for s in mk.strands]
+    assert comps == sorted(comps)
+    assert set(comps) == set(range(mk.n_components))
+    assert mk.n_maxima == sum(s.goes_up for s in mk.strands)
+    for c in range(mk.n_components):
+        loop = [s for s in mk.strands if s.component == c]
+        assert len(loop) % 2 == 0
+        for s, nxt in zip(loop, loop[1:] + loop[:1]):
+            assert nxt.goes_up != s.goes_up
+            far = s.t_hi if s.goes_up else s.t_lo
+            near = nxt.t_lo if nxt.goes_up else nxt.t_hi
+            assert far == near
+            z_far, z_near = complex(s.at(far)[0]), complex(nxt.at(near)[0])
+            assert abs(z_far - z_near) <= 1e-12 * (1 + abs(z_far))
+
+
 def test_strands_cover_component_cyclically():
-    mk = morse_embed(round_circle())
-    for cycle in mk.component_cycles:
-        assert len(cycle) >= 2
-        assert len(cycle) % 2 == 0
-    ups = sum(1 for s in mk.strands if s.goes_up)
-    assert ups == len(mk.strands) // 2
+    curves = [load_fixture(name) for name in ALL_FIXTURE_NAMES]
+    curves.append(plat((("wiggle", 0),) * 20, 2, ((0, 1),), ((0, 1),))[0])
+    for curve in curves:
+        assert_strands_trace_the_circle(morse_embed(curve))
 
 
 def test_two_sample_strands_are_chords():
@@ -187,7 +205,7 @@ def test_strand_reproduces_a_cubic():
     rng = np.random.default_rng(7)
     t = np.sort(rng.uniform(-1.0, 2.0, 30))
     coeffs = rng.normal(size=4) + 1j * rng.normal(size=4)
-    s = Strand(0, 0, True, t, np.polyval(coeffs, t))
+    s = Strand(0, True, t, np.polyval(coeffs, t))
     tau = np.linspace(t[0], t[-1], 500)
     z, dz = s.at(tau)
     want_z = np.polyval(coeffs, tau)
@@ -202,7 +220,7 @@ def test_strand_matches_scipy_cubic_spline():
     for n in (2, 3, 4, 5, 10, 50, 400):
         t = np.sort(rng.uniform(-1.0, 1.0, n))
         zs = rng.normal(size=n) + 1j * rng.normal(size=n)
-        s = Strand(0, 0, True, t, zs)
+        s = Strand(0, True, t, zs)
         spline = interpolate.CubicSpline(t, zs)
         tau = np.concatenate([t, rng.uniform(t[0], t[-1], 200)])
         z, dz = s.at(tau)
@@ -226,7 +244,7 @@ def test_strand_matches_scipy_cubic_spline():
 )
 def test_strand_refuses_bad_samples(t, z):
     with pytest.raises(EmbeddingError, match="strand needs"):
-        Strand(0, 0, True, t, z)
+        Strand(0, True, t, z)
 
 
 def _bits(x):
@@ -256,7 +274,9 @@ def test_embedding_matches_the_loop_oracles(monkeypatch):
         assert _bits(mk.embedding_margin) == _bits(want.embedding_margin), name
         # a slab holds every strand that spans it, in index order
         for slab in mk.slabs:
-            spanning = (s.index for s in mk.strands if s.t_lo <= slab.t_lo and slab.t_hi <= s.t_hi)
+            spanning = (
+                i for i, s in enumerate(mk.strands) if s.t_lo <= slab.t_lo and slab.t_hi <= s.t_hi
+            )
             assert slab.strand_ids == tuple(spanning), (name, slab)
         assert len(mk.strands) == len(want.strands), name
         for s, w in zip(mk.strands, want.strands):
