@@ -53,12 +53,16 @@ class ParseError(DiagramError):
         super().__init__(message)
 
 
-def _integer(value, what):
-    """value as an int; DiagramError naming it when it is not an integer."""
+def _integer(value, what, least=None):
+    """value as an int; DiagramError naming it when it is not an integer
+    or is below least."""
     try:
-        return operator.index(value)
+        value = operator.index(value)
     except TypeError:
         raise DiagramError(f"{what} {value!r} is not an integer") from None
+    if least is not None and value < least:
+        raise DiagramError(f"{what} must be at least {least}, not {value}")
+    return value
 
 
 class SingularDiagram:
@@ -642,7 +646,7 @@ def braid_closure(word, n_strands=None):
     """
     if n_strands is None:
         n_strands = max((_braid_position(letter) + 1 for letter in word), default=1)
-    n_strands = _integer(n_strands, "strand count")
+    n_strands = _integer(n_strands, "strand count", 1)
     occupant = list(range(n_strands))
     tracks = [[] for _ in range(n_strands)]
     signs = {}
@@ -694,15 +698,9 @@ def sample_singular_diagrams(rng, n_nodes, count, *, n_strands=3, max_crossings=
                              one_component=False):
     """Random singular braid closures, optionally filtered to knots: each
     from a shuffled word of n_nodes nodes and 1..max_crossings crossings."""
-    n_nodes, count = _integer(n_nodes, "node count"), _integer(count, "sample count")
-    n_strands = _integer(n_strands, "strand count")
-    max_crossings = _integer(max_crossings, "crossing bound")
-    if n_strands < 2:
-        raise DiagramError(f"sampled braids need at least 2 strands, not {n_strands}")
-    if max_crossings < 1:
-        raise DiagramError(
-            f"sampled braids need a crossing bound of at least 1, not {max_crossings}"
-        )
+    n_nodes, count = _integer(n_nodes, "node count", 0), _integer(count, "sample count", 0)
+    n_strands = _integer(n_strands, "strand count", 2)
+    max_crossings = _integer(max_crossings, "crossing bound", 1)
     out = []
     while len(out) < count:
         n_cross = rng.randint(1, max_crossings)

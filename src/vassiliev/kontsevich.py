@@ -14,13 +14,14 @@ The quadrature works per slab, not per placement.  Inside one slab a
 run of chords is an ordered block over the slab's strand pairs, so each
 strand is evaluated once per quadrature setting, the pair integrands
 form one (pairs, steps) array, and every k-block comes from cumulative
-sums and matrix products.  A placement's value is the outer product of
-the blocks of its slab runs.  One generator, _degree_values, builds the
-blocks once and yields every degree's strand ends and signed values for
-one of two queries: coefficient tables take every pair and sum the
-placements per induced diagram with index arrays (in enumeration
-order), and linking numbers take the cross-component pairs.  A query
-past MAX_PLACEMENTS or MAX_GRID is refused before any array is built.
+sums and matrix products, the 3-block by Chen's shuffle identity.  A
+placement's value is the outer product of its slab runs' blocks.  One
+generator, _degree_values, builds the blocks once and yields every
+degree's strand ends and signed values for one of two queries:
+coefficient tables take every pair and sum the placements per induced
+diagram with index arrays (in enumeration order), and linking numbers
+take the cross-component pairs.  A query past MAX_PLACEMENTS or
+MAX_GRID is refused before any array is built.
 
 Integrals are truncated eps away from critical heights and evaluated
 at the three nested insets eps, eps/2 and eps/4; a geometric fit in
@@ -257,30 +258,28 @@ def _ordered_blocks(F, step, degree):
     F holds the slab's chord integrands, one row per strand pair, on the
     setting's midpoint grid.  Entry k - 1 of the result is the k-block,
     an array over k pair indices: the integral over t_1 < ... < t_k of
-    F[p_1](t_1) ... F[p_k](t_k).  On the midpoint grid a node's own cell
-    counts half, so with the heads H = step * (cumsum(F) - F / 2), the
-    integrals from the bottom to each node, the k-block is
-    step * H @ (F * R).T, where R is the nested tail of the chords above
-    the second (1 for k = 2).  The 1-block is a row sum.  A k-block takes
-    one matrix product per choice of the chords above the second, so no
-    (pairs, pairs, steps) array is built.
+    F[p_1](t_1) ... F[p_k](t_k), for k up to MAX_DEGREE.  On the midpoint
+    grid a node's own cell counts half, so the heads
+    H = step * (cumsum(F) - F / 2) integrate each row from the bottom to
+    every node, the 2-block is step * H @ F.T and the 1-block a row sum.
+    A row's tail above a node is its 1-block minus its head there
+    (Chen's shuffle identity), so the 3-block is B1[p] * B2[i, j] minus
+    step * sum H_i F_j H_p, which is symmetric in i and p: one matrix
+    product per p fills it for i <= p, and its transpose for i >= p.
     """
-
-    def tail(g):
-        return step * (np.cumsum(g[::-1])[::-1] - 0.5 * g)
-
+    if degree > MAX_DEGREE:
+        raise ValueError(f"ordered blocks stop at MAX_DEGREE = {MAX_DEGREE}, not {degree}")
     blocks = [step * F.sum(axis=1)]
     if degree < 2:
         return blocks
-    n = len(F)
     H = step * (np.cumsum(F, axis=1) - 0.5 * F)
-    for k in range(2, degree + 1):
-        block = np.empty((n,) * k, dtype=complex)
-        for above in itertools.product(range(n), repeat=k - 2):
-            R = 1.0
-            for p in reversed(above):
-                R = tail(F[p] * R)
-            block[(slice(None), slice(None)) + above] = step * (H @ (F * R).T)
+    blocks.append(step * (H @ F.T))
+    if degree == 3:
+        block = np.multiply.outer(blocks[1], blocks[0])
+        for p in range(len(F)):
+            below = step * ((H[: p + 1] * H[p]) @ F.T)
+            block[: p + 1, :, p] -= below
+            block[p, :, :p] -= below[:p].T
         blocks.append(block)
     return blocks
 
@@ -495,10 +494,10 @@ def degree_coefficients(mk, m, quadrature=DEFAULT_QUADRATURE):
 
     Degrees 1 and 2 are the supported regime; 3 is allowed best-effort
     (no other route checks it yet) and anything higher is refused.  All
-    degrees read one set of per-slab blocks; a k-block costs one matrix
-    product per slab and setting for each choice of its chords above the
-    second.  Multi-component embeddings have no single knot circle; use
-    linking_number for those.
+    degrees read one set of per-slab blocks; per slab and setting, the
+    2-block is one matrix product and the 3-block one per strand pair
+    (see _ordered_blocks).  Multi-component embeddings have no single
+    knot circle; use linking_number for those.
     """
     if not isinstance(mk, MorseKnot):
         raise TypeError("degree_coefficients expects a MorseKnot")

@@ -65,6 +65,13 @@ product of its resolution signs.  A knot with m double points then has
 a sum that starts at degree m with its chord diagram (Kontsevich;
 Bar-Natan, *On the Vassiliev knot invariants*, Topology 1995).  Every
 resolution has the same maxima, so no hump division is needed.
+
+`nested_tail_blocks` builds a slab's ordered blocks to any degree by
+nested tails: a k-block is one matrix product per choice of the chords
+above the second, each through its own nested tail of suffix cumsums.
+The library's `_ordered_blocks` writes the tail above a node as the
+row's whole integral minus its head there, and must match it to 1e-12
+relative up to `MAX_DEGREE`.
 """
 
 import itertools
@@ -431,3 +438,25 @@ def signed_resolution_sum(word, n, quadrature):
             for diagram, value in sums.items():
                 acc[diagram] = acc.get(diagram, 0) + product * value
     return total
+
+
+def nested_tail_blocks(F, step, degree):
+    """Blocks 1..degree of the slab integrands F (pairs, steps) on a
+    midpoint grid of the given step, each k-block an array over k pair
+    indices: the integral over t_1 < ... < t_k of F[p_1] ... F[p_k]."""
+
+    def tail(g):
+        return step * (np.cumsum(g[::-1])[::-1] - 0.5 * g)
+
+    blocks = [step * F.sum(axis=1)]
+    n = len(F)
+    H = step * (np.cumsum(F, axis=1) - 0.5 * F)
+    for k in range(2, degree + 1):
+        block = np.empty((n,) * k, dtype=complex)
+        for above in itertools.product(range(n), repeat=k - 2):
+            R = 1.0
+            for p in reversed(above):
+                R = tail(F[p] * R)
+            block[(slice(None), slice(None)) + above] = step * (H @ (F * R).T)
+        blocks.append(block)
+    return blocks

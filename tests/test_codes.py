@@ -726,10 +726,14 @@ def test_refusals_name_what_is_wrong():
         (lambda: braid_closure([("node",)], 3), "unknown braid letter ('node',)"),
         (lambda: braid_closure([("node", 1.5)]), "unknown braid letter ('node', 1.5)"),
         (lambda: braid_closure([1], n_strands=2.0), "strand count 2.0 is not an integer"),
+        (lambda: braid_closure([], n_strands=0), "strand count must be at least 1, not 0"),
+        (lambda: braid_closure([], n_strands=-1), "strand count must be at least 1, not -1"),
         (lambda: sample_singular_diagrams(random.Random(0), 0, 1, n_strands=1),
-         "sampled braids need at least 2 strands, not 1"),
+         "strand count must be at least 2, not 1"),
         (lambda: sample_singular_diagrams(random.Random(0), 0, 1, max_crossings=0),
-         "sampled braids need a crossing bound of at least 1, not 0"),
+         "crossing bound must be at least 1, not 0"),
+        (lambda: sample_singular_diagrams(random.Random(0), -2, 1), "node count must be at least 0, not -2"),
+        (lambda: sample_singular_diagrams(random.Random(0), 0, -3), "sample count must be at least 0, not -3"),
         (lambda: sample_singular_diagrams(random.Random(0), 0, 1, n_strands=2.5),
          "strand count 2.5 is not an integer"),
         (lambda: sample_singular_diagrams(random.Random(0), 0, 1, max_crossings=3.0),

@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from oracles import signed_resolution_sum
+from oracles import nested_tail_blocks, signed_resolution_sum
 from strategies import PROPERTIES, rigid_motions
 
 from vassiliev import kontsevich
@@ -270,6 +270,8 @@ def test_refusals_name_what_is_wrong():
         (lambda: degree_coefficients(circle, 2.0), ValueError, "degree must be an integer, not 2.0"),
         (lambda: enumerate_placements(circle, 1.5), ValueError,
          "placement degree must be an integer, not 1.5"),
+        (lambda: kontsevich._ordered_blocks(np.ones((2, 16)), 1 / 16, 4), ValueError,
+         "ordered blocks stop at MAX_DEGREE = 3, not 4"),
     ]
     start = time.perf_counter()
     for call, error, fragment in cases:
@@ -536,6 +538,51 @@ def test_slab_blocks_match_per_placement_oracle():
         if hopf.strands[pairs[0][0]].component != hopf.strands[pairs[0][1]].component
     )
     assert_series_close(linking_number(hopf, q), want)
+
+
+def slab_integrands(mk, quadrature):
+    """(F, step) of every slab with pairs of mk at every quadrature setting."""
+    quad = OracleQuad(mk, quadrature)
+    for slab, pool in enumerate(kontsevich._pair_pools(mk)):
+        pairs = list(map(tuple, pool.tolist()))
+        for eps, steps in quad.settings if pairs else ():
+            rows = [quad.f(slab, pair, eps, steps) for pair in pairs]
+            yield np.array([f for f, _ in rows]), rows[0][1]
+
+
+def integrand_cases(source):
+    """(F, step) cases: three seeded random complex F with `source` pairs
+    on 300 steps, or every slab and setting of a fixture at the default spec."""
+    if isinstance(source, str):
+        return list(slab_integrands(embed(source), Q))
+    rngs = (np.random.default_rng([source, seed]) for seed in range(3))
+    return [(rng.normal(size=(source, 300)) + 1j * rng.normal(size=(source, 300)), 1 / 300)
+            for rng in rngs]
+
+
+SOURCES = [1, 2, 6, 15, "trefoil_3max"]  # the fixture's slabs have 1, 6, 15, 6 and 1 pairs
+
+
+@pytest.mark.parametrize("source", SOURCES)
+def test_ordered_blocks_match_nested_tails(source):
+    for F, step in integrand_cases(source):
+        for degree in (1, 2, 3):
+            got = kontsevich._ordered_blocks(F, step, degree)
+            want = nested_tail_blocks(F, step, degree)
+            assert [b.shape for b in got] == [b.shape for b in want]
+            for g, w in zip(got, want):
+                assert np.all(np.abs(g - w) <= 1e-12 * np.abs(w).max())
+
+
+def test_heads_and_tails_add_up_to_the_one_block():
+    # Chen's shuffle identity at every node of the midpoint grid: the
+    # integral below a node plus the integral above it is the whole slab
+    for F, step in (case for source in SOURCES for case in integrand_cases(source)):
+        H = step * (np.cumsum(F, axis=1) - 0.5 * F)
+        R = step * (np.cumsum(F[:, ::-1], axis=1)[:, ::-1] - 0.5 * F)
+        B1 = kontsevich._ordered_blocks(F, step, 1)[0]
+        scale = step * np.abs(F).sum(axis=1, keepdims=True)
+        assert np.all(np.abs(H + R - B1[:, None]) <= 1e-12 * scale)
 
 
 def test_enumerated_diagrams_match_unmemoized_induction():
