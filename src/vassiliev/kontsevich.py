@@ -2,26 +2,27 @@
 
 The degree-m coefficient of a knot's expansion is a sum over chord
 placements: m horizontal chords at heights t_1 < ... < t_m, each chord
-joining two strands that coexist in one slab, weighted by
-(-1)^(number of endpoints on downward strands) and the iterated
-integral of prod (dz - dz')/(z - z'), with one factor
-kappa = -1/(2*pi*i) per chord; the kappa sign is calibrated once so
-the degree-1 cross-component sum equals the combinatorial linking
-number (signed, not just in magnitude).  Placements are grouped by the
-chord diagram they induce on the knot circle.
+joining two strands that coexist in one slab: the iterated integral of
+one propagator kappa * (dz - dz')/(z - z') per chord, kappa =
+-1/(2*pi*i), negated when the chord has one endpoint on a downward
+strand.  The kappa sign is calibrated once so the degree-1
+cross-component sum equals the combinatorial linking number (signed,
+not just in magnitude).  Placements are grouped by the chord diagram
+they induce on the knot circle.
 
 The quadrature works per slab, not per placement.  Inside one slab a
 run of chords is an ordered block over the slab's strand pairs, so each
-strand is evaluated once per quadrature setting, the pair integrands
-form one (pairs, steps) array, and every k-block comes from cumulative
-sums and matrix products, the 3-block by Chen's shuffle identity.  A
-placement's value is the outer product of its slab runs' blocks.  One
-generator, _degree_values, builds the blocks once and yields every
-degree's strand ends and signed values for one of two queries:
-coefficient tables take every pair and sum the placements per induced
-diagram with index arrays (in enumeration order), and linking numbers
-take the cross-component pairs.  A query past MAX_PLACEMENTS or
-MAX_GRID is refused before any array is built.
+strand is evaluated once per quadrature setting, the chord weights
+(cell width times propagator) form one (pairs, steps) array, and every
+k-block comes from cumulative sums and matrix products, the 3-block by
+Chen's shuffle identity.  A placement's value is the bare outer product
+of its slab runs' blocks.  One generator, _degree_values, builds the
+blocks once and yields every degree's strand ends and values for one
+of two queries: coefficient tables take every pair and sum the
+placements per induced diagram with index arrays (in enumeration
+order), and linking numbers take the cross-component pairs.  A query
+past MAX_PLACEMENTS or MAX_GRID is refused before any array is built,
+and strands that meet on the quadrature nodes are refused there.
 
 Integrals are truncated eps away from critical heights and evaluated
 at the three nested insets eps, eps/2 and eps/4; a geometric fit in
@@ -42,7 +43,7 @@ from typing import ClassVar
 import numpy as np
 
 from .chords import ChordDiagram
-from .morse import MorseKnot
+from .morse import EmbeddingError, MorseKnot
 
 TWO_PI_I = 2j * np.pi
 
@@ -188,11 +189,6 @@ def _placements(pools, m):
     return seqs, np.concatenate(ends)
 
 
-def _down_endpoints(mk, ends):
-    up = np.array([s.goes_up for s in mk.strands])
-    return (~up[ends]).sum(axis=(1, 2))
-
-
 def _induced_diagrams(mk, ends):
     """Chord diagrams that placements induce on the knot circle: the
     distinct ones in order of first appearance, and per placement its
@@ -229,8 +225,8 @@ def enumerate_placements(mk, m):
 
     Chord heights are ordered, so slab indices run nondecreasing and
     the within-slab chord order is the listed order.  Only the tables
-    read a placement's induced diagram and sign, from the strand ends of
-    _placements (see _induced_diagrams and _down_endpoints).
+    read a placement's induced diagram, from the strand ends of
+    _placements (see _induced_diagrams).
     """
     m = _degree(m, "placement degree")
     if m < 1:
@@ -252,32 +248,33 @@ def enumerate_placements(mk, m):
 # -- quadrature --------------------------------------------------------------
 
 
-def _ordered_blocks(F, step, degree):
+def _ordered_blocks(G, degree):
     """Ordered chord integrals inside one slab on one quadrature setting.
 
-    F holds the slab's chord integrands, one row per strand pair, on the
-    setting's midpoint grid.  Entry k - 1 of the result is the k-block,
-    an array over k pair indices: the integral over t_1 < ... < t_k of
-    F[p_1](t_1) ... F[p_k](t_k), for k up to MAX_DEGREE.  On the midpoint
-    grid a node's own cell counts half, so the heads
-    H = step * (cumsum(F) - F / 2) integrate each row from the bottom to
-    every node, the 2-block is step * H @ F.T and the 1-block a row sum.
-    A row's tail above a node is its 1-block minus its head there
+    G holds the slab's chord weights, one row per strand pair: on each
+    cell of the setting's midpoint grid, the cell width times the
+    chord's integrand (and its constant) at the node.  Entry k - 1 of
+    the result is the k-block, an array over k pair indices: the
+    integral over t_1 < ... < t_k of G[p_1](t_1) ... G[p_k](t_k), for
+    k up to MAX_DEGREE.  On the midpoint grid a node's own cell counts
+    half, so the heads H = cumsum(G) - G / 2 integrate each row from the
+    bottom to every node, the 2-block is H @ G.T and the 1-block a row
+    sum.  A row's tail above a node is its 1-block minus its head there
     (Chen's shuffle identity), so the 3-block is B1[p] * B2[i, j] minus
-    step * sum H_i F_j H_p, which is symmetric in i and p: one matrix
-    product per p fills it for i <= p, and its transpose for i >= p.
+    sum H_i G_j H_p, which is symmetric in i and p: one matrix product
+    per p fills it for i <= p, and its transpose for i >= p.
     """
     if degree > MAX_DEGREE:
         raise ValueError(f"ordered blocks stop at MAX_DEGREE = {MAX_DEGREE}, not {degree}")
-    blocks = [step * F.sum(axis=1)]
+    blocks = [G.sum(axis=1)]
     if degree < 2:
         return blocks
-    H = step * (np.cumsum(F, axis=1) - 0.5 * F)
-    blocks.append(step * (H @ F.T))
+    H = np.cumsum(G, axis=1) - 0.5 * G
+    blocks.append(H @ G.T)
     if degree == 3:
         block = np.multiply.outer(blocks[1], blocks[0])
-        for p in range(len(F)):
-            below = step * ((H[: p + 1] * H[p]) @ F.T)
+        for p in range(len(G)):
+            below = (H[: p + 1] * H[p]) @ G.T
             block[: p + 1, :, p] -= below
             block[p, :, :p] -= below[:p].T
         blocks.append(block)
@@ -295,18 +292,26 @@ def _settings(quadrature):
 def _degree_values(mk, m, quadrature, pools):
     """For each degree d = 1..m, the strand ends (N, d, 2) of its
     placements on the pair pools (see _placements) and their raw
-    integrals, a (settings, N) array including the downward sign and one
-    factor kappa per chord.
+    integrals, a (settings, N) array.
 
     Every degree reads one set of per-slab blocks: blocks[slab][k - 1]
     stacks that slab's k-block over the settings.  Each setting is
     computed on its own midpoint grid, every strand of a slab with pairs
-    evaluated once on it; for m = 0 no block is built.  A placement's
-    value is the outer product of the blocks of its runs of equal slabs.
+    evaluated once on it; for m = 0 no block is built.  Each chord's row
+    carries its whole weight: cell width, kappa, and a sign per downward
+    strand.  So a placement's value is the bare outer product of the
+    blocks of its runs of equal slabs.
+
+    On the full-step grid with the smallest inset, the widest span any
+    setting integrates, two strands whose separation turns by a right
+    angle or more between adjacent nodes meet, or pass closer than the
+    grid resolves: EmbeddingError names them.
     """
     _check_budget(pools, m, quadrature.steps)
     settings = _settings(quadrature)
+    widest = settings[quadrature.levels - 1]
     n = len(settings)
+    orient = [1 if s.goes_up else -1 for s in mk.strands]
     blocks = []
     for slab, pairs in zip(mk.slabs, pools):
         pairs = pairs.tolist()
@@ -316,8 +321,11 @@ def _degree_values(mk, m, quadrature, pools):
             step = (hi - lo) / steps
             t = lo + (np.arange(steps) + 0.5) * step
             at = {s: mk.strands[s].at(t) for s in {s for pair in pairs for s in pair}}
-            F = np.array([(at[a][1] - at[b][1]) / (at[a][0] - at[b][0]) for a, b in pairs])
-            per_setting.append(_ordered_blocks(F, step, m))
+            if (eps, steps) == widest:
+                _refuse_turns(at, pairs, t, steps)
+            G = np.array([orient[a] * orient[b] * step * KAPPA * (at[a][1] - at[b][1])
+                          / (at[a][0] - at[b][0]) for a, b in pairs])
+            per_setting.append(_ordered_blocks(G, m))
         blocks.append([np.stack(b) for b in zip(*per_setting)])
     for d in range(1, m + 1):
         seqs, ends = _placements(pools, d)
@@ -328,10 +336,30 @@ def _degree_values(mk, m, quadrature, pools):
                 block = blocks[slab][len(list(run)) - 1].reshape(n, 1, -1)
                 val = (val[:, :, None] * block).reshape(n, -1)
             values.append(val)
+        # rebound, not yielded in place, so the pieces are freed while the caller reads it
         values = np.concatenate(values, axis=1)
-        kappa_d = KAPPA**d
-        values *= np.where(_down_endpoints(mk, ends) % 2, -kappa_d, kappa_d)
         yield ends, values
+
+
+def _refuse_turns(at, pairs, t, steps):
+    """EmbeddingError when the separation z_a - z_b of some pair turns
+    by a right angle or more between adjacent nodes; `at` maps each
+    strand to its (z, dz/dt) on the heights t.
+
+    A transversal meeting turns the separation by pi; on the shipped
+    fixtures the largest turn is 0.03 rad at the default spec, and only
+    grids of fewer than 32 steps are refused.
+    """
+    for a, b in pairs:
+        z = at[a][0] - at[b][0]
+        turned = (z[1:] * z[:-1].conj()).real <= 0
+        if turned.any():
+            j = turned.argmax()
+            raise EmbeddingError(
+                f"strands {a} and {b} meet or nearly meet between heights {t[j]:.6g} "
+                f"and {t[j + 1]:.6g}: their separation turns by a right angle or more "
+                f"between adjacent nodes at {steps} steps; if the curve is embedded, raise --steps"
+            )
 
 
 def _sums(values, index, n):
@@ -492,12 +520,12 @@ class CoefficientTable:
 def degree_coefficients(mk, m, quadrature=DEFAULT_QUADRATURE):
     """CoefficientTable of the raw degree-m integrals of a knot.
 
-    Degrees 1 and 2 are the supported regime; 3 is allowed best-effort
-    (no other route checks it yet) and anything higher is refused.  All
-    degrees read one set of per-slab blocks; per slab and setting, the
-    2-block is one matrix product and the 3-block one per strand pair
-    (see _ordered_blocks).  Multi-component embeddings have no single
-    knot circle; use linking_number for those.
+    Degrees 0 to MAX_DEGREE = 3 are computed and anything higher is
+    refused; the tests check degree 3 against the signed resolution sums
+    of the chord diagram.  All degrees read one set of per-slab blocks;
+    per slab and setting, the 2-block is one matrix product and the
+    3-block one per strand pair (see _ordered_blocks).  Multi-component
+    embeddings have no single knot circle; use linking_number for those.
     """
     if not isinstance(mk, MorseKnot):
         raise TypeError("degree_coefficients expects a MorseKnot")

@@ -10,6 +10,7 @@ import dataclasses
 import importlib.resources
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -407,6 +408,18 @@ def test_error_non_finite_curve_sample_exits_3(tmp_path, capsys):
         err = run_error(capsys, ["kontsevich", str(path), "--degree", "1"])
         assert err["module"] == "morse", err
         assert "sample 7 of component 0 is not finite" in err["message"], err
+
+
+def test_error_self_crossing_curve_exits_3(tmp_path, capsys):
+    # x = sin(2a)/2, t = sin(a) + 0.2 sin(a)^2 in the plane Im z = 0 crosses
+    # itself at the origin; it embeds, and the quadrature refuses it
+    angles = [2 * math.pi * (k + 1 / math.pi) / 720 for k in range(720)]
+    loop = [(complex(math.sin(2 * a) / 2), math.sin(a) + 0.2 * math.sin(a) ** 2) for a in angles]
+    path = tmp_path / "crossing.curve.json"
+    path.write_text(json.dumps(curve_to_json([loop])))
+    err = run_error(capsys, ["kontsevich", str(path), "--degree", "2"])
+    assert err["module"] == "morse", err
+    assert re.search(r"strands \d+ and \d+ meet", err["message"]), err
 
 
 def test_error_undecodable_diagram_json_is_tagged_codes(capsys):

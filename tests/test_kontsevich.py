@@ -13,7 +13,7 @@ from strategies import PROPERTIES, rigid_motions
 from vassiliev import kontsevich
 from vassiliev.chords import ChordDiagram, chord_diagram_of
 from vassiliev.codes import braid_closure
-from vassiliev.fixtures import ALL_FIXTURE_NAMES, load_fixture, plat, two_circles
+from vassiliev.fixtures import ALL_FIXTURE_NAMES, load_fixture, plat, round_circle, two_circles
 from vassiliev.kontsevich import (
     KAPPA,
     CoefficientTable,
@@ -26,7 +26,7 @@ from vassiliev.kontsevich import (
     wick_propagator,
 )
 from vassiliev.lie import su2_fundamental, weight
-from vassiliev.morse import morse_embed
+from vassiliev.morse import EmbeddingError, morse_embed
 
 Q = QuadratureSpec()
 CROSSED = ChordDiagram(((0, 2), (1, 3)))
@@ -187,21 +187,20 @@ def test_epsilon_tail_classifier_outcomes():
 
 
 def table_placements(mk, m):
-    """Strand ends, downward endpoint counts and induced diagrams of the
-    degree-m placements, as the tables read them."""
+    """Strand ends and induced diagrams of the degree-m placements, as
+    the tables read them."""
     _, ends = kontsevich._placements(kontsevich._pair_pools(mk), m)
     diagrams, index = kontsevich._induced_diagrams(mk, ends)
-    return ends, kontsevich._down_endpoints(mk, ends).tolist(), [diagrams[i] for i in index]
+    return ends, [diagrams[i] for i in index]
 
 
 def test_circle_placements():
     mk = embed("round_circle")
     assert len(enumerate_placements(mk, 1)) == 1
-    ends, down, induced = table_placements(mk, 1)
+    ends, induced = table_placements(mk, 1)
     assert ends.tolist() == [[[0, 1]]]
-    assert down == [1]
     assert induced == [SINGLE]
-    ends, down, induced = table_placements(mk, 2)
+    ends, induced = table_placements(mk, 2)
     assert len(ends) == len(enumerate_placements(mk, 2)) > 0
     assert induced == [PARALLEL] * len(ends)
     with pytest.raises(ValueError):
@@ -270,7 +269,7 @@ def test_refusals_name_what_is_wrong():
         (lambda: degree_coefficients(circle, 2.0), ValueError, "degree must be an integer, not 2.0"),
         (lambda: enumerate_placements(circle, 1.5), ValueError,
          "placement degree must be an integer, not 1.5"),
-        (lambda: kontsevich._ordered_blocks(np.ones((2, 16)), 1 / 16, 4), ValueError,
+        (lambda: kontsevich._ordered_blocks(np.ones((2, 16)) / 16, 4), ValueError,
          "ordered blocks stop at MAX_DEGREE = 3, not 4"),
     ]
     start = time.perf_counter()
@@ -338,6 +337,25 @@ def test_linking_of_stacked_circles_is_zero():
 def test_linking_requires_two_components():
     with pytest.raises(ValueError):
         linking_number(embed("round_circle"), Q)
+
+
+def self_crossing_loop():
+    """A closed plane curve (Im z = 0) that crosses itself once, at z = 0, t = 0."""
+    theta = 2 * np.pi * (np.arange(720) + 1 / np.pi) / 720
+    z, t = np.sin(2 * theta) / 2, np.sin(theta) + 0.2 * np.sin(theta) ** 2
+    return [list(zip(z.astype(complex).tolist(), t.tolist()))]
+
+
+def test_strands_that_meet_are_refused():
+    # The embedding check probes 25 heights per slab and misses these
+    # meetings; a transversal meeting turns the separation of the two
+    # strands by pi between adjacent quadrature nodes.
+    for height in (0.1, 0.3, 0.5):
+        mk = morse_embed(round_circle() + round_circle(center=1.0, height=height))
+        with pytest.raises(EmbeddingError, match=r"strands \d+ and \d+ meet .* raise --steps"):
+            linking_number(mk, Q)
+    with pytest.raises(EmbeddingError, match="at 2000 steps"):
+        degree_coefficients(morse_embed(self_crossing_loop()), 2, Q)
 
 
 def test_hump_self_correction_is_exact():
@@ -567,7 +585,7 @@ SOURCES = [1, 2, 6, 15, "trefoil_3max"]  # the fixture's slabs have 1, 6, 15, 6 
 def test_ordered_blocks_match_nested_tails(source):
     for F, step in integrand_cases(source):
         for degree in (1, 2, 3):
-            got = kontsevich._ordered_blocks(F, step, degree)
+            got = kontsevich._ordered_blocks(step * F, degree)
             want = nested_tail_blocks(F, step, degree)
             assert [b.shape for b in got] == [b.shape for b in want]
             for g, w in zip(got, want):
@@ -580,7 +598,7 @@ def test_heads_and_tails_add_up_to_the_one_block():
     for F, step in (case for source in SOURCES for case in integrand_cases(source)):
         H = step * (np.cumsum(F, axis=1) - 0.5 * F)
         R = step * (np.cumsum(F[:, ::-1], axis=1)[:, ::-1] - 0.5 * F)
-        B1 = kontsevich._ordered_blocks(F, step, 1)[0]
+        B1 = kontsevich._ordered_blocks(step * F, 1)[0]
         scale = step * np.abs(F).sum(axis=1, keepdims=True)
         assert np.all(np.abs(H + R - B1[:, None]) <= 1e-12 * scale)
 
@@ -588,14 +606,14 @@ def test_heads_and_tails_add_up_to_the_one_block():
 def test_enumerated_diagrams_match_unmemoized_induction():
     for name in ("trefoil_3max", "figure_eight"):
         mk = embed(name)
-        _, down, induced = table_placements(mk, 3)
+        _, induced = table_placements(mk, 3)
         got = [
-            (p.slabs, p.pairs, *rest)
-            for p, *rest in zip(enumerate_placements(mk, 3), down, induced, strict=True)
+            (p.slabs, p.pairs, diagram)
+            for p, diagram in zip(enumerate_placements(mk, 3), induced, strict=True)
         ]
         want = [
-            (slabs, pairs, down, oracle_diagram(mk, pairs))
-            for slabs, pairs, down in oracle_placements(mk, 3)
+            (slabs, pairs, oracle_diagram(mk, pairs))
+            for slabs, pairs, _ in oracle_placements(mk, 3)
         ]
         assert got == want
 
@@ -658,6 +676,33 @@ def test_raw_series_of_a_mirror_are_signed_conjugates():
             assert abs(c_bar.value - want) <= 1e-12 * abs(want), (name, diagram)
             assert (c_bar.error, c_bar.converged, c_bar.log_divergent) == (
                 c.error, c.converged, c.log_divergent), (name, diagram)
+
+
+def test_reversed_knot_reflects_every_diagram():
+    # Reversing every component's samples reverses the knot circle and
+    # keeps the strands: each chord's two strands both change direction,
+    # so a placement keeps its value and induces the reflected diagram.
+    def reflect(diagram):
+        last = 2 * diagram.degree - 1
+        return ChordDiagram((last - i, last - j) for i, j in diagram.pairs())
+
+    for name in ("round_circle", "hump", "trefoil_2max", "trefoil_3max", "figure_eight"):
+        curve = load_fixture(name)
+        mk, mk_rev = morse_embed(curve), morse_embed([comp[::-1] for comp in curve])
+        raw, raw_rev = kontsevich._raw_series(mk, 3, Q), kontsevich._raw_series(mk_rev, 3, Q)
+        for d, (sums, sums_rev) in enumerate(zip(raw, raw_rev, strict=True)):
+            assert set(sums_rev) == set(map(reflect, sums)), (name, d)
+            for diagram, want in sums.items():
+                got = sums_rev[reflect(diagram)]
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), (name, diagram)
+        table, table_rev = degree_coefficients(mk, 3, Q), degree_coefficients(mk_rev, 3, Q)
+        assert len(table_rev) == len(table), name
+        for diagram, c in table.items():
+            c_rev, scale = table_rev.coefficient(reflect(diagram)), max(1.0, abs(c.value))
+            assert abs(c_rev.value - c.value) <= 1e-12 * scale, (name, diagram)
+            assert abs(c_rev.error - c.error) <= 1e-12 * scale, (name, diagram)
+            assert (c_rev.converged, c_rev.log_divergent) == (
+                c.converged, c.log_divergent), (name, diagram)
 
 
 # -- singular knots: the integral starts with the chord diagram --------------
