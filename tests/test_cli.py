@@ -200,7 +200,43 @@ def test_compare_trefoil(tmp_path, capsys):
     assert payload["skein"]["v2"] == 1
     assert payload["weight_pairing"]["crossed_weight"] == "-3/8"
     assert payload["within_tolerance"] is True
-    assert payload["difference"] < payload["tolerance"]
+    assert payload["difference"] <= payload["integral"]["error"]
+
+
+def compare_json(capsys, tmp_path, name, code, *flags):
+    """compare's payload, with its verdict checked against its own error bar."""
+    payload = run_json(capsys, ["compare", curve_file(tmp_path, name), code, *flags])
+    assert payload["within_tolerance"] == (payload["difference"] <= payload["integral"]["error"])
+    return payload
+
+
+@pytest.mark.parametrize("flags", [(), ("--steps", "1000")], ids=["default", "1000-steps"])
+@pytest.mark.parametrize("name, code", [("trefoil_2max", TREFOIL), ("trefoil_3max", TREFOIL),
+                                        ("figure_eight", FIGURE_EIGHT)])
+def test_compare_knot_fixtures_agree_within_the_bar(name, code, flags, tmp_path, capsys):
+    assert compare_json(capsys, tmp_path, name, code, *flags)["within_tolerance"] is True
+
+
+def test_compare_refuses_the_code_of_another_knot(tmp_path, capsys):
+    assert compare_json(capsys, tmp_path, "trefoil_2max", FIGURE_EIGHT)["within_tolerance"] is False
+
+
+def test_compare_with_one_maximum_needs_an_exact_match(tmp_path, capsys):
+    # no placement induces the crossed class, so its value and bar are exactly 0
+    payload = compare_json(capsys, tmp_path, "round_circle", "O1+U1+")
+    assert payload["integral"]["error"] == 0
+    assert payload["within_tolerance"] is True
+
+
+def test_options_that_set_nothing_are_usage_errors(tmp_path, capsys):
+    path = curve_file(tmp_path, "trefoil_2max")
+    for argv in (
+        ["compare", path, TREFOIL, "--tolerance", "0.05"],
+        ["compare", path, TREFOIL, "--degree", "2"],
+        ["v2", TREFOIL, "--seed", "7"],
+        ["--seed", "7", "v2", TREFOIL],
+    ):
+        assert cli.main(argv) == 2, argv
 
 
 def test_error_missing_file(capsys):
@@ -458,7 +494,6 @@ def test_error_degree_out_of_range(tmp_path, capsys):
     cases = [
         (["kontsevich", path, "--degree", "7"], "kontsevich", "degree must be between 0 and 3"),
         (["weights", "--algebra", "su2", "--degree", "7"], "lie", "degree capped at 6"),
-        (["compare", path, TREFOIL, "--degree", "3"], "kontsevich", "degree-2 invariant only"),
     ]
     for argv, module, fragment in cases:
         err = run_error(capsys, argv)
@@ -523,7 +558,7 @@ CSV_CASES = {
     "kontsevich": (["kontsevich", "@round_circle", "--degree", "2", "--raw"],
                    ["diagram", "value_re", "value_im", "error", "converged", "log_divergent"],
                    lambda p: len(p["coefficients"])),
-    "compare": (["compare", "@trefoil_2max", TREFOIL], ["key", "value"], lambda p: 7),
+    "compare": (["compare", "@trefoil_2max", TREFOIL], ["key", "value"], lambda p: 6),
 }
 
 
@@ -552,11 +587,6 @@ def test_output_file(tmp_path, capsys):
     assert json.loads(target.read_text())["v2"] == 1
 
 
-def test_seed_echoed(capsys):
-    payload = run_json(capsys, ["v2", TREFOIL, "--seed", "7"])
-    assert payload["seed"] == 7
-
-
 def test_global_flags_before_subcommand(capsys):
     status = cli.main(["--format", "csv", "v2", TREFOIL])
     out, _ = capsys.readouterr()
@@ -566,9 +596,9 @@ def test_global_flags_before_subcommand(capsys):
 
 # One minimal argv per subcommand, the namespace it parses to beyond the
 # global defaults, and the options its --help page lists before the common
-# three.  Omitted quadrature flags leave no key, so QuadratureSpec's
+# two.  Omitted quadrature flags leave no key, so QuadratureSpec's
 # defaults apply.
-GLOBAL_DEFAULTS = {"output": None, "fmt": "json", "seed": None}
+GLOBAL_DEFAULTS = {"output": None, "fmt": "json"}
 PARSER_CASES = {
     "parse": (["parse", "X"], {"input": "X"}, ()),
     "conway": (["conway", "X"], {"input": "X"}, ()),
@@ -581,8 +611,7 @@ PARSER_CASES = {
     "kontsevich": (["kontsevich", "c.json"], {"input": "c.json", "degree": 2, "raw": False},
                    ("--degree", "--raw", "--steps", "--epsilon")),
     "compare": (["compare", "c.json", "X"],
-                {"curve": "c.json", "code": "X", "degree": 2, "tolerance": 0.05},
-                ("--degree", "--tolerance", "--steps", "--epsilon")),
+                {"curve": "c.json", "code": "X"}, ("--steps", "--epsilon")),
 }
 
 
@@ -598,7 +627,7 @@ def test_parser_dests_defaults_and_help(name, capsys):
     assert declared == list(options)
     assert cli.main([name, "--help"]) == 0
     page = capsys.readouterr().out
-    for option in (*options, "--output", "--format", "--seed"):
+    for option in (*options, "--output", "--format"):
         assert re.search(rf"{option}\b", page), option
 
 
