@@ -40,7 +40,7 @@ def main():
     print(f"embedded trefoil: {mk.n_maxima} maxima, {len(mk.slabs)} slabs, "
           f"margin {mk.embedding_margin:.3f}")
 
-    quad = QuadratureSpec(steps=2000, eps_rel=1e-3)
+    quad = QuadratureSpec(steps=2000)
     raw = degree_coefficients(mk, 2, quad)
     show(raw, "\nraw degree-2 integrals (framing-contaminated):")
 

@@ -64,8 +64,7 @@ def load_diagram(text):
 def _quadrature_from(args):
     from .kontsevich import QuadratureSpec
 
-    given = {k: getattr(args, k) for k in ("steps", "eps_rel") if hasattr(args, k)}
-    return QuadratureSpec(**given)
+    return QuadratureSpec(args.steps) if hasattr(args, "steps") else QuadratureSpec()
 
 
 # ---------------------------------------------------------------- handlers
@@ -332,15 +331,10 @@ def _arg(*flags, **options):
 
 _INPUT = _arg("input")
 
-# Omitted flags take QuadratureSpec's defaults, read only when the
+# Omitted, --steps takes QuadratureSpec's default, read only when the
 # handler runs, so building the parser never imports kontsevich.
-_QUADRATURE = (
-    _arg("--steps", type=int, default=argparse.SUPPRESS,
-         help="quadrature steps per slab (default: QuadratureSpec().steps)"),
-    _arg("--epsilon", dest="eps_rel", metavar="EPSILON", type=float, default=argparse.SUPPRESS,
-         help="largest of the three relative clip widths eps, eps/2, eps/4 "
-              "(default: QuadratureSpec().eps_rel)"),
-)
+_STEPS = _arg("--steps", type=int, default=argparse.SUPPRESS,
+              help="quadrature steps per slab (default: QuadratureSpec().steps)")
 
 # Every subcommand ends with these; omitted, each keeps its value from before the subcommand.
 _COMMON = (
@@ -385,12 +379,12 @@ COMMANDS = {
         "numerical coefficient table of a sampled curve",
         (_arg("input", help="curve JSON file"), _arg("--degree", type=int, default=2),
          _arg("--raw", action="store_true", help="skip the hump normalization, emit raw integrals"),
-         *_QUADRATURE),
+         _STEPS),
         _run_kontsevich, "coefficients", "kontsevich", _kontsevich_rows),
     "compare": Command(
         "cross-validate degree 2: curve integral against skein v2 within the integral's bar",
         (_arg("curve", help="curve JSON file"), _arg("code", help="diagram code for the same knot"),
-         *_QUADRATURE),
+         _STEPS),
         _run_compare, "compare", "kontsevich", _compare_rows),
 }
 

@@ -24,18 +24,20 @@ order), and linking numbers take the cross-component pairs.  A query
 past MAX_PLACEMENTS or MAX_GRID is refused before any array is built,
 and strands that meet on the quadrature nodes are refused there.
 
-Integrals are truncated eps away from critical heights and evaluated
-at the three nested insets eps, eps/2 and eps/4; a geometric fit in
-the differences decides between convergence (extrapolated), a
-logarithmic drift (flagged, the isolated-chord framing anomaly), and
-noise.  Every reported value also carries the change under halving the
-step count, so the error bars are measurements, not guesses.
+Integrals are truncated a fraction eps of each slab's height away from
+its critical heights, at the three fixed nested insets eps = 1e-3, 5e-4
+and 2.5e-4 (INSETS); a geometric fit in the differences decides between
+convergence (extrapolated), a logarithmic drift (flagged, the
+isolated-chord framing anomaly), and noise.  Every reported value also
+carries the change under halving the step count, so the error bars are
+measurements, not guesses.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 from dataclasses import asdict, dataclass, replace
 from typing import ClassVar
@@ -52,15 +54,17 @@ TWO_PI_I = 2j * np.pi
 KAPPA = -1.0 / TWO_PI_I
 
 
+# Relative endpoint insets of every slab, the three the tail fit reads.
+INSETS = (1e-3, 5e-4, 2.5e-4)
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Composite-midpoint settings: steps per slab and the largest
-    relative endpoint inset.  The tail fit reads the insets eps_rel,
-    eps_rel/2 and eps_rel/4, so a finer fit is a smaller eps_rel."""
+    """Composite-midpoint settings: steps per slab, each slab integrated
+    at every inset of INSETS."""
 
     steps: int = 2000
-    eps_rel: float = 1e-3
-    levels: ClassVar[int] = 3  # insets the tail fit reads; not a setting
+    levels: ClassVar[int] = len(INSETS)  # insets the tail fit reads; not a setting
 
     def __post_init__(self):
         try:  # a fractional step count would overshoot each slab
@@ -69,14 +73,9 @@ class QuadratureSpec:
             raise ValueError(f"steps must be an integer, not {self.steps!r}") from None
         if self.steps < 16:
             raise ValueError("steps must be at least 16")
-        if not 0 < self.eps_rel <= 0.05:
-            raise ValueError("eps_rel must lie in (0, 0.05]")
-
-    def epsilons(self):
-        return tuple(self.eps_rel / 2**k for k in range(self.levels))
 
     def halved(self):
-        return QuadratureSpec(self.steps // 2, self.eps_rel)
+        return QuadratureSpec(self.steps // 2)
 
 
 DEFAULT_QUADRATURE = QuadratureSpec()
@@ -234,15 +233,17 @@ def enumerate_placements(mk, m):
     pools = _pair_pools(mk)
     _check_budget(pools, m)
     seqs, ends = _placements(pools, m)
-    pair_tuples = [list(map(tuple, pool.tolist())) for pool in pools]
-    classes = [
-        (slab_seq, pairs)
-        for slab_seq in seqs
-        for pairs in itertools.product(*(pair_tuples[s] for s in slab_seq))
-    ]
+    slabs = (seq for seq in seqs for _ in range(math.prod(len(pools[s]) for s in seq)))
+    # Placements share one tuple per strand pair, pair[a * n + b]: a tuple
+    # per chord raised the peak RSS of a process holding trefoil_3max's
+    # 9,670 degree-3 placements by about 4 MB.
+    n = len(mk.strands)
+    pair = [(a, b) for a in range(n) for b in range(n)]
+    flat = map(pair.__getitem__, (ends[..., 0] * n + ends[..., 1]).ravel().tolist())
     comp = np.array([s.component for s in mk.strands])[ends]
     cross = (comp[..., 0] != comp[..., 1]).all(axis=1).tolist()
-    return [ChordPlacement(*c, x) for c, x in zip(classes, cross)]
+    # zip(*[flat] * m) deals the pairs out m at a time, one placement each
+    return [ChordPlacement(*c) for c in zip(slabs, zip(*[flat] * m), cross)]
 
 
 # -- quadrature --------------------------------------------------------------
@@ -274,7 +275,9 @@ def _ordered_blocks(G, degree):
     if degree == 3:
         block = np.multiply.outer(blocks[1], blocks[0])
         for p in range(len(G)):
-            below = (H[: p + 1] * H[p]) @ G.T
+            # at least two rows: numpy hands a 1-row product to OpenBLAS's
+            # threaded matrix-vector call, whose worker then spins idle
+            below = ((H[: max(p, 1) + 1] * H[p]) @ G.T)[: p + 1]
             block[: p + 1, :, p] -= below
             block[p, :, :p] -= below[:p].T
         blocks.append(block)
@@ -283,10 +286,9 @@ def _ordered_blocks(G, degree):
 
 def _settings(quadrature):
     """The (eps, steps) quadrature settings in the order of every
-    per-setting array, which _classify reads: each eps level at full
-    steps, then each at half steps."""
-    return [(eps, steps) for steps in (quadrature.steps, quadrature.steps // 2)
-            for eps in quadrature.epsilons()]
+    per-setting array, which _classify reads: each inset of INSETS at
+    full steps, then each at half steps."""
+    return [(eps, steps) for steps in (quadrature.steps, quadrature.steps // 2) for eps in INSETS]
 
 
 def _degree_values(mk, m, quadrature, pools):
@@ -305,7 +307,10 @@ def _degree_values(mk, m, quadrature, pools):
     On the full-step grid with the smallest inset, the widest span any
     setting integrates, two strands whose separation turns by a right
     angle or more between adjacent nodes meet, or pass closer than the
-    grid resolves: EmbeddingError names them.
+    grid resolves: EmbeddingError names the first such pair.  A
+    transversal meeting turns the separation by pi; on the shipped
+    fixtures the largest turn is 0.03 rad at the default spec, and only
+    grids of fewer than 32 steps are refused.
     """
     _check_budget(pools, m, quadrature.steps)
     settings = _settings(quadrature)
@@ -321,11 +326,21 @@ def _degree_values(mk, m, quadrature, pools):
             step = (hi - lo) / steps
             t = lo + (np.arange(steps) + 0.5) * step
             at = {s: mk.strands[s].at(t) for s in {s for pair in pairs for s in pair}}
-            if (eps, steps) == widest:
-                _refuse_turns(at, pairs, t, steps)
-            G = np.array([orient[a] * orient[b] * step * KAPPA * (at[a][1] - at[b][1])
-                          / (at[a][0] - at[b][0]) for a, b in pairs])
-            per_setting.append(_ordered_blocks(G, m))
+            G = []
+            for a, b in pairs:
+                z = at[a][0] - at[b][0]
+                if (eps, steps) == widest:
+                    turned = (z[1:] * z[:-1].conj()).real <= 0
+                    if turned.any():
+                        j = turned.argmax()
+                        raise EmbeddingError(
+                            f"strands {a} and {b} meet or nearly meet between heights {t[j]:.6g} "
+                            f"and {t[j + 1]:.6g}: their separation turns by a right angle or more "
+                            f"between adjacent nodes at {steps} steps; "
+                            f"if the curve is embedded, raise --steps"
+                        )
+                G.append(orient[a] * orient[b] * step * KAPPA * (at[a][1] - at[b][1]) / z)
+            per_setting.append(_ordered_blocks(np.array(G), m))
         blocks.append([np.stack(b) for b in zip(*per_setting)])
     for d in range(1, m + 1):
         seqs, ends = _placements(pools, d)
@@ -339,27 +354,6 @@ def _degree_values(mk, m, quadrature, pools):
         # rebound, not yielded in place, so the pieces are freed while the caller reads it
         values = np.concatenate(values, axis=1)
         yield ends, values
-
-
-def _refuse_turns(at, pairs, t, steps):
-    """EmbeddingError when the separation z_a - z_b of some pair turns
-    by a right angle or more between adjacent nodes; `at` maps each
-    strand to its (z, dz/dt) on the heights t.
-
-    A transversal meeting turns the separation by pi; on the shipped
-    fixtures the largest turn is 0.03 rad at the default spec, and only
-    grids of fewer than 32 steps are refused.
-    """
-    for a, b in pairs:
-        z = at[a][0] - at[b][0]
-        turned = (z[1:] * z[:-1].conj()).real <= 0
-        if turned.any():
-            j = turned.argmax()
-            raise EmbeddingError(
-                f"strands {a} and {b} meet or nearly meet between heights {t[j]:.6g} "
-                f"and {t[j + 1]:.6g}: their separation turns by a right angle or more "
-                f"between adjacent nodes at {steps} steps; if the curve is embedded, raise --steps"
-            )
 
 
 def _sums(values, index, n):

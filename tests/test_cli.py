@@ -178,9 +178,8 @@ def test_kontsevich_raw_circle(tmp_path, capsys):
     row = payload["coefficients"][0]
     assert abs(row["value_re"]) < 1e-6 and abs(row["value_im"]) < 1e-6
     assert payload["quadrature"] == dataclasses.asdict(vassiliev.QuadratureSpec())
-    flags = ["--steps", "500", "--epsilon", "2e-3"]
-    payload = run_json(capsys, ["kontsevich", path, "--degree", "1", "--raw", *flags])
-    assert payload["quadrature"] == {"steps": 500, "eps_rel": 2e-3}
+    payload = run_json(capsys, ["kontsevich", path, "--degree", "1", "--raw", "--steps", "500"])
+    assert payload["quadrature"] == {"steps": 500}
     # the number of clip widths is not a setting, so the flag is unknown
     assert cli.main(["kontsevich", path, "--degree", "1", "--levels", "4"]) == 2
 
@@ -233,6 +232,8 @@ def test_options_that_set_nothing_are_usage_errors(tmp_path, capsys):
     for argv in (
         ["compare", path, TREFOIL, "--tolerance", "0.05"],
         ["compare", path, TREFOIL, "--degree", "2"],
+        ["compare", path, TREFOIL, "--epsilon", "1e-3"],
+        ["kontsevich", path, "--epsilon", "1e-3"],
         ["v2", TREFOIL, "--seed", "7"],
         ["--seed", "7", "v2", TREFOIL],
     ):
@@ -596,8 +597,8 @@ def test_global_flags_before_subcommand(capsys):
 
 # One minimal argv per subcommand, the namespace it parses to beyond the
 # global defaults, and the options its --help page lists before the common
-# two.  Omitted quadrature flags leave no key, so QuadratureSpec's
-# defaults apply.
+# two.  An omitted --steps leaves no key, so QuadratureSpec's default
+# applies.
 GLOBAL_DEFAULTS = {"output": None, "fmt": "json"}
 PARSER_CASES = {
     "parse": (["parse", "X"], {"input": "X"}, ()),
@@ -609,9 +610,9 @@ PARSER_CASES = {
     "weights": (["weights", "--algebra", "su2", "--degree", "2"], {"algebra": "su2", "degree": 2},
                 ("--algebra", "--degree")),
     "kontsevich": (["kontsevich", "c.json"], {"input": "c.json", "degree": 2, "raw": False},
-                   ("--degree", "--raw", "--steps", "--epsilon")),
+                   ("--degree", "--raw", "--steps")),
     "compare": (["compare", "c.json", "X"],
-                {"curve": "c.json", "code": "X"}, ("--steps", "--epsilon")),
+                {"curve": "c.json", "code": "X"}, ("--steps",)),
 }
 
 

@@ -15,7 +15,7 @@ from vassiliev.morse import (
     morse_embed,
 )
 from vassiliev.fixtures import ALL_FIXTURE_NAMES, load_fixture, plat, round_circle, two_circles
-from vassiliev.kontsevich import DEFAULT_QUADRATURE
+from vassiliev.kontsevich import DEFAULT_QUADRATURE, INSETS
 
 
 def test_round_circle_structure():
@@ -321,7 +321,7 @@ def test_strand_at_is_the_horner_formula_bit_for_bit():
     for strand in mk.strands:
         lo, hi = strand.t_lo, strand.t_hi
         steps = DEFAULT_QUADRATURE.steps
-        inset = DEFAULT_QUADRATURE.eps_rel * (hi - lo)
+        inset = INSETS[0] * (hi - lo)
         step = (hi - lo - 2 * inset) / steps
         grid = lo + inset + (np.arange(steps) + 0.5) * step
         for t in (0.5 * (lo + hi), lo, rng.uniform(lo, hi, 300), grid):
