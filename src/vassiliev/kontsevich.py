@@ -61,21 +61,24 @@ INSETS = (1e-3, 5e-4, 2.5e-4)
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Composite-midpoint settings: steps per slab, each slab integrated
-    at every inset of INSETS."""
+    at every inset of INSETS, and again at steps // 2 for the error bar.
+
+    steps is an integer of at least MIN_STEPS.  Below 30 steps
+    _degree_values refuses some shipped curves as strands that meet, and
+    at the floor the half grid still has 16 steps.
+    """
 
     steps: int = 2000
     levels: ClassVar[int] = len(INSETS)  # insets the tail fit reads; not a setting
+    MIN_STEPS: ClassVar[int] = 32
 
     def __post_init__(self):
         try:  # a fractional step count would overshoot each slab
             object.__setattr__(self, "steps", operator.index(self.steps))
         except TypeError:
             raise ValueError(f"steps must be an integer, not {self.steps!r}") from None
-        if self.steps < 16:
-            raise ValueError("steps must be at least 16")
-
-    def halved(self):
-        return QuadratureSpec(self.steps // 2)
+        if self.steps < self.MIN_STEPS:
+            raise ValueError(f"steps must be at least {self.MIN_STEPS}")
 
 
 DEFAULT_QUADRATURE = QuadratureSpec()
@@ -83,7 +86,7 @@ DEFAULT_QUADRATURE = QuadratureSpec()
 
 # -- propagator bookkeeping --------------------------------------------------
 
-_FIELD_ALIASES = {"+": "+", "plus": "+", "0": "0", "zero": "0"}
+_FIELDS = {"+", "0"}
 
 
 @dataclass(frozen=True)
@@ -110,10 +113,10 @@ def wick_propagator(pair):
     chord to a single integration variable.
     """
     try:
-        a, b = pair
-        a = _FIELD_ALIASES[str(a)]
-        b = _FIELD_ALIASES[str(b)]
-    except (KeyError, TypeError, ValueError):
+        a, b = map(str, pair)
+    except (TypeError, ValueError):
+        a = b = None
+    if not {a, b} <= _FIELDS:
         raise ValueError(f"field components must be a pair from {{+, 0}}, got {pair!r}")
     if a == b:
         return PropagatorRule((a, b), True, False, False, None)
@@ -309,8 +312,8 @@ def _degree_values(mk, m, quadrature, pools):
     angle or more between adjacent nodes meet, or pass closer than the
     grid resolves: EmbeddingError names the first such pair.  A
     transversal meeting turns the separation by pi; on the shipped
-    fixtures the largest turn is 0.03 rad at the default spec, and only
-    grids of fewer than 32 steps are refused.
+    fixtures the largest turn is 0.03 rad at the default spec, and none
+    is refused from QuadratureSpec.MIN_STEPS on.
     """
     _check_budget(pools, m, quadrature.steps)
     settings = _settings(quadrature)

@@ -6,8 +6,6 @@ introduce floats.
 
 from __future__ import annotations
 
-import re
-
 
 class IntegerLaurentPoly:
     """Immutable Laurent polynomial with int coefficients.
@@ -74,27 +72,10 @@ class IntegerLaurentPoly:
 
     __rmul__ = __mul__
 
-    def shifted(self, k: int) -> "IntegerLaurentPoly":
-        """Multiply by z**k."""
-        return IntegerLaurentPoly({e + k: c for e, c in self._coeffs.items()})
-
     # -- inspection ----------------------------------------------------
 
     def coefficient(self, exp: int) -> int:
         return self._coeffs.get(exp, 0)
-
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(self._coeffs)
-
-    def min_degree(self):
-        return min(self._coeffs) if self._coeffs else None
-
-    def max_degree(self):
-        return max(self._coeffs) if self._coeffs else None
 
     def items(self):
         return tuple(self._coeffs.items())
@@ -139,25 +120,6 @@ class IntegerLaurentPoly:
     def to_dict(self) -> dict[str, int]:
         """JSON-friendly form: exponent (as string) -> coefficient."""
         return {str(e): c for e, c in self._coeffs.items()}
-
-    @classmethod
-    def from_dict(cls, d) -> "IntegerLaurentPoly":
-        """Inverse of to_dict: each exponent an int or the decimal string
-        to_dict writes for one, and no exponent given twice."""
-        out = {}
-        for e, c in d.items():
-            if not isinstance(c, int):
-                raise TypeError(f"coefficient {c!r} is not an integer")
-            if isinstance(e, str):
-                if not re.fullmatch(r"0|-?[1-9][0-9]*", e):
-                    raise ValueError(f"exponent {e!r} is not a decimal integer")
-                e = int(e)
-            elif not isinstance(e, int):
-                raise TypeError(f"exponent {e!r} is not an integer")
-            if e in out:
-                raise ValueError(f"exponent {e} is given twice")
-            out[e] = c
-        return cls(out)
 
 
 def _coerce(value) -> IntegerLaurentPoly:

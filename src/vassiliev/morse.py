@@ -100,34 +100,15 @@ def _not_a_knot_cubics(ts, zs):
 class Strand:
     """One height-monotone piece of a component.
 
-    at(t) gives z(t) and dz/dt on the spline through the samples;
-    t_lo/t_hi are the critical heights bounding the strand; goes_up
-    records the traversal direction along the original loop.  The
-    constructor sorts its samples by height and raises EmbeddingError
-    unless there are at least 2, all finite, at distinct heights.
+    at(t) gives z(t) and dz/dt on the spline with heights t and
+    per-interval coefficients coeffs, one piece as _not_a_knot_cubics
+    returns it; t_lo/t_hi are the critical heights bounding the strand;
+    goes_up records the traversal direction along the original loop.
     """
 
     __slots__ = ("component", "goes_up", "t_lo", "t_hi", "_t", "_coeffs")
 
-    def __init__(self, component, goes_up, t_values, z_values):
-        t, z = np.asarray(t_values, dtype=float), np.asarray(z_values, dtype=complex)
-        if t.ndim != 1 or t.shape != z.shape or len(t) < 2:
-            raise EmbeddingError("a strand needs at least 2 samples, one height per value")
-        order = np.argsort(t)
-        t, z = t[order], z[order]
-        if not (np.isfinite(t).all() and np.isfinite(z).all() and (t[1:] > t[:-1]).all()):
-            raise EmbeddingError("a strand needs finite samples at distinct heights")
-        ((t, coeffs),) = _not_a_knot_cubics([t], [z])
-        self._set(component, goes_up, t, coeffs)
-
-    @classmethod
-    def _built(cls, component, goes_up, t, coeffs):
-        """A strand from its sorted heights and spline coefficients."""
-        strand = cls.__new__(cls)
-        strand._set(component, goes_up, t, coeffs)
-        return strand
-
-    def _set(self, component, goes_up, t, coeffs):
+    def __init__(self, component, goes_up, t, coeffs):
         self.component = component
         self.goes_up = goes_up
         self.t_lo = float(t[0])
@@ -283,9 +264,7 @@ def morse_embed(components):
             ts.append(t[a : b + 1][::step])
             zs.append(z[a : b + 1][::step])
             specs.append((ci, goes_up))
-    strands = [
-        Strand._built(*spec, *built) for spec, built in zip(specs, _not_a_knot_cubics(ts, zs))
-    ]
+    strands = [Strand(*spec, *built) for spec, built in zip(specs, _not_a_knot_cubics(ts, zs))]
 
     # A strand's ends are two of the critical heights, so their places in
     # crits are exact, and the slabs between them are the strand's span.

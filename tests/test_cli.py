@@ -502,6 +502,14 @@ def test_error_degree_out_of_range(tmp_path, capsys):
         assert fragment in err["message"], (argv, err)
 
 
+def test_steps_below_the_floor_exit_3(tmp_path, capsys):
+    # both curves integrate at 31 steps; the spec refuses them before any grid is built
+    hopf, trefoil = curve_file(tmp_path, "hopf"), curve_file(tmp_path, "trefoil_2max")
+    for argv in (["kontsevich", hopf], ["compare", trefoil, TREFOIL]):
+        err = run_error(capsys, argv + ["--steps", "31"])
+        assert err == {"module": "kontsevich", "message": "steps must be at least 32"}, argv
+
+
 def test_kontsevich_refuses_oversized_work(tmp_path, capsys):
     path = curve_file(tmp_path, "round_circle")
     err = run_error(capsys, ["kontsevich", path, "--degree", "1", "--steps", str(10**8)])

@@ -124,6 +124,10 @@ def assert_series_close(result, want):
 def test_quadrature_validation():
     with pytest.raises(ValueError):
         QuadratureSpec(steps=8)
+    # the floor: below 30 steps the grid refuses some shipped curves
+    with pytest.raises(ValueError, match="steps must be at least 32"):
+        QuadratureSpec(steps=31)
+    assert QuadratureSpec(steps=32).steps == QuadratureSpec.MIN_STEPS == 32
     # the tail fit reads three fixed insets; neither they nor their number are settings
     for setting in ({"levels": 4}, {"eps_rel": 5e-4}):
         with pytest.raises(TypeError):
@@ -131,7 +135,6 @@ def test_quadrature_validation():
     assert QuadratureSpec.levels == len(kontsevich.INSETS) == 3
     assert kontsevich.INSETS == (1e-3, 5e-4, 2.5e-4)
     assert dataclasses.asdict(QuadratureSpec()) == {"steps": 2000}
-    assert QuadratureSpec().halved() == QuadratureSpec(steps=1000)
 
 
 @pytest.mark.parametrize("steps, error", [
@@ -139,7 +142,7 @@ def test_quadrature_validation():
     (np.int64(100), None),
     (100.0, "steps must be an integer"),
     (100.5, "steps must be an integer"),  # its grid overshot each slab by half a step
-    (True, "steps must be at least 16"),
+    (True, "steps must be at least 32"),
 ], ids=repr)
 def test_quadrature_steps_must_be_an_integer(steps, error):
     if error is None:
@@ -151,10 +154,21 @@ def test_quadrature_steps_must_be_an_integer(steps, error):
             QuadratureSpec(steps=steps)
 
 
+@pytest.mark.parametrize("name", ALL_FIXTURE_NAMES)
+def test_every_fixture_integrates_at_the_floor(name):
+    # the floor is a grid on which no shipped curve's strands seem to meet
+    mk, floor = embed(name), QuadratureSpec(steps=32)
+    if mk.n_components > 1:
+        values = [linking_number(mk, floor).value]
+    else:
+        values = [c.value for _, c in degree_coefficients(mk, 1, floor).items()]
+    assert np.isfinite(values).all()
+
+
 def test_wick_propagator_rules():
     assert wick_propagator(("+", "+")).is_zero
     assert wick_propagator(("0", "0")).is_zero
-    for pair in (("+", "0"), ("0", "+"), ("plus", "zero")):
+    for pair in (("+", "0"), ("0", "+")):
         rule = wick_propagator(pair)
         assert not rule.is_zero
         assert rule.delta_color
@@ -387,13 +401,13 @@ def test_halved_steps_stay_within_error():
     mk = embed("trefoil_2max")
     full = hump_normalize(degree_coefficients(mk, 2, Q), mk).coefficient(CROSSED)
     half = hump_normalize(
-        degree_coefficients(mk, 2, Q.halved()), mk
+        degree_coefficients(mk, 2, QuadratureSpec(Q.steps // 2)), mk
     ).coefficient(CROSSED)
     assert abs(full.value - half.value) < full.error
 
     hopf = embed("hopf")
     lf = linking_number(hopf, Q)
-    lh = linking_number(hopf, Q.halved())
+    lh = linking_number(hopf, QuadratureSpec(Q.steps // 2))
     assert abs(lf.value - lh.value) < lf.error
 
 

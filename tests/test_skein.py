@@ -79,7 +79,7 @@ def test_conway_keychain():
         leaves.append([("U", a), ("O", a + 1)])
         signs[a] = signs[a + 1] = 1
     start = time.perf_counter()
-    assert conway(SingularDiagram([ring] + leaves, signs)) == Z.shifted(7)
+    assert conway(SingularDiagram([ring] + leaves, signs)) == P.z(8)
     assert time.perf_counter() - start < 1.0
 
 
