@@ -1,7 +1,8 @@
 """Named fixtures: curves built from recipes, with combinatorial shadows.
 
 Every fixture is a recipe (a plat word, or a circle's size and place),
-and load_fixture builds its samples from that recipe on each call.  The
+and load_fixture builds its curve from that recipe on each call: one
+pair (z, t) of arrays per component, the form morse_embed reads.  The
 files under data/ are the command line's sample curve inputs, written
 from the same recipes by write_shipped_data.
 
@@ -105,9 +106,9 @@ def _arcs(pairs, lanes, t_base, sign):
 def plat(word, n, cups, caps):
     """Build the sampled curve and shadow diagram of a plat closure.
 
-    Returns (components, shadow): components are lists of (z, t)
-    samples, Python (complex, float) pairs, per closed loop, and shadow
-    is the SingularDiagram that the same walk spells.
+    Returns (components, shadow): components holds one pair (z, t) of
+    arrays, complex and float, per closed loop, and shadow is the
+    SingularDiagram that the same walk spells.
     """
     _validate_pairing(cups, n, "cup")
     _validate_pairing(caps, n, "cap")
@@ -182,7 +183,7 @@ def plat(word, n, cups, caps):
             arc, bottom = cup_arcs[down]
             pieces.append(arc)
         x, y, t = (np.concatenate(c) for c in zip(*pieces))
-        components.append(list(zip((x + 1j * y).tolist(), t.tolist())))
+        components.append((x + 1j * y, t))
         shadow_components.append(tuple(toks))
 
     signs = {
@@ -207,7 +208,7 @@ def round_circle(n=720, radius=1.0, center=0.0, height=0.0):
     theta = 2 * np.pi * (np.arange(n) + _PHASE) / n
     z = center + radius * np.cos(theta)
     t = height + radius * np.sin(theta)
-    return [list(zip(z.astype(complex).tolist(), t.tolist()))]
+    return [(z.astype(complex), t)]
 
 
 def two_circles(distance, n=720):
@@ -234,7 +235,8 @@ ALL_FIXTURE_NAMES = ("round_circle", "split") + tuple(PLAT_FIXTURES)
 
 
 def load_fixture(name):
-    """Curve samples for a named fixture, built from its recipe."""
+    """Curve of a named fixture, built from its recipe: a list of
+    components, each a pair (z, t) of arrays, complex and float."""
     if name == "round_circle":
         return round_circle()
     if name == "split":

@@ -165,6 +165,14 @@ def _check_budget(pools, m, steps=0):
         raise ValueError(f"a quadrature grid of {grid:,} pair-steps exceeds the bound {MAX_GRID:,}")
 
 
+def _check_arguments(what, mk, quadrature):
+    """TypeError naming mk or quadrature unless they are a MorseKnot and a QuadratureSpec."""
+    if not isinstance(mk, MorseKnot):
+        raise TypeError(f"{what} expects a MorseKnot, not {type(mk).__name__}")
+    if not isinstance(quadrature, QuadratureSpec):
+        raise TypeError(f"{what} expects a QuadratureSpec as quadrature, not {quadrature!r}")
+
+
 def _degree(m, what="degree"):
     """m as an int; ValueError naming it when it is not an integer."""
     try:
@@ -524,8 +532,7 @@ def degree_coefficients(mk, m, quadrature=DEFAULT_QUADRATURE):
     3-block one per strand pair (see _ordered_blocks).  Multi-component
     embeddings have no single knot circle; use linking_number for those.
     """
-    if not isinstance(mk, MorseKnot):
-        raise TypeError("degree_coefficients expects a MorseKnot")
+    _check_arguments("degree_coefficients", mk, quadrature)
     m = _degree(m)
     if m < 0 or m > MAX_DEGREE:
         raise ValueError(f"degree must be between 0 and {MAX_DEGREE}")
@@ -610,6 +617,7 @@ def linking_number(mk, quadrature=DEFAULT_QUADRATURE):
     same link.  The log|dz| terms telescope, so the limit is real and the
     error covers the imaginary part of the value as well.
     """
+    _check_arguments("linking_number", mk, quadrature)
     if mk.n_components < 2:
         raise ValueError("linking number needs at least 2 components")
     comp = np.array([s.component for s in mk.strands])

@@ -1,12 +1,14 @@
 """Morse embeddings of closed curves in C x R.
 
-A curve component is a closed loop of samples (z, t) with z complex and
-t the height.  morse_embed cuts every component at its height extrema
-into monotone strands, interpolates each strand as a function z(t), and
-organizes the strands into slabs between consecutive critical heights:
-a strand's ends are two of those heights, and their places among them
-give its slabs, the only ones it is evaluated on when checking the
-embedding.  Critical heights that coincide across components are always
+A curve component is a closed loop of samples, given as one pair (z, t)
+of equal-length 1-D arrays: z complex, t the real height, sample i at
+(z[i], t[i]).  curve_from_json returns this form, curve_to_json writes
+it, and the fixtures build it.  morse_embed cuts every component at its
+height extrema into monotone strands, interpolates each strand as a
+function z(t), and organizes the strands into slabs between consecutive
+critical heights: a strand's ends are two of those heights, and their
+places among them give its slabs, the only ones it is evaluated on when
+checking the embedding.  Critical heights that coincide across components are always
 separated by a tiny jitter, recorded in the embedding's notes; critical
 heights that coincide within one component, and genuinely coincident
 strands, are rejected.
@@ -17,6 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from itertools import combinations
+from numbers import Real
 
 import numpy as np
 
@@ -190,18 +193,21 @@ def _extrema_indices(t):
     return idx
 
 
-def _component_arrays(ci, samples):
-    """(z, t) arrays of one component's samples; EmbeddingError unless
-    they are at least 4 (z, t) pairs of finite numbers with real t."""
-    if len(samples) < 4:
-        raise EmbeddingError("need at least 4 samples per component")
+def _component_arrays(ci, component):
+    """(z, t) arrays of one component; EmbeddingError unless it is two
+    equal-length 1-D arrays of at least 4 finite numbers with real t."""
     try:
-        z, t = (np.array(values) for values in zip(*samples, strict=True))
-        numeric = z.dtype.kind in "biufc" and t.dtype.kind in "biufc"
+        z, t = (np.asarray(c) for c in component)
+        pair = z.ndim == t.ndim == 1 and len(z) == len(t)
+        numeric = pair and z.dtype.kind in "biufc" and t.dtype.kind in "biufc"
     except (TypeError, ValueError):
         numeric = False
     if not numeric:
-        raise EmbeddingError(f"the samples of component {ci} must be (z, t) pairs of numbers")
+        raise EmbeddingError(
+            f"component {ci} must be a pair (z, t) of equal-length 1-D arrays of numbers"
+        )
+    if len(t) < 4:
+        raise EmbeddingError(f"component {ci} needs at least 4 samples, not {len(t)}")
     if np.any(t.imag):
         raise EmbeddingError("sample heights t must be real")
     z, t = z.astype(complex, copy=False), t.real.astype(float, copy=False)
@@ -217,8 +223,9 @@ def _component_arrays(ci, samples):
 def morse_embed(components):
     """Build a MorseKnot from sampled closed curves.
 
-    components: iterable of sample lists, each sample a (z, t) pair with
-    real t, as curve_from_json returns them.
+    components: iterable of pairs (z, t) of equal-length 1-D arrays, z
+    complex and t real, as curve_from_json and load_fixture return them.
+    The embedding copies what it keeps, so the caller's arrays stay theirs.
     Critical heights across the whole curve must be distinct.  Two of
     one component that coincide raise EmbeddingError at once; when two
     of different components collide, each component's heights are
@@ -310,11 +317,12 @@ def _check_embedding(strands, slabs, spans):
 
 
 def curve_from_json(data):
-    """Samples from the curve JSON form {"components": [[{re, im, t}...]]}.
+    """Curve from the JSON form {"components": [[{re, im, t}...]]}.
 
     Accepts a dict, a JSON string, or a path to a JSON file.  Returns a
-    list of components, each a list of (z, t) pairs.  A missing or bad
-    field raises EmbeddingError.
+    list of components, each a pair (z, t) of arrays, complex and float.
+    A missing field, or one that is not a JSON number (a string or a
+    boolean), raises EmbeddingError, as schemas/curve.schema.json does.
     """
     if isinstance(data, (str, bytes)):
         text = data
@@ -332,31 +340,33 @@ def curve_from_json(data):
         raise EmbeddingError("curve JSON needs 'components', a list of sample lists")
     comps = []
     for ci, comp in enumerate(components):
-        samples = []
+        rows = np.empty((len(comp), 3))  # re, im, t
         for si, s in enumerate(comp):
             try:
-                samples.append((complex(float(s["re"]), float(s["im"])), float(s["t"])))
+                row = s["re"], s["im"], s["t"]
+                if any(isinstance(v, bool) or not isinstance(v, Real) for v in row):
+                    raise TypeError
+                rows[si] = row
             except KeyError as exc:
                 raise EmbeddingError(
                     f"sample {si} of curve component {ci} has no {exc.args[0]!r} field"
                 ) from None
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 raise EmbeddingError(
                     f"sample {si} of curve component {ci} needs numbers 're', 'im' and 't'"
                 ) from None
-        comps.append(samples)
+        # the re and im columns side by side are the complex z, bit for bit
+        comps.append((rows[:, :2].copy().view(complex).ravel(), rows[:, 2].copy()))
     return comps
 
 
 def curve_to_json(components, name=None):
+    """The JSON form of a curve given as pairs (z, t) of arrays."""
     out = {"components": []}
     if name:
         out["name"] = name
-    for comp in components:
-        out["components"].append(
-            [
-                {"re": float(np.real(z)), "im": float(np.imag(z)), "t": float(t)}
-                for z, t in comp
-            ]
-        )
+    for z, t in components:
+        z = np.asarray(z, dtype=complex)
+        rows = zip(z.real.tolist(), z.imag.tolist(), np.asarray(t, dtype=float).tolist())
+        out["components"].append([{"re": re, "im": im, "t": h} for re, im, h in rows])
     return out

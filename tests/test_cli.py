@@ -10,7 +10,6 @@ import dataclasses
 import importlib.resources
 import io
 import json
-import math
 import os
 import re
 import subprocess
@@ -18,6 +17,7 @@ import sys
 import time
 
 import jsonschema
+import numpy as np
 import pytest
 
 import vassiliev
@@ -26,7 +26,7 @@ from vassiliev.chords import ChordDiagram
 from vassiliev.codes import braid_closure, parse_gauss
 from vassiliev.fixtures import plat
 from vassiliev.lie import weight_system
-from vassiliev.morse import curve_to_json
+from vassiliev.morse import EmbeddingError, curve_from_json, curve_to_json
 from vassiliev.skein import conway
 
 TREFOIL = "O1+U2+O3+U1+O2+U3+"
@@ -423,6 +423,12 @@ def test_error_bad_curve_json_names_the_field(tmp_path, capsys):
         json.dumps({"components": [[sample, ["re", 0.0]]]}): "sample 1 of curve component 0",
         json.dumps({"components": [[sample], [{"re": "x", "im": 0, "t": 0}]]}):
             "sample 0 of curve component 1",
+        json.dumps({"components": [[sample, {"re": "1", "im": 0, "t": 0}]]}):
+            "sample 1 of curve component 0 needs numbers 're', 'im' and 't'",
+        json.dumps({"components": [[sample, sample, {"re": 1, "im": True, "t": 0}]]}):
+            "sample 2 of curve component 0 needs numbers 're', 'im' and 't'",
+        json.dumps({"components": [[sample, {"re": 1, "im": 0, "t": None}]]}):
+            "sample 1 of curve component 0 needs numbers 're', 'im' and 't'",
     }
     for i, (text, named) in enumerate(cases.items()):
         path = tmp_path / f"bad{i}.curve.json"
@@ -450,8 +456,8 @@ def test_error_non_finite_curve_sample_exits_3(tmp_path, capsys):
 def test_error_self_crossing_curve_exits_3(tmp_path, capsys):
     # x = sin(2a)/2, t = sin(a) + 0.2 sin(a)^2 in the plane Im z = 0 crosses
     # itself at the origin; it embeds, and the quadrature refuses it
-    angles = [2 * math.pi * (k + 1 / math.pi) / 720 for k in range(720)]
-    loop = [(complex(math.sin(2 * a) / 2), math.sin(a) + 0.2 * math.sin(a) ** 2) for a in angles]
+    angles = 2 * np.pi * (np.arange(720) + 1 / np.pi) / 720
+    loop = (np.sin(2 * angles) / 2 + 0j, np.sin(angles) + 0.2 * np.sin(angles) ** 2)
     path = tmp_path / "crossing.curve.json"
     path.write_text(json.dumps(curve_to_json([loop])))
     err = run_error(capsys, ["kontsevich", str(path), "--degree", "2"])
@@ -647,6 +653,26 @@ def test_shipped_curves_validate(tmp_path):
     for name in ALL_FIXTURE_NAMES:
         res = importlib.resources.files("vassiliev.data").joinpath(f"{name}.json")
         jsonschema.validate(json.loads(res.read_text()), schema)
+
+
+def test_curve_reader_refuses_what_the_curve_schema_refuses():
+    # a coordinate is a JSON number: an integer passes both, and a
+    # string, a boolean or null fails both
+    schema = cli.load_schema("curve")
+    text = importlib.resources.files("vassiliev.data").joinpath("round_circle.json").read_text()
+    for field in ("re", "im", "t"):
+        for value, valid in ((1, True), ("1", False), (True, False), (None, False)):
+            data = json.loads(text)
+            data["components"][0][3][field] = value
+            if valid:
+                jsonschema.validate(data, schema)
+                ((z, t),) = curve_from_json(data)
+                assert (z[3].real, z[3].imag, t[3])[("re", "im", "t").index(field)] == 1.0
+                continue
+            with pytest.raises(jsonschema.ValidationError):
+                jsonschema.validate(data, schema)
+            with pytest.raises(EmbeddingError, match="sample 3 of curve component 0 needs numbers"):
+                curve_from_json(data)
 
 
 def test_parse_omits_forms_that_cannot_express_the_diagram(capsys):

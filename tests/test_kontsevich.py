@@ -257,8 +257,6 @@ def test_degree_bounds_and_components():
         degree_coefficients(embed("round_circle"), 4, Q)
     with pytest.raises(ValueError):
         degree_coefficients(embed("hopf"), 2, Q)
-    with pytest.raises(TypeError):
-        degree_coefficients(load_fixture("round_circle"), 2, Q)
 
 
 def twelve_lane_knot():
@@ -284,6 +282,15 @@ def test_refusals_name_what_is_wrong():
          "placement degree must be an integer, not 1.5"),
         (lambda: kontsevich._ordered_blocks(np.ones((2, 16)) / 16, 4), ValueError,
          "ordered blocks stop at MAX_DEGREE = 3, not 4"),
+        (lambda: degree_coefficients(circle, 2, 2000), TypeError,
+         "degree_coefficients expects a QuadratureSpec as quadrature, not 2000"),
+        (lambda: linking_number(hopf, 2000), TypeError,
+         "linking_number expects a QuadratureSpec as quadrature, not 2000"),
+        (lambda: expectation_series(circle, su2_fundamental(), 2, 1.0, 2000), TypeError,
+         "degree_coefficients expects a QuadratureSpec as quadrature, not 2000"),
+        (lambda: linking_number([1, 2]), TypeError, "linking_number expects a MorseKnot, not list"),
+        (lambda: degree_coefficients(load_fixture("round_circle"), 2), TypeError,
+         "degree_coefficients expects a MorseKnot, not list"),
     ]
     start = time.perf_counter()
     for call, error, fragment in cases:
@@ -341,8 +348,8 @@ def test_linking_decays_with_separation():
 
 def test_linking_of_stacked_circles_is_zero():
     # no slab holds both components, so there is no cross placement
-    circle = load_fixture("round_circle")[0]
-    mk = morse_embed([circle, [(z, t + 10) for z, t in circle]])
+    ((z, t),) = load_fixture("round_circle")
+    mk = morse_embed([(z, t), (z, t + 10)])
     res = linking_number(mk, Q)
     assert res.value == 0 and res.converged
 
@@ -356,7 +363,7 @@ def self_crossing_loop():
     """A closed plane curve (Im z = 0) that crosses itself once, at z = 0, t = 0."""
     theta = 2 * np.pi * (np.arange(720) + 1 / np.pi) / 720
     z, t = np.sin(2 * theta) / 2, np.sin(theta) + 0.2 * np.sin(theta) ** 2
-    return [list(zip(z.astype(complex).tolist(), t.tolist()))]
+    return [(z.astype(complex), t)]
 
 
 def test_strands_that_meet_are_refused():
@@ -656,21 +663,17 @@ def test_linking_number_is_rigid_and_odd_under_mirrors(motion):
     rotation, shift, lift, scale = motion
     for name in ("hopf", "torus_2_4"):
         want = fixture_linking(name)
-        moved = [
-            [(scale * (rotation * z + shift), scale * t + lift) for z, t in comp]
-            for comp in load_fixture(name)
-        ]
+        moved = [(scale * (rotation * z + shift), scale * t + lift) for z, t in load_fixture(name)]
         assert abs(linking_number(morse_embed(moved), Q).value - want) <= 1e-9, name
-        for mirror in ([[(z.conjugate(), t) for z, t in comp] for comp in moved],
-                       [[(z, -t) for z, t in comp] for comp in moved]):
+        for mirror in ([(z.conj(), t) for z, t in moved], [(z, -t) for z, t in moved]):
             assert abs(linking_number(morse_embed(mirror), Q).value + want) <= 1e-9, name
 
 
 def test_raw_table_invariant_under_rigid_motion_and_scaling():
     curve = load_fixture("trefoil_2max")
     turn, shift = np.exp(0.7j), 0.3 - 1.1j
-    moved = [[(turn * z + shift, t + 2.5) for z, t in comp] for comp in curve]
-    scaled = [[(3 * z, 3 * t) for z, t in comp] for comp in curve]
+    moved = [(turn * z + shift, t + 2.5) for z, t in curve]
+    scaled = [(3 * z, 3 * t) for z, t in curve]
     base = degree_coefficients(morse_embed(curve), 2, Q)
     for other in (moved, scaled):
         table = degree_coefficients(morse_embed(other), 2, Q)
@@ -686,7 +689,7 @@ def test_raw_series_of_a_mirror_are_signed_conjugates():
     # imaginary, so a degree-d placement sum becomes (-1)**d times its conjugate.
     for name in ("round_circle", "hump", "trefoil_2max", "trefoil_3max", "figure_eight"):
         curve = load_fixture(name)
-        mirror = [[(z.conjugate(), t) for z, t in comp] for comp in curve]
+        mirror = [(z.conj(), t) for z, t in curve]
         mk, mk_bar = morse_embed(curve), morse_embed(mirror)
         raw, raw_bar = kontsevich._raw_series(mk, 3, Q), kontsevich._raw_series(mk_bar, 3, Q)
         for d, (sums, sums_bar) in enumerate(zip(raw, raw_bar, strict=True)):
@@ -713,7 +716,7 @@ def test_reversed_knot_reflects_every_diagram():
 
     for name in ("round_circle", "hump", "trefoil_2max", "trefoil_3max", "figure_eight"):
         curve = load_fixture(name)
-        mk, mk_rev = morse_embed(curve), morse_embed([comp[::-1] for comp in curve])
+        mk, mk_rev = morse_embed(curve), morse_embed([(z[::-1], t[::-1]) for z, t in curve])
         raw, raw_rev = kontsevich._raw_series(mk, 3, Q), kontsevich._raw_series(mk_rev, 3, Q)
         for d, (sums, sums_rev) in enumerate(zip(raw, raw_rev, strict=True)):
             assert set(sums_rev) == set(map(reflect, sums)), (name, d)

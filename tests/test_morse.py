@@ -68,7 +68,7 @@ def test_equal_criticals_within_one_component_rejected():
     # the whole component separates them, so no jitter is tried.
     theta = 2 * np.pi * np.arange(400) / 400
     z = np.exp(1j * theta) * (1 + 0.3 * np.sin(theta))
-    knot = list(zip(z, np.cos(2 * theta)))
+    knot = (z, np.cos(2 * theta))
     with pytest.raises(EmbeddingError, match="component 0 has two critical heights"):
         morse_embed([knot])
     with pytest.raises(EmbeddingError, match="component 1 has two critical heights"):
@@ -86,55 +86,57 @@ def test_empty_curve_rejected():
 
 
 def test_plateau_rejected():
-    samples = [(1 + 0j, 0.0), (1j, 1.0), (-1 + 0j, 1.0), (-1j, -1.0)]
-    with pytest.raises(EmbeddingError):
-        morse_embed([samples])
+    with pytest.raises(EmbeddingError, match="flat height step"):
+        morse_embed([(np.array([1, 1j, -1, -1j]), np.array([0.0, 1.0, 1.0, -1.0]))])
 
 
 def test_too_few_samples_rejected():
-    with pytest.raises(EmbeddingError):
-        morse_embed([[(1 + 0j, 0.0), (1j, 1.0), (-1 + 0j, 0.5)]])
+    with pytest.raises(EmbeddingError, match="component 0 needs at least 4 samples, not 3"):
+        morse_embed([(np.array([1, 1j, -1]), np.array([0.0, 1.0, 0.5]))])
 
 
 def test_complex_height_rejected():
-    (samples,) = round_circle(n=16)
-    samples[3] = (samples[3][0], samples[3][1] + 1e-3j)
+    ((z, t),) = round_circle(n=16)
     with pytest.raises(EmbeddingError, match="must be real"):
-        morse_embed([samples])
+        morse_embed([(z, t + 1e-3j * (np.arange(16) == 3))])
 
 
 def test_non_finite_samples_rejected():
     for bad in (np.nan, np.inf, -np.inf):
         for field in range(3):
-            (samples,) = round_circle(n=16)
-            z, t = samples[5]
-            samples[5] = [(bad, t), (complex(z.real, bad), t), (z, bad)][field]
+            ((z, t),) = round_circle(n=16)
+            (z.real, z.imag, t)[field][5] = bad
             with pytest.raises(EmbeddingError, match="sample 5 of component 1 is not finite"):
-                morse_embed(round_circle(center=6.0) + [samples])
+                morse_embed(round_circle(center=6.0) + [(z, t)])
 
 
-_PAIRS = round_circle(n=16)[0]
+_Z, _T = round_circle(n=16)[0]
 
 
 @pytest.mark.parametrize(
-    "samples",
+    "component",
     [
-        _PAIRS[:5] + [_PAIRS[5] + (0.0,)] + _PAIRS[6:],
-        [s + (0.0,) for s in _PAIRS],
-        [(z,) for z, _ in _PAIRS],
-        _PAIRS[:5] + [_PAIRS[5][:1]] + _PAIRS[6:],
-        _PAIRS[:5] + [1.0] + _PAIRS[6:],
-        _PAIRS[:5] + [("abc", 0.5)] + _PAIRS[6:],
-        _PAIRS[:5] + [("1+2j", 0.5)] + _PAIRS[6:],
-        _PAIRS[:5] + [(1j, "0.5")] + _PAIRS[6:],
-        _PAIRS[:5] + [(None, 0.5)] + _PAIRS[6:],
+        (_Z, _T, np.zeros(1)),
+        (_Z, _T, _T),
+        (_Z,),
+        (_Z, np.delete(_T, 5)),
+        1.0,
+        (np.full(16, "abc"), _T),
+        (_Z.astype(str), _T),
+        (_Z, _T.astype(str)),
+        ([*_Z[:5], None, *_Z[6:]], _T),
+        None,
+        (_Z[:, None], _T),
+        list(zip(_Z, _T)),
     ],
     ids=["one 3-tuple", "3-tuples", "1-tuples", "one 1-tuple", "a number", "a string z",
-         "a numeric string z", "a string t", "a None z"],
+         "a numeric string z", "a string t", "a None z", "None", "a 2-D z", "a list of pairs"],
 )
-def test_samples_that_are_not_z_t_pairs_rejected(samples):
-    with pytest.raises(EmbeddingError, match="samples of component 1 must be"):
-        morse_embed(round_circle(center=6.0, n=16) + [samples])
+def test_samples_that_are_not_z_t_pairs_rejected(component):
+    # The samples are the component's two arrays side by side: a third
+    # array gives samples a third value, a shorter t leaves one without a height.
+    with pytest.raises(EmbeddingError, match="component 1 must be a pair"):
+        morse_embed(round_circle(center=6.0, n=16) + [component])
 
 
 def test_curve_json_roundtrip(tmp_path):
@@ -142,10 +144,9 @@ def test_curve_json_roundtrip(tmp_path):
     data = curve_to_json(comps, name="pair")
     back = curve_from_json(data)
     assert len(back) == 2
-    for orig, loaded in zip(comps, back):
-        for (z0, t0), (z1, t1) in zip(orig, loaded):
-            assert complex(z0) == pytest.approx(complex(z1))
-            assert float(t0) == pytest.approx(float(t1))
+    for (z0, t0), (z1, t1) in zip(comps, back, strict=True):
+        assert z1.dtype == complex and t1.dtype == float
+        assert _bits(z1) == _bits(z0) and _bits(t1) == _bits(t0)
     # string, bytes and file forms
     text = json.dumps(data)
     assert len(curve_from_json(text)) == 2
@@ -153,6 +154,21 @@ def test_curve_json_roundtrip(tmp_path):
     p = tmp_path / "pair.json"
     p.write_text(text)
     assert len(curve_from_json(str(p))) == 2
+
+
+def test_embedding_keeps_no_view_of_the_callers_arrays():
+    # The fixtures' arrays are already complex and float, so the
+    # embedding's casts copy nothing; overwriting them afterwards must
+    # leave every strand as it was.
+    for name in ("round_circle", "trefoil_3max", "hopf"):
+        curve = load_fixture(name)
+        mk = morse_embed(curve)
+        kept = [_bits(np.concatenate((s._t, *s._coeffs))) for s in mk.strands]
+        for z, t in curve:
+            z[:] = np.nan
+            t[:] = np.nan
+        assert [_bits(np.concatenate((s._t, *s._coeffs))) for s in mk.strands] == kept, name
+        assert all(np.isfinite(s.at(0.5 * (s.t_lo + s.t_hi))[0]) for s in mk.strands), name
 
 
 def assert_strands_trace_the_circle(mk):
@@ -184,12 +200,10 @@ def test_strands_cover_component_cyclically():
 
 def test_two_sample_strands_are_chords():
     # a kink near the top cuts two strands of only 2 samples each
-    (samples,) = round_circle(n=40)
-    z = np.array([s[0] for s in samples])
-    t = np.array([s[1] for s in samples])
+    ((z, t),) = round_circle(n=40)
     t[10] += 0.3
     t[11] -= 0.2
-    mk = morse_embed([list(zip(z, t))])
+    mk = morse_embed([(z, t)])
     assert mk.n_maxima == 2
     for a, b in ((10, 11), (11, 12)):
         (s,) = [s for s in mk.strands if {s.t_lo, s.t_hi} == {t[a], t[b]}]
@@ -239,10 +253,10 @@ def _loop_cubics(ts, zs):
 
 
 def test_embedding_matches_the_loop_oracles(monkeypatch):
-    # Library: two array conversions per component, the spline rows and
-    # coefficients of every strand at once, one minimum over all slabs.
-    # Oracle: per-sample complex() and float(), each strand's rows one
-    # float at a time, a loop over slabs and strand pairs.
+    # Library: the fixture's arrays, the spline rows and coefficients of
+    # every strand at once, one minimum over all slabs.  Oracle: arrays
+    # rebuilt from per-sample complex() and float(), each strand's rows
+    # one float at a time, a loop over slabs and strand pairs.
     got = {name: morse_embed(load_fixture(name)) for name in ALL_FIXTURE_NAMES}
     monkeypatch.setattr(morse, "_not_a_knot_cubics", _loop_cubics)
     # the oracle derives each slab's strands from the slabs alone
@@ -250,7 +264,10 @@ def test_embedding_matches_the_loop_oracles(monkeypatch):
         morse, "_check_embedding", lambda strands, slabs, spans: check_embedding(strands, slabs)
     )
     for name, mk in got.items():
-        curve = [[(complex(z), float(t)) for z, t in comp] for comp in load_fixture(name)]
+        curve = [
+            (np.array([complex(v) for v in z]), np.array([float(v) for v in t]))
+            for z, t in load_fixture(name)
+        ]
         want = morse_embed(curve)
         assert _bits(mk.embedding_margin) == _bits(want.embedding_margin), name
         # a slab holds every strand that spans it, in index order
