@@ -32,8 +32,8 @@ _LAZY = {
     ), "morse"),
     **dict.fromkeys((
         "ChordPlacement", "CoefficientTable", "ExpectationSeries", "IntegralResult",
-        "PropagatorRule", "QuadratureSpec", "degree_coefficients", "enumerate_placements",
-        "expectation_series", "hump_normalize", "linking_number", "wick_propagator",
+        "QuadratureSpec", "degree_coefficients", "enumerate_placements", "expectation_series",
+        "hump_normalize", "linking_number",
     ), "kontsevich"),
     **dict.fromkeys((
         "ALL_FIXTURE_NAMES", "load_fixture", "plat", "round_circle", "two_circles",

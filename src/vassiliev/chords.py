@@ -33,6 +33,17 @@ def _point(p):
         raise ValueError(f"chord endpoint {p!r} is not an integer") from None
 
 
+def _degree(m, what="degree", least=None):
+    """m as an int; ValueError naming it when it is not an integer or is below least."""
+    try:
+        m = operator.index(m)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, not {m!r}") from None
+    if least is not None and m < least:
+        raise ValueError(f"{what} must be at least {least}, not {m}")
+    return m
+
+
 class ChordDiagram:
     """Canonical chord diagram.  Construct from an iterable of point
     pairs on {0, ..., 2m-1}; every point must occur exactly once."""
@@ -128,8 +139,6 @@ def _partner_tables(n, shortest=1):
     and the tuples come out in ascending order.  The default bound
     keeps every matching.
     """
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
     partner = [-1] * n
 
     def fill(i):
@@ -151,8 +160,8 @@ def _partner_tables(n, shortest=1):
 def raw_matchings(m):
     """All (2m-1)!! raw perfect matchings of 2m labeled circle points,
     each a list of pairs (i, j) with i < j in ascending i."""
-    for partner in _partner_tables(2 * m):
-        yield [(i, j) for i, j in enumerate(partner) if i < j]
+    tables = _partner_tables(2 * _degree(m, least=0))
+    return ([(i, j) for i, j in enumerate(partner) if i < j] for partner in tables)
 
 
 def _rotated(partner, r):
@@ -195,13 +204,12 @@ def enumerate_diagrams(m):
     `four_term_relations`; the list returned is a fresh one on every
     call, so a caller may change it.
     """
+    m = _degree(m, least=0)
     return list(_canonical_diagrams(m)), math.prod(range(1, 2 * m, 2))
 
 
 @functools.lru_cache(maxsize=8)
 def _canonical_diagrams(m):
-    if m < 0:
-        raise ValueError("degree must be nonnegative")
     if m == 0:
         return (ChordDiagram._from_canonical(()),)
     diagrams = []
@@ -260,7 +268,7 @@ def four_term_relations(m):
     once per process and shared by every caller; the list returned is a
     fresh one on every call, so a caller may change it.
     """
-    return list(_four_term_relations(m))
+    return list(_four_term_relations(_degree(m)))
 
 
 @functools.lru_cache(maxsize=8)
@@ -301,9 +309,11 @@ def satisfies_4T(weight_fn, m):
     diagram in the relations, and its value reused.  Returns (ok,
     counterexample) where the counterexample carries the violated
     relation and its sum.  Degrees 0 and 1 have no relation, so every
-    weight function passes there; a negative degree raises ValueError.
+    weight function passes there; a negative or fractional degree raises
+    ValueError.
     """
-    if m in (0, 1):
+    m = _degree(m, least=0)
+    if m < 2:
         return True, None
     weights = {}
     for relation in _four_term_relations(m):

@@ -180,15 +180,6 @@ class SingularDiagram:
         )
         return SingularDiagram._from_parts(comps, signs)
 
-    def smooth_crossing(self, sid):
-        """Oriented smoothing at crossing sid (the crossing disappears)."""
-        if sid not in self._signs:
-            raise DiagramError(f"no crossing with id {sid}")
-        comps = _splice_out(self._components, sid)
-        signs = dict(self._signs)
-        del signs[sid]
-        return SingularDiagram._from_parts(comps, signs)
-
     def resolve_node(self, sid, resolution):
         """Replace node sid by a crossing or by the oriented smoothing.
 

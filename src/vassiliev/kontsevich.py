@@ -10,6 +10,15 @@ cross-component sum equals the combinatorial linking number (signed,
 not just in magnitude).  Placements are grouped by the chord diagram
 they induce on the knot circle.
 
+That propagator is the paper's light-cone rule for the gauge field's
+components A_+ and A_0 (Witten's functional integral in light-cone
+gauge; Froehlich-King, Labastida-Perez).  Like-component correlators
+vanish; the mixed one, <A_+^a(z, t) A_0^b(w, s)> = kappa delta^ab
+delta(t - s) / (z - w), is a color delta times an equal-height delta
+times a simple pole in z - w.  The equal-height delta puts both ends of
+every chord at one height, a single integration variable, so chords are
+horizontal; _degree_values applies the rule as each chord's weight.
+
 The quadrature works per slab, not per placement.  Inside one slab a
 run of chords is an ordered block over the slab's strand pairs, so each
 strand is evaluated once per quadrature setting, the chord weights
@@ -44,7 +53,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .chords import ChordDiagram
+from .chords import ChordDiagram, _degree
 from .morse import EmbeddingError, MorseKnot
 
 TWO_PI_I = 2j * np.pi
@@ -82,45 +91,6 @@ class QuadratureSpec:
 
 
 DEFAULT_QUADRATURE = QuadratureSpec()
-
-
-# -- propagator bookkeeping --------------------------------------------------
-
-_FIELDS = {"+", "0"}
-
-
-@dataclass(frozen=True)
-class PropagatorRule:
-    components: tuple
-    is_zero: bool
-    delta_color: bool
-    delta_time: bool
-    pole: str | None
-
-    def __str__(self):
-        a, b = self.components
-        if self.is_zero:
-            return f"<A{a} A{b}> = 0"
-        return f"<A{a} A{b}> = kappa delta^ab delta(t-s) {self.pole}"
-
-
-def wick_propagator(pair):
-    """Structural pair-correlation rule for field components in {+, 0}.
-
-    Like-component correlators vanish; the mixed correlator is a color
-    delta times an equal-height delta times a simple pole in z - w.
-    The equal-height delta is what confines both endpoints of every
-    chord to a single integration variable.
-    """
-    try:
-        a, b = map(str, pair)
-    except (TypeError, ValueError):
-        a = b = None
-    if not {a, b} <= _FIELDS:
-        raise ValueError(f"field components must be a pair from {{+, 0}}, got {pair!r}")
-    if a == b:
-        return PropagatorRule((a, b), True, False, False, None)
-    return PropagatorRule((a, b), False, True, True, "1/(z-w)")
 
 
 # -- placement enumeration ---------------------------------------------------
@@ -165,20 +135,17 @@ def _check_budget(pools, m, steps=0):
         raise ValueError(f"a quadrature grid of {grid:,} pair-steps exceeds the bound {MAX_GRID:,}")
 
 
-def _check_arguments(what, mk, quadrature):
-    """TypeError naming mk or quadrature unless they are a MorseKnot and a QuadratureSpec."""
+def _check_knot(what, mk):
+    """TypeError naming mk unless it is a MorseKnot."""
     if not isinstance(mk, MorseKnot):
         raise TypeError(f"{what} expects a MorseKnot, not {type(mk).__name__}")
+
+
+def _check_arguments(what, mk, quadrature):
+    """TypeError naming mk or quadrature unless they are a MorseKnot and a QuadratureSpec."""
+    _check_knot(what, mk)
     if not isinstance(quadrature, QuadratureSpec):
         raise TypeError(f"{what} expects a QuadratureSpec as quadrature, not {quadrature!r}")
-
-
-def _degree(m, what="degree"):
-    """m as an int; ValueError naming it when it is not an integer."""
-    try:
-        return operator.index(m)
-    except TypeError:
-        raise ValueError(f"{what} must be an integer, not {m!r}") from None
 
 
 def _placements(pools, m):
@@ -238,6 +205,7 @@ def enumerate_placements(mk, m):
     read a placement's induced diagram, from the strand ends of
     _placements (see _induced_diagrams).
     """
+    _check_knot("enumerate_placements", mk)
     m = _degree(m, "placement degree")
     if m < 1:
         raise ValueError("placement degree must be at least 1")
@@ -593,6 +561,7 @@ def hump_normalize(raw, mk):
     """
     if not isinstance(raw, CoefficientTable):
         raise TypeError("hump_normalize expects a CoefficientTable")
+    _check_knot("hump_normalize", mk)
     if raw.n_maxima != mk.n_maxima:
         raise ValueError("table was computed for a different embedding")
     power = mk.n_maxima - 1

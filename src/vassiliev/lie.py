@@ -26,6 +26,8 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 
+from .chords import ChordDiagram, enumerate_diagrams
+
 
 class LieAlgebraData:
     """Fundamental representation of gl(N), or of su(N) when traceless.
@@ -124,12 +126,12 @@ def weight(algebra, diagram):
     """Weight of a chord diagram, an exact Fraction: the sum over
     per-chord generator indices of the trace of the generator product
     around the circle, counted as index loops."""
+    if not isinstance(diagram, ChordDiagram):
+        raise TypeError(f"weight expects a ChordDiagram as diagram, not {type(diagram).__name__}")
     return _weight_of_partner(algebra, diagram.partner)
 
 
 def weight_system(algebra, m):
     """Table of weights for every canonical degree-m diagram."""
-    from .chords import enumerate_diagrams
-
     diagrams, _ = enumerate_diagrams(m)
     return {d: weight(algebra, d) for d in diagrams}

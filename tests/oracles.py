@@ -11,10 +11,12 @@ strand, and resolve the first bad crossing c by
 A diagram with no bad crossings is descending, hence an unlink: 1 for
 one component, 0 otherwise.  Switching the first bad crossing lowers the
 bad count and smoothing lowers the crossing count, so the recursion
-ends.  On a planar code the value is a link invariant.  On a virtual
-code it depends on the basepoints: at best an invariant of the long
-virtual knot (Goussarov-Polyak-Viro, *Finite-type invariants of
-classical and virtual knots*, Topology 2000).
+ends.  `smooth_crossing` is that smoothing, the crossing spliced out as
+`resolve_node(..., "smooth")` splices out a node.  On a planar code the
+value is a link invariant.  On a virtual code it depends on the
+basepoints: at best an invariant of the long virtual knot
+(Goussarov-Polyak-Viro, *Finite-type invariants of classical and
+virtual knots*, Topology 2000).
 
 `jones_recursion` is the same recursion with the Jones skein rule in
 s = t^(1/2), t^-1 V(L+) - t V(L-) = (s - 1/s) V(L0): a bad crossing of
@@ -72,6 +74,18 @@ above the second, each through its own nested tail of suffix cumsums.
 The library's `_ordered_blocks` writes the tail above a node as the
 row's whole integral minus its head there, and must match it to 1e-12
 relative up to `MAX_DEGREE`.
+
+`OracleQuad` integrates one placement at a time, as the paper's
+light-cone propagator prescribes: each chord joins two distinct strands
+of one slab with both ends at one height t, and weighs
+kappa * (dz_a - dz_b) / (z_a - z_b) there, negated once per end on a
+downward strand; a within-slab run of chords is an ordered integral by
+nested suffix cumsums, one chord at a time, on the settings of the
+library's `_settings` rebuilt from `INSETS`.  `oracle_placements` lists
+the placements one tuple at a time, and `assert_series_close` holds a
+result's per-setting values to an oracle's at 1e-12 relative.  The
+library instead builds each slab's blocks once for all placements, and
+must match.
 """
 
 import itertools
@@ -82,7 +96,7 @@ from functools import cached_property
 import numpy as np
 
 from vassiliev import kontsevich
-from vassiliev.codes import _TIE_BUDGET, UNDER, DiagramError, ParseError, SingularDiagram
+from vassiliev.codes import _TIE_BUDGET, UNDER, DiagramError, ParseError, SingularDiagram, _splice_out
 from vassiliev.fixtures import plat
 from vassiliev.laurent import IntegerLaurentPoly
 from vassiliev.morse import morse_embed
@@ -201,6 +215,15 @@ def first_bad_crossing(diagram):
     return None
 
 
+def smooth_crossing(diagram, sid):
+    """Oriented smoothing of diagram at crossing sid (the crossing disappears)."""
+    signs = diagram.signs
+    if sid not in signs:
+        raise DiagramError(f"no crossing with id {sid}")
+    del signs[sid]
+    return SingularDiagram._from_parts(_splice_out(diagram.components, sid), signs)
+
+
 def conway_recursion(diagram, memo=None):
     """Conway polynomial of a node-free code by the descending recursion.
 
@@ -226,7 +249,7 @@ def conway_recursion(diagram, memo=None):
                 memo[key] = IntegerLaurentPoly.one() if d.n_components == 1 else IntegerLaurentPoly.zero()
             else:
                 switched = rec(d.switch_crossing(bad))
-                memo[key] = switched + d.sign(bad) * (Z * rec(d.smooth_crossing(bad)))
+                memo[key] = switched + d.sign(bad) * (Z * rec(smooth_crossing(d, bad)))
         return memo[key]
 
     return rec(diagram)
@@ -259,7 +282,7 @@ def jones_recursion(diagram, memo=None):
                     value = value * _LOOP
             else:
                 switch, smooth = _JONES_RULE[d.sign(bad)]
-                value = switch * rec(d.switch_crossing(bad)) + smooth * rec(d.smooth_crossing(bad))
+                value = switch * rec(d.switch_crossing(bad)) + smooth * rec(smooth_crossing(d, bad))
             memo[key] = value
         return memo[key]
 
@@ -460,3 +483,66 @@ def nested_tail_blocks(F, step, degree):
             block[(slice(None), slice(None)) + above] = step * (H @ (F * R).T)
         blocks.append(block)
     return blocks
+
+
+def oracle_placements(mk, m):
+    """(slabs, pairs, downward endpoints) of every degree-m placement, in
+    enumeration order."""
+    pools = [sorted(itertools.combinations(sorted(slab.strand_ids), 2)) for slab in mk.slabs]
+    for slabs in itertools.combinations_with_replacement(range(len(mk.slabs)), m):
+        for pairs in itertools.product(*(pools[s] for s in slabs)):
+            yield slabs, pairs, sum(not mk.strands[s].goes_up for pair in pairs for s in pair)
+
+
+class OracleQuad:
+    """Per-placement quadrature: each within-slab run of chords is an
+    ordered integral by nested suffix cumsums, one chord at a time."""
+
+    def __init__(self, mk, quadrature):
+        self.mk = mk
+        self.settings = [
+            (eps, steps)
+            for steps in (quadrature.steps, quadrature.steps // 2)
+            for eps in kontsevich.INSETS
+        ]
+        self._fs = {}
+        self._blocks = {}
+
+    def f(self, slab_idx, pair, eps, steps):
+        """The pair's chord integrand (dz_a - dz_b) / (z_a - z_b), both
+        strands read at the same midpoint heights, and the cell width."""
+        key = (slab_idx, pair, eps, steps)
+        if key not in self._fs:
+            slab = self.mk.slabs[slab_idx]
+            a, b = slab.t_lo + eps * slab.height, slab.t_hi - eps * slab.height
+            step = (b - a) / steps
+            t = a + (np.arange(steps) + 0.5) * step
+            (za, dza), (zb, dzb) = self.mk.strands[pair[0]].at(t), self.mk.strands[pair[1]].at(t)
+            self._fs[key] = (dza - dzb) / (za - zb), step
+        return self._fs[key]
+
+    def block(self, slab_idx, pairs):
+        key = (slab_idx, pairs)
+        if key not in self._blocks:
+            got = []
+            for eps, steps in self.settings:
+                rows = [self.f(slab_idx, p, eps, steps) for p in pairs]
+                step = rows[0][1]
+                R = 1.0
+                for f, _ in rows[:0:-1]:
+                    g = f * R
+                    R = step * (np.cumsum(g[::-1])[::-1] - 0.5 * g)
+                got.append(step * np.sum(rows[0][0] * R))
+            self._blocks[key] = np.array(got)
+        return self._blocks[key]
+
+    def value(self, slabs, pairs, down):
+        val = 1 + 0j
+        for slab, run in itertools.groupby(zip(slabs, pairs), key=lambda sp: sp[0]):
+            val = val * self.block(slab, tuple(pair for _, pair in run))
+        return (-1) ** down * val * kontsevich.KAPPA ** len(slabs)
+
+
+def assert_series_close(result, want):
+    got = np.array(result.per_epsilon + result.per_epsilon_half)
+    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))

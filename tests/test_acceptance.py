@@ -11,7 +11,7 @@ import random
 import time
 from contextlib import contextmanager
 
-from oracles import UBasis
+from oracles import OracleQuad, UBasis, assert_series_close, oracle_placements
 from vassiliev.chords import ChordDiagram, enumerate_diagrams, satisfies_4T
 from vassiliev.codes import braid_closure, linking_matrix_total, parse_gauss, sample_singular_diagrams
 from vassiliev.fixtures import PLAT_FIXTURES, load_fixture
@@ -20,7 +20,6 @@ from vassiliev.kontsevich import (
     degree_coefficients,
     hump_normalize,
     linking_number,
-    wick_propagator,
 )
 from vassiliev.laurent import IntegerLaurentPoly
 from vassiliev.lie import gl_fundamental, su2_fundamental, weight, weight_system
@@ -144,13 +143,20 @@ def test_ac7_four_term():
 
 
 def test_ac8_propagator_rules():
-    with criterion("AC8 propagator structure", 1.0):
-        for pair in (("+", "+"), ("0", "0")):
-            assert wick_propagator(pair).is_zero
-        mixed = wick_propagator(("+", "0"))
-        assert not mixed.is_zero
-        assert mixed.delta_color and mixed.delta_time
-        assert mixed.pole == "1/(z-w)"
+    with criterion("AC8 light-cone chord weight: hopf linking equals the per-placement oracle", 1.0):
+        # Each chord weighs kappa (dz_a - dz_b) / (z_a - z_b), negated per
+        # downward end, with both ends at one height on two distinct strands.
+        hopf, q = embedded("hopf"), QuadratureSpec(steps=200)
+        comp = [s.component for s in hopf.strands]
+        chords = [
+            (slabs, pairs, down)
+            for slabs, pairs, down in oracle_placements(hopf, 1)
+            if comp[pairs[0][0]] != comp[pairs[0][1]]
+        ]
+        assert chords
+        quad = OracleQuad(hopf, q)
+        want = sum(quad.value(*chord) for chord in chords)
+        assert_series_close(linking_number(hopf, q), want)
 
 
 def test_ac9_linking_numbers():

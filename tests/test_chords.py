@@ -17,7 +17,7 @@ from vassiliev.chords import (
     satisfies_4T,
 )
 from vassiliev.codes import braid_closure, parse_pd, sample_singular_diagrams
-from vassiliev.lie import gl_fundamental, weight
+from vassiliev.lie import gl_fundamental, weight, weight_system
 from vassiliev.skein import conway, vassiliev_eval
 
 
@@ -40,6 +40,23 @@ def test_negative_degree_raises():
         enumerate_diagrams(-1)
     with pytest.raises(ValueError):
         list(raw_matchings(-1))
+
+
+def test_degree_refusals_name_the_degree():
+    fractional, negative = "degree must be an integer, not 2.5", "degree must be at least 0, not -1"
+    cases = [
+        (lambda: enumerate_diagrams(2.5), fractional),
+        (lambda: four_term_relations(2.5), fractional),
+        (lambda: raw_matchings(2.5), fractional),
+        (lambda: satisfies_4T(lambda d: 1, 2.5), fractional),
+        (lambda: weight_system(gl_fundamental(2), 2.5), fractional),
+        (lambda: satisfies_4T(lambda d: 1, -1), negative),
+        (lambda: raw_matchings(-1), negative),  # refused on the call, not on the first draw
+    ]
+    for call, fragment in cases:
+        with pytest.raises(ValueError) as err:
+            call()
+        assert fragment in str(err.value)
 
 
 def _least_chord(partner):

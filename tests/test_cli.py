@@ -329,12 +329,12 @@ def test_layers_resolve_as_attributes_after_a_plain_import():
     assert _fresh(["-c", code]).stdout.split() == [f"vassiliev.{m}" for m in sorted(LAYERS)]
 
 
-# The public API as it stood while the package imported its exact layers
-# eagerly; its dir() listed these and `importlib` once every layer had loaded.
+# The public API: the names the package exports, which its dir() lists,
+# with `importlib`, once every layer has loaded.
 PUBLIC_NAMES = {
     "ALL_FIXTURE_NAMES", "ChordDiagram", "ChordPlacement", "CoefficientTable", "DiagramError",
     "EmbeddingError", "ExpectationSeries", "IntegerLaurentPoly", "IntegralResult",
-    "LieAlgebraData", "MorseKnot", "ParseError", "PropagatorRule", "QuadratureSpec",
+    "LieAlgebraData", "MorseKnot", "ParseError", "QuadratureSpec",
     "SingularDiagram", "Slab", "Strand", "braid_closure", "chord_diagram_of", "conway",
     "curve_from_json", "curve_to_json", "degree_coefficients", "embedding_independence_check",
     "enumerate_diagrams", "enumerate_placements", "expectation_series", "extend_invariant",
@@ -342,7 +342,7 @@ PUBLIC_NAMES = {
     "linking_matrix_total", "linking_number", "load_fixture", "morse_embed", "parse_gauss",
     "parse_pd", "plat", "raw_matchings", "round_circle", "sample_singular_diagrams",
     "satisfies_4T", "su2_fundamental", "two_circles", "v2", "vassiliev_eval", "weight",
-    "weight_system", "wick_propagator",
+    "weight_system",
 }
 
 

