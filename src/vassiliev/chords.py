@@ -19,29 +19,9 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from fractions import Fraction
 
-from .codes import NODE_FIRST, NODE_SECOND
-
-
-def _point(p):
-    """A chord endpoint as an int; ValueError naming it when it is not an integer."""
-    try:
-        return operator.index(p)
-    except TypeError:
-        raise ValueError(f"chord endpoint {p!r} is not an integer") from None
-
-
-def _degree(m, what="degree", least=None):
-    """m as an int; ValueError naming it when it is not an integer or is below least."""
-    try:
-        m = operator.index(m)
-    except TypeError:
-        raise ValueError(f"{what} must be an integer, not {m!r}") from None
-    if least is not None and m < least:
-        raise ValueError(f"{what} must be at least {least}, not {m}")
-    return m
+from .codes import NODE_FIRST, NODE_SECOND, SingularDiagram, _expect, _integer
 
 
 class ChordDiagram:
@@ -51,7 +31,8 @@ class ChordDiagram:
     __slots__ = ("_partner",)
 
     def __init__(self, pairs):
-        pairs = [(_point(a), _point(b)) for a, b in pairs]
+        point = "chord endpoint"
+        pairs = [(_integer(a, point, error=ValueError), _integer(b, point, error=ValueError)) for a, b in pairs]
         n = 2 * len(pairs)
         partner = [None] * n
         for a, b in pairs:
@@ -105,6 +86,7 @@ class ChordDiagram:
 
     def concat(self, other):
         """Connected-sum product: place other's points after this one's."""
+        _expect(other, ChordDiagram, "ChordDiagram.concat", "other")
         off = len(self._partner)
         pairs = list(self.pairs()) + [(a + off, b + off) for a, b in other.pairs()]
         return ChordDiagram(pairs)
@@ -118,6 +100,8 @@ class ChordDiagram:
         return hash(self._partner)
 
     def __lt__(self, other):
+        if not isinstance(other, ChordDiagram):
+            return NotImplemented
         return (self.degree, self._partner) < (other.degree, other._partner)
 
     def __repr__(self):
@@ -160,7 +144,7 @@ def _partner_tables(n, shortest=1):
 def raw_matchings(m):
     """All (2m-1)!! raw perfect matchings of 2m labeled circle points,
     each a list of pairs (i, j) with i < j in ascending i."""
-    tables = _partner_tables(2 * _degree(m, least=0))
+    tables = _partner_tables(2 * _integer(m, "degree", 0, ValueError))
     return ([(i, j) for i, j in enumerate(partner) if i < j] for partner in tables)
 
 
@@ -204,7 +188,7 @@ def enumerate_diagrams(m):
     `four_term_relations`; the list returned is a fresh one on every
     call, so a caller may change it.
     """
-    m = _degree(m, least=0)
+    m = _integer(m, "degree", 0, ValueError)
     return list(_canonical_diagrams(m)), math.prod(range(1, 2 * m, 2))
 
 
@@ -236,6 +220,7 @@ def _rotation_index(m):
 def chord_diagram_of(diagram):
     """Chord diagram of a one-component singular diagram: the nodes in
     the order they occur along the strand.  Crossings are ignored."""
+    _expect(diagram, SingularDiagram, "chord_diagram_of", "diagram")
     if diagram.n_components != 1:
         raise ValueError("chord diagrams need a one-component diagram")
     positions = {}
@@ -268,7 +253,7 @@ def four_term_relations(m):
     once per process and shared by every caller; the list returned is a
     fresh one on every call, so a caller may change it.
     """
-    return list(_four_term_relations(_degree(m)))
+    return list(_four_term_relations(_integer(m, "degree", error=ValueError)))
 
 
 @functools.lru_cache(maxsize=8)
@@ -312,7 +297,7 @@ def satisfies_4T(weight_fn, m):
     weight function passes there; a negative or fractional degree raises
     ValueError.
     """
-    m = _degree(m, least=0)
+    m = _integer(m, "degree", 0, ValueError)
     if m < 2:
         return True, None
     weights = {}

@@ -53,16 +53,26 @@ class ParseError(DiagramError):
         super().__init__(message)
 
 
-def _integer(value, what, least=None):
-    """value as an int; DiagramError naming it when it is not an integer
-    or is below least."""
+def _integer(value, what, least=None, error=DiagramError):
+    """value as an int; `error` naming it as `what` when it is not an
+    integer or is below least.  Every integer argument of the library is
+    read here, and every typed one by `_expect`: `codes` refuses with
+    DiagramError, every other layer passes a plain ValueError."""
     try:
         value = operator.index(value)
     except TypeError:
-        raise DiagramError(f"{what} {value!r} is not an integer") from None
+        raise error(f"{what} {value!r} is not an integer") from None
     if least is not None and value < least:
-        raise DiagramError(f"{what} must be at least {least}, not {value}")
+        raise error(f"{what} must be at least {least}, not {value}")
     return value
+
+
+def _expect(value, kind, where, name):
+    """TypeError from `where` naming the argument `name` unless value is
+    a `kind`.  Every typed argument of the library is read here, and
+    every integer one by `_integer`."""
+    if not isinstance(value, kind):
+        raise TypeError(f"{where} expects a {kind.__name__} as {name}, not {type(value).__name__}")
 
 
 class SingularDiagram:
@@ -481,6 +491,7 @@ def parse_gauss(text):
     Multiple components are separated by ';'.  Every label must appear
     once as O and once as U with equal signs.  Blank text raises.
     """
+    _expect(text, str, "parse_gauss", "text")
     text = text.strip()
     if not text:
         raise ParseError("empty diagram input")
@@ -540,6 +551,7 @@ def parse_pd(text):
     positive.  Components start at the least (entry, kind) passage and
     signs are keyed by entry index in entry order.  Blank text raises.
     """
+    _expect(text, str, "parse_pd", "text")
     text = text.strip()
     if not text:
         raise ParseError("empty diagram input")
@@ -711,6 +723,7 @@ def linking_matrix_total(diagram):
     The combinatorial linking number of a 2-component diagram; 0 for a
     split code.  Nodes are not allowed.
     """
+    _expect(diagram, SingularDiagram, "linking_matrix_total", "diagram")
     if diagram.n_nodes:
         raise DiagramError("linking number needs a node-free diagram")
     comp_of = {}

@@ -47,13 +47,13 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from dataclasses import asdict, dataclass, replace
 from typing import ClassVar
 
 import numpy as np
 
-from .chords import ChordDiagram, _degree
+from .chords import ChordDiagram
+from .codes import _expect, _integer
 from .morse import EmbeddingError, MorseKnot
 
 TWO_PI_I = 2j * np.pi
@@ -72,9 +72,11 @@ class QuadratureSpec:
     """Composite-midpoint settings: steps per slab, each slab integrated
     at every inset of INSETS, and again at steps // 2 for the error bar.
 
-    steps is an integer of at least MIN_STEPS.  Below 30 steps
-    _degree_values refuses some shipped curves as strands that meet, and
-    at the floor the half grid still has 16 steps.
+    steps is an integer of at least MIN_STEPS, read by `codes._integer`:
+    steps=100.0 raises ValueError("steps 100.0 is not an integer") and
+    steps=31 ValueError("steps must be at least 32, not 31").  Below 30
+    steps _degree_values refuses some shipped curves as strands that
+    meet, and at the floor the half grid still has 16 steps.
     """
 
     steps: int = 2000
@@ -82,12 +84,8 @@ class QuadratureSpec:
     MIN_STEPS: ClassVar[int] = 32
 
     def __post_init__(self):
-        try:  # a fractional step count would overshoot each slab
-            object.__setattr__(self, "steps", operator.index(self.steps))
-        except TypeError:
-            raise ValueError(f"steps must be an integer, not {self.steps!r}") from None
-        if self.steps < self.MIN_STEPS:
-            raise ValueError(f"steps must be at least {self.MIN_STEPS}")
+        # a fractional step count would overshoot each slab
+        object.__setattr__(self, "steps", _integer(self.steps, "steps", self.MIN_STEPS, ValueError))
 
 
 DEFAULT_QUADRATURE = QuadratureSpec()
@@ -133,19 +131,6 @@ def _check_budget(pools, m, steps=0):
         raise ValueError(f"{h[m]:,} degree-{m} placements exceed the bound {MAX_PLACEMENTS:,}")
     if grid > MAX_GRID:
         raise ValueError(f"a quadrature grid of {grid:,} pair-steps exceeds the bound {MAX_GRID:,}")
-
-
-def _check_knot(what, mk):
-    """TypeError naming mk unless it is a MorseKnot."""
-    if not isinstance(mk, MorseKnot):
-        raise TypeError(f"{what} expects a MorseKnot, not {type(mk).__name__}")
-
-
-def _check_arguments(what, mk, quadrature):
-    """TypeError naming mk or quadrature unless they are a MorseKnot and a QuadratureSpec."""
-    _check_knot(what, mk)
-    if not isinstance(quadrature, QuadratureSpec):
-        raise TypeError(f"{what} expects a QuadratureSpec as quadrature, not {quadrature!r}")
 
 
 def _placements(pools, m):
@@ -205,10 +190,8 @@ def enumerate_placements(mk, m):
     read a placement's induced diagram, from the strand ends of
     _placements (see _induced_diagrams).
     """
-    _check_knot("enumerate_placements", mk)
-    m = _degree(m, "placement degree")
-    if m < 1:
-        raise ValueError("placement degree must be at least 1")
+    _expect(mk, MorseKnot, "enumerate_placements", "mk")
+    m = _integer(m, "placement degree", 1, ValueError)
     pools = _pair_pools(mk)
     _check_budget(pools, m)
     seqs, ends = _placements(pools, m)
@@ -500,8 +483,9 @@ def degree_coefficients(mk, m, quadrature=DEFAULT_QUADRATURE):
     3-block one per strand pair (see _ordered_blocks).  Multi-component
     embeddings have no single knot circle; use linking_number for those.
     """
-    _check_arguments("degree_coefficients", mk, quadrature)
-    m = _degree(m)
+    _expect(mk, MorseKnot, "degree_coefficients", "mk")
+    _expect(quadrature, QuadratureSpec, "degree_coefficients", "quadrature")
+    m = _integer(m, "degree", error=ValueError)
     if m < 0 or m > MAX_DEGREE:
         raise ValueError(f"degree must be between 0 and {MAX_DEGREE}")
     if m > 0 and mk.n_components != 1:
@@ -559,9 +543,8 @@ def hump_normalize(raw, mk):
     is cached once per quadrature spec, to MAX_DEGREE, so the knot needs
     no new quadrature.  A 1-maximum embedding is returned unchanged.
     """
-    if not isinstance(raw, CoefficientTable):
-        raise TypeError("hump_normalize expects a CoefficientTable")
-    _check_knot("hump_normalize", mk)
+    _expect(raw, CoefficientTable, "hump_normalize", "raw")
+    _expect(mk, MorseKnot, "hump_normalize", "mk")
     if raw.n_maxima != mk.n_maxima:
         raise ValueError("table was computed for a different embedding")
     power = mk.n_maxima - 1
@@ -586,7 +569,8 @@ def linking_number(mk, quadrature=DEFAULT_QUADRATURE):
     same link.  The log|dz| terms telescope, so the limit is real and the
     error covers the imaginary part of the value as well.
     """
-    _check_arguments("linking_number", mk, quadrature)
+    _expect(mk, MorseKnot, "linking_number", "mk")
+    _expect(quadrature, QuadratureSpec, "linking_number", "quadrature")
     if mk.n_components < 2:
         raise ValueError("linking number needs at least 2 components")
     comp = np.array([s.component for s in mk.strands])
@@ -615,8 +599,9 @@ def expectation_series(mk, algebra, max_degree, k, quadrature=DEFAULT_QUADRATURE
     normalized, every degree read from one degree-max_degree table;
     divergence flags on any contributing coefficient are propagated.
     """
-    from .lie import weight
+    from .lie import LieAlgebraData, weight
 
+    _expect(algebra, LieAlgebraData, "expectation_series", "algebra")
     if k == 0:
         raise ValueError("k must be nonzero")
     table = hump_normalize(degree_coefficients(mk, max_degree, quadrature), mk)

@@ -23,10 +23,10 @@ the matrix index entering position p:
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
 
 from .chords import ChordDiagram, enumerate_diagrams
+from .codes import _expect, _integer
 
 
 class LieAlgebraData:
@@ -44,10 +44,7 @@ class LieAlgebraData:
     """
 
     def __init__(self, name, N, traceless):
-        try:
-            N = operator.index(N)
-        except TypeError:
-            raise ValueError(f"{name}: matrix size {N!r} is not an integer") from None
+        N = _integer(N, f"{name}: matrix size", error=ValueError)
         if N < 1 or (traceless and N < 2):
             raise ValueError(f"{name}: no fundamental representation of size {N}")
         self.name = name
@@ -126,12 +123,13 @@ def weight(algebra, diagram):
     """Weight of a chord diagram, an exact Fraction: the sum over
     per-chord generator indices of the trace of the generator product
     around the circle, counted as index loops."""
-    if not isinstance(diagram, ChordDiagram):
-        raise TypeError(f"weight expects a ChordDiagram as diagram, not {type(diagram).__name__}")
+    _expect(algebra, LieAlgebraData, "weight", "algebra")
+    _expect(diagram, ChordDiagram, "weight", "diagram")
     return _weight_of_partner(algebra, diagram.partner)
 
 
 def weight_system(algebra, m):
     """Table of weights for every canonical degree-m diagram."""
+    _expect(algebra, LieAlgebraData, "weight_system", "algebra")
     diagrams, _ = enumerate_diagrams(m)
-    return {d: weight(algebra, d) for d in diagrams}
+    return {d: _weight_of_partner(algebra, d.partner) for d in diagrams}

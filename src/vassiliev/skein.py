@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .codes import OVER, DiagramError
+from .codes import OVER, DiagramError, SingularDiagram, _expect, _integer
 from .laurent import IntegerLaurentPoly
 
 _ONE = IntegerLaurentPoly.one()
@@ -40,6 +40,7 @@ def conway(diagram, memo=None):
     any split diagram evaluates to 0; a virtual code raises DiagramError.
     `memo` is unused, and kept for callers that still pass one.
     """
+    _expect(diagram, SingularDiagram, "conway", "diagram")
     if diagram.n_nodes:
         raise DiagramError("conway needs a node-free diagram; resolve nodes first")
     if diagram.is_split():
@@ -203,6 +204,7 @@ def extend_invariant(invariant, a, b, c):
         return total
 
     def extended(diagram):
+        _expect(diagram, SingularDiagram, "extend_invariant", "diagram")
         nodes = diagram.node_ids
         n = len(nodes)
         if nonzero**n > MAX_RESOLUTIONS:
@@ -232,6 +234,7 @@ def v2(diagram):
     recursion from the stored basepoint: an invariant of the long virtual
     knot cut there (Goussarov-Polyak-Viro 2000), not of the knot.
     """
+    _expect(diagram, SingularDiagram, "v2", "diagram")
     if diagram.n_nodes:
         raise DiagramError("v2 needs a node-free diagram")
     if diagram.n_components != 1:
@@ -255,8 +258,10 @@ def finite_type_check(invariant, k, diagrams):
 
     Returns (ok, failures); failures list (diagram, value) pairs.
     """
+    k = _integer(k, "order", 0, ValueError)
     failures = []
     for d in diagrams:
+        _expect(d, SingularDiagram, "finite_type_check", "an item of diagrams")
         if d.n_nodes <= k:
             raise DiagramError(
                 f"finite_type_check at order {k} needs diagrams with more than {k} nodes; "
@@ -277,6 +282,8 @@ def embedding_independence_check(invariant, k, diagram, switch_sequences):
     measured as the largest absolute Laurent coefficient (or absolute
     value for plain numbers) of the difference from the base value.
     """
+    k = _integer(k, "order", 0, ValueError)
+    _expect(diagram, SingularDiagram, "embedding_independence_check", "diagram")
     if diagram.n_nodes != k:
         raise DiagramError(f"expected exactly {k} nodes, got {diagram.n_nodes}")
     base = vassiliev_eval(invariant, diagram)

@@ -43,7 +43,7 @@ def test_negative_degree_raises():
 
 
 def test_degree_refusals_name_the_degree():
-    fractional, negative = "degree must be an integer, not 2.5", "degree must be at least 0, not -1"
+    fractional, negative = "degree 2.5 is not an integer", "degree must be at least 0, not -1"
     cases = [
         (lambda: enumerate_diagrams(2.5), fractional),
         (lambda: four_term_relations(2.5), fractional),
@@ -278,6 +278,17 @@ def test_concat():
     assert prod.degree == 2
     assert prod == ChordDiagram([(0, 1), (2, 3)])
     assert ChordDiagram([]).concat(one) == one
+
+
+def test_ordering_and_concat_refuse_another_type():
+    crossed = ChordDiagram(((0, 2), (1, 3)))
+    for other, name in ((None, "NoneType"), (5, "int"), (((0, 1),), "tuple"), (crossed.partner, "tuple")):
+        assert crossed.__lt__(other) is NotImplemented, other
+        with pytest.raises(TypeError, match="^'<' not supported"):
+            crossed < other
+        with pytest.raises(TypeError) as err:
+            crossed.concat(other)
+        assert str(err.value) == f"ChordDiagram.concat expects a ChordDiagram as other, not {name}"
 
 
 def test_chord_diagram_of_singular_diagrams():

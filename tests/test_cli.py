@@ -513,7 +513,7 @@ def test_steps_below_the_floor_exit_3(tmp_path, capsys):
     hopf, trefoil = curve_file(tmp_path, "hopf"), curve_file(tmp_path, "trefoil_2max")
     for argv in (["kontsevich", hopf], ["compare", trefoil, TREFOIL]):
         err = run_error(capsys, argv + ["--steps", "31"])
-        assert err == {"module": "kontsevich", "message": "steps must be at least 32"}, argv
+        assert err == {"module": "kontsevich", "message": "steps must be at least 32, not 31"}, argv
 
 
 def test_kontsevich_refuses_oversized_work(tmp_path, capsys):

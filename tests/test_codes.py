@@ -51,6 +51,14 @@ def test_parse_gauss_curl():
     assert d.writhe == 1
 
 
+def test_parsers_refuse_what_is_not_text():
+    for parse in (parse_gauss, parse_pd):
+        for text, name in ((5, "int"), (b"O1+U1+", "bytes"), (None, "NoneType")):
+            with pytest.raises(TypeError) as err:
+                parse(text)
+            assert str(err.value) == f"{parse.__name__} expects a str as text, not {name}"
+
+
 def test_parse_gauss_multicomponent():
     d = parse_gauss("O1+U2+;U1+O2+")
     assert d.n_components == 2

@@ -82,8 +82,8 @@ def test_quadrature_validation():
 @pytest.mark.parametrize("steps, error", [
     (100, None),
     (np.int64(100), None),
-    (100.0, "steps must be an integer"),
-    (100.5, "steps must be an integer"),  # its grid overshot each slab by half a step
+    (100.0, "steps 100.0 is not an integer"),
+    (100.5, "steps 100.5 is not an integer"),  # its grid overshot each slab by half a step
     (True, "steps must be at least 32"),
 ], ids=repr)
 def test_quadrature_steps_must_be_an_integer(steps, error):
@@ -203,25 +203,25 @@ def test_refusals_name_what_is_wrong():
         (lambda: degree_coefficients(circle, 1, huge), ValueError, too_fine),
         (lambda: linking_number(hopf, huge), ValueError, "pair-steps exceeds the bound"),
         (lambda: hump_normalize("x", circle), TypeError, "expects a CoefficientTable"),
-        (lambda: degree_coefficients(circle, 2.0), ValueError, "degree must be an integer, not 2.0"),
+        (lambda: degree_coefficients(circle, 2.0), ValueError, "degree 2.0 is not an integer"),
         (lambda: enumerate_placements(circle, 1.5), ValueError,
-         "placement degree must be an integer, not 1.5"),
+         "placement degree 1.5 is not an integer"),
         (lambda: kontsevich._ordered_blocks(np.ones((2, 16)) / 16, 4), ValueError,
          "ordered blocks stop at MAX_DEGREE = 3, not 4"),
         (lambda: degree_coefficients(circle, 2, 2000), TypeError,
-         "degree_coefficients expects a QuadratureSpec as quadrature, not 2000"),
+         "degree_coefficients expects a QuadratureSpec as quadrature, not int"),
         (lambda: linking_number(hopf, 2000), TypeError,
-         "linking_number expects a QuadratureSpec as quadrature, not 2000"),
+         "linking_number expects a QuadratureSpec as quadrature, not int"),
         (lambda: expectation_series(circle, su2_fundamental(), 2, 1.0, 2000), TypeError,
-         "degree_coefficients expects a QuadratureSpec as quadrature, not 2000"),
-        (lambda: linking_number([1, 2]), TypeError, "linking_number expects a MorseKnot, not list"),
+         "degree_coefficients expects a QuadratureSpec as quadrature, not int"),
+        (lambda: linking_number([1, 2]), TypeError, "linking_number expects a MorseKnot as mk, not list"),
         (lambda: degree_coefficients(load_fixture("round_circle"), 2), TypeError,
-         "degree_coefficients expects a MorseKnot, not list"),
+         "degree_coefficients expects a MorseKnot as mk, not list"),
         (lambda: enumerate_placements([1, 2], 1), TypeError,
-         "enumerate_placements expects a MorseKnot, not list"),
-        (lambda: hump_normalize(table, [1]), TypeError, "hump_normalize expects a MorseKnot, not list"),
+         "enumerate_placements expects a MorseKnot as mk, not list"),
+        (lambda: hump_normalize(table, [1]), TypeError, "hump_normalize expects a MorseKnot as mk, not list"),
         (lambda: hump_normalize(table, None), TypeError,
-         "hump_normalize expects a MorseKnot, not NoneType"),
+         "hump_normalize expects a MorseKnot as mk, not NoneType"),
     ]
     start = time.perf_counter()
     for call, error, fragment in cases:

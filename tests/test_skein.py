@@ -521,10 +521,14 @@ def test_refusals_name_what_is_wrong(monkeypatch):
     # the bound is on (nonzero coefficients)^nodes, checked before any resolution
     twenty = braid_closure([("node", 1)] * 20 + [1])
     eight = braid_closure([("node", 1)] * 8 + [1])
+    two = braid_closure([("node", 1)] * 2 + [1])
     cases = [
         (lambda: vassiliev_eval(conway, twenty), "20 nodes with 2 nonzero coefficients have 2^20"),
         (lambda: finite_type_check(conway, 3, [twenty]), "have 2^20 resolutions, past the bound 4,096"),
         (lambda: extend_invariant(conway, 1, 1, 1)(eight), "8 nodes with 3 nonzero coefficients"),
+        # the order is an integer, never compared as given
+        (lambda: finite_type_check(conway, 1.5, [two]), "order 1.5 is not an integer"),
+        (lambda: embedding_independence_check(v2, "2", two, []), "order '2' is not an integer"),
     ]
     start = time.perf_counter()
     for call, fragment in cases:
