@@ -33,6 +33,19 @@ _CROSSING_KINDS = (OVER, UNDER)
 _NODE_KINDS = (NODE_FIRST, NODE_SECOND)
 _SWITCH = {OVER: UNDER, UNDER: OVER}
 
+
+def _passages(sign):
+    """(first, second) passage kinds at a crossing of this sign: the first
+    goes over at a positive one.  The only rule from a sign to kinds."""
+    return (OVER, UNDER) if sign > 0 else (UNDER, OVER)
+
+
+# Node resolution -> (crossing sign, kinds of its P and Q tokens).  A constant:
+# a map built per call slowed the exact benchmark's `switch` ops 7% (2-CPU machine).
+_RESOLUTIONS = {
+    name: (sign, dict(zip(_NODE_KINDS, _passages(sign)))) for name, sign in (("positive", 1), ("negative", -1))
+}
+
 # The canonical key raises rather than try more candidate rotations than
 # this for one slot: ties times unplaced components times the rotations
 # that start with the least kind.
@@ -193,19 +206,19 @@ class SingularDiagram:
     def resolve_node(self, sid, resolution):
         """Replace node sid by a crossing or by the oriented smoothing.
 
-        resolution is "positive", "negative" or "smooth".  Positive puts
-        the first (tagged P) passage on top with crossing sign +1;
-        negative is exactly the crossing-switch of positive.
+        resolution is "positive", "negative" or "smooth"; a crossing
+        resolution gives the P and Q passages the kinds `_passages` gives
+        at its sign, so negative is the crossing-switch of positive.
         """
         if not any((NODE_FIRST, sid) in comp for comp in self._components):
             raise DiagramError(f"no node with id {sid}")
         if resolution == "smooth":
             return SingularDiagram._from_parts(_splice_out(self._components, sid), self._signs)
-        if resolution == "positive":
-            return self._retagged({sid}, {NODE_FIRST: OVER, NODE_SECOND: UNDER}, {**self._signs, sid: 1})
-        if resolution == "negative":
-            return self._retagged({sid}, {NODE_FIRST: UNDER, NODE_SECOND: OVER}, {**self._signs, sid: -1})
-        raise DiagramError(f"unknown resolution {resolution!r}")
+        try:
+            sign, kinds = _RESOLUTIONS[resolution]
+        except (KeyError, TypeError):
+            raise DiagramError(f"unknown resolution {resolution!r}") from None
+        return self._retagged({sid}, kinds, {**self._signs, sid: sign})
 
     # -- equality up to relabeling --------------------------------------
 
@@ -403,28 +416,16 @@ _PD_DOORS = {
 def _splice_out(components, sid):
     """Remove site sid's two tokens and reconnect the strands by the
     oriented smoothing (enter first occurrence -> leave where the second
-    occurrence left, and vice versa)."""
-    locations = []
-    for ci, comp in enumerate(components):
-        for pi, (kind, s) in enumerate(comp):
-            if s == sid:
-                locations.append((ci, pi))
-    (c1, p1), (c2, p2) = locations
-    comps = [list(c) for c in components]
-    if c1 == c2:
-        w = comps[c1]
-        lo, hi = sorted((p1, p2))
-        piece_a = w[lo + 1 : hi]
-        piece_b = w[hi + 1 :] + w[:lo]
-        out = [tuple(c) for ci, c in enumerate(comps) if ci != c1]
-        out.append(tuple(piece_a))
-        out.append(tuple(piece_b))
-        return tuple(out)
-    a, b = comps[c1], comps[c2]
-    merged = a[:p1] + b[p2 + 1 :] + b[:p2] + a[p1 + 1 :]
-    out = [tuple(c) for ci, c in enumerate(comps) if ci not in (c1, c2)]
-    out.append(tuple(merged))
-    return tuple(out)
+    occurrence left, and vice versa).  The other components keep their
+    order and the spliced ones come last."""
+    (c1, p1), (c2, p2) = [
+        (ci, pi) for ci, comp in enumerate(components) for pi, (_, s) in enumerate(comp) if s == sid
+    ]
+    rest = tuple(comp for ci, comp in enumerate(components) if ci != c1 and ci != c2)
+    a, b = components[c1], components[c2]
+    if c1 == c2:  # within one component the first passage found comes first
+        return rest + (a[p1 + 1 : p2], a[p2 + 1 :] + a[:p1])
+    return rest + (a[:p1] + b[p2 + 1 :] + b[:p2] + a[p1 + 1 :],)
 
 
 # -- canonical form ------------------------------------------------------
@@ -641,11 +642,11 @@ def _braid_position(letter):
 def braid_closure(word, n_strands=None):
     """Close a (singular) braid word into a SingularDiagram.
 
-    word entries: a nonzero int k meaning the generator at positions
-    (|k|, |k|+1) with sign(k) as crossing sign (the strand entering from
-    the left passes over for positive k), or the pair ("node", i) for a
-    singular generator at positions (i, i+1) whose first passage tag
-    goes to the strand entering from the left.
+    word entries: a nonzero int k, the generator at positions (|k|, |k|+1)
+    with sign(k) as crossing sign, or the pair ("node", i), a singular
+    generator at positions (i, i+1).  Site j is letter j, and the strand
+    entering from the left takes its first passage: a node's P, or the
+    kind `_passages` gives for the sign (over for positive k).
     """
     if n_strands is None:
         n_strands = max((_braid_position(letter) + 1 for letter in word), default=1)
@@ -653,43 +654,30 @@ def braid_closure(word, n_strands=None):
     occupant = list(range(n_strands))
     tracks = [[] for _ in range(n_strands)]
     signs = {}
-    sid = 0
-    for letter in word:
+    for sid, letter in enumerate(word):
         i = _braid_position(letter)
-        if isinstance(letter, tuple):
-            if not (1 <= i < n_strands):
-                raise DiagramError(f"node position {i} out of range")
-            left, right = occupant[i - 1], occupant[i]
-            tracks[left].append((NODE_FIRST, sid))
-            tracks[right].append((NODE_SECOND, sid))
-        else:
-            if letter == 0 or not (1 <= i < n_strands):
-                raise DiagramError(f"braid letter {letter} out of range")
-            left, right = occupant[i - 1], occupant[i]
-            if letter > 0:
-                tracks[left].append((OVER, sid))
-                tracks[right].append((UNDER, sid))
-                signs[sid] = 1
-            else:
-                tracks[left].append((UNDER, sid))
-                tracks[right].append((OVER, sid))
-                signs[sid] = -1
-        occupant[i - 1], occupant[i] = occupant[i], occupant[i - 1]
-        sid += 1
+        node = isinstance(letter, tuple)
+        if not 1 <= i < n_strands:
+            what = f"node position {i}" if node else f"braid letter {letter}"
+            raise DiagramError(f"{what} out of range")
+        if not node:
+            signs[sid] = 1 if letter > 0 else -1
+        kinds = _NODE_KINDS if node else _passages(letter)
+        left, right = occupant[i - 1], occupant[i]
+        tracks[left].append((kinds[0], sid))
+        tracks[right].append((kinds[1], sid))
+        occupant[i - 1], occupant[i] = right, left
     # Strand ending at position p continues with the strand that started there.
-    ends_at = {occupant[p]: p for p in range(n_strands)}
-    comps = []
-    remaining = set(range(n_strands))
-    while remaining:
-        start = min(remaining)
-        toks = []
-        s = start
-        while True:
-            remaining.discard(s)
-            toks.extend(tracks[s])
+    ends_at = {s: p for p, s in enumerate(occupant)}
+    comps, seen = [], set()
+    for start in range(n_strands):
+        if start in seen:
+            continue
+        toks, s = [], start
+        while s not in seen:
+            seen.add(s)
+            toks += tracks[s]
             s = ends_at[s]
-            if s == start:
-                break
         comps.append(tuple(toks))
     return SingularDiagram._from_parts(tuple(comps), signs)
 

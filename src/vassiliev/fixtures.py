@@ -14,10 +14,11 @@ pipeline), so every geometric fixture carries a machine-checkable knot
 type.  The walk emits each strand's tokens once, so the shadow is valid
 as built.
 
-Crossing letters are positive integers k (the strand entering from the
-left at lanes (k, k+1) passes over) or negative for the inverse.  The
-pseudo-letter ("wiggle", lane) inserts an S-detour adding one maximum
-and one minimum without changing the knot.
+Crossing letters are positive integers k or negative for the inverse;
+the strand entering from the left at lanes (|k|, |k|+1) takes the first
+passage, whose kind `codes._passages` gives for the letter's sign (over
+for positive k).  The pseudo-letter ("wiggle", lane) inserts an
+S-detour adding one maximum and one minimum without changing the knot.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import operator
 
 import numpy as np
 
-from .codes import SingularDiagram
+from .codes import SingularDiagram, _passages
 
 
 def _validate_pairing(pairs, n, what):
@@ -119,7 +120,7 @@ def plat(word, n, cups, caps):
 
     # One pass over the word.  A strand's id is its bottom lane; bottom
     # to top it collects one (x, y, t) window per letter and one
-    # ("O"|"U", crossing id) token per crossing it passes through.
+    # (passage kind, crossing id) token per crossing it passes through.
     occupant = list(range(n))
     samples = [[] for _ in range(n)]
     tokens = [[] for _ in range(n)]
@@ -147,9 +148,8 @@ def plat(word, n, cups, caps):
             step = lanes[k] - lanes[k - 1]
             samples[left].append((lanes[k - 1] + ramp * step, over_y, t_here))
             samples[right].append((lanes[k] - ramp * step, -over_y, t_here))
-            over, under = (left, right) if letter > 0 else (right, left)
-            tokens[over].append(("O", len(crossings)))
-            tokens[under].append(("U", len(crossings)))
+            for strand, kind in zip((left, right), _passages(letter)):
+                tokens[strand].append((kind, len(crossings)))
             crossings.append((left, right, 1 if letter > 0 else -1))
             occupant[k - 1], occupant[k] = right, left
             busy = (k - 1, k)

@@ -26,6 +26,7 @@ from vassiliev import (
     morse_embed,
     parse_gauss,
     parse_pd,
+    satisfies_4T,
     v2,
     vassiliev_eval,
     weight,
@@ -58,6 +59,8 @@ WRONG_ARGUMENT = {
     "weight": (lambda: weight("su2", ChordDiagram(())), "weight expects a LieAlgebraData as algebra, not str"),
     "weight_system": (lambda: weight_system("su2", 2),
                       "weight_system expects a LieAlgebraData as algebra, not str"),
+    # refused at every degree, also at 0 and 1, which have no relation to check
+    "satisfies_4T": (lambda: satisfies_4T("x", 1), "satisfies_4T expects a Callable as weight_fn, not str"),
     "degree_coefficients": (lambda: degree_coefficients(load_fixture("round_circle"), 1),
                             "degree_coefficients expects a MorseKnot as mk, not list"),
     "enumerate_placements": (lambda: enumerate_placements(TREFOIL, 1),
@@ -79,7 +82,7 @@ EXEMPT = {
     "Strand", "DiagramError", "EmbeddingError", "ParseError", "ALL_FIXTURE_NAMES",
     # builders from numbers, braid words or a fixture name, refused under their own tests
     "braid_closure", "sample_singular_diagrams", "enumerate_diagrams", "four_term_relations",
-    "raw_matchings", "satisfies_4T", "gl_fundamental", "su2_fundamental", "plat", "round_circle",
+    "raw_matchings", "gl_fundamental", "su2_fundamental", "plat", "round_circle",
     "two_circles", "load_fixture",
     # morse's curve readers, which refuse with EmbeddingError under their own tests
     "curve_from_json", "curve_to_json", "morse_embed",

@@ -626,6 +626,41 @@ def test_braid_closure_mirror():
     assert m.writhe == -3
 
 
+def test_braid_closure_spells_each_letter_at_its_own_site():
+    # site j is letter j; the strand entering from the left takes the P of
+    # a node and, at a crossing, goes over for a positive letter
+    d = braid_closure([("node", 1), -1, 2], 3)
+    assert d.components == (
+        (("P", 0), ("O", 1)),
+        (("Q", 0), ("U", 1), ("O", 2), ("U", 2)),
+    )
+    assert d.signs == {1: -1, 2: 1}
+
+
+def test_node_resolutions_put_the_first_passage_over_at_plus():
+    d = braid_closure([("node", 1), -1, 2], 3)
+    rest = (("U", 1), ("O", 2), ("U", 2))
+    positive, negative = d.resolve_node(0, "positive"), d.resolve_node(0, "negative")
+    assert positive.components == ((("O", 0), ("O", 1)), (("U", 0),) + rest)
+    assert positive.signs == {0: 1, 1: -1, 2: 1}
+    assert negative.components == ((("U", 0), ("O", 1)), (("O", 0),) + rest)
+    assert negative.signs == {0: -1, 1: -1, 2: 1}
+
+
+def test_smoothing_keeps_the_other_components_first_in_order():
+    a = (("O", 0), ("P", 5))
+    b = (("U", 3), ("P", 1), ("U", 2), ("Q", 1), ("O", 2), ("O", 3))
+    c = (("U", 0), ("Q", 5))
+    d = SingularDiagram([a, b, c], {0: 1, 2: 1, 3: -1})
+    # a split: the piece between the two passages, then the piece around
+    split = d.resolve_node(1, "smooth")
+    assert split.components == (a, c, (("U", 2),), (("O", 2), ("O", 3), ("U", 3)))
+    assert split.signs == d.signs
+    # a merge: the first component up to its passage, then around the second
+    merged = d.resolve_node(5, "smooth")
+    assert merged.components == (b, (("O", 0), ("U", 0)))
+
+
 def test_writhe_invariant_under_reidemeister_like_words():
     # sigma1^3 in B2 vs its Markov stabilization in B3
     a = braid_closure([1, 1, 1])
@@ -733,6 +768,10 @@ def test_refusals_name_what_is_wrong():
         (lambda: braid_closure(["x"], 3), "unknown braid letter 'x'"),
         (lambda: braid_closure([("node",)], 3), "unknown braid letter ('node',)"),
         (lambda: braid_closure([("node", 1.5)]), "unknown braid letter ('node', 1.5)"),
+        # letters are read in order, but an inferred strand count reads them all first
+        (lambda: braid_closure([5, "x"], 3), "braid letter 5 out of range"),
+        (lambda: braid_closure(["x", 5], 3), "unknown braid letter 'x'"),
+        (lambda: braid_closure([5, "x"]), "unknown braid letter 'x'"),
         (lambda: braid_closure([1], n_strands=2.0), "strand count 2.0 is not an integer"),
         (lambda: braid_closure([], n_strands=0), "strand count must be at least 1, not 0"),
         (lambda: braid_closure([], n_strands=-1), "strand count must be at least 1, not -1"),

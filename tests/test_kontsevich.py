@@ -214,6 +214,8 @@ def test_refusals_name_what_is_wrong():
          "linking_number expects a QuadratureSpec as quadrature, not int"),
         (lambda: expectation_series(circle, su2_fundamental(), 2, 1.0, 2000), TypeError,
          "degree_coefficients expects a QuadratureSpec as quadrature, not int"),
+        (lambda: expectation_series(circle, su2_fundamental(), 2, "k"), TypeError,
+         "expectation_series expects a Number as k, not str"),
         (lambda: linking_number([1, 2]), TypeError, "linking_number expects a MorseKnot as mk, not list"),
         (lambda: degree_coefficients(load_fixture("round_circle"), 2), TypeError,
          "degree_coefficients expects a MorseKnot as mk, not list"),
