@@ -22,6 +22,7 @@ connected pieces.
 from __future__ import annotations
 
 import operator
+import random
 import re
 
 OVER = "O"
@@ -689,9 +690,16 @@ def sample_singular_diagrams(rng, n_nodes, count, *, n_strands=3, max_crossings=
                              one_component=False):
     """Random singular braid closures, optionally filtered to knots: each
     from a shuffled word of n_nodes nodes and 1..max_crossings crossings."""
+    _expect(rng, random.Random, "sample_singular_diagrams", "rng")
     n_nodes, count = _integer(n_nodes, "node count", 0), _integer(count, "sample count", 0)
     n_strands = _integer(n_strands, "strand count", 2)
     max_crossings = _integer(max_crossings, "crossing bound", 1)
+    # A knot closure's L letters, each a transposition, make an n-cycle:
+    # L >= n - 1 and L = n - 1 (mod 2), so the word needs least crossings or more.
+    least = max(1 + (n_nodes + n_strands) % 2, n_strands - 1 - n_nodes)
+    if one_component and least > max_crossings:
+        raise DiagramError(f"node count {n_nodes} with at most {max_crossings} crossings "
+                           f"closes no knot on {n_strands} strands")
     out = []
     while len(out) < count:
         n_cross = rng.randint(1, max_crossings)
@@ -723,5 +731,6 @@ def linking_matrix_total(diagram):
         if len(comps) == 2:
             total += diagram.sign(sid)
     if total % 2:
-        raise DiagramError("odd inter-component crossing sum; corrupt diagram")
+        # two closed plane curves cross an even number of times
+        raise DiagramError("odd inter-component crossing sum; a virtual code has no linking number")
     return total // 2

@@ -44,6 +44,7 @@ measurements, not guesses.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import itertools
 import math
@@ -608,6 +609,8 @@ def expectation_series(mk, algebra, max_degree, k, quadrature=DEFAULT_QUADRATURE
     _expect(k, numbers.Number, "expectation_series", "k")
     if k == 0:
         raise ValueError("k must be nonzero")
+    if not cmath.isfinite(k):
+        raise ValueError(f"k must be finite, not {k}")
     table = hump_normalize(degree_coefficients(mk, max_degree, quadrature), mk)
     terms = [complex(weight(algebra, _EMPTY))]
     errors = [0.0]

@@ -11,14 +11,16 @@ index swap, sum_a (T_a)_ij (T_a)_kl = delta_il delta_jk / 2, and for
 su(N) the trace part is removed, (delta_il delta_jk - delta_ij delta_kl
 / N) / 2.  So a weight is exact: a count of index loops (Bar-Natan, On
 the Vassiliev knot invariants, 1995, sec. 6; Chmutov, Duzhin and
-Mostovoy, ch. 6).  With positions 0..2m-1 on the circle and element p
-the matrix index entering position p:
+Mostovoy, ch. 6).  With positions 0..2m-1 on the circle, the loops
+are the cycles of one map on them:
 
-- gl(N): a chord (p, q) joins p with q+1 and p+1 with q (mod 2m), and
-  w(D) = N^c / 2^m for c loops;
-- su(N): each subset S of the chords takes the trace part instead, a
-  chord in S joining p with p+1 and q with q+1, and
-  w(D) = sum_S (-1)^|S| N^(c_S + m - |S|) / (2N)^m.
+- gl(N): every chord (p, q) takes the swap, y -> partner[y] + 1
+  (mod 2m), and w(D) = N^c / 2^m for c cycles;
+- su(N): each subset S of the chords takes the trace part instead,
+  p -> p + 1 and q -> q + 1 for a chord in S, and
+  w(D) = sum_S (-1)^|S| N^(c_S + m - |S|) / (2N)^m.  The subsets are
+  visited in Gray-code order, so each moves one chord into or out of S
+  and changes the cycle count by one.
 """
 
 from __future__ import annotations
@@ -69,56 +71,35 @@ def gl_fundamental(N):
 def _weight_of_partner(algebra, partner):
     """Exact weight of a matching given as a partner tuple, any rotation.
 
-    Each chord joins index positions in one union-find.  For gl(N) every
-    chord takes the swap.  For su(N) the chords are walked depth first,
-    each taking the swap and then the trace part, with its joins undone
-    on the way back, so the 2^m subsets share the joins of their common
-    prefix; a subset S adds (-1)^|S| N^(c_S + m - |S|).
+    The cycles of step, y -> partner[y] + 1 (mod 2m), are counted once:
+    the whole gl(N) weight and the su(N) term with S empty.  Each later
+    subset in Gray-code order moves one chord (p, q) into or out of S,
+    exchanging step[p] and step[q], which splits their cycle in two when
+    p and q share it and joins their two cycles otherwise.
     """
     n = len(partner)
     N = algebra.N
     if n == 0:
         return Fraction(N)  # the bare circle is one loop
     m = n // 2
-    chords = [(p, q) for p, q in enumerate(partner) if p < q]
-    swaps = [((p, (q + 1) % n), (p + 1, q)) for p, q in chords]
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    def join(pairs):
-        """Join each pair's loops; return the roots that were linked."""
-        roots = []
-        for a, b in pairs:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-                roots.append(ra)
-        return roots
-
-    # gl(N) in one pass: through the su(N) walk below it costs ~20% more on
-    # the exact benchmark pass's weight ops (2-CPU machine).
-    if not algebra.traceless:
-        return Fraction(N ** (n - sum(len(join(pairs)) for pairs in swaps)), 2**m)
-    traces = [((p, p + 1), (q, (q + 1) % n)) for p, q in chords]
-    options = [((swap, N), (trace, -1)) for swap, trace in zip(swaps, traces)]
-
-    def walk(i, loops, scale):
-        # scale is (-1)^|S| N^(i - |S|) for the subset S of chords before i
-        if i == m:
-            return scale * N**loops
-        total = 0
-        for pairs, factor in options[i]:
-            roots = join(pairs)
-            total += walk(i + 1, loops - len(roots), scale * factor)
-            for r in roots:
-                parent[r] = r
-        return total
-
-    return Fraction(walk(0, n, 1), (2 * N) ** m)
+    step = [(q + 1) % n for q in partner]
+    loops, seen = 0, [False] * n
+    for y in range(n):
+        loops += not seen[y]
+        while not seen[y]:
+            seen[y], y = True, step[y]
+    chords = [(p, q) for p, q in enumerate(partner) if p < q] if algebra.traceless else []
+    total = N ** (loops + m)
+    for i in range(1, 2 ** len(chords)):
+        p, q = chords[(i & -i).bit_length() - 1]
+        y = step[p]
+        while y != p and y != q:
+            y = step[y]
+        loops += 1 if y == q else -1
+        step[p], step[q] = step[q], step[p]
+        size = (i ^ i >> 1).bit_count()  # S is the Gray code of i
+        total += (-1) ** size * N ** (loops + m - size)
+    return Fraction(total, (2 * N) ** m)
 
 
 def weight(algebra, diagram):

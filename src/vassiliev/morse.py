@@ -28,6 +28,9 @@ class EmbeddingError(ValueError):
     pass
 
 
+MAX_PAIRS = 200_000  # strand pairs the embedding check compares, summed over slabs
+
+
 def _not_a_knot_cubics(ts, zs):
     """Not-a-knot cubic splines through the pieces (ts[k], zs[k]), each
     with t increasing: per piece, its heights and its per-interval
@@ -282,6 +285,9 @@ def morse_embed(components):
         for k in range(i, j):
             ids[k].append(s)
     slabs = [Slab(lo, hi, tuple(members)) for lo, hi, members in zip(crits, crits[1:], ids)]
+    pairs = sum(len(members) * (len(members) - 1) // 2 for members in ids)
+    if pairs > MAX_PAIRS:
+        raise EmbeddingError(f"the embedding check's {pairs:,} strand pairs exceed the bound {MAX_PAIRS:,}")
 
     margin = _check_embedding(strands, slabs, spans)
     if not margin >= 1e-8 * scale:

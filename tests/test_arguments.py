@@ -26,6 +26,7 @@ from vassiliev import (
     morse_embed,
     parse_gauss,
     parse_pd,
+    sample_singular_diagrams,
     satisfies_4T,
     v2,
     vassiliev_eval,
@@ -41,6 +42,8 @@ TREFOIL = "O1+U2+O3+U1+O2+U3+"
 WRONG_ARGUMENT = {
     "parse_gauss": (lambda: parse_gauss(5), "parse_gauss expects a str as text, not int"),
     "parse_pd": (lambda: parse_pd(None), "parse_pd expects a str as text, not NoneType"),
+    "sample_singular_diagrams": (lambda: sample_singular_diagrams(None, 0, 1),
+                                 "sample_singular_diagrams expects a Random as rng, not NoneType"),
     "linking_matrix_total": (lambda: linking_matrix_total([]),
                              "linking_matrix_total expects a SingularDiagram as diagram, not list"),
     "conway": (lambda: conway(TREFOIL), "conway expects a SingularDiagram as diagram, not str"),
@@ -81,7 +84,7 @@ EXEMPT = {
     "IntegralResult", "LieAlgebraData", "MorseKnot", "QuadratureSpec", "SingularDiagram", "Slab",
     "Strand", "DiagramError", "EmbeddingError", "ParseError", "ALL_FIXTURE_NAMES",
     # builders from numbers, braid words or a fixture name, refused under their own tests
-    "braid_closure", "sample_singular_diagrams", "enumerate_diagrams", "four_term_relations",
+    "braid_closure", "enumerate_diagrams", "four_term_relations",
     "raw_matchings", "gl_fundamental", "su2_fundamental", "plat", "round_circle",
     "two_circles", "load_fixture",
     # morse's curve readers, which refuse with EmbeddingError under their own tests

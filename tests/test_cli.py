@@ -465,6 +465,18 @@ def test_error_self_crossing_curve_exits_3(tmp_path, capsys):
     assert re.search(r"strands \d+ and \d+ meet", err["message"]), err
 
 
+def test_error_curve_with_too_many_strand_pairs_exits_3(tmp_path, capsys):
+    # 400 height wiggles on a slow swing: 10,576,524 strand pairs in its slabs
+    angles = 2 * np.pi * (np.arange(16_000) + 1 / np.pi) / 16_000
+    wide = (np.cos(angles) + 0.3j * np.sin(3 * angles),
+            0.2 * np.sin(angles) + 0.05 * np.sin(400 * angles + 0.1))
+    path = tmp_path / "wide.curve.json"
+    path.write_text(json.dumps(curve_to_json([wide])))
+    err = run_error(capsys, ["kontsevich", str(path), "--degree", "1"])
+    assert err["module"] == "morse", err
+    assert "10,576,524 strand pairs exceed the bound" in err["message"], err
+
+
 def test_error_undecodable_diagram_json_is_tagged_codes(capsys):
     for argv in (["conway", '{"components": [["O1"'], ["parse", '{"components": [['],
                  ["v2", "{"]):

@@ -787,14 +787,31 @@ def test_refusals_name_what_is_wrong():
          "crossing bound 3.0 is not an integer"),
         (lambda: sample_singular_diagrams(random.Random(0), 1.0, 1), "node count 1.0 is not an integer"),
         (lambda: sample_singular_diagrams(random.Random(0), 0, "1"), "sample count '1' is not an integer"),
+        # a knot closure on n strands needs n - 1 or more letters, as many mod 2
+        (lambda: sample_singular_diagrams(random.Random(0), 0, 1, n_strands=4, max_crossings=1,
+                                          one_component=True),
+         "node count 0 with at most 1 crossings closes no knot on 4 strands"),
+        (lambda: sample_singular_diagrams(random.Random(0), 1, 1, n_strands=2, max_crossings=1,
+                                          one_component=True),
+         "node count 1 with at most 1 crossings closes no knot on 2 strands"),
         (lambda: linking_matrix_total(braid_closure([("node", 1)])), "node-free diagram"),
         (lambda: linking_matrix_total(SingularDiagram(two_loops, {0: -1})),
          "odd inter-component crossing sum"),
+        # parses, but two closed plane curves cross an even number of times
+        (lambda: linking_matrix_total(parse_gauss("O1+;U1+")),
+         "odd inter-component crossing sum; a virtual code has no linking number"),
     ]
     for call, fragment in cases:
         with pytest.raises(DiagramError) as err:
             call()
         assert fragment in str(err.value)
+
+
+def test_knot_sampling_accepts_the_least_crossing_bound_that_closes_a_knot():
+    # 3 letters close a knot on 4 strands, and 1 or 2 never do
+    for d in sample_singular_diagrams(random.Random(0), 0, 5, n_strands=4, max_crossings=3,
+                                      one_component=True):
+        assert d.n_components == 1 and d.n_crossings == 3
 
 
 def test_equality_with_another_type_is_not_implemented():

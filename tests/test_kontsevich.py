@@ -216,6 +216,13 @@ def test_refusals_name_what_is_wrong():
          "degree_coefficients expects a QuadratureSpec as quadrature, not int"),
         (lambda: expectation_series(circle, su2_fundamental(), 2, "k"), TypeError,
          "expectation_series expects a Number as k, not str"),
+        # a k that is not finite made nan partial sums, or dropped every term past degree 0
+        (lambda: expectation_series(circle, su2_fundamental(), 1, float("nan")), ValueError,
+         "k must be finite, not nan"),
+        (lambda: expectation_series(circle, su2_fundamental(), 1, float("inf")), ValueError,
+         "k must be finite, not inf"),
+        (lambda: expectation_series(circle, su2_fundamental(), 1, complex(1, float("-inf"))), ValueError,
+         "k must be finite, not (1-infj)"),
         (lambda: linking_number([1, 2]), TypeError, "linking_number expects a MorseKnot as mk, not list"),
         (lambda: degree_coefficients(load_fixture("round_circle"), 2), TypeError,
          "degree_coefficients expects a MorseKnot as mk, not list"),

@@ -99,7 +99,10 @@ def _weight_of_pairing(T, partner):
     return complex(np.trace(state))
 
 
-@pytest.mark.parametrize("alg", [su2_fundamental()] + [gl_fundamental(n) for n in (1, 2, 3)],
+@pytest.mark.parametrize("alg",
+                         [su2_fundamental()]
+                         + [LieAlgebraData(f"su{n}", n, traceless=True) for n in (3, 4)]
+                         + [gl_fundamental(n) for n in (1, 2, 3)],
                          ids=lambda a: a.name)
 def test_exact_weights_match_the_einsum_oracle(alg):
     T = UBasis(alg).generators

@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -282,6 +283,19 @@ def test_embedding_matches_the_loop_oracles(monkeypatch):
             assert len(s._coeffs) == len(w._coeffs) == 4
             for k_got, k_want in zip(s._coeffs, w._coeffs):
                 assert _bits(k_got) == _bits(k_want), (name, s)
+
+
+def test_too_many_strand_pairs_are_refused_before_any_is_listed():
+    # 16,000 samples whose height wiggles 400 times on a slow swing: most
+    # of its 1,600 strands share every slab, 10,576,524 pairs to compare,
+    # which filled memory before the bound
+    angles = 2 * np.pi * (np.arange(16_000) + 1 / np.pi) / 16_000
+    wide = (np.cos(angles) + 0.3j * np.sin(3 * angles),
+            0.2 * np.sin(angles) + 0.05 * np.sin(400 * angles + 0.1))
+    start = time.perf_counter()
+    with pytest.raises(EmbeddingError, match="10,576,524 strand pairs exceed the bound 200,000$"):
+        morse_embed([wide])
+    assert time.perf_counter() - start < 1.0
 
 
 def test_embedding_check_evaluates_each_strand_on_its_own_slabs_only(monkeypatch):
