@@ -92,15 +92,14 @@ def _wiggle_path(x0, t0):
 
 
 def _arcs(pairs, lanes, t_base, sign):
-    """Per lane: the (x, y, t) samples of its cup or cap traversed from
-    that lane, and the lane at the other end."""
+    """Per lane: the (x, t) samples of its cup or cap, in the plane
+    y = 0, traversed from that lane, and the lane at the other end."""
     arcs = {}
     for i, (a, b) in enumerate(pairs):
         depth = 0.45 + 0.18 * (b - a) + 0.06 * i
         x, t = _arc_samples(lanes[a], lanes[b], t_base, sign * depth, ARC_SAMPLES)
-        y = np.zeros_like(x)
-        arcs[a] = ((x, y, t), b)
-        arcs[b] = ((x[::-1], y, t[::-1]), a)
+        arcs[a] = ((x, t), b)
+        arcs[b] = ((x[::-1], t[::-1]), a)
     return arcs
 
 
@@ -119,8 +118,9 @@ def plat(word, n, cups, caps):
     hump_y = BULGE * np.sin(np.pi * tau) ** 2
 
     # One pass over the word.  A strand's id is its bottom lane; bottom
-    # to top it collects one (x, y, t) window per letter and one
-    # (passage kind, crossing id) token per crossing it passes through.
+    # to top it collects one (z, t) window per letter and one (passage
+    # kind, crossing id) token per crossing it passes through.  Windows
+    # in the plane y = 0 keep z real; crossing windows bulge off it.
     occupant = list(range(n))
     samples = [[] for _ in range(n)]
     tokens = [[] for _ in range(n)]
@@ -136,18 +136,17 @@ def plat(word, n, cups, caps):
             lane = value
             if not 0 <= lane < n:
                 raise ValueError(f"wiggle lane {lane} out of range")
-            wx, wt = _wiggle_path(lanes[lane], float(j))
-            samples[occupant[lane]].append((wx, np.zeros_like(wx), wt))
+            samples[occupant[lane]].append(_wiggle_path(lanes[lane], float(j)))
             busy = (lane,)
         else:
             k = abs(value)
             if letter == 0 or k >= n:
                 raise ValueError(f"letter {letter} out of range for {n} lanes")
             left, right = occupant[k - 1], occupant[k]
-            over_y = hump_y if letter > 0 else -hump_y
+            bulge = 1j * (hump_y if letter > 0 else -hump_y)
             step = lanes[k] - lanes[k - 1]
-            samples[left].append((lanes[k - 1] + ramp * step, over_y, t_here))
-            samples[right].append((lanes[k] - ramp * step, -over_y, t_here))
+            samples[left].append((lanes[k - 1] + ramp * step + bulge, t_here))
+            samples[right].append((lanes[k] - ramp * step - bulge, t_here))
             for strand, kind in zip((left, right), _passages(letter)):
                 tokens[strand].append((kind, len(crossings)))
             crossings.append((left, right, 1 if letter > 0 else -1))
@@ -155,9 +154,7 @@ def plat(word, n, cups, caps):
             busy = (k - 1, k)
         for p, s in enumerate(occupant):
             if p not in busy:
-                samples[s].append(
-                    (np.full(WINDOW_SAMPLES, lanes[p]), np.zeros(WINDOW_SAMPLES), t_here)
-                )
+                samples[s].append((np.full(WINDOW_SAMPLES, lanes[p]), t_here))
 
     # One walk per component: up a strand, across its cap, down the
     # partner strand, across a cup, until the loop closes.  The curve
@@ -178,12 +175,12 @@ def plat(word, n, cups, caps):
             pieces.append(arc)
             down = occupant[top]
             dirs[down] = -1
-            pieces += [(x[::-1], y[::-1], t[::-1]) for x, y, t in reversed(samples[down])]
+            pieces += [(z[::-1], t[::-1]) for z, t in reversed(samples[down])]
             toks += reversed(tokens[down])
             arc, bottom = cup_arcs[down]
             pieces.append(arc)
-        x, y, t = (np.concatenate(c) for c in zip(*pieces))
-        components.append((x + 1j * y, t))
+        zs, ts = zip(*pieces)
+        components.append((np.concatenate(zs, dtype=complex), np.concatenate(ts)))
         shadow_components.append(tuple(toks))
 
     signs = {

@@ -107,12 +107,6 @@ class ChordPlacement:
     cross_component: bool
 
 
-def _pair_pools(mk):
-    """Per slab, its strand pairs (a, b) with a < b in sorted order, as an (n, 2) array."""
-    pools = (itertools.combinations(slab.strand_ids, 2) for slab in mk.slabs)
-    return [np.array(list(pool), dtype=int).reshape(-1, 2) for pool in pools]
-
-
 MAX_DEGREE = 3  # the highest degree a coefficient table is computed to
 
 # Bounds on one query, far above the largest shipped case at 16,000
@@ -194,7 +188,7 @@ def enumerate_placements(mk, m):
     """
     _expect(mk, MorseKnot, "enumerate_placements", "mk")
     m = _integer(m, "placement degree", 1, ValueError)
-    pools = _pair_pools(mk)
+    pools = [slab.pairs for slab in mk.slabs]
     _check_budget(pools, m)
     seqs, ends = _placements(pools, m)
     slabs = (seq for seq in seqs for _ in range(math.prod(len(pools[s]) for s in seq)))
@@ -403,7 +397,7 @@ def _raw_series(mk, m, quadrature):
     placements in enumeration order, so results are bit-reproducible.
     """
     series = [{_EMPTY: 1 + 0j}]
-    for ends, values in _degree_values(mk, m, quadrature, _pair_pools(mk)):
+    for ends, values in _degree_values(mk, m, quadrature, [slab.pairs for slab in mk.slabs]):
         diagrams, index = _induced_diagrams(mk, ends)
         series.append(dict(zip(diagrams, _sums(values, index, len(diagrams)))))
     return series
@@ -578,7 +572,7 @@ def linking_number(mk, quadrature=DEFAULT_QUADRATURE):
     if mk.n_components < 2:
         raise ValueError("linking number needs at least 2 components")
     comp = np.array([s.component for s in mk.strands])
-    pools = [pool[comp[pool[:, 0]] != comp[pool[:, 1]]] for pool in _pair_pools(mk)]
+    pools = [pool[comp[pool[:, 0]] != comp[pool[:, 1]]] for pool in (slab.pairs for slab in mk.slabs)]
     ((_, values),) = _degree_values(mk, 1, quadrature, pools)
     res = _classify(_sums(values, np.zeros(values.shape[1], dtype=int), 1)[0])
     return replace(res, error=res.error + abs(res.value.imag))
@@ -602,6 +596,8 @@ def expectation_series(mk, algebra, max_degree, k, quadrature=DEFAULT_QUADRATURE
     the identity in the chosen representation).  Coefficients are hump
     normalized, every degree read from one degree-max_degree table;
     divergence flags on any contributing coefficient are propagated.
+    Before any quadrature, k is refused unless every k**m, m up to
+    max_degree, is a finite nonzero complex.
     """
     from .lie import LieAlgebraData, weight
 
@@ -609,8 +605,22 @@ def expectation_series(mk, algebra, max_degree, k, quadrature=DEFAULT_QUADRATURE
     _expect(k, numbers.Number, "expectation_series", "k")
     if k == 0:
         raise ValueError("k must be nonzero")
-    if not cmath.isfinite(k):
+    try:
+        kc = complex(k)
+    except OverflowError:
+        raise ValueError("k must be finite; this k overflows a float") from None
+    if not cmath.isfinite(kc):
         raise ValueError(f"k must be finite, not {k}")
+    # the degree-m term is divided by k**m
+    for m in range(1, _integer(max_degree, "degree", error=ValueError) + 1):
+        try:
+            power = kc**m
+        except OverflowError:
+            power = cmath.inf
+        if power == 0 or not cmath.isfinite(power):
+            raise ValueError(
+                f"k**{m} leaves the floats: k's powers to degree {max_degree} must be finite and nonzero"
+            )
     table = hump_normalize(degree_coefficients(mk, max_degree, quadrature), mk)
     terms = [complex(weight(algebra, _EMPTY))]
     errors = [0.0]

@@ -8,10 +8,11 @@ height extrema into monotone strands, interpolates each strand as a
 function z(t), and organizes the strands into slabs between consecutive
 critical heights: a strand's ends are two of those heights, and their
 places among them give its slabs, the only ones it is evaluated on when
-checking the embedding.  Critical heights that coincide across components are always
-separated by a tiny jitter, recorded in the embedding's notes; critical
-heights that coincide within one component, and genuinely coincident
-strands, are rejected.
+checking the embedding.  Chords are horizontal, so the chords at a
+height join the strand pairs of its slab, Slab.pairs.  Critical heights
+that coincide across components are separated by a tiny jitter, recorded
+in the embedding's notes; critical heights that coincide within one
+component, coincident strands, and splines that overflow are rejected.
 """
 
 from __future__ import annotations
@@ -151,6 +152,10 @@ class Strand:
 
 @dataclass(frozen=True)
 class Slab:
+    """Between consecutive critical heights; strand_ids ascending.  pairs:
+    the strand pairs (a, b), a < b, as an (n, 2) int array in combinations
+    order, which kontsevich's blocks and placements (_placements) follow."""
+
     t_lo: float
     t_hi: float
     strand_ids: tuple
@@ -158,6 +163,10 @@ class Slab:
     @property
     def height(self):
         return self.t_hi - self.t_lo
+
+    @property
+    def pairs(self):
+        return np.array(list(combinations(self.strand_ids, 2)), dtype=int).reshape(-1, 2)
 
 
 @dataclass
@@ -275,7 +284,15 @@ def morse_embed(components):
             ts.append(t[a : b + 1][::step])
             zs.append(z[a : b + 1][::step])
             specs.append((ci, goes_up))
-    strands = [Strand(*spec, *built) for spec, built in zip(specs, _not_a_knot_cubics(ts, zs))]
+    # past the floats, Python raises on pow and division, and numpy under errstate
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            built = _not_a_knot_cubics(ts, zs)
+    except ArithmeticError:
+        raise EmbeddingError(
+            f"the strand splines overflow on heights spanning {scale:.3e}; rescale the curve"
+        ) from None
+    strands = [Strand(*spec, *b) for spec, b in zip(specs, built)]
 
     # A strand's ends are two of the critical heights, so their places in
     # crits are exact, and the slabs between them are the strand's span.
@@ -312,12 +329,10 @@ def _check_embedding(strands, slabs, spans):
     zs = np.concatenate([strand.at(probes[i:j])[0] for strand, (i, j) in zip(strands, spans)])
     # zs holds the strands' rows one after another: strand s's on slab k is offset[s] + k
     offset = np.cumsum([0] + [j - i for i, j in spans[:-1]]) - [i for i, _ in spans]
-    # The slab just above a component's lowest minimum holds the two
-    # strands that leave it, so some slab has a pair.
-    one, other, at = np.array(
-        [(a, b, k) for k, slab in enumerate(slabs) for a, b in combinations(slab.strand_ids, 2)]
-    ).T
-    return float(np.min(np.abs(zs[offset[one] + at] - zs[offset[other] + at])))
+    return float(np.min([
+        np.min(np.abs(zs[offset[a] + k] - zs[offset[b] + k]), initial=np.inf)
+        for k, (a, b) in enumerate(slab.pairs.T for slab in slabs)
+    ]))
 
 
 # -- curve files -----------------------------------------------------------

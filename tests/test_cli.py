@@ -477,6 +477,26 @@ def test_error_curve_with_too_many_strand_pairs_exits_3(tmp_path, capsys):
     assert "10,576,524 strand pairs exceed the bound" in err["message"], err
 
 
+def test_error_curve_whose_splines_overflow_exits_3(tmp_path):
+    # scaled by 1e-200 numpy warned on stderr before a nan margin; by 1e200
+    # a bare OverflowError came out tagged kontsevich.  A fresh interpreter
+    # prints warnings as a user sees them: stderr must be the JSON alone.
+    src = os.path.dirname(os.path.dirname(vassiliev.__file__))
+    run = "import sys; from vassiliev.cli import main; sys.exit(main(sys.argv[1:]))"
+    for factor in (1e-200, 1e200):
+        scaled = [(factor * z, factor * t) for z, t in curve_from_json(curve_file(tmp_path, "trefoil_2max"))]
+        path = tmp_path / f"scaled{factor:g}.curve.json"
+        path.write_text(json.dumps(curve_to_json(scaled)))
+        done = subprocess.run(
+            [sys.executable, "-c", run, "kontsevich", str(path), "--degree", "1"],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 3, done.stderr
+        err = json.loads(done.stderr)["error"]
+        assert err["module"] == "morse", err
+        assert "splines overflow on heights spanning" in err["message"], err
+
+
 def test_error_undecodable_diagram_json_is_tagged_codes(capsys):
     for argv in (["conway", '{"components": [["O1"'], ["parse", '{"components": [['],
                  ["v2", "{"]):

@@ -127,7 +127,7 @@ def test_epsilon_tail_classifier_outcomes():
 def table_placements(mk, m):
     """Strand ends and induced diagrams of the degree-m placements, as
     the tables read them."""
-    _, ends = kontsevich._placements(kontsevich._pair_pools(mk), m)
+    _, ends = kontsevich._placements([slab.pairs for slab in mk.slabs], m)
     diagrams, index = kontsevich._induced_diagrams(mk, ends)
     return ends, [diagrams[i] for i in index]
 
@@ -223,6 +223,15 @@ def test_refusals_name_what_is_wrong():
          "k must be finite, not inf"),
         (lambda: expectation_series(circle, su2_fundamental(), 1, complex(1, float("-inf"))), ValueError,
          "k must be finite, not (1-infj)"),
+        # a k whose powers leave the floats raised a bare OverflowError or ZeroDivisionError
+        (lambda: expectation_series(circle, su2_fundamental(), 2, 1e200), ValueError,
+         "k**2 leaves the floats: k's powers to degree 2 must be finite and nonzero"),
+        (lambda: expectation_series(circle, su2_fundamental(), 2, 1e200 + 0j), ValueError,
+         "k**2 leaves the floats"),
+        (lambda: expectation_series(circle, su2_fundamental(), 2, 1e-200), ValueError,
+         "k**2 leaves the floats"),
+        (lambda: expectation_series(circle, su2_fundamental(), 2, 10**400), ValueError,
+         "k must be finite; this k overflows a float"),
         (lambda: linking_number([1, 2]), TypeError, "linking_number expects a MorseKnot as mk, not list"),
         (lambda: degree_coefficients(load_fixture("round_circle"), 2), TypeError,
          "degree_coefficients expects a MorseKnot as mk, not list"),
@@ -243,7 +252,7 @@ def test_refusals_name_what_is_wrong():
 
 def test_placement_count_and_grid_bounds_are_exact(monkeypatch):
     for name in ALL_FIXTURE_NAMES:
-        pools = kontsevich._pair_pools(embed(name))
+        pools = [slab.pairs for slab in embed(name).slabs]
         for m in (1, 2, 3):
             kontsevich._check_budget(pools, m, 16_000)
     # the count h_m of the pool sizes is the length of the enumeration
@@ -257,7 +266,7 @@ def test_placement_count_and_grid_bounds_are_exact(monkeypatch):
                 patch.setattr(kontsevich, "MAX_PLACEMENTS", n - 1)
                 with pytest.raises(ValueError, match=f"^{n:,} degree-{m} placements"):
                     enumerate_placements(mk, m)
-    pools = kontsevich._pair_pools(embed("trefoil_3max"))  # 29 pairs
+    pools = [slab.pairs for slab in embed("trefoil_3max").slabs]  # 29 pairs
     kontsevich._check_budget(pools, 1, kontsevich.MAX_GRID // 29)
     with pytest.raises(ValueError, match="pair-steps"):
         kontsevich._check_budget(pools, 1, kontsevich.MAX_GRID // 29 + 1)
@@ -513,7 +522,7 @@ def test_slab_blocks_match_per_placement_oracle():
 def slab_integrands(mk, quadrature):
     """(F, step) of every slab with pairs of mk at every quadrature setting."""
     quad = OracleQuad(mk, quadrature)
-    for slab, pool in enumerate(kontsevich._pair_pools(mk)):
+    for slab, pool in enumerate(s.pairs for s in mk.slabs):
         pairs = list(map(tuple, pool.tolist()))
         for eps, steps in quad.settings if pairs else ():
             rows = [quad.f(slab, pair, eps, steps) for pair in pairs]
@@ -604,9 +613,9 @@ def test_raw_table_invariant_under_rigid_motion_and_scaling():
     curve = load_fixture("trefoil_2max")
     turn, shift = np.exp(0.7j), 0.3 - 1.1j
     moved = [(turn * z + shift, t + 2.5) for z, t in curve]
-    scaled = [(3 * z, 3 * t) for z, t in curve]
+    scaled = [[(f * z, f * t) for z, t in curve] for f in (3, 1e-100, 1e100)]
     base = degree_coefficients(morse_embed(curve), 2, Q)
-    for other in (moved, scaled):
+    for other in (moved, *scaled):
         table = degree_coefficients(morse_embed(other), 2, Q)
         assert table.diagrams() == base.diagrams()
         for (_, c), (_, want) in zip(table.items(), base.items()):

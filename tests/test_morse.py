@@ -1,5 +1,8 @@
+import itertools
 import json
+import re
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -109,6 +112,18 @@ def test_non_finite_samples_rejected():
             (z.real, z.imag, t)[field][5] = bad
             with pytest.raises(EmbeddingError, match="sample 5 of component 1 is not finite"):
                 morse_embed(round_circle(center=6.0) + [(z, t)])
+
+
+def test_splines_that_overflow_are_refused_by_name():
+    # Scaled by 1e-150 the splines kept non-finite coefficients and the
+    # tables came out nan; by 1e-200 the margin was nan; by 1e200 the
+    # sweep raised a bare OverflowError.  Each warned on the way.
+    curve = load_fixture("trefoil_2max")
+    for factor in (1e-200, 1e-150, 1e200):
+        scaled = [(factor * z, factor * t) for z, t in curve]
+        span = f"spanning {factor * np.ptp(curve[0][1]):.3e};"
+        with pytest.raises(EmbeddingError, match=f"splines overflow on heights {re.escape(span)}"):
+            morse_embed(scaled)
 
 
 _Z, _T = round_circle(n=16)[0]
@@ -312,6 +327,31 @@ def test_embedding_check_evaluates_each_strand_on_its_own_slabs_only(monkeypatch
         mk = morse_embed(curve)
         assert len(heights) == len(mk.strands)
         assert sum(heights) == 25 * sum(len(slab.strand_ids) for slab in mk.slabs)
+
+
+def test_embedding_check_memory_is_bounded_by_the_largest_slab():
+    # 162,926 strand pairs over 199 slabs, at most 2,145 in one: the
+    # check gathered every pair's 25 probes at once and peaked at 135 MiB
+    angles = 2 * np.pi * (np.arange(20_000) + 1 / np.pi) / 20_000
+    curve = (np.cos(angles) + 0.3j * np.sin(3 * angles),
+             0.2 * np.sin(angles) + 0.05 * np.sin(100 * angles + 0.1))
+    tracemalloc.start()
+    try:
+        mk = morse_embed([curve])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20, f"{peak / 2**20:.1f} MiB"
+    assert max(len(slab.pairs) for slab in mk.slabs) == 2_145
+    assert _bits(mk.embedding_margin) == _bits(check_embedding(mk.strands, mk.slabs))
+
+
+def test_slab_pairs_are_its_strand_pairs_in_combinations_order():
+    for name in ALL_FIXTURE_NAMES:
+        for slab in morse_embed(load_fixture(name)).slabs:
+            want = list(itertools.combinations(slab.strand_ids, 2))
+            assert slab.pairs.dtype == int and slab.pairs.shape == (len(want), 2), (name, slab)
+            assert list(map(tuple, slab.pairs.tolist())) == want, (name, slab)
 
 
 @PROPERTIES
