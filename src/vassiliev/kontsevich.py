@@ -8,7 +8,7 @@ one propagator kappa * (dz - dz')/(z - z') per chord, kappa =
 strand.  The kappa sign is calibrated once so the degree-1
 cross-component sum equals the combinatorial linking number (signed,
 not just in magnitude).  Placements are grouped by the chord diagram
-they induce on the knot circle.
+they induce on the knot circle, which only their strand pairs decide.
 
 That propagator is the paper's light-cone rule for the gauge field's
 components A_+ and A_0 (Witten's functional integral in light-cone
@@ -24,14 +24,15 @@ run of chords is an ordered block over the slab's strand pairs, so each
 strand is evaluated once per quadrature setting, the chord weights
 (cell width times propagator) form one (pairs, steps) array, and every
 k-block comes from cumulative sums and matrix products, the 3-block by
-Chen's shuffle identity.  A placement's value is the bare outer product
-of its slab runs' blocks.  One generator, _degree_values, builds the
-blocks once and yields every degree's strand ends and values for one
-of two queries: coefficient tables take every pair and sum the
-placements per induced diagram with index arrays (in enumeration
-order), and linking numbers take the cross-component pairs.  A query
-past MAX_PLACEMENTS or MAX_GRID is refused before any array is built,
-and strands that meet on the quadrature nodes are refused there.
+Chen's shuffle identity.  The whole height's integral is the ordered
+product of the slab integrals, as in the operator method, so one
+generator, _degree_values, folds the blocks bottom to top over words of
+strand pairs and yields every degree's words and values for one of two
+queries: coefficient tables take every pair and sum the words per
+induced diagram with index arrays, and linking numbers take the
+cross-component pairs.  A query past MAX_PLACEMENTS or MAX_GRID is
+refused before any array is built, and strands that meet on the
+quadrature nodes are refused there.
 
 Integrals are truncated a fraction eps of each slab's height away from
 its critical heights, at the three fixed nested insets eps = 1e-3, 5e-4
@@ -47,7 +48,6 @@ from __future__ import annotations
 import cmath
 import functools
 import itertools
-import math
 import numbers
 from dataclasses import asdict, dataclass, replace
 from typing import ClassVar
@@ -117,34 +117,22 @@ MAX_GRID = 5_000_000  # strand pairs times steps, summed over slabs
 
 def _check_budget(pools, m, steps=0):
     """Refuse degree-m placements on the pair pools, or their grid, past
-    the bounds.  The count is h_m of the pool sizes: m slabs in order, a pair in each."""
-    h = [1] + [0] * m  # complete homogeneous symmetric polynomials
-    for size in map(len, pools):
-        for k in range(1, m + 1):
-            h[k] += size * h[k - 1]
-    grid = sum(map(len, pools)) * steps
-    if h[m] > MAX_PLACEMENTS:
-        raise ValueError(f"{h[m]:,} degree-{m} placements exceed the bound {MAX_PLACEMENTS:,}")
+    the bounds.  The count is h_m of the pool sizes (m slabs in order, a
+    pair in each) over prefix sums.  It never falls from degree 1 on (add
+    a chord in the last slab), so it stops at the first degree past the
+    bound, and a degree past the bound is refused before counting."""
+    if m > MAX_PLACEMENTS:
+        raise ValueError(f"degree {m:,} exceeds the bound {MAX_PLACEMENTS:,}")
+    sizes = list(map(len, pools))
+    h = [1] * len(sizes)  # complete homogeneous symmetric polynomials of each prefix
+    for k in range(1, m + 1):
+        h = list(itertools.accumulate(size * c for size, c in zip(sizes, h)))
+        if h[-1] > MAX_PLACEMENTS:
+            also = f", and degree {m:,} has no fewer" if k < m else ""
+            raise ValueError(f"{h[-1]:,} degree-{k} placements exceed the bound {MAX_PLACEMENTS:,}{also}")
+    grid = sum(sizes) * steps
     if grid > MAX_GRID:
         raise ValueError(f"a quadrature grid of {grid:,} pair-steps exceeds the bound {MAX_GRID:,}")
-
-
-def _placements(pools, m):
-    """Degree-m placements on the pair pools in enumeration order: the
-    slab sequences with a pair in every slab, and per placement its
-    strand ends (N, m, 2), each sequence's pairs in itertools.product
-    order.
-    """
-    seqs = [
-        slab_seq
-        for slab_seq in itertools.combinations_with_replacement(range(len(pools)), m)
-        if all(len(pools[s]) for s in slab_seq)
-    ]
-    ends = [np.empty((0, m, 2), dtype=int)]
-    for slab_seq in seqs:
-        grid = np.indices([len(pools[s]) for s in slab_seq]).reshape(m, -1)
-        ends.append(np.stack([pools[s][g] for s, g in zip(slab_seq, grid)], axis=1))
-    return seqs, np.concatenate(ends)
 
 
 def _induced_diagrams(mk, ends):
@@ -179,29 +167,29 @@ def _induced_diagrams(mk, ends):
 
 
 def enumerate_placements(mk, m):
-    """All degree-m chord placement classes of a Morse embedding.
+    """All degree-m chord placement classes of a Morse embedding, by
+    slab sequence and then by their pairs in itertools.product order.
 
     Chord heights are ordered, so slab indices run nondecreasing and
-    the within-slab chord order is the listed order.  Only the tables
-    read a placement's induced diagram, from the strand ends of
-    _placements (see _induced_diagrams).
+    the within-slab chord order is the listed order.  The quadrature
+    lists no placement: it folds slab blocks over words of strand pairs
+    (see _degree_values).
     """
     _expect(mk, MorseKnot, "enumerate_placements", "mk")
     m = _integer(m, "placement degree", 1, ValueError)
     pools = [slab.pairs for slab in mk.slabs]
     _check_budget(pools, m)
-    seqs, ends = _placements(pools, m)
-    slabs = (seq for seq in seqs for _ in range(math.prod(len(pools[s]) for s in seq)))
-    # Placements share one tuple per strand pair, pair[a * n + b]: a tuple
-    # per chord raised the peak RSS of a process holding trefoil_3max's
-    # 9,670 degree-3 placements by about 4 MB.
-    n = len(mk.strands)
-    pair = [(a, b) for a in range(n) for b in range(n)]
-    flat = map(pair.__getitem__, (ends[..., 0] * n + ends[..., 1]).ravel().tolist())
-    comp = np.array([s.component for s in mk.strands])[ends]
-    cross = (comp[..., 0] != comp[..., 1]).all(axis=1).tolist()
-    # zip(*[flat] * m) deals the pairs out m at a time, one placement each
-    return [ChordPlacement(*c) for c in zip(slabs, zip(*[flat] * m), cross)]
+    # Placements share one tuple per strand pair: a tuple per chord raised
+    # the peak RSS of a process holding trefoil_3max's 9,670 degree-3
+    # placements by about 4 MB.
+    shared = {}
+    pools = [[shared.setdefault(p, p) for p in map(tuple, pool.tolist())] for pool in pools]
+    comp = [s.component for s in mk.strands]
+    return [
+        ChordPlacement(slabs, pairs, all(comp[a] != comp[b] for a, b in pairs))
+        for slabs in itertools.combinations_with_replacement(range(len(pools)), m)
+        for pairs in itertools.product(*(pools[s] for s in slabs))
+    ]
 
 
 # -- quadrature --------------------------------------------------------------
@@ -250,17 +238,22 @@ def _settings(quadrature):
 
 
 def _degree_values(mk, m, quadrature, pools):
-    """For each degree d = 1..m, the strand ends (N, d, 2) of its
-    placements on the pair pools (see _placements) and their raw
-    integrals, a (settings, N) array.
+    """For each degree d = 1..m, the words of d strand pairs that the
+    placements on the pair pools read, as strand ends (N, d, 2), and
+    their raw integrals, a (settings, N) array.
 
-    Every degree reads one set of per-slab blocks: blocks[slab][k - 1]
-    stacks that slab's k-block over the settings.  Each setting is
-    computed on its own midpoint grid, every strand of a slab with pairs
-    evaluated once on it; for m = 0 no block is built.  Each chord's row
-    carries its whole weight: cell width, kappa, and a sign per downward
-    strand.  So a placement's value is the bare outer product of the
-    blocks of its runs of equal slabs.
+    Each slab's k-blocks are stacked over the settings under a row of
+    ones, each setting on its own midpoint grid with every strand of a
+    slab with pairs evaluated once on it (for m = 0 no block is built),
+    and each chord's row carries its whole weight: cell width, kappa,
+    and a sign per downward strand.  By Chen's identity a fold bottom to
+    top, X[d] += sum over k < d of X[k] (x) Y[d - k] with Y the slab's
+    blocks, X[0] = 1 and d going down so each update reads the slabs
+    below, sums each word of letters (strand pairs, numbered as the
+    slabs list them) over its placements.  The ones fold to each word's
+    placement count; the counted words, at most h_d, are yielded.  X[d]
+    holds P**d <= d! * h_d words, as sorting a word's letters by the
+    first slab of each gives a placement.
 
     On the full-step grid with the smallest inset, the widest span any
     setting integrates, two strands whose separation turns by a right
@@ -273,15 +266,16 @@ def _degree_values(mk, m, quadrature, pools):
     _check_budget(pools, m, quadrature.steps)
     settings = _settings(quadrature)
     widest = settings[quadrature.levels - 1]
-    n = len(settings)
+    n = len(settings) + 1  # a row of placement counts, then one per setting
     orient = [1 if s.goes_up else -1 for s in mk.strands]
-    blocks = []
-    for slab, pairs in zip(mk.slabs, pools):
-        pairs = pairs.tolist()
-        per_setting = []
+    letter, blocks = {}, []
+    for slab, pairs in zip(mk.slabs, (pool.tolist() for pool in pools)):
+        if not pairs:
+            continue
+        per_setting = [[np.ones((len(pairs),) * k) for k in range(1, m + 1)]]
         # One setting at a time: stacking the three insets raised the integrals
         # benchmark's peak RSS 7% and tail latency 12% (2-CPU machine).
-        for eps, steps in settings if pairs and m else ():
+        for eps, steps in settings if m else ():
             lo, hi = slab.t_lo + eps * slab.height, slab.t_hi - eps * slab.height
             step = (hi - lo) / steps
             t = lo + (np.arange(steps) + 0.5) * step
@@ -301,19 +295,23 @@ def _degree_values(mk, m, quadrature, pools):
                         )
                 G.append(orient[a] * orient[b] * step * KAPPA * (at[a][1] - at[b][1]) / z)
             per_setting.append(_ordered_blocks(np.array(G), m))
-        blocks.append([np.stack(b) for b in zip(*per_setting)])
+        word = [letter.setdefault((a, b), len(letter)) for a, b in pairs]
+        blocks.append((word, [np.array(b).reshape(n, -1) for b in zip(*per_setting)]))
+    P = len(letter)
+    X = [None] + [np.zeros((n, P**d), dtype=complex) for d in range(1, m + 1)]
+    for word, Y in blocks:
+        cols = [np.array(word)]  # flat index of each slab word of k + 1 letters
+        for _ in range(1, m):
+            cols.append(np.add.outer(cols[-1] * P, word).ravel())
+        for d in range(m, 0, -1):
+            X[d][:, cols[d - 1]] += Y[d - 1]  # the term of X[0] = 1
+            for k in range(1, d):
+                col = np.add.outer(np.arange(P**k) * P ** (d - k), cols[d - k - 1]).ravel()
+                X[d][:, col] += (X[k][:, :, None] * Y[d - k - 1][:, None, :]).reshape(n, -1)
+    letters = np.array(list(letter), dtype=int).reshape(-1, 2)
     for d in range(1, m + 1):
-        seqs, ends = _placements(pools, d)
-        values = [np.empty((n, 0), dtype=complex)]
-        for slab_seq in seqs:
-            val = np.ones((n, 1), dtype=complex)
-            for slab, run in itertools.groupby(slab_seq):
-                block = blocks[slab][len(list(run)) - 1].reshape(n, 1, -1)
-                val = (val[:, :, None] * block).reshape(n, -1)
-            values.append(val)
-        # rebound, not yielded in place, so the pieces are freed while the caller reads it
-        values = np.concatenate(values, axis=1)
-        yield ends, values
+        words = np.flatnonzero(X[d][0])
+        yield letters[words[:, None] // P ** np.arange(d - 1, -1, -1) % P], X[d][1:, words]
 
 
 def _sums(values, index, n):
@@ -394,7 +392,8 @@ def _raw_series(mk, m, quadrature):
     Entry d maps each degree-d chord diagram to its placement sum, an
     array over the quadrature settings in _settings order; degree 0 maps
     the empty diagram to the scalar 1.  Each diagram's sum adds its
-    placements in enumeration order, so results are bit-reproducible.
+    words in letter-word order, each a fold over the slabs (see
+    _degree_values), so results are bit-reproducible.
     """
     series = [{_EMPTY: 1 + 0j}]
     for ends, values in _degree_values(mk, m, quadrature, [slab.pairs for slab in mk.slabs]):
@@ -522,8 +521,8 @@ def _hump_reference_series(quadrature):
     size.
 
     One series serves every degree: its entries 0..m are bit-identical
-    to a degree-m series, since the k-blocks for k <= m and the
-    placements of degree <= m are the same arithmetic at any top degree.
+    to a degree-m series, since the k-blocks and the fold's updates of
+    degree <= m are the same arithmetic at any top degree.
     """
     from .fixtures import load_fixture
     from .morse import morse_embed

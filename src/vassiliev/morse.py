@@ -154,7 +154,7 @@ class Strand:
 class Slab:
     """Between consecutive critical heights; strand_ids ascending.  pairs:
     the strand pairs (a, b), a < b, as an (n, 2) int array in combinations
-    order, which kontsevich's blocks and placements (_placements) follow."""
+    order, which kontsevich's blocks, letters and placements follow."""
 
     t_lo: float
     t_hi: float

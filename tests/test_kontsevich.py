@@ -127,7 +127,7 @@ def test_epsilon_tail_classifier_outcomes():
 def table_placements(mk, m):
     """Strand ends and induced diagrams of the degree-m placements, as
     the tables read them."""
-    _, ends = kontsevich._placements([slab.pairs for slab in mk.slabs], m)
+    ends = np.array([p.pairs for p in enumerate_placements(mk, m)]).reshape(-1, m, 2)
     diagrams, index = kontsevich._induced_diagrams(mk, ends)
     return ends, [diagrams[i] for i in index]
 
@@ -143,6 +143,14 @@ def test_circle_placements():
     assert induced == [PARALLEL] * len(ends)
     with pytest.raises(ValueError):
         enumerate_placements(mk, 0)
+
+
+def test_high_degree_placements_on_a_round_circle():
+    # one slab with one pair: a single placement at any degree
+    mk = embed("round_circle")
+    for m in (64, 1000):
+        (placement,) = enumerate_placements(mk, m)
+        assert placement.pairs == ((0, 1),) * m
 
 
 def test_induced_diagrams_refuse_degrees_past_their_int64_code():
@@ -193,6 +201,7 @@ def twelve_lane_knot():
 
 def test_refusals_name_what_is_wrong():
     mk, circle, hopf = twelve_lane_knot(), embed("round_circle"), embed("hopf")
+    trefoil = embed("trefoil_3max")
     table = degree_coefficients(circle, 1, QuadratureSpec(steps=32))
     huge = QuadratureSpec(steps=10**8)
     too_many = f"4,313,558 degree-3 placements exceed the bound {kontsevich.MAX_PLACEMENTS:,}"
@@ -206,6 +215,14 @@ def test_refusals_name_what_is_wrong():
         (lambda: degree_coefficients(circle, 2.0), ValueError, "degree 2.0 is not an integer"),
         (lambda: enumerate_placements(circle, 1.5), ValueError,
          "placement degree 1.5 is not an integer"),
+        # the count stops at the first degree past the bound, and a degree past it is not counted
+        (lambda: enumerate_placements(trefoil, 1000), ValueError,
+         f"2,367,231 degree-5 placements exceed the bound {kontsevich.MAX_PLACEMENTS:,}, "
+         "and degree 1,000 has no fewer"),
+        (lambda: enumerate_placements(trefoil, 4000), ValueError, "and degree 4,000 has no fewer"),
+        (lambda: enumerate_placements(trefoil, 100_000), ValueError, "and degree 100,000 has no fewer"),
+        (lambda: enumerate_placements(circle, kontsevich.MAX_PLACEMENTS + 1), ValueError,
+         f"degree 200,001 exceeds the bound {kontsevich.MAX_PLACEMENTS:,}"),
         (lambda: kontsevich._ordered_blocks(np.ones((2, 16)) / 16, 4), ValueError,
          "ordered blocks stop at MAX_DEGREE = 3, not 4"),
         (lambda: degree_coefficients(circle, 2, 2000), TypeError,
@@ -504,9 +521,10 @@ def test_table_json_form():
         assert np.isfinite(row["error"])
 
 
-def test_slab_blocks_match_per_placement_oracle():
+@pytest.mark.parametrize("name", ["trefoil_3max", "figure_eight"])
+def test_slab_blocks_match_per_placement_oracle(name):
     q = QuadratureSpec(steps=200)
-    mk = embed("trefoil_3max")
+    mk = embed(name)
     quad = OracleQuad(mk, q)
     for m in (1, 2, 3):
         want = {}
@@ -517,6 +535,18 @@ def test_slab_blocks_match_per_placement_oracle():
         assert set(table.diagrams()) == set(want)
         for d, c in table.items():
             assert_series_close(c, want[d])
+
+
+def test_fold_reads_exactly_the_placements_words():
+    # the words the fold yields are the distinct pair sequences of the placements
+    q = QuadratureSpec(32)
+    for name in ALL_FIXTURE_NAMES:
+        mk = embed(name)
+        pools = [slab.pairs for slab in mk.slabs]
+        for d, (ends, values) in enumerate(kontsevich._degree_values(mk, 3, q, pools), 1):
+            words = [tuple(map(tuple, word)) for word in ends.tolist()]
+            assert len(set(words)) == len(words) == values.shape[1], (name, d)
+            assert set(words) == {p.pairs for p in enumerate_placements(mk, d)}, (name, d)
 
 
 def slab_integrands(mk, quadrature):
