@@ -34,6 +34,13 @@ cross-component pairs.  A query past MAX_PLACEMENTS or MAX_GRID is
 refused before any array is built, and strands that meet on the
 quadrature nodes are refused there.
 
+One slab on one setting is in memory at a time: the slab's strand
+values on the setting's nodes, then, with those released, its weight
+array and the heads, and in the 3-block one product block of at most
+as many rows.  So the working set follows the largest slab's pairs
+times steps, about three (pairs, steps) complex arrays, while
+MAX_GRID bounds the sum over slabs, which the time follows.
+
 Integrals are truncated a fraction eps of each slab's height away from
 its critical heights, at the three fixed nested insets eps = 1e-3, 5e-4
 and 2.5e-4 (INSETS); a geometric fit in the differences decides between
@@ -216,7 +223,8 @@ def _ordered_blocks(G, degree):
     blocks = [G.sum(axis=1)]
     if degree < 2:
         return blocks
-    H = np.cumsum(G, axis=1) - 0.5 * G
+    H = np.cumsum(G, axis=1)
+    H -= 0.5 * G
     blocks.append(H @ G.T)
     if degree == 3:
         block = np.multiply.outer(blocks[1], blocks[0])
@@ -255,6 +263,14 @@ def _degree_values(mk, m, quadrature, pools):
     holds P**d <= d! * h_d words, as sorting a word's letters by the
     first slab of each gives a placement.
 
+    Per slab and setting the strand values come first; each chord's
+    weights are written into the setting's one (pairs, steps) array and
+    the strand values released before _ordered_blocks, and the weights
+    before the next setting's strand values.  Under tracemalloc a
+    degree-2 table of trefoil_3max (at most 15 pairs in a slab) peaks at
+    1.44 MiB at the default 2,000 steps and 11.4 MiB at 16,000, about
+    3.1 times its largest slab's pairs * steps * 16 bytes.
+
     On the full-step grid with the smallest inset, the widest span any
     setting integrates, two strands whose separation turns by a right
     angle or more between adjacent nodes meet, or pass closer than the
@@ -274,14 +290,16 @@ def _degree_values(mk, m, quadrature, pools):
             continue
         per_setting = [[np.ones((len(pairs),) * k) for k in range(1, m + 1)]]
         # One setting at a time: stacking the three insets raised the integrals
-        # benchmark's peak RSS 7% and tail latency 12% (2-CPU machine).
+        # benchmark's peak RSS 7% and tail latency 12% (2-CPU machine).  Its
+        # weights fill one array and its strand values go before the blocks,
+        # so it holds about three (pairs, steps) arrays at once.
         for eps, steps in settings if m else ():
             lo, hi = slab.t_lo + eps * slab.height, slab.t_hi - eps * slab.height
             step = (hi - lo) / steps
             t = lo + (np.arange(steps) + 0.5) * step
             at = {s: mk.strands[s].at(t) for s in {s for pair in pairs for s in pair}}
-            G = []
-            for a, b in pairs:
+            G = np.empty((len(pairs), steps), dtype=complex)
+            for i, (a, b) in enumerate(pairs):
                 z = at[a][0] - at[b][0]
                 if (eps, steps) == widest:
                     turned = (z[1:] * z[:-1].conj()).real <= 0
@@ -293,8 +311,10 @@ def _degree_values(mk, m, quadrature, pools):
                             f"between adjacent nodes at {steps} steps; "
                             f"if the curve is embedded, raise --steps"
                         )
-                G.append(orient[a] * orient[b] * step * KAPPA * (at[a][1] - at[b][1]) / z)
-            per_setting.append(_ordered_blocks(np.array(G), m))
+                G[i] = orient[a] * orient[b] * step * KAPPA * (at[a][1] - at[b][1]) / z
+            del at
+            per_setting.append(_ordered_blocks(G, m))
+            del G
         word = [letter.setdefault((a, b), len(letter)) for a, b in pairs]
         blocks.append((word, [np.array(b).reshape(n, -1) for b in zip(*per_setting)]))
     P = len(letter)
@@ -470,6 +490,14 @@ class CoefficientTable:
         }
 
 
+def _table_degree(m):
+    """m as an int from 0 to MAX_DEGREE, the degrees a table is computed to."""
+    m = _integer(m, "degree", error=ValueError)
+    if m < 0 or m > MAX_DEGREE:
+        raise ValueError(f"degree must be between 0 and {MAX_DEGREE}")
+    return m
+
+
 def degree_coefficients(mk, m, quadrature=DEFAULT_QUADRATURE):
     """CoefficientTable of the raw degree-m integrals of a knot.
 
@@ -482,9 +510,7 @@ def degree_coefficients(mk, m, quadrature=DEFAULT_QUADRATURE):
     """
     _expect(mk, MorseKnot, "degree_coefficients", "mk")
     _expect(quadrature, QuadratureSpec, "degree_coefficients", "quadrature")
-    m = _integer(m, "degree", error=ValueError)
-    if m < 0 or m > MAX_DEGREE:
-        raise ValueError(f"degree must be between 0 and {MAX_DEGREE}")
+    m = _table_degree(m)
     if m > 0 and mk.n_components != 1:
         raise ValueError(
             "coefficient tables need a single component; see linking_number"
@@ -595,11 +621,14 @@ def expectation_series(mk, algebra, max_degree, k, quadrature=DEFAULT_QUADRATURE
     the identity in the chosen representation).  Coefficients are hump
     normalized, every degree read from one degree-max_degree table;
     divergence flags on any contributing coefficient are propagated.
-    Before any quadrature, k is refused unless every k**m, m up to
-    max_degree, is a finite nonzero complex.
+    max_degree is refused first, as degree_coefficients refuses it, so
+    a degree past MAX_DEGREE costs nothing.  Then, before any
+    quadrature, k is refused unless every k**m, m up to max_degree, is
+    a finite nonzero complex.
     """
     from .lie import LieAlgebraData, weight
 
+    max_degree = _table_degree(max_degree)
     _expect(algebra, LieAlgebraData, "expectation_series", "algebra")
     _expect(k, numbers.Number, "expectation_series", "k")
     if k == 0:
@@ -611,7 +640,7 @@ def expectation_series(mk, algebra, max_degree, k, quadrature=DEFAULT_QUADRATURE
     if not cmath.isfinite(kc):
         raise ValueError(f"k must be finite, not {k}")
     # the degree-m term is divided by k**m
-    for m in range(1, _integer(max_degree, "degree", error=ValueError) + 1):
+    for m in range(1, max_degree + 1):
         try:
             power = kc**m
         except OverflowError:

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import random
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -249,6 +250,9 @@ def test_refusals_name_what_is_wrong():
          "k**2 leaves the floats"),
         (lambda: expectation_series(circle, su2_fundamental(), 2, 10**400), ValueError,
          "k must be finite; this k overflows a float"),
+        # the k-power loop ran to max_degree before the table refused it: 14 s at 10**8
+        (lambda: expectation_series(embed("trefoil_2max"), su2_fundamental(), 10**8, 1), ValueError,
+         "degree must be between 0 and 3"),
         (lambda: linking_number([1, 2]), TypeError, "linking_number expects a MorseKnot as mk, not list"),
         (lambda: degree_coefficients(load_fixture("round_circle"), 2), TypeError,
          "degree_coefficients expects a MorseKnot as mk, not list"),
@@ -592,6 +596,22 @@ def test_heads_and_tails_add_up_to_the_one_block():
         B1 = kontsevich._ordered_blocks(step * F, 1)[0]
         scale = step * np.abs(F).sum(axis=1, keepdims=True)
         assert np.all(np.abs(H + R - B1[:, None]) <= 1e-12 * scale)
+
+
+def test_quadrature_memory_is_bounded_by_the_largest_slab():
+    # one slab on one setting at a time: its weights, their heads and one
+    # temporary, about three (pairs, steps) arrays; holding the weights
+    # twice beside the strand values peaked near five
+    mk, spec = embed("trefoil_3max"), QuadratureSpec(steps=8000)
+    largest = max(len(slab.pairs) for slab in mk.slabs) * spec.steps * 16
+    tracemalloc.start()
+    try:
+        degree_coefficients(mk, 2, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * largest, f"{peak / 2**20:.1f} MiB, {peak / largest:.2f} times the largest slab"
+    assert largest == 15 * 8000 * 16
 
 
 def test_quadrature_leaves_no_blas_worker_spinning():
