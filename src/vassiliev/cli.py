@@ -1,22 +1,20 @@
 """Command-line front end.
 
 Each subcommand reads diagram codes or sampled-curve JSON, calls into
-the library, and writes a single JSON (default) or CSV document to
-stdout or to --output.  Failures are reported as a machine-readable
-JSON document {"error": {module, message[, position]}} on stderr with
-exit status 3; argparse usage errors keep their conventional status 2.
+the library, and writes a single JSON document to stdout or to
+--output.  Failures are reported as a machine-readable JSON document
+{"error": {module, message[, position]}} on stderr with exit status 3;
+argparse usage errors keep their conventional status 2.
 
 Diagram inputs are a path to a file, or the literal text of a Gauss
 code, a PD code, or a diagram JSON document; load_diagram decides
 which.  COMMANDS declares each subcommand once: its help line, its
-arguments, handler, output schema, error tag and CSV form; build_parser
-and run read every subcommand from it.  Each handler imports the layers
-it uses, so a command loads only its own.
+arguments, handler, output schema and error tag; build_parser and run
+read every subcommand from it.  Each handler imports the layers it
+uses, so a command loads only its own.
 """
 
 import argparse
-import csv
-import io
 import json
 import os
 import re
@@ -257,70 +255,6 @@ def _run_compare(args):
     }
 
 
-# ---------------------------------------------------------------- CSV rows
-
-
-def _parse_rows(payload):
-    rows = [("component", "position", "kind", "id", "sign")]
-    signs = payload["diagram"]["signs"]
-    for ci, comp in enumerate(payload["diagram"]["components"]):
-        for pi, tok in enumerate(comp):
-            kind, sid = tok[0], tok[1:]
-            rows.append((ci, pi, kind, sid, signs.get(sid, "")))
-    return rows
-
-
-def _polynomial_rows(payload):
-    rows = [("exponent", "coefficient")]
-    for exp in sorted(payload["coefficients"], key=int):
-        rows.append((exp, payload["coefficients"][exp]))
-    return rows
-
-
-def _v2_rows(payload):
-    return [("v2",), (payload["v2"],)]
-
-
-def _chords_rows(payload):
-    if payload["action"] == "enumerate":
-        rows = [("index", "matching")]
-        rows += [(i, mt) for i, mt in enumerate(payload["raw_matchings"])]
-        return rows
-    rows = [("relation", "term", "sign", "diagram")]
-    for ri, rel in enumerate(payload["relations"]):
-        for ti, term in enumerate(rel):
-            rows.append((ri, ti, term["sign"], term["diagram"]))
-    return rows
-
-
-def _weights_rows(payload):
-    rows = [("diagram", "weight")]
-    rows += [(w["diagram"], w["weight"]) for w in payload["weights"]]
-    return rows
-
-
-def _kontsevich_rows(payload):
-    rows = [("diagram", "value_re", "value_im", "error", "converged", "log_divergent")]
-    for c in payload["coefficients"]:
-        rows.append(
-            (c["diagram"], c["value_re"], c["value_im"], c["error"],
-             c["converged"], c["log_divergent"])
-        )
-    return rows
-
-
-def _compare_rows(payload):
-    flat = {
-        "skein_v2": payload["skein"]["v2"],
-        "integral_crossed_re": payload["integral"]["crossed_re"],
-        "integral_crossed_im": payload["integral"]["crossed_im"],
-        "integral_error": payload["integral"]["error"],
-        "difference": payload["difference"],
-        "within_tolerance": payload["within_tolerance"],
-    }
-    return [("key", "value")] + list(flat.items())
-
-
 # ---------------------------------------------------------------- registry
 
 
@@ -336,12 +270,10 @@ _INPUT = _arg("input")
 _STEPS = _arg("--steps", type=int, default=argparse.SUPPRESS,
               help="quadrature steps per slab (default: QuadratureSpec().steps)")
 
-# Every subcommand ends with these; omitted, each keeps its value from before the subcommand.
+# Every subcommand ends with this; omitted, it keeps its value from before the subcommand.
 _COMMON = (
     _arg("--output", default=argparse.SUPPRESS,
          help="write the document to this file instead of stdout"),
-    _arg("--format", dest="fmt", choices=("json", "csv"), default=argparse.SUPPRESS,
-         help="output format (default json)"),
 )
 
 
@@ -351,61 +283,47 @@ _COMMON = (
 #   handler    parsed arguments -> JSON payload; run adds the "command" key
 #   schema     shipped schema file that validates the JSON payload
 #   error_tag  module tag for errors whose type lives outside this package
-#   csv_rows   JSON payload -> CSV rows, header first
-Command = namedtuple("Command", "help arguments handler schema error_tag csv_rows")
+Command = namedtuple("Command", "help arguments handler schema error_tag")
 
 
 COMMANDS = {
     "parse": Command("parse a Gauss / PD / JSON diagram and echo it",
                      (_arg("input", help="path or literal code text"),),
-                     _run_parse, "parse", "codes", _parse_rows),
+                     _run_parse, "parse", "codes"),
     "conway": Command("Conway polynomial of a diagram", (_INPUT,),
-                      _run_conway, "polynomial", "skein", _polynomial_rows),
+                      _run_conway, "polynomial", "skein"),
     "v2": Command("degree-2 Vassiliev invariant of a knot diagram", (_INPUT,),
-                  _run_v2, "v2", "skein", _v2_rows),
+                  _run_v2, "v2", "skein"),
     "vassiliev-eval": Command(
         "resolve every node by a*positive + b*negative + c*smooth, then Conway",
         (_INPUT, _arg("--a", type=int, default=1), _arg("--b", type=int, default=-1),
          _arg("--c", type=int, default=0)),
-        _run_vassiliev_eval, "polynomial", "skein", _polynomial_rows),
+        _run_vassiliev_eval, "polynomial", "skein"),
     "chords": Command("chord diagram enumeration and 4T relations",
                       (_arg("action", choices=("enumerate", "4t")), _arg("degree", type=int)),
-                      _run_chords, "chords", "chords", _chords_rows),
+                      _run_chords, "chords", "chords"),
     "weights": Command("Lie-algebra weight table for one degree",
                        (_arg("--algebra", required=True, help="su2 or glN with N <= 6"),
                         _arg("--degree", type=int, required=True)),
-                       _run_weights, "weights", "lie", _weights_rows),
+                       _run_weights, "weights", "lie"),
     "kontsevich": Command(
         "numerical coefficient table of a sampled curve",
         (_arg("input", help="curve JSON file"), _arg("--degree", type=int, default=2),
          _arg("--raw", action="store_true", help="skip the hump normalization, emit raw integrals"),
          _STEPS),
-        _run_kontsevich, "coefficients", "kontsevich", _kontsevich_rows),
+        _run_kontsevich, "coefficients", "kontsevich"),
     "compare": Command(
         "cross-validate degree 2: curve integral against skein v2 within the integral's bar",
         (_arg("curve", help="curve JSON file"), _arg("code", help="diagram code for the same knot"),
          _STEPS),
-        _run_compare, "compare", "kontsevich", _compare_rows),
+        _run_compare, "compare", "kontsevich"),
 }
-
-
-# ---------------------------------------------------------------- rendering
-
-
-def _render(payload, command, args):
-    if args.fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerows(command.csv_rows(payload))
-        return buf.getvalue()
-    return json.dumps(payload, indent=2) + "\n"
 
 
 def run(args):
     """Execute one parsed invocation; returns the exit status."""
-    command = COMMANDS[args.subcommand]
-    payload = {"command": args.subcommand, **command.handler(args)}
-    text = _render(payload, command, args)
+    payload = {"command": args.subcommand, **COMMANDS[args.subcommand].handler(args)}
+    text = json.dumps(payload, indent=2) + "\n"
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text)
@@ -423,7 +341,6 @@ def build_parser():
         description="Finite-type invariants from codes, chord diagrams and curve integrals.",
     )
     parser.add_argument("--output", default=None)
-    parser.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
     subs = parser.add_subparsers(dest="subcommand", required=True)
     for name, command in COMMANDS.items():
         sub = subs.add_parser(name, help=command.help)
@@ -448,6 +365,9 @@ def _error_payload(exc, default_tag):
 
 
 def main(argv=None):
+    # Read once, as a handler first imports numpy: starting OpenBLAS's thread
+    # pool costs a fresh command more than its products gain.  A set value wins.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -5,10 +5,8 @@ validated against the shipped schemas with jsonschema.  One test imports
 the package in a fresh interpreter to see what the import costs.
 """
 
-import csv
 import dataclasses
 import importlib.resources
-import io
 import json
 import os
 import re
@@ -565,64 +563,9 @@ def test_kontsevich_refuses_oversized_work(tmp_path, capsys):
 def test_usage_error_exit_2(capsys):
     assert cli.main(["bogus-subcommand"]) == 2
     assert cli.main([]) == 2
-    assert cli.main(["v2", TREFOIL, "--format", "xml"]) == 2
-
-
-def test_csv_conway(capsys):
-    status = cli.main(["conway", TREFOIL, "--format", "csv"])
-    out, _ = capsys.readouterr()
-    assert status == 0
-    rows = list(csv.reader(io.StringIO(out)))
-    assert rows[0] == ["exponent", "coefficient"]
-    assert ["0", "1"] in rows and ["2", "1"] in rows
-
-
-def test_csv_kontsevich_quotes_diagrams(tmp_path, capsys):
-    path = curve_file(tmp_path, "round_circle")
-    status = cli.main(["kontsevich", path, "--degree", "2", "--raw", "--format", "csv"])
-    out, _ = capsys.readouterr()
-    assert status == 0
-    rows = list(csv.reader(io.StringIO(out)))
-    assert rows[0][0] == "diagram"
-    # the parallel diagram's name contains a comma; csv must keep it one field
-    assert any(r[0] == "0-1,2-3" for r in rows[1:])
-
-
-# (arguments, CSV header, data rows the JSON payload implies); curves are fixture names
-CSV_CASES = {
-    "parse": (["parse", TREFOIL], ["component", "position", "kind", "id", "sign"],
-              lambda p: sum(map(len, p["diagram"]["components"]))),
-    "conway": (["conway", TREFOIL], ["exponent", "coefficient"], lambda p: len(p["coefficients"])),
-    "v2": (["v2", TREFOIL], ["v2"], lambda p: 1),
-    "vassiliev-eval": (["vassiliev-eval", NODE_TREFOIL], ["exponent", "coefficient"],
-                       lambda p: len(p["coefficients"])),
-    "chords-enumerate": (["chords", "enumerate", "3"], ["index", "matching"],
-                         lambda p: len(p["raw_matchings"])),
-    "chords-4t": (["chords", "4t", "3"], ["relation", "term", "sign", "diagram"],
-                  lambda p: sum(map(len, p["relations"]))),
-    "weights": (["weights", "--algebra", "su2", "--degree", "3"], ["diagram", "weight"],
-                lambda p: len(p["weights"])),
-    "kontsevich": (["kontsevich", "@round_circle", "--degree", "2", "--raw"],
-                   ["diagram", "value_re", "value_im", "error", "converged", "log_divergent"],
-                   lambda p: len(p["coefficients"])),
-    "compare": (["compare", "@trefoil_2max", TREFOIL], ["key", "value"], lambda p: 6),
-}
-
-
-def test_csv_cases_cover_every_command():
-    assert {argv[0] for argv, _, _ in CSV_CASES.values()} == set(cli.COMMANDS)
-
-
-@pytest.mark.parametrize("case", sorted(CSV_CASES))
-def test_csv_rows_match_the_json_payload(case, tmp_path, capsys):
-    argv, header, count = CSV_CASES[case]
-    argv = [curve_file(tmp_path, a[1:]) if a.startswith("@") else a for a in argv]
-    payload = run_json(capsys, argv)
-    assert cli.main(argv + ["--format", "csv"]) == 0
-    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
-    assert rows[0] == header
-    assert len(rows) - 1 == count(payload) > 0
-    assert all(len(row) == len(header) for row in rows)
+    # one output form, JSON, so there is no option to choose it
+    assert cli.main(["v2", TREFOIL, "--format", "csv"]) == 2
+    assert cli.main(["--format", "json", "v2", TREFOIL]) == 2
 
 
 def test_output_file(tmp_path, capsys):
@@ -634,18 +577,30 @@ def test_output_file(tmp_path, capsys):
     assert json.loads(target.read_text())["v2"] == 1
 
 
-def test_global_flags_before_subcommand(capsys):
-    status = cli.main(["--format", "csv", "v2", TREFOIL])
+def test_main_defaults_openblas_to_one_thread_and_keeps_a_set_value(monkeypatch, capsys):
+    # monkeypatch restores the variable, and with it os.environ, after the test
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    assert run_json(capsys, ["v2", TREFOIL])["v2"] == 1
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+    assert run_json(capsys, ["v2", TREFOIL])["v2"] == 1
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
+
+
+def test_global_flags_before_subcommand(tmp_path, capsys):
+    target = tmp_path / "out.json"
+    status = cli.main(["--output", str(target), "v2", TREFOIL])
     out, _ = capsys.readouterr()
     assert status == 0
-    assert out.splitlines()[0] == "v2"
+    assert out == ""
+    assert json.loads(target.read_text())["v2"] == 1
 
 
 # One minimal argv per subcommand, the namespace it parses to beyond the
 # global defaults, and the options its --help page lists before the common
-# two.  An omitted --steps leaves no key, so QuadratureSpec's default
+# --output.  An omitted --steps leaves no key, so QuadratureSpec's default
 # applies.
-GLOBAL_DEFAULTS = {"output": None, "fmt": "json"}
+GLOBAL_DEFAULTS = {"output": None}
 PARSER_CASES = {
     "parse": (["parse", "X"], {"input": "X"}, ()),
     "conway": (["conway", "X"], {"input": "X"}, ()),
@@ -674,7 +629,7 @@ def test_parser_dests_defaults_and_help(name, capsys):
     assert declared == list(options)
     assert cli.main([name, "--help"]) == 0
     page = capsys.readouterr().out
-    for option in (*options, "--output", "--format"):
+    for option in (*options, "--output"):
         assert re.search(rf"{option}\b", page), option
 
 
